@@ -68,6 +68,10 @@ def _parse_sizes(text: str) -> list[int]:
         raise UsageError(f"bad size list {text!r}; expected comma-separated integers") from None
 
 
+def _token_lines(sentences) -> str:
+    return "".join(" ".join(s) + "\n" for s in sentences)
+
+
 def _load_run(run_dir: Path, checkpoint: str | None, data_dir: Path):
     vocab = corpus_mod.Vocab.load(run_dir / "vocab.json")
     ckpt_path = Path(checkpoint) if checkpoint else run_dir / "ckpt_avg.bin"
@@ -206,25 +210,22 @@ def cmd_evaluate(args) -> int:
     table = report_dir / f"robustness_{args.split}.csv"
     with open(table, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["size", "bleu", "accuracy", "malformed", "n_windows"])
+        writer.writerow(evl.ROBUSTNESS_COLUMNS)
         for r in rows:
             writer.writerow([r.size, repr(r.bleu),
                              "" if r.accuracy is None else repr(r.accuracy),
                              r.malformed, r.n_windows])
-    # per-sentence hypotheses for significance testing
-    for size in sizes:
-        hyps, refs, _ = evl.decode_current_sentences(model, docs, vocab, size,
-                                                     beam=args.beam, alpha=args.alpha)
-        hp = report_dir / f"hyps_{args.split}_k{size}.txt"
-        hp.write_text("".join(" ".join(h) + "\n" for h in hyps))
-        (report_dir / f"refs_{args.split}.txt").write_text(
-            "".join(" ".join(r) + "\n" for r in refs))
+    # per-sentence hypotheses for significance testing, from the decode
+    # that the table's BLEU was computed from
+    for r in rows:
+        (report_dir / f"hyps_{args.split}_k{r.size}.txt").write_text(_token_lines(r.hyps))
+    (report_dir / f"refs_{args.split}.txt").write_text(_token_lines(rows[0].refs))
     summary = {
         "checkpoint": str(ckpt_path),
         "split": args.split,
         "beam": args.beam,
         "alpha": args.alpha,
-        "rows": [vars(r) for r in rows],
+        "rows": [{k: getattr(r, k) for k in evl.ROBUSTNESS_COLUMNS} for r in rows],
     }
     (report_dir / f"evaluate_{args.split}.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True))
@@ -394,6 +395,9 @@ def cmd_stats(args) -> int:
         refs = [line.split() for line in Path(args.refs).read_text().splitlines()]
         hyps_a = [line.split() for line in Path(args.a).read_text().splitlines()]
         hyps_b = [line.split() for line in Path(args.b).read_text().splitlines()]
+        if not len(hyps_a) == len(hyps_b) == len(refs):
+            raise UsageError(f"line counts differ: --a has {len(hyps_a)}, --b has "
+                             f"{len(hyps_b)}, --refs has {len(refs)}")
         stats_a = [evl.bleu_stats(h, r) for h, r in zip(hyps_a, refs)]
         stats_b = [evl.bleu_stats(h, r) for h, r in zip(hyps_b, refs)]
         perms = args.permutations or 10000

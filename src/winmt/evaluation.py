@@ -307,6 +307,9 @@ def extract_current(ids: Sequence[int], expected_seps: int) -> tuple[list[int], 
     return toks[last + 1:], seps == expected_seps
 
 
+ROBUSTNESS_COLUMNS = ("size", "bleu", "accuracy", "malformed", "n_windows")
+
+
 @dataclass
 class RobustnessRow:
     size: int
@@ -314,6 +317,9 @@ class RobustnessRow:
     accuracy: float | None
     malformed: int
     n_windows: int
+    # the decoded current sentences the BLEU was computed from, one per sentence
+    hyps: list[list[str]] = field(repr=False)
+    refs: list[list[str]] = field(repr=False)
 
 
 def decode_current_sentences(model: TransformerModel, docs: Sequence[Document],
@@ -347,7 +353,8 @@ def robustness_eval(model: TransformerModel, docs: Sequence[Document], vocab: Vo
     """BLEU (and contrastive accuracy) re-evaluated at each window size.
 
     Windows are rebuilt at every size; only the current sentence of each
-    decoded window is scored, the context translation is discarded.
+    decoded window is scored, the context translation is discarded. Each
+    row keeps the hypotheses and references its BLEU was computed from.
     """
     if min(sizes) < 1:
         raise EvalError(f"window sizes must be >= 1, got {sizes}")
@@ -367,5 +374,6 @@ def robustness_eval(model: TransformerModel, docs: Sequence[Document], vocab: Vo
             results = evaluate_contrastive(model, rebuilt, vocab)
             accuracy = 100.0 * sum(r.correct for r in results) / len(results)
         rows.append(RobustnessRow(size=size, bleu=score, accuracy=accuracy,
-                                  malformed=malformed, n_windows=len(hyps)))
+                                  malformed=malformed, n_windows=len(hyps),
+                                  hyps=hyps, refs=refs))
     return rows

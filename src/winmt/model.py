@@ -171,6 +171,18 @@ def _key_mask(valid: np.ndarray, dtype) -> np.ndarray:
     return np.where(valid > 0, 0.0, NEG_INF).astype(dtype)
 
 
+def _take_rows(cache: np.ndarray, idx: np.ndarray, filled: int) -> np.ndarray:
+    """Rows ``idx`` of a (rows, heads, steps, dh) cache whose first ``filled``
+    steps are written; only that prefix is copied."""
+    if len(idx) == len(cache):
+        if not np.array_equal(idx, np.arange(len(idx))):
+            cache[:, :, :filled] = cache[idx, :, :filled]
+        return cache
+    out = np.empty((len(idx),) + cache.shape[1:], dtype=cache.dtype)
+    out[:, :, :filled] = cache[idx, :, :filled]
+    return out
+
+
 class TransformerModel:
     def __init__(self, config: ModelConfig, params: dict[str, Tensor] | None = None,
                  seed: int = 0):
@@ -378,7 +390,9 @@ class TransformerModel:
         """Batched beam search; returns generated token ids (with <E> when emitted).
 
         Hypotheses are ranked by log-prob / lp(n) with lp(n) = ((5+n)/6)^alpha.
-        Generation stops at <E> or max-len.
+        Generation stops at <E> or max-len. A window leaves the batch once it
+        holds `beam` finished hypotheses or reaches its length cap, so every
+        step runs on the rows of windows still searching only.
         """
         if beam < 1:
             raise ModelError(f"beam must be >= 1, got {beam}")
@@ -392,26 +406,28 @@ class TransformerModel:
 
         batch = build_batch(windows, cfg)
         enc = self.encode(batch).data
-        b = batch.size
+        b, s_len = enc.shape[:2]
         d, heads = cfg.hidden, cfg.heads
         dh = d // heads
         p = {k: v.data for k, v in self.params.items()}
 
+        # every per-row array holds `beam` rows per window still searching;
+        # the cross keys/values are projected once per window, then repeated
         rep = lambda a: np.repeat(a, beam, axis=0)
         r = b * beam
-        enc_r = rep(enc)
+        enc_flat = enc.reshape(b * s_len, d)
+        cross_k = [rep((enc_flat @ p[f"dec{i}.cross.k"]).reshape(b, s_len, d))
+                   for i in range(cfg.layers)]
+        cross_v = [rep((enc_flat @ p[f"dec{i}.cross.v"] + p[f"dec{i}.cross.v&bias"])
+                       .reshape(b, s_len, d)) for i in range(cfg.layers)]
         src_key_mask = _key_mask(rep(batch.src_valid)[:, None, None, :], cfg.np_dtype)
         shifts = rep(batch.shifts)
-
-        def split(x):
-            return x.reshape(r, -1, heads, dh).transpose(0, 2, 1, 3)
-
-        cross_k, cross_v = [], []
-        for i in range(cfg.layers):
-            cross_k.append(split(enc_r @ p[f"dec{i}.cross.k"]))
-            cross_v.append(split(enc_r @ p[f"dec{i}.cross.v"] + p[f"dec{i}.cross.v&bias"]))
         self_k = [np.zeros((r, heads, t_cap, dh), dtype=cfg.np_dtype) for _ in range(cfg.layers)]
         self_v = [np.zeros((r, heads, t_cap, dh), dtype=cfg.np_dtype) for _ in range(cfg.layers)]
+
+        def split(x):
+            """(rows, n, d) or (rows, d) -> (rows, heads, n, dh)"""
+            return x.reshape(x.shape[0], -1, heads, dh).transpose(0, 2, 1, 3)
 
         def ln(x, name):
             mean = x.mean(axis=-1, keepdims=True)
@@ -420,6 +436,8 @@ class TransformerModel:
             return cent / np.sqrt(var + 1e-5) * p[name + ".g"] + p[name + ".b"]
 
         def step_logits(tokens, segs, t):
+            # the step state is (rows, d), so every linear is one flat GEMM
+            rows = tokens.shape[0]
             x = p["tgt_emb"][tokens] * math.sqrt(d)
             pos = t + segs * shifts
             x = x + sinusoidal_pe(pos, d, cfg.np_dtype)
@@ -427,29 +445,31 @@ class TransformerModel:
                 x = x + sinusoidal_pe(segs, d, cfg.np_dtype)
             elif cfg.segment_variant == "learned":
                 x = x + p["seg_table"][np.minimum(segs, cfg.max_window - 1)]
-            x = x[:, None, :]  # (r, 1, d)
             for i in range(cfg.layers):
                 blk = f"dec{i}"
                 h = ln(x, f"{blk}.ln1")
                 q = split(h @ p[f"{blk}.self.q"] + p[f"{blk}.self.q&bias"])
-                self_k[i][:, :, t] = split(h @ p[f"{blk}.self.k"])[:, :, 0]
-                self_v[i][:, :, t] = split(h @ p[f"{blk}.self.v"] + p[f"{blk}.self.v&bias"])[:, :, 0]
+                self_k[i][:, :, t] = (h @ p[f"{blk}.self.k"]).reshape(rows, heads, dh)
+                self_v[i][:, :, t] = (h @ p[f"{blk}.self.v"] + p[f"{blk}.self.v&bias"]) \
+                    .reshape(rows, heads, dh)
                 x = x + self._np_attn(q, self_k[i][:, :, :t + 1], self_v[i][:, :, :t + 1],
                                       0.0, p, f"{blk}.self")
                 h = ln(x, f"{blk}.ln2")
                 q = split(h @ p[f"{blk}.cross.q"] + p[f"{blk}.cross.q&bias"])
-                x = x + self._np_attn(q, cross_k[i], cross_v[i], src_key_mask, p, f"{blk}.cross")
+                x = x + self._np_attn(q, split(cross_k[i]), split(cross_v[i]), src_key_mask,
+                                      p, f"{blk}.cross")
                 h = ln(x, f"{blk}.ln3")
                 x = x + np.maximum(h @ p[f"{blk}.ffn.w1"] + p[f"{blk}.ffn.w1&bias"], 0.0) \
                     @ p[f"{blk}.ffn.w2"] + p[f"{blk}.ffn.w2&bias"]
             x = ln(x, "dec_ln")
-            logits = x[:, 0, :] @ p["out"] + p["out&bias"]
+            logits = x @ p["out"] + p["out&bias"]
             shifted = logits - logits.max(axis=-1, keepdims=True)
             return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
         def lp(n):
             return ((5.0 + n) / 6.0) ** alpha
 
+        live = np.arange(b)  # the window behind each group of `beam` rows
         tokens = np.full((r, t_cap + 1), EOS_ID, dtype=np.int64)  # column 0 = start token
         segs = np.zeros(r, dtype=np.int64)
         cum = np.full((b, beam), NEG_INF)
@@ -457,29 +477,20 @@ class TransformerModel:
         alive = np.ones((b, beam), dtype=bool)
         finished: list[list[tuple[float, list[int]]]] = [[] for _ in range(b)]
 
-        identity = np.arange(r, dtype=np.int64)
         for t in range(t_cap):
+            n = live.size
             logp = step_logits(tokens[:, t], segs, t)
             logp[:, PAD_ID] = NEG_INF  # padding is never a valid continuation
-            cand = cum.reshape(r, 1) + logp
-            cand[~alive.reshape(r)] = NEG_INF
-            cand = cand.reshape(b, beam * cfg.vocab_size)
+            cand = cum.reshape(n * beam, 1) + logp
+            cand[~alive.reshape(n * beam)] = NEG_INF
+            cand = cand.reshape(n, beam * cfg.vocab_size)
             top = np.argsort(-cand, axis=1, kind="stable")[:, :2 * beam]
-            new_tokens = np.full((r,), PAD_ID, dtype=np.int64)
-            new_segs = np.zeros(r, dtype=np.int64)
-            new_cum = np.full((b, beam), NEG_INF)
-            new_alive = np.zeros((b, beam), dtype=bool)
-            reorder = identity.copy()
-            for row in range(b):
-                if not alive[row].any():
-                    continue
-                if t >= caps[row]:
-                    # length cap reached: finalize live hypotheses truncated
-                    for slot in range(beam):
-                        if alive[row, slot]:
-                            seq = tokens[row * beam + slot, 1:t + 1].tolist()
-                            finished[row].append((cum[row, slot] / lp(len(seq)), seq))
-                    continue
+            new_tokens = np.full(n * beam, PAD_ID, dtype=np.int64)
+            new_segs = np.zeros(n * beam, dtype=np.int64)
+            new_cum = np.full((n, beam), NEG_INF)
+            new_alive = np.zeros((n, beam), dtype=bool)
+            reorder = np.arange(n * beam)
+            for row, w in enumerate(live.tolist()):
                 filled = 0
                 for rank, cidx in enumerate(top[row]):
                     score = cand[row, cidx]
@@ -490,9 +501,9 @@ class TransformerModel:
                     if tok == EOS_ID:
                         # finalize <E> only from the first `beam` ranks; this
                         # keeps beam=1 exactly equal to greedy decoding
-                        if rank < beam and len(finished[row]) < beam:
+                        if rank < beam and len(finished[w]) < beam:
                             seq = tokens[src_flat, 1:t + 1].tolist() + [tok]
-                            finished[row].append((score / lp(len(seq)), seq))
+                            finished[w].append((score / lp(len(seq)), seq))
                         continue
                     if filled < beam:
                         dst = row * beam + filled
@@ -502,27 +513,39 @@ class TransformerModel:
                         new_cum[row, filled] = score
                         new_alive[row, filled] = True
                         filled += 1
-                if len(finished[row]) >= beam:
+                if len(finished[w]) >= beam:
                     new_alive[row] = False
-            if not new_alive.any():
-                alive = new_alive
-                break
-            if not np.array_equal(reorder, identity):
-                for i in range(cfg.layers):
-                    self_k[i] = self_k[i][reorder]
-                    self_v[i] = self_v[i][reorder]
-                tokens = tokens[reorder]
+            tokens = tokens[reorder]
             tokens[:, t + 1] = new_tokens
-            segs = new_segs
-            cum, alive = new_cum, new_alive
+            segs, cum, alive = new_segs, new_cum, new_alive
+            for row, w in enumerate(live.tolist()):
+                if t + 1 >= caps[w]:
+                    # length cap reached: finalize live hypotheses truncated
+                    for slot in np.flatnonzero(alive[row]).tolist():
+                        seq = tokens[row * beam + slot, 1:t + 2].tolist()
+                        finished[w].append((cum[row, slot] / lp(len(seq)), seq))
+                    alive[row] = False
+
+            # finished windows leave the batch; the self-attention caches of
+            # the rest follow the beam reorder
+            keep = alive.any(axis=1)
+            if not keep.any():
+                break
+            gather = reorder
+            if not keep.all():
+                kept = np.flatnonzero(rep(keep))
+                live, cum, alive = live[keep], cum[keep], alive[keep]
+                tokens, segs, shifts = tokens[kept], segs[kept], shifts[kept]
+                src_key_mask = src_key_mask[kept]
+                cross_k = [c[kept] for c in cross_k]
+                cross_v = [c[kept] for c in cross_v]
+                gather = reorder[kept]
+            for i in range(cfg.layers):
+                self_k[i] = _take_rows(self_k[i], gather, t + 1)
+                self_v[i] = _take_rows(self_v[i], gather, t + 1)
 
         results = []
-        for row in range(b):
-            hyps = list(finished[row])
-            for slot in range(beam):
-                if alive[row, slot]:
-                    seq = tokens[row * beam + slot, 1:caps[row] + 1].tolist()
-                    hyps.append((cum[row, slot] / lp(len(seq)), seq))
+        for hyps in finished:
             if not hyps:
                 hyps = [(float(NEG_INF), [EOS_ID])]
             results.append(max(hyps, key=lambda h: h[0])[1])
@@ -530,13 +553,13 @@ class TransformerModel:
 
     @staticmethod
     def _np_attn(q, k, v, mask_add, p, name):
+        """One query per row: q (rows, heads, 1, dh) -> output projection (rows, d)."""
         dh = q.shape[-1]
         scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh) + mask_add
         scores -= scores.max(axis=-1, keepdims=True)
         w = np.exp(scores)
         w /= w.sum(axis=-1, keepdims=True)
-        out = (w @ v).transpose(0, 2, 1, 3)
-        out = out.reshape(out.shape[0], out.shape[1], -1)
+        out = (w @ v).reshape(q.shape[0], -1)
         return out @ p[f"{name}.o"] + p[f"{name}.o&bias"]
 
     # ------------------------------------------------------------------

@@ -197,6 +197,9 @@ def backward(loss: Tensor) -> None:
                 parent.grad = pgrad
             else:
                 parent.grad = parent.grad + pgrad
+    # the tape and its tensors point at each other; dropping the tape lets
+    # reference counting free the activations without the cyclic collector
+    graph.nodes = []
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +307,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    return _emit(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    return _emit(np.maximum(a.data, 0), (a,), lambda g: (g * mask,))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

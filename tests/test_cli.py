@@ -1,10 +1,14 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from winmt.cli import main
+from winmt.corpus import Vocab, read_corpus
+from winmt.evaluation import bleu, extract_current
+from winmt.model import TransformerModel
 
 
 def run_cli(*argv):
@@ -120,6 +124,44 @@ class TestEvaluate:
         assert (run_dir / "hyps_test_k2.txt").exists()
         assert (run_dir / "refs_test.txt").exists()
 
+    def test_one_decode_per_size(self, run_dir, tmp_path, monkeypatch):
+        calls = []
+        original = TransformerModel.decode
+
+        def counting(self, windows, *args, **kwargs):
+            decoded = original(self, windows, *args, **kwargs)
+            calls.append((windows, decoded))
+            return decoded
+
+        # a test split of more than one decode batch, in the run's vocabulary
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--out", data, "--seed", "8", "--docs", "12",
+                       "--vocab-size", "32", "--split", "0/0/100") == 0
+        monkeypatch.setattr(TransformerModel, "decode", counting)
+        report = tmp_path / "report"
+        code = run_cli("evaluate", "--run", run_dir, "--data", data,
+                       "--split", "test", "--window-sizes", "2,3", "--beam", "2",
+                       "--report-dir", report)
+        assert code == 0
+        n_windows = sum(len(d.sentences) for d in read_corpus(data / "test.txt"))
+        assert n_windows > 32  # more than one decode batch per size
+        per_size = math.ceil(n_windows / 32)
+        assert len(calls) == 2 * per_size
+        vocab = Vocab.load(run_dir / "vocab.json")
+        refs = [line.split() for line in (report / "refs_test.txt").read_text().splitlines()]
+        rows = list(csv.DictReader((report / "robustness_test.csv").open()))
+        assert [r["size"] for r in rows] == ["2", "3"]
+        for i, r in enumerate(rows):
+            hyps = [line.split() for line in
+                    (report / f"hyps_test_k{r['size']}.txt").read_text().splitlines()]
+            assert len(hyps) == len(refs) == int(r["n_windows"]) == n_windows
+            assert float(r["bleu"]) == bleu(hyps, refs)
+            # the written hypotheses are the current sentences of that one decode
+            decoded = [vocab.decode(extract_current(ids, w.size - 1)[0])
+                       for windows, out in calls[i * per_size:(i + 1) * per_size]
+                       for w, ids in zip(windows, out)]
+            assert hyps == decoded
+
     def test_vocab_digest_mismatch_rejected(self, data_dir, run_dir, tmp_path, capsys):
         # a checkpoint trained on different data has a different vocab digest
         other_data = tmp_path / "otherdata"
@@ -201,6 +243,18 @@ class TestStats:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["permutations"] == 10000
         assert payload["p_value"] == 1.0
+
+    def test_ar_bleu_rejects_line_count_mismatch(self, capsys, tmp_path):
+        hyps = tmp_path / "h.txt"
+        refs = tmp_path / "r.txt"
+        hyps.write_text("a b c d\n" * 2)
+        refs.write_text("a b c d\n" * 3)
+        code = run_cli("stats", "--test", "ar-bleu", "--a", hyps, "--b", hyps,
+                       "--refs", refs)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "UsageError"
+        assert "line counts differ" in err["message"]
 
     def test_ar_defaults_to_1000_perms(self, tmp_path, capsys):
         scores = tmp_path / "s.txt"

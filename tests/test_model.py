@@ -5,7 +5,7 @@ from winmt import corpus as C
 from winmt import model as M
 from winmt import synth
 from winmt.rng import stream
-from winmt.tensor import Graph, backward, record
+from winmt.tensor import Graph, Tensor, backward, record
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +187,27 @@ class TestBeamSearch:
         together = model.decode(subset, beam=3, alpha=0.6)
         separate = [model.decode([w], beam=3, alpha=0.6)[0] for w in subset]
         assert together == separate
+
+    @pytest.mark.parametrize("max_len", [None, 3])
+    def test_batched_decode_matches_single_as_windows_finish(self, setup, max_len):
+        # windows of sizes 1 and 4 have different length caps, and a bias
+        # towards <E> makes some finish early, so windows leave the beam
+        # batch at different steps while the others keep searching
+        docs, vocab, _, base = setup
+        params = {k: Tensor(v.data.copy()) for k, v in base.params.items()}
+        params["out&bias"].data[C.EOS_ID] += 1.0
+        model = M.TransformerModel(base.config, params)
+        short = C.make_windows(docs[0], 1, vocab)
+        long = C.make_windows(docs[1], 4, vocab)
+        subset = [short[0], long[-1], short[1], long[-2], short[2], long[-3]]
+        together = model.decode(subset, beam=4, alpha=0.6, max_len=max_len)
+        separate = [model.decode([w], beam=4, alpha=0.6, max_len=max_len)[0]
+                    for w in subset]
+        assert together == separate
+        caps = [min(2 * len(w.src_ids) + 8, max_len or base.config.max_len) for w in subset]
+        ended = [h[-1] == C.EOS_ID for h in together]
+        assert any(ended) and not all(ended)
+        assert all(len(h) == cap for h, cap, e in zip(together, caps, ended) if not e)
 
 
 def greedy_reference(model, window):

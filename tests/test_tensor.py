@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,38 @@ class TestBackward:
             loss = T.reduce_sum(y)
         T.backward(loss)
         assert y.grad is not None and x.grad is not None
+
+    def test_backward_frees_tape_without_cyclic_gc(self):
+        x = scalar([1.0, -2.0, 3.0])
+        gc.disable()
+        try:
+            with T.record(T.Graph()):
+                h = T.relu(T.mul(x, x))
+                loss = T.reduce_sum(h)
+            activation = weakref.ref(h.data)
+            T.backward(loss)
+            with pytest.raises(T.GraphError, match="already ran"):
+                T.backward(loss)
+            del h, loss
+            assert activation() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_forward_and_gradient_exact(self, dtype):
+        a = np.array([[-2.5, -0.0, 0.0, 1e-30, 3.0],
+                      [-1e-30, 7.0, -7.0, 0.5, -0.5]], dtype=dtype)
+        upstream = np.arange(1.0, 11.0, dtype=dtype).reshape(2, 5)
+        x = T.Tensor(a)
+        with T.record(T.Graph()):
+            y = T.relu(x)
+            loss = T.reduce_sum(T.mul(y, T.Tensor(upstream)))
+        T.backward(loss)
+        mask = a > 0
+        expected = np.where(mask, a, 0.0)
+        assert y.data.dtype == expected.dtype == dtype
+        assert y.data.tobytes() == expected.tobytes()
+        assert x.grad.tobytes() == (upstream * mask).tobytes()
 
     def test_mlp_matches_finite_differences(self):
         # random 2-layer MLP: loss = sum(relu(x @ w1 + b1) @ w2)
