@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,9 @@ from . import corpus as corpus_mod
 from . import evaluation as evl
 from . import stats as stats_mod
 from . import synth
-from .model import TransformerModel, build_batch
+from .model import TransformerModel
 from .trainer import (DEFAULT_SWEEP, ConfigError, TrainConfig, cd_sweep,
-                      config_from_sources, parse_config_text, train)
+                      config_from_sources, parse_config_text, train, window_losses)
 
 SUMMARY_JSON = "summary.json"
 
@@ -126,15 +127,8 @@ def _train_config_from_args(args) -> TrainConfig:
         path = Path(args.config)
         file_values = parse_config_text(path.read_text())
         inputs.append(path)
-    overrides = {}
-    for key in ("data_dir", "out_dir", "seed", "k", "cd", "label_smoothing", "layers",
-                "heads", "hidden", "ffn", "dropout", "max_window", "max_len",
-                "position_scheme", "shift_strategy", "segment_variant", "peak_lr",
-                "lr_scale", "warmup", "batch_tokens", "max_epochs", "max_steps",
-                "patience", "val_interval", "ckpt_avg", "dtype"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
+                 if getattr(args, f.name, None) is not None}
     config = config_from_sources(file_values, overrides)
     if not config.data_dir or not config.out_dir:
         raise UsageError("data_dir and out_dir are required (flags or config file)")
@@ -147,7 +141,6 @@ def cmd_train(args) -> int:
     if not args.resume:
         _require_empty(out_dir, args.force)
     result = train(config, resume=args.resume)
-    from dataclasses import asdict
     data = Path(config.data_dir)
     _write_manifest(out_dir, "train", asdict(config), config.seed,
                     [data / "train.txt", data / "dev.txt"],
@@ -179,7 +172,6 @@ def cmd_sweep(args) -> int:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row.get(k, "") for k in cols})
-    from dataclasses import asdict
     _write_manifest(out_dir, "sweep", asdict(config), config.seed, [], [table])
     for row in rows:
         print(row)
@@ -296,29 +288,13 @@ def cmd_diagnose(args) -> int:
     windows = [w for d in docs for w in corpus_mod.make_windows(d, k, vocab)]
     if args.limit:
         windows = windows[:args.limit]
-    records = []
-    from .objective import smoothed_nll
-    cur_sum = ctx_sum = 0.0
-    cur_tok = ctx_tok = 0
-    per_window = []
-    for lo in range(0, len(windows), 32):
-        batch = build_batch(windows[lo:lo + 32], model.config)
-        log_probs, recs = model.forward(batch, capture=True)
-        records.extend(recs)
-        per_tok = smoothed_nll(log_probs, batch.tgt_out, 0.1, batch.tgt_valid).data
-        for i, w in enumerate(batch.windows):
-            cur = float((per_tok[i] * batch.current_mask[i]).sum())
-            ctx = float((per_tok[i] * batch.context_mask[i]).sum())
-            cur_sum += cur
-            ctx_sum += ctx
-            cur_tok += int(batch.current_mask[i].sum())
-            ctx_tok += int(batch.context_mask[i].sum())
-            per_window.append((cur, ctx, w.size - 1))
+    records: list = []
+    cur_sums, ctx_sums, cur_toks, ctx_toks = window_losses(
+        model, [windows[lo:lo + 32] for lo in range(0, len(windows), 32)], 0.1, records)
     entropy_rows = evl.attention_entropy_rows(records)
     mass = evl.current_attention_mass(records)
-    ctx_means = [c / n for _, c, n in per_window if n >= 1]
-    cur_means = [c for c, _, _ in per_window]
-    ratio = (float(np.mean(cur_means)) / float(np.mean(ctx_means))) if ctx_means else float("nan")
+    ctx_means = [c / (w.size - 1) for c, w in zip(ctx_sums, windows) if w.size > 1]
+    ratio = float(np.mean(cur_sums)) / float(np.mean(ctx_means)) if ctx_means else float("nan")
 
     series = []
     log_path = run_dir / "log.csv"
@@ -339,8 +315,8 @@ def cmd_diagnose(args) -> int:
         "split": args.split,
         "attention_entropy": float(entropy_rows.mean()),
         "attention_mass": mass,
-        "dev_current_loss": cur_sum / max(1, cur_tok),
-        "dev_context_loss": ctx_sum / ctx_tok if ctx_tok else None,
+        "dev_current_loss": sum(cur_sums) / max(1, sum(cur_toks)),
+        "dev_context_loss": sum(ctx_sums) / sum(ctx_toks) if sum(ctx_toks) else None,
         "loss_ratio": ratio,
         "n_windows": len(windows),
         "series": series,
@@ -384,6 +360,9 @@ def cmd_stats(args) -> int:
     elif args.test == "ar":
         scores_a = _read_scores(Path(args.a))
         scores_b = _read_scores(Path(args.b))
+        if len(scores_a) != len(scores_b):
+            raise UsageError(f"line counts differ: --a has {len(scores_a)}, "
+                             f"--b has {len(scores_b)}")
         perms = args.permutations or 1000
         p = stats_mod.approx_randomization(scores_a, scores_b, perms, args.seed)
         payload = {"test": "ar", "n": len(scores_a), "permutations": perms,
@@ -415,6 +394,19 @@ def cmd_stats(args) -> int:
 # argument wiring
 
 
+def _add_config_flags(parser, exclude=()) -> None:
+    """--config, --data, --out, --force and one flag per other TrainConfig field."""
+    parser.add_argument("--config", help="flat key = value config file")
+    parser.add_argument("--data", dest="data_dir")
+    parser.add_argument("--out", dest="out_dir")
+    parser.add_argument("--force", action="store_true")
+    types = {"int": int, "float": float, "str": str}
+    for f in fields(TrainConfig):
+        if f.name not in ("data_dir", "out_dir", *exclude):
+            parser.add_argument("--" + f.name.replace("_", "-"), type=types[f.type],
+                                default=None, dest=f.name)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="winmt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -434,39 +426,13 @@ def build_parser() -> _Parser:
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train one model into a run directory")
-    t.add_argument("--config", help="flat key = value config file")
-    t.add_argument("--data", dest="data_dir")
-    t.add_argument("--out", dest="out_dir")
+    _add_config_flags(t)
     t.add_argument("--resume", action="store_true")
-    t.add_argument("--force", action="store_true")
-    for key, typ in (("seed", int), ("k", int), ("cd", float), ("label-smoothing", float),
-                     ("layers", int), ("heads", int), ("hidden", int), ("ffn", int),
-                     ("dropout", float), ("max-window", int), ("max-len", int),
-                     ("peak-lr", float), ("lr-scale", float), ("warmup", int),
-                     ("batch-tokens", int), ("max-epochs", int), ("max-steps", int),
-                     ("patience", int), ("val-interval", int), ("ckpt-avg", int)):
-        t.add_argument(f"--{key}", type=typ, default=None,
-                       dest=key.replace("-", "_"))
-    t.add_argument("--position-scheme", choices=["plain", "shifted"], default=None,
-                   dest="position_scheme")
-    t.add_argument("--shift-strategy", default=None, dest="shift_strategy")
-    t.add_argument("--segment-variant", choices=["none", "sin", "learned"], default=None,
-                   dest="segment_variant")
-    t.add_argument("--dtype", choices=["float32", "float64"], default=None)
     t.set_defaults(func=cmd_train)
 
     s = sub.add_parser("sweep", help="train one model per context discount")
-    s.add_argument("--config")
-    s.add_argument("--data", dest="data_dir")
-    s.add_argument("--out", dest="out_dir")
+    _add_config_flags(s, exclude=("cd",))
     s.add_argument("--cd-values", help="comma-separated discounts; default full sweep")
-    s.add_argument("--force", action="store_true")
-    for key, typ in (("seed", int), ("k", int), ("hidden", int), ("layers", int),
-                     ("heads", int), ("ffn", int), ("dropout", float),
-                     ("max-epochs", int), ("max-steps", int), ("patience", int),
-                     ("val-interval", int), ("warmup", int), ("batch-tokens", int),
-                     ("peak-lr", float)):
-        s.add_argument(f"--{key}", type=typ, default=None, dest=key.replace("-", "_"))
     s.set_defaults(func=cmd_sweep)
 
     e = sub.add_parser("evaluate", help="BLEU and window-size robustness")

@@ -285,11 +285,6 @@ class ContrastiveExample:
                 raise CorpusError(
                     f"example {self.example_id!r}: candidates differ outside the current sentence")
 
-    def source_window(self, vocab: Vocab) -> Window:
-        tgt = self.candidates[0]
-        return window_from_sentences(self.src_sentences, tgt, vocab,
-                                     doc_id=self.doc_id, j=self.j)
-
     def candidate_windows(self, vocab: Vocab) -> list[Window]:
         return [window_from_sentences(self.src_sentences, cand, vocab,
                                       doc_id=self.doc_id, j=self.j)

@@ -18,13 +18,14 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .corpus import EOS_ID, PAD_ID, SEP_ID, Window, compute_shift
-from .positions import sinusoidal_pe, init_segment_table
+from .positions import SCHEMES, SEGMENT_VARIANTS, init_segment_table, sinusoidal_pe
 from .rng import stream
 from .tensor import (Graph, Tensor, add, add_const, dropout, embedding, layer_norm,
                      log_softmax, matmul, mul_const, record, reduce_sum, relu,
                      reshape, softmax, transpose)
 
 NEG_INF = -np.inf
+DTYPES = ("float32", "float64")
 
 
 class ModelError(ValueError):
@@ -54,10 +55,12 @@ class ModelConfig:
             raise ModelError(f"hidden {self.hidden} not divisible by heads {self.heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.position_scheme not in ("plain", "shifted"):
+        if self.position_scheme not in SCHEMES:
             raise ModelError(f"unknown position scheme {self.position_scheme!r}")
-        if self.segment_variant not in ("none", "sin", "learned"):
+        if self.segment_variant not in SEGMENT_VARIANTS:
             raise ModelError(f"unknown segment variant {self.segment_variant!r}")
+        if self.dtype not in DTYPES:
+            raise ModelError(f"unknown dtype {self.dtype!r}")
 
     @property
     def np_dtype(self):
@@ -258,24 +261,37 @@ class TransformerModel:
             x = dropout(x, cfg.dropout, stream(seed, f"drop/{drop_site}", step))
         return x
 
-    def _split_heads(self, x: Tensor, b: int, t: int) -> Tensor:
+    def _split_heads(self, x: Tensor, groups: int) -> Tensor:
+        """(..., hidden) rows -> (groups, heads, rows per group, hidden // heads)."""
         cfg = self.config
-        dh = cfg.hidden // cfg.heads
-        return transpose(reshape(x, (b, t, cfg.heads, dh)), (0, 2, 1, 3))
+        x = reshape(x, (groups, -1, cfg.heads, cfg.hidden // cfg.heads))
+        return transpose(x, (0, 2, 1, 3))
 
-    def _merge_heads(self, x: Tensor, b: int, t: int) -> Tensor:
-        return reshape(transpose(x, (0, 2, 1, 3)), (b, t, self.config.hidden))
+    def _merge_heads(self, x: Tensor, shape) -> Tensor:
+        return reshape(transpose(x, (0, 2, 1, 3)), shape)
 
-    def _attention(self, name, q_in, kv_in, mask_add, *, train, step, seed,
+    def _kv(self, name: str, x: Tensor) -> tuple[Tensor, Tensor]:
+        """Keys and values of attention ``name`` over ``x``, split into heads."""
+        p = self.params
+        k = self._split_heads(matmul(x, p[f"{name}.k"]), x.shape[0])
+        v = self._split_heads(_linear(x, p[f"{name}.v"], p[f"{name}.v&bias"]), x.shape[0])
+        return k, v
+
+    def _attention(self, name, q_in, kv, mask_add, *, train, step, seed,
                    capture, records, layer, kind, batch):
+        """Attention of ``q_in`` over the keys and values that ``kv(name, q_in)`` gives.
+
+        ``kv`` runs after the query projection, so a tape records q, k, v in
+        that order. The query rows are regrouped to the keys' leading axis:
+        in decoding, the `beam` hypothesis rows of a window attend to its one
+        set of encoder states at once.
+        """
         cfg = self.config
         p = self.params
-        b, tq = q_in.shape[0], q_in.shape[1]
-        tk = kv_in.shape[1]
         dh = cfg.hidden // cfg.heads
-        q = self._split_heads(_linear(q_in, p[f"{name}.q"], p[f"{name}.q&bias"]), b, tq)
-        k = self._split_heads(matmul(kv_in, p[f"{name}.k"]), b, tk)
-        v = self._split_heads(_linear(kv_in, p[f"{name}.v"], p[f"{name}.v&bias"]), b, tk)
+        q = _linear(q_in, p[f"{name}.q"], p[f"{name}.q&bias"])
+        k, v = kv(name, q_in)
+        q = self._split_heads(q, k.shape[0])
         scores = mul_const(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         scores = add_const(scores, mask_add)
         attn = softmax(scores, axis=-1)
@@ -283,7 +299,7 @@ class TransformerModel:
             self._capture(records, attn.data, layer, kind, batch)
         if train and cfg.dropout > 0:
             attn = dropout(attn, cfg.dropout, stream(seed, f"drop/{name}.attn", step))
-        out = self._merge_heads(matmul(attn, v), b, tq)
+        out = self._merge_heads(matmul(attn, v), q_in.shape)
         return _linear(out, p[f"{name}.o"], p[f"{name}.o&bias"])
 
     def _capture(self, records, attn, layer, kind, batch):
@@ -326,7 +342,7 @@ class TransformerModel:
         for i in range(cfg.layers):
             blk = f"enc{i}"
             h = layer_norm(x, p[f"{blk}.ln1.g"], p[f"{blk}.ln1.b"])
-            a = self._attention(f"{blk}.self", h, h, key_mask, train=train, step=step,
+            a = self._attention(f"{blk}.self", h, self._kv, key_mask, train=train, step=step,
                                 seed=seed, capture=capture, records=records,
                                 layer=i, kind="enc-self", batch=batch)
             x = self._residual(x, a, f"{blk}.self", train, step, seed)
@@ -339,34 +355,47 @@ class TransformerModel:
                 capture: bool = False) -> tuple[Tensor, list[AttentionRecord]]:
         """Teacher-forced forward pass: per-position log-probabilities over the vocab."""
         cfg = self.config
-        p = self.params
         records: list[AttentionRecord] = []
         enc = self.encode(batch, train=train, step=step, seed=seed,
                           capture=capture, records=records)
-        b, t = batch.tgt_in.shape
+        t = batch.tgt_in.shape[1]
         causal = _key_mask(np.tril(np.ones((t, t))), cfg.np_dtype)[None, None, :, :]
         self_mask = causal + _key_mask(batch.tgt_valid[:, None, None, :], cfg.np_dtype)
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         x = self._embed(batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos, "tgt_emb",
                         "tgt_emb", train, step, seed)
-        for i in range(cfg.layers):
+        log_probs = self._decoder(x, self._kv, lambda name, _: self._kv(name, enc),
+                                  self_mask, cross_mask, train=train, step=step, seed=seed,
+                                  capture=capture, records=records, batch=batch)
+        return log_probs, records
+
+    def _decoder(self, x, self_kv, cross_kv, self_mask, cross_mask, *, train=False, step=0,
+                 seed=0, capture=False, records=None, batch=None) -> Tensor:
+        """Decoder layers, final norm and output log-softmax over embedded targets ``x``.
+
+        ``forward`` runs them over whole teacher-forced targets; ``decode``
+        runs them on one step per hypothesis row, with key/value providers
+        that read its caches.
+        """
+        p = self.params
+        opts = dict(train=train, step=step, seed=seed, capture=capture, records=records,
+                    batch=batch)
+        for i in range(self.config.layers):
             blk = f"dec{i}"
             h = layer_norm(x, p[f"{blk}.ln1.g"], p[f"{blk}.ln1.b"])
-            a = self._attention(f"{blk}.self", h, h, self_mask, train=train, step=step,
-                                seed=seed, capture=capture, records=records,
-                                layer=i, kind="dec-self", batch=batch)
+            a = self._attention(f"{blk}.self", h, self_kv, self_mask, layer=i,
+                                kind="dec-self", **opts)
             x = self._residual(x, a, f"{blk}.self", train, step, seed)
             h = layer_norm(x, p[f"{blk}.ln2.g"], p[f"{blk}.ln2.b"])
-            a = self._attention(f"{blk}.cross", h, enc, cross_mask, train=train, step=step,
-                                seed=seed, capture=capture, records=records,
-                                layer=i, kind="cross", batch=batch)
+            a = self._attention(f"{blk}.cross", h, cross_kv, cross_mask, layer=i,
+                                kind="cross", **opts)
             x = self._residual(x, a, f"{blk}.cross", train, step, seed)
             h = layer_norm(x, p[f"{blk}.ln3.g"], p[f"{blk}.ln3.b"])
             x = self._residual(x, self._ffn(f"{blk}.ffn", h, train=train, step=step, seed=seed),
                                f"{blk}.ffn", train, step, seed)
         x = layer_norm(x, p["dec_ln.g"], p["dec_ln.b"])
         logits = _linear(x, p["out"], p["out&bias"])
-        return log_softmax(logits, axis=-1), records
+        return log_softmax(logits, axis=-1)
 
     # ------------------------------------------------------------------
     # scoring and decoding
@@ -405,73 +434,32 @@ class TransformerModel:
         t_cap = max(caps)
 
         batch = build_batch(windows, cfg)
-        enc = self.encode(batch).data
-        b, s_len = enc.shape[:2]
-        d, heads = cfg.hidden, cfg.heads
-        dh = d // heads
-        p = {k: v.data for k, v in self.params.items()}
+        enc = self.encode(batch)
+        b = len(windows)
 
         # every per-row array holds `beam` rows per window still searching;
-        # the cross keys/values are projected once per window, then repeated
-        rep = lambda a: np.repeat(a, beam, axis=0)
-        r = b * beam
-        enc_flat = enc.reshape(b * s_len, d)
-        cross_k = [rep((enc_flat @ p[f"dec{i}.cross.k"]).reshape(b, s_len, d))
-                   for i in range(cfg.layers)]
-        cross_v = [rep((enc_flat @ p[f"dec{i}.cross.v"] + p[f"dec{i}.cross.v&bias"])
-                       .reshape(b, s_len, d)) for i in range(cfg.layers)]
-        src_key_mask = _key_mask(rep(batch.src_valid)[:, None, None, :], cfg.np_dtype)
-        shifts = rep(batch.shifts)
-        self_k = [np.zeros((r, heads, t_cap, dh), dtype=cfg.np_dtype) for _ in range(cfg.layers)]
-        self_v = [np.zeros((r, heads, t_cap, dh), dtype=cfg.np_dtype) for _ in range(cfg.layers)]
+        # the cross keys/values and the source mask hold one row per window
+        cross = {f"dec{i}.cross": self._kv(f"dec{i}.cross", enc) for i in range(cfg.layers)}
+        cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
+        shifts = np.repeat(batch.shifts, beam)
+        shape = (b * beam, cfg.heads, t_cap, cfg.hidden // cfg.heads)
+        caches = {f"dec{i}.self": [np.zeros(shape, cfg.np_dtype), np.zeros(shape, cfg.np_dtype)]
+                  for i in range(cfg.layers)}
 
-        def split(x):
-            """(rows, n, d) or (rows, d) -> (rows, heads, n, dh)"""
-            return x.reshape(x.shape[0], -1, heads, dh).transpose(0, 2, 1, 3)
-
-        def ln(x, name):
-            mean = x.mean(axis=-1, keepdims=True)
-            cent = x - mean
-            var = (cent * cent).mean(axis=-1, keepdims=True)
-            return cent / np.sqrt(var + 1e-5) * p[name + ".g"] + p[name + ".b"]
-
-        def step_logits(tokens, segs, t):
-            # the step state is (rows, d), so every linear is one flat GEMM
-            rows = tokens.shape[0]
-            x = p["tgt_emb"][tokens] * math.sqrt(d)
-            pos = t + segs * shifts
-            x = x + sinusoidal_pe(pos, d, cfg.np_dtype)
-            if cfg.segment_variant == "sin":
-                x = x + sinusoidal_pe(segs, d, cfg.np_dtype)
-            elif cfg.segment_variant == "learned":
-                x = x + p["seg_table"][np.minimum(segs, cfg.max_window - 1)]
-            for i in range(cfg.layers):
-                blk = f"dec{i}"
-                h = ln(x, f"{blk}.ln1")
-                q = split(h @ p[f"{blk}.self.q"] + p[f"{blk}.self.q&bias"])
-                self_k[i][:, :, t] = (h @ p[f"{blk}.self.k"]).reshape(rows, heads, dh)
-                self_v[i][:, :, t] = (h @ p[f"{blk}.self.v"] + p[f"{blk}.self.v&bias"]) \
-                    .reshape(rows, heads, dh)
-                x = x + self._np_attn(q, self_k[i][:, :, :t + 1], self_v[i][:, :, :t + 1],
-                                      0.0, p, f"{blk}.self")
-                h = ln(x, f"{blk}.ln2")
-                q = split(h @ p[f"{blk}.cross.q"] + p[f"{blk}.cross.q&bias"])
-                x = x + self._np_attn(q, split(cross_k[i]), split(cross_v[i]), src_key_mask,
-                                      p, f"{blk}.cross")
-                h = ln(x, f"{blk}.ln3")
-                x = x + np.maximum(h @ p[f"{blk}.ffn.w1"] + p[f"{blk}.ffn.w1&bias"], 0.0) \
-                    @ p[f"{blk}.ffn.w2"] + p[f"{blk}.ffn.w2&bias"]
-            x = ln(x, "dec_ln")
-            logits = x @ p["out"] + p["out&bias"]
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        def self_kv(name, h):
+            # this step's keys/values go into the cache; attend to its filled prefix
+            k, v = self._kv(name, h)
+            cache_k, cache_v = caches[name]
+            cache_k[:, :, t] = k.data[:, :, 0]
+            cache_v[:, :, t] = v.data[:, :, 0]
+            return Tensor(cache_k[:, :, :t + 1]), Tensor(cache_v[:, :, :t + 1])
 
         def lp(n):
             return ((5.0 + n) / 6.0) ** alpha
 
         live = np.arange(b)  # the window behind each group of `beam` rows
-        tokens = np.full((r, t_cap + 1), EOS_ID, dtype=np.int64)  # column 0 = start token
-        segs = np.zeros(r, dtype=np.int64)
+        tokens = np.full((b * beam, t_cap + 1), EOS_ID, dtype=np.int64)  # column 0 = start
+        segs = np.zeros(b * beam, dtype=np.int64)
         cum = np.full((b, beam), NEG_INF)
         cum[:, 0] = 0.0
         alive = np.ones((b, beam), dtype=bool)
@@ -479,7 +467,11 @@ class TransformerModel:
 
         for t in range(t_cap):
             n = live.size
-            logp = step_logits(tokens[:, t], segs, t)
+            seg_col = segs[:, None]
+            x = self._embed(tokens[:, t:t + 1], seg_col, t + seg_col * shifts[:, None],
+                            "tgt_emb", "tgt_emb", False, 0, 0)
+            logp = self._decoder(x, self_kv, lambda name, _: cross[name], 0.0,
+                                 cross_mask).data[:, 0]
             logp[:, PAD_ID] = NEG_INF  # padding is never a valid continuation
             cand = cum.reshape(n * beam, 1) + logp
             cand[~alive.reshape(n * beam)] = NEG_INF
@@ -533,16 +525,15 @@ class TransformerModel:
                 break
             gather = reorder
             if not keep.all():
-                kept = np.flatnonzero(rep(keep))
+                kept = np.flatnonzero(np.repeat(keep, beam))
                 live, cum, alive = live[keep], cum[keep], alive[keep]
                 tokens, segs, shifts = tokens[kept], segs[kept], shifts[kept]
-                src_key_mask = src_key_mask[kept]
-                cross_k = [c[kept] for c in cross_k]
-                cross_v = [c[kept] for c in cross_v]
+                cross_mask = cross_mask[keep]
+                cross = {name: (Tensor(k.data[keep]), Tensor(v.data[keep]))
+                         for name, (k, v) in cross.items()}
                 gather = reorder[kept]
-            for i in range(cfg.layers):
-                self_k[i] = _take_rows(self_k[i], gather, t + 1)
-                self_v[i] = _take_rows(self_v[i], gather, t + 1)
+            for cache in caches.values():
+                cache[:] = [_take_rows(c, gather, t + 1) for c in cache]
 
         results = []
         for hyps in finished:
@@ -550,17 +541,6 @@ class TransformerModel:
                 hyps = [(float(NEG_INF), [EOS_ID])]
             results.append(max(hyps, key=lambda h: h[0])[1])
         return results
-
-    @staticmethod
-    def _np_attn(q, k, v, mask_add, p, name):
-        """One query per row: q (rows, heads, 1, dh) -> output projection (rows, d)."""
-        dh = q.shape[-1]
-        scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh) + mask_add
-        scores -= scores.max(axis=-1, keepdims=True)
-        w = np.exp(scores)
-        w /= w.sum(axis=-1, keepdims=True)
-        out = (w @ v).reshape(q.shape[0], -1)
-        return out @ p[f"{name}.o"] + p[f"{name}.o&bias"]
 
     # ------------------------------------------------------------------
     # persistence

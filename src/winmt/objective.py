@@ -11,6 +11,7 @@ concatenation loss exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -141,18 +142,20 @@ def normalized_training_loss(breakdown: LossBreakdown) -> Tensor:
     return mul_const(breakdown.discounted_total, 1.0 / breakdown.current_token_count)
 
 
-def loss_ratio(breakdowns: list[LossBreakdown], context_sentence_counts: list[int]) -> float:
+def loss_ratio(current: Sequence[float], context: Sequence[float],
+               context_sentence_counts: Sequence[int]) -> float:
     """Mean per-sentence current loss over mean per-sentence context loss.
 
-    Each window contributes its current-sentence loss; windows with c >= 1
-    context sentences contribute context_loss / c to the context mean.
+    ``current`` and ``context`` hold each window's summed losses. Each window
+    contributes its current-sentence loss; windows with c >= 1 context
+    sentences contribute context / c to the context mean.
     """
-    if len(breakdowns) != len(context_sentence_counts):
-        raise ObjectiveError("one context-sentence count per breakdown required")
-    if not breakdowns:
-        raise ObjectiveError("no breakdowns given")
-    current_vals = [b.current for b in breakdowns]
-    context_vals = [b.context / c for b, c in zip(breakdowns, context_sentence_counts) if c >= 1]
+    if not len(current) == len(context) == len(context_sentence_counts):
+        raise ObjectiveError("one current loss, context loss and context-sentence count "
+                             "per window required")
+    if not current:
+        raise ObjectiveError("no windows given")
+    context_vals = [loss / c for loss, c in zip(context, context_sentence_counts) if c >= 1]
     if not context_vals:
         raise ObjectiveError("no window has any context sentence")
-    return (sum(current_vals) / len(current_vals)) / (sum(context_vals) / len(context_vals))
+    return (sum(current) / len(current)) / (sum(context_vals) / len(context_vals))

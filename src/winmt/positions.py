@@ -9,8 +9,6 @@ closed-form, so arbitrarily large shifted positions need no table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SCHEMES = ("plain", "shifted")
@@ -47,50 +45,6 @@ def shifted_positions(seg, shift: int) -> np.ndarray:
     if seg.size and (steps.min(initial=0) < 0 or steps.max(initial=0) > 1):
         raise PositionError("segment indices must be non-decreasing with steps of at most 1")
     return np.arange(seg.size, dtype=np.int64) + seg * shift
-
-
-@dataclass(frozen=True)
-class PositionPlan:
-    """Per-token effective positions plus the variant selection that produced them."""
-
-    effective: np.ndarray
-    scheme: str
-    segment_variant: str
-
-    def __post_init__(self):
-        diffs = np.diff(self.effective)
-        if diffs.size and diffs.min() <= 0:
-            raise PositionError("effective positions must be strictly increasing")
-        if self.scheme == "plain" and not np.array_equal(
-                self.effective, np.arange(len(self.effective))):
-            raise PositionError("plain scheme must yield identity positions")
-
-
-def plan_positions(seg, scheme: str = "plain", shift: int = 0,
-                   segment_variant: str = "none") -> PositionPlan:
-    if scheme not in SCHEMES:
-        raise PositionError(f"unknown position scheme {scheme!r}")
-    if segment_variant not in SEGMENT_VARIANTS:
-        raise PositionError(f"unknown segment variant {segment_variant!r}")
-    effective = shifted_positions(seg, shift if scheme == "shifted" else 0)
-    return PositionPlan(effective=effective, scheme=scheme, segment_variant=segment_variant)
-
-
-def segment_embedding(k: int, dim: int, variant: str,
-                      table: np.ndarray | None = None) -> np.ndarray:
-    """Embedding for sentence index k: sinusoidal, a learned table row, or zeros."""
-    if variant == "none":
-        return np.zeros(dim)
-    if variant == "sin":
-        return sinusoidal_pe(k, dim)
-    if variant == "learned":
-        if table is None:
-            raise PositionError("learned segment embeddings need a table")
-        if not 0 <= k < table.shape[0]:
-            raise PositionError(
-                f"sentence index {k} outside learned table of {table.shape[0]} rows")
-        return table[k]
-    raise PositionError(f"unknown segment variant {variant!r}")
 
 
 def init_segment_table(max_window: int, dim: int, rng: np.random.Generator,

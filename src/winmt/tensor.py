@@ -236,42 +236,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a_data @ b_data, (a, b), bw)
 
 
-def _broadcast_shape(op: str, a: Tensor, b: Tensor) -> tuple[int, ...]:
+def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
+    """``fn(a, b)`` on the data; numpy's broadcast failure becomes a ShapeError."""
     try:
-        return np.broadcast_shapes(a.shape, b.shape)
+        return fn(a.data, b.data)
     except ValueError:
         raise ShapeError(op, f"shapes do not broadcast: {a.shape} vs {b.shape}") from None
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shape("add", a, b)
     a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
-    return _emit(a.data + b.data, (a, b), bw)
+    return _emit(_broadcast("add", np.add, a, b), (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shape("sub", a, b)
     a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
         return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
 
-    return _emit(a.data - b.data, (a, b), bw)
+    return _emit(_broadcast("sub", np.subtract, a, b), (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shape("mul", a, b)
     a_data, b_data = a.data, b.data
     a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
         return _unbroadcast(g * b_data, a_shape), _unbroadcast(g * a_data, b_shape)
 
-    return _emit(a_data * b_data, (a, b), bw)
+    return _emit(_broadcast("mul", np.multiply, a, b), (a, b), bw)
 
 
 def add_const(a: Tensor, c) -> Tensor:
@@ -301,8 +299,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError("transpose", f"axes {axes} invalid for ndim {a.ndim}")
-    inverse = tuple(int(np.argsort(axes)[i]) for i in range(len(axes)))
-    return _emit(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
+    return _emit(a.data.transpose(axes), (a,), lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def relu(a: Tensor) -> Tensor:

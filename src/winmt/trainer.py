@@ -11,19 +11,19 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .corpus import (ContrastiveExample, Document, Vocab, compute_shift,
-                     make_windows, read_contrastive, read_corpus)
-from .model import Batch, ModelConfig, TransformerModel, build_batch
-from .objective import (loss_ratio, masked_discounted_loss, normalized_training_loss,
-                        smoothed_nll)
+from .corpus import (Vocab, Window, compute_shift, make_windows, read_contrastive,
+                     read_corpus)
+from .model import DTYPES, ModelConfig, TransformerModel, build_batch
+from .objective import (ObjectiveError, loss_ratio, masked_discounted_loss,
+                        normalized_training_loss, smoothed_nll)
+from .positions import SCHEMES, SEGMENT_VARIANTS
 from .rng import stream
 from .tensor import Graph, Tensor, backward, record
 
@@ -81,6 +81,11 @@ class TrainConfig:
             raise ConfigError(f"batch_tokens must be >= 1, got {self.batch_tokens}")
         if not 0.0 <= self.cd <= 1.0:
             raise ConfigError(f"cd must be in [0, 1], got {self.cd}")
+        for key, allowed in (("position_scheme", SCHEMES), ("segment_variant", SEGMENT_VARIANTS),
+                             ("dtype", DTYPES)):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{key} must be one of {', '.join(allowed)}, "
+                                  f"got {getattr(self, key)!r}")
 
     def scale(self) -> float:
         if self.lr_scale > 0:
@@ -215,6 +220,29 @@ class TrainResult:
     final_step: int
 
 
+def window_losses(model: TransformerModel, batches: Sequence[Sequence[Window]], eps: float,
+                  records: list | None = None):
+    """Label-smoothed loss sums over each window's current and context spans.
+
+    Returns the lists (current, context, current tokens, context tokens),
+    one entry per window in the order of ``batches``. Given a ``records``
+    list, the forward passes also capture their attention weights into it.
+    """
+    current, context, current_tokens, context_tokens = [], [], [], []
+    for windows in batches:
+        batch = build_batch(windows, model.config)
+        log_probs, recs = model.forward(batch, capture=records is not None)
+        if records is not None:
+            records.extend(recs)
+        per_tok = smoothed_nll(log_probs, batch.tgt_out, eps, batch.tgt_valid).data
+        cur_mask, ctx_mask = batch.current_mask, batch.context_mask
+        current.extend((per_tok * cur_mask).sum(axis=1).tolist())
+        context.extend((per_tok * ctx_mask).sum(axis=1).tolist())
+        current_tokens.extend(cur_mask.sum(axis=1).astype(int).tolist())
+        context_tokens.extend(ctx_mask.sum(axis=1).astype(int).tolist())
+    return current, context, current_tokens, context_tokens
+
+
 def _float_repr(x: float) -> str:
     return repr(float(x))
 
@@ -280,33 +308,13 @@ class Trainer:
 
     def _validate(self) -> tuple[float, float, float]:
         """Dev per-token current loss, per-token context loss, per-sentence ratio."""
-        cfg = self.cfg
-        cur_sum = ctx_sum = 0.0
-        cur_tok = ctx_tok = 0
-        breakdowns = []
-        ctx_counts = []
-        for batch_windows in self.dev_batches:
-            batch = build_batch(batch_windows, self.model_config)
-            log_probs, _ = self.model.forward(batch)
-            per_tok = smoothed_nll(log_probs, batch.tgt_out, cfg.label_smoothing,
-                                   batch.tgt_valid)
-            token_losses = per_tok.data
-            for i, w in enumerate(batch.windows):
-                cur_mask = batch.current_mask[i]
-                ctx_mask = batch.context_mask[i]
-                cur = float((token_losses[i] * cur_mask).sum())
-                ctx = float((token_losses[i] * ctx_mask).sum())
-                cur_sum += cur
-                ctx_sum += ctx
-                cur_tok += int(cur_mask.sum())
-                ctx_tok += int(ctx_mask.sum())
-                breakdowns.append(_EvalBreakdown(cur, ctx))
-                ctx_counts.append(w.size - 1)
-        current_loss = cur_sum / max(1, cur_tok)
-        context_loss = ctx_sum / ctx_tok if ctx_tok else float("nan")
+        cur, ctx, cur_tok, ctx_tok = window_losses(self.model, self.dev_batches,
+                                                   self.cfg.label_smoothing)
+        current_loss = sum(cur) / max(1, sum(cur_tok))
+        context_loss = sum(ctx) / sum(ctx_tok) if sum(ctx_tok) else float("nan")
         try:
-            ratio = loss_ratio(breakdowns, ctx_counts)
-        except Exception:
+            ratio = loss_ratio(cur, ctx, [w.size - 1 for ws in self.dev_batches for w in ws])
+        except (ObjectiveError, ZeroDivisionError):
             ratio = float("nan")
         return current_loss, context_loss, ratio
 
@@ -431,13 +439,6 @@ class Trainer:
                            final_step=step)
 
 
-@dataclass
-class _EvalBreakdown:
-    """Duck-typed stand-in for LossBreakdown in eval-only paths."""
-    current: float
-    context: float
-
-
 def train(config: TrainConfig, resume: bool = False) -> TrainResult:
     return Trainer(config).train(resume=resume)
 
@@ -474,11 +475,9 @@ def cd_sweep(base: TrainConfig, cd_values: Sequence[float] = DEFAULT_SWEEP,
             dev_docs = read_corpus(data / "dev.txt")
             windows = [w for d in dev_docs for w in make_windows(d, cfg.k, vocab)]
             windows = windows[:diag_windows]
-            records = []
-            for lo in range(0, len(windows), 32):
-                batch = build_batch(windows[lo:lo + 32], model.config)
-                _, recs = model.forward(batch, capture=True)
-                records.extend(recs)
+            records: list = []
+            window_losses(model, [windows[lo:lo + 32] for lo in range(0, len(windows), 32)],
+                          cfg.label_smoothing, records)
             log_rows = [line.split(",") for line
                         in result.log_path.read_text().strip().splitlines()[1:]]
             row.update({

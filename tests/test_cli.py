@@ -256,6 +256,16 @@ class TestStats:
         assert err["error"] == "UsageError"
         assert "line counts differ" in err["message"]
 
+    def test_ar_rejects_line_count_mismatch(self, capsys, tmp_path):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("1.0\n2.0\n3.0\n")
+        b.write_text("1.0\n2.0\n")
+        assert run_cli("stats", "--test", "ar", "--a", a, "--b", b) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "UsageError"
+        assert "line counts differ" in err["message"]
+
     def test_ar_defaults_to_1000_perms(self, tmp_path, capsys):
         scores = tmp_path / "s.txt"
         scores.write_text("1.0\n2.0\n3.0\n")
@@ -276,6 +286,31 @@ class TestSweep:
         rows = list(csv.DictReader((out / "sweep.csv").open()))
         assert len(rows) == 1 and rows[0]["cd"] == "1.0"
         assert rows[0]["error"] == ""
+
+    def test_sweep_trains_shifted_run(self, data_dir, tmp_path):
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--data", data_dir, "--out", out,
+                       "--cd-values", "0.5", "--seed", "2", "--hidden", "16",
+                       "--layers", "1", "--heads", "2", "--ffn", "32",
+                       "--max-steps", "2", "--val-interval", "2", "--warmup", "5",
+                       "--batch-tokens", "256", "--position-scheme", "shifted",
+                       "--shift-strategy", "fixed:7")
+        assert code == 0
+        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        assert rows[0]["error"] == ""
+        model = TransformerModel.load(Path(rows[0]["run_dir"]) / "ckpt_avg.bin")
+        assert model.config.position_scheme == "shifted"
+        assert model.config.shift_value == 7
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_unknown_position_scheme_is_config_error(command, data_dir, tmp_path, capsys):
+    code = run_cli(command, "--data", data_dir, "--out", tmp_path / "x",
+                   "--position-scheme", "spiral")
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert "spiral" in err["message"]
 
 
 def test_usage_error_exit_code():

@@ -296,11 +296,13 @@ def teacher_forced_logprob(model, src_window, hyp_ids):
 
 def test_shifted_and_segment_variants_forward(setup):
     docs, vocab, windows, _ = setup
+    subset = windows[:3]
     for scheme, strategy, variant in [
         ("shifted", "fixed:10", "none"),
         ("shifted", "avg-sequence", "none"),
         ("plain", "fixed:0", "sin"),
         ("plain", "fixed:0", "learned"),
+        ("shifted", "fixed:10", "learned"),
     ]:
         config = M.ModelConfig(vocab_size=len(vocab), layers=1, heads=2, hidden=16,
                                ffn=32, dropout=0.0, dtype="float64",
@@ -308,11 +310,17 @@ def test_shifted_and_segment_variants_forward(setup):
                                shift_value=10 if strategy.startswith("fixed") else None,
                                segment_variant=variant)
         model = M.TransformerModel(config, seed=2)
-        batch = M.build_batch(windows[:3], config)
+        # a bias towards <S> makes hypotheses cross sentence boundaries, so
+        # decoding has to track segments and shifted positions
+        model.params["out&bias"].data[C.SEP_ID] += 1.0
+        batch = M.build_batch(subset, config)
         lp, _ = model.forward(batch)
         np.testing.assert_allclose(np.exp(lp.data).sum(-1), 1.0, atol=1e-6)
         hyp = model.decode([windows[0]], beam=2, alpha=0.6)
         assert hyp and isinstance(hyp[0], list)
+        greedy = model.decode(subset, beam=1, alpha=0.0)
+        assert greedy == [greedy_reference(model, w) for w in subset]
+        assert any(C.SEP_ID in h[:-1] for h in greedy)
 
 
 def test_shift_changes_positions_in_batch(setup):
@@ -323,3 +331,30 @@ def test_shift_changes_positions_in_batch(setup):
     batch = M.build_batch([w], config)
     boundary = list(w.src_seg).index(1)
     assert batch.src_pos[0, boundary] - batch.src_pos[0, boundary - 1] == 11
+
+
+def test_plain_positions_are_identity(setup):
+    # a plain model ignores any shift value: positions count tokens
+    _, vocab, windows, _ = setup
+    config = M.ModelConfig(vocab_size=len(vocab), shift_value=50)
+    batch = M.build_batch(windows[:4], config)
+    for i, w in enumerate(batch.windows):
+        np.testing.assert_array_equal(batch.src_pos[i, :len(w.src_ids)],
+                                      np.arange(len(w.src_ids)))
+        np.testing.assert_array_equal(batch.tgt_in_pos[i, :len(w.tgt_ids)],
+                                      np.arange(len(w.tgt_ids)))
+
+
+def test_shifted_positions_strictly_increasing(setup):
+    _, vocab, windows, _ = setup
+    config = M.ModelConfig(vocab_size=len(vocab), position_scheme="shifted",
+                           shift_strategy="fixed:4", shift_value=4)
+    batch = M.build_batch(windows[:4], config)
+    for i, w in enumerate(batch.windows):
+        assert np.all(np.diff(batch.src_pos[i, :len(w.src_ids)]) > 0)
+        assert np.all(np.diff(batch.tgt_in_pos[i, :len(w.tgt_ids)]) > 0)
+
+
+def test_unknown_scheme_rejected():
+    with pytest.raises(M.ModelError):
+        M.ModelConfig(vocab_size=8, position_scheme="spiral")

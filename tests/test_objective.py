@@ -144,27 +144,18 @@ class TestLossRatio:
                                   [["t0", "t1"], ["t2", "t3"]], vocab)
         losses = T.Tensor(np.ones(len(w.tgt_ids)))
         bd = O.context_discounted_loss(losses, w, cd=1.0)
-        assert O.loss_ratio([bd], [1]) == pytest.approx(1.0)
+        assert O.loss_ratio([bd.current], [bd.context], [1]) == pytest.approx(1.0)
 
     def test_definition_case(self):
-        bd = O.LossBreakdown(current_loss=T.Tensor(2.0), context_loss=T.Tensor(1.0),
-                             discounted_total=T.Tensor(3.0), current_token_count=4,
-                             context_token_count=4, cd=1.0)
-        assert O.loss_ratio([bd], [1]) == pytest.approx(2.0)
+        assert O.loss_ratio([2.0], [1.0], [1]) == pytest.approx(2.0)
 
     def test_context_average_per_sentence(self):
         # 3 context sentences: context loss averaged over them
-        bd = O.LossBreakdown(current_loss=T.Tensor(2.0), context_loss=T.Tensor(3.0),
-                             discounted_total=T.Tensor(5.0), current_token_count=4,
-                             context_token_count=12, cd=1.0)
-        assert O.loss_ratio([bd], [3]) == pytest.approx(2.0)
+        assert O.loss_ratio([2.0], [3.0], [3]) == pytest.approx(2.0)
 
     def test_no_context_anywhere_rejected(self):
-        bd = O.LossBreakdown(current_loss=T.Tensor(1.0), context_loss=T.Tensor(0.0),
-                             discounted_total=T.Tensor(1.0), current_token_count=2,
-                             context_token_count=0, cd=1.0)
         with pytest.raises(O.ObjectiveError):
-            O.loss_ratio([bd], [0])
+            O.loss_ratio([1.0], [0.0], [0])
 
 
 def test_smoothed_nll_gradcheck():

@@ -126,6 +126,34 @@ def test_pack_batches_respects_budget():
     assert sum(len(b) for b in batches) == 10
 
 
+def test_window_losses_match_per_window_loop():
+    # the reference sums each window's row on its own, as a per-window loop
+    from winmt.model import ModelConfig, build_batch
+    from winmt.objective import smoothed_nll
+    docs, _ = synth.gen_synthetic(0, n_docs=8, vocab_size=32)
+    vocab = C.Vocab.from_documents(docs)
+    windows = [w for d in docs for w in C.make_windows(d, 3, vocab)]
+    model = TransformerModel(ModelConfig(vocab_size=len(vocab), layers=1, heads=2,
+                                         hidden=16, ffn=32), seed=4)
+    batches = TR.pack_batches(windows, 200)
+    got = TR.window_losses(model, batches, 0.1)
+    want = ([], [], [], [])
+    for ws in batches:
+        batch = build_batch(ws, model.config)
+        lp, _ = model.forward(batch)
+        per_tok = smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid).data
+        for i in range(len(ws)):
+            want[0].append(float((per_tok[i] * batch.current_mask[i]).sum()))
+            want[1].append(float((per_tok[i] * batch.context_mask[i]).sum()))
+            want[2].append(int(batch.current_mask[i].sum()))
+            want[3].append(int(batch.context_mask[i].sum()))
+    assert got == want
+    records = []
+    assert TR.window_losses(model, batches[:2], 0.1, records) == tuple(
+        column[:sum(len(ws) for ws in batches[:2])] for column in want)
+    assert {r.kind for r in records} == {"enc-self", "dec-self", "cross"}
+
+
 class TestTraining:
     def test_determinism_bitwise(self, tmp_path):
         data = write_data(tmp_path)
