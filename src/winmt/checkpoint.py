@@ -16,14 +16,18 @@ Layout (all integers little-endian):
     dims      ndim*u32
     data      raw little-endian values, row-major
 
-Round-trips are lossless: values are written byte-for-byte.
+Round-trips are lossless: values are written byte-for-byte. Files are
+written to a temporary file in the same directory and then renamed over
+the target, so a failed or interrupted write leaves the old file whole.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -47,6 +51,22 @@ def canonical_config(config: Mapping) -> bytes:
     return json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one rename; on failure the old file
+    stays as it was and the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, params: Mapping[str, np.ndarray], config: Mapping) -> None:
     cfg = canonical_config(config)
     chunks = [MAGIC, struct.pack("<I", VERSION), hashlib.sha256(cfg).digest(),
@@ -62,8 +82,7 @@ def save_checkpoint(path, params: Mapping[str, np.ndarray], config: Mapping) -> 
         chunks.append(struct.pack("<BB", _DTYPE_CODES[dtype], arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype(dtype, copy=False).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, str]:

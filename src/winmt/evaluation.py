@@ -206,10 +206,14 @@ def bleu_stats(hypothesis, reference, max_n: int = 4) -> BleuStats:
 def bleu_from_stats(stats: Sequence[BleuStats], max_n: int = 4) -> float:
     if not stats:
         raise EvalError("empty corpus")
-    matches = [sum(s.matches[n] for s in stats) for n in range(max_n)]
-    totals = [sum(s.totals[n] for s in stats) for n in range(max_n)]
-    hyp_len = sum(s.hyp_len for s in stats)
-    ref_len = sum(s.ref_len for s in stats)
+    return bleu_from_sums([sum(s.matches[n] for s in stats) for n in range(max_n)],
+                          [sum(s.totals[n] for s in stats) for n in range(max_n)],
+                          sum(s.hyp_len for s in stats), sum(s.ref_len for s in stats))
+
+
+def bleu_from_sums(matches: Sequence[int], totals: Sequence[int], hyp_len: int,
+                   ref_len: int) -> float:
+    """Corpus BLEU from corpus-summed n-gram matches and totals and lengths."""
     if hyp_len == 0:
         return 0.0
     # orders with no n-gram slots at all carry no evidence and are skipped,

@@ -6,11 +6,17 @@ Position encodings are closed-form sinusoids over effective positions,
 optionally segment-shifted; segment embeddings (sinusoidal or learned)
 can be added on top. Attention weights can be captured per layer, head
 and kind for diagnostics.
+
+Hidden states hold the real tokens of a batch only, one row each. The
+position-wise layers (linears, layer norms, FFNs, residuals, dropout) run
+on those rows; attention scatters them into the zero-padded
+(windows, length) grid, where the key masks apply, and takes them back.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from dataclasses import dataclass, field, asdict
 from typing import Sequence
 
@@ -18,11 +24,12 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .corpus import EOS_ID, PAD_ID, SEP_ID, Window, compute_shift
-from .positions import SCHEMES, SEGMENT_VARIANTS, init_segment_table, sinusoidal_pe
+from .positions import (SCHEMES, SEGMENT_VARIANTS, init_segment_table, shift_positions,
+                        sinusoidal_pe)
 from .rng import stream
 from .tensor import (Graph, Tensor, add, add_const, dropout, embedding, layer_norm,
                      log_softmax, matmul, mul_const, record, reduce_sum, relu,
-                     reshape, softmax, transpose)
+                     reshape, scatter_rows, softmax, take_rows, transpose)
 
 NEG_INF = -np.inf
 DTYPES = ("float32", "float64")
@@ -106,6 +113,13 @@ class Batch:
     current_mask: np.ndarray
     context_mask: np.ndarray
     shifts: np.ndarray  # resolved shift per window
+    # flat indices of the real tokens in the (windows, length) grids, set once
+    src_rows: np.ndarray = field(init=False)
+    tgt_rows: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.src_rows = np.flatnonzero(self.src_valid.reshape(-1))
+        self.tgt_rows = np.flatnonzero(self.tgt_valid.reshape(-1))
 
     @property
     def size(self) -> int:
@@ -157,8 +171,8 @@ def build_batch(windows: Sequence[Window], config: ModelConfig) -> Batch:
         current[i] = cur
         context[i] = ctx
         shifts[i] = resolve_window_shift(config, w)
-    src_pos = np.arange(s_max)[None, :] + src_seg * shifts[:, None]
-    tgt_in_pos = np.arange(t_max)[None, :] + tgt_in_seg * shifts[:, None]
+    src_pos = shift_positions(np.arange(s_max)[None, :], src_seg, shifts[:, None])
+    tgt_in_pos = shift_positions(np.arange(t_max)[None, :], tgt_in_seg, shifts[:, None])
     return Batch(windows=list(windows), src=src, src_seg=src_seg, src_pos=src_pos,
                  src_valid=src_valid, tgt_in=tgt_in, tgt_in_seg=tgt_in_seg,
                  tgt_in_pos=tgt_in_pos, tgt_out=tgt_out, tgt_valid=tgt_valid,
@@ -167,6 +181,18 @@ def build_batch(windows: Sequence[Window], config: ModelConfig) -> Batch:
 
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
+
+
+def _to_grid(x: Tensor, rows) -> Tensor:
+    """Real-token rows -> the zero-padded (windows * length, ...) grid.
+
+    ``rows`` is (flat indices, (windows, length)); None stands for decode's
+    step rows, which hold no padding and stay as they are.
+    """
+    if rows is None:
+        return x
+    idx, (b, t) = rows
+    return scatter_rows(x, idx, b * t)
 
 
 def _key_mask(valid: np.ndarray, dtype) -> np.ndarray:
@@ -246,8 +272,12 @@ class TransformerModel:
     # ------------------------------------------------------------------
     # forward
 
-    def _embed(self, ids, seg, pos, table_name, drop_site, train, step, seed):
+    def _embed(self, ids, seg, pos, table_name, drop_site, train, step, seed, rows=None):
+        """Embeddings of the tokens at flat indices ``rows`` of the grids, as
+        (tokens, hidden) rows; with ``rows`` None, of every token in ``ids``."""
         cfg = self.config
+        if rows is not None:
+            ids, seg, pos = (a.reshape(-1)[rows] for a in (ids, seg, pos))
         x = embedding(self.params[table_name], ids)
         x = mul_const(x, math.sqrt(cfg.hidden))
         pe = sinusoidal_pe(pos, cfg.hidden, cfg.np_dtype)
@@ -270,28 +300,33 @@ class TransformerModel:
     def _merge_heads(self, x: Tensor, shape) -> Tensor:
         return reshape(transpose(x, (0, 2, 1, 3)), shape)
 
-    def _kv(self, name: str, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Keys and values of attention ``name`` over ``x``, split into heads."""
+    def _kv(self, name: str, x: Tensor, rows=None) -> tuple[Tensor, Tensor]:
+        """Keys and values of attention ``name`` over the rows ``x``, placed in
+        the grid ``rows`` (see ``_to_grid``) and split into heads."""
         p = self.params
-        k = self._split_heads(matmul(x, p[f"{name}.k"]), x.shape[0])
-        v = self._split_heads(_linear(x, p[f"{name}.v"], p[f"{name}.v&bias"]), x.shape[0])
+        groups = x.shape[0] if rows is None else rows[1][0]
+        k = self._split_heads(_to_grid(matmul(x, p[f"{name}.k"]), rows), groups)
+        v = self._split_heads(_to_grid(_linear(x, p[f"{name}.v"], p[f"{name}.v&bias"]), rows),
+                              groups)
         return k, v
 
-    def _attention(self, name, q_in, kv, mask_add, *, train, step, seed,
+    def _attention(self, name, q_in, kv, mask_add, *, rows, train, step, seed,
                    capture, records, layer, kind, batch):
         """Attention of ``q_in`` over the keys and values that ``kv(name, q_in)`` gives.
 
         ``kv`` runs after the query projection, so a tape records q, k, v in
-        that order. The query rows are regrouped to the keys' leading axis:
-        in decoding, the `beam` hypothesis rows of a window attend to its one
-        set of encoder states at once.
+        that order. The projected queries are placed in the padded grid that
+        ``rows`` describes, and the real rows of the result are taken back
+        before the output projection. The query rows are regrouped to the
+        keys' leading axis: in decoding, the `beam` hypothesis rows of a
+        window attend to its one set of encoder states at once.
         """
         cfg = self.config
         p = self.params
         dh = cfg.hidden // cfg.heads
         q = _linear(q_in, p[f"{name}.q"], p[f"{name}.q&bias"])
         k, v = kv(name, q_in)
-        q = self._split_heads(q, k.shape[0])
+        q = self._split_heads(_to_grid(q, rows), k.shape[0])
         scores = mul_const(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         scores = add_const(scores, mask_add)
         attn = softmax(scores, axis=-1)
@@ -299,7 +334,10 @@ class TransformerModel:
             self._capture(records, attn.data, layer, kind, batch)
         if train and cfg.dropout > 0:
             attn = dropout(attn, cfg.dropout, stream(seed, f"drop/{name}.attn", step))
-        out = self._merge_heads(matmul(attn, v), q_in.shape)
+        if rows is None:
+            out = self._merge_heads(matmul(attn, v), q_in.shape)
+        else:
+            out = take_rows(self._merge_heads(matmul(attn, v), (-1, cfg.hidden)), rows[0])
         return _linear(out, p[f"{name}.o"], p[f"{name}.o&bias"])
 
     def _capture(self, records, attn, layer, kind, batch):
@@ -334,16 +372,19 @@ class TransformerModel:
 
     def encode(self, batch: Batch, *, train=False, step=0, seed=0,
                capture=False, records=None) -> Tensor:
+        """Encoder states of the real source tokens, (tokens, hidden)."""
         cfg = self.config
         p = self.params
+        rows = (batch.src_rows, batch.src.shape)
         key_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         x = self._embed(batch.src, batch.src_seg, batch.src_pos, "src_emb",
-                        "src_emb", train, step, seed)
+                        "src_emb", train, step, seed, rows=batch.src_rows)
         for i in range(cfg.layers):
             blk = f"enc{i}"
             h = layer_norm(x, p[f"{blk}.ln1.g"], p[f"{blk}.ln1.b"])
-            a = self._attention(f"{blk}.self", h, self._kv, key_mask, train=train, step=step,
-                                seed=seed, capture=capture, records=records,
+            a = self._attention(f"{blk}.self", h, partial(self._kv, rows=rows), key_mask,
+                                rows=rows, train=train, step=step, seed=seed,
+                                capture=capture, records=records,
                                 layer=i, kind="enc-self", batch=batch)
             x = self._residual(x, a, f"{blk}.self", train, step, seed)
             h = layer_norm(x, p[f"{blk}.ln2.g"], p[f"{blk}.ln2.b"])
@@ -353,7 +394,11 @@ class TransformerModel:
 
     def forward(self, batch: Batch, *, train: bool = False, step: int = 0, seed: int = 0,
                 capture: bool = False) -> tuple[Tensor, list[AttentionRecord]]:
-        """Teacher-forced forward pass: per-position log-probabilities over the vocab."""
+        """Teacher-forced forward pass: per-position log-probabilities over the vocab.
+
+        The result covers the padded (windows, length) grid; every row,
+        padding included, is a distribution.
+        """
         cfg = self.config
         records: list[AttentionRecord] = []
         enc = self.encode(batch, train=train, step=step, seed=seed,
@@ -362,23 +407,27 @@ class TransformerModel:
         causal = _key_mask(np.tril(np.ones((t, t))), cfg.np_dtype)[None, None, :, :]
         self_mask = causal + _key_mask(batch.tgt_valid[:, None, None, :], cfg.np_dtype)
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
+        src = (batch.src_rows, batch.src.shape)
+        tgt = (batch.tgt_rows, batch.tgt_in.shape)
         x = self._embed(batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos, "tgt_emb",
-                        "tgt_emb", train, step, seed)
-        log_probs = self._decoder(x, self._kv, lambda name, _: self._kv(name, enc),
-                                  self_mask, cross_mask, train=train, step=step, seed=seed,
-                                  capture=capture, records=records, batch=batch)
+                        "tgt_emb", train, step, seed, rows=batch.tgt_rows)
+        log_probs = self._decoder(x, partial(self._kv, rows=tgt),
+                                  lambda name, _: self._kv(name, enc, src),
+                                  self_mask, cross_mask, rows=tgt, train=train, step=step,
+                                  seed=seed, capture=capture, records=records, batch=batch)
         return log_probs, records
 
-    def _decoder(self, x, self_kv, cross_kv, self_mask, cross_mask, *, train=False, step=0,
-                 seed=0, capture=False, records=None, batch=None) -> Tensor:
+    def _decoder(self, x, self_kv, cross_kv, self_mask, cross_mask, *, rows=None, train=False,
+                 step=0, seed=0, capture=False, records=None, batch=None) -> Tensor:
         """Decoder layers, final norm and output log-softmax over embedded targets ``x``.
 
-        ``forward`` runs them over whole teacher-forced targets; ``decode``
-        runs them on one step per hypothesis row, with key/value providers
-        that read its caches.
+        ``forward`` runs them over the real rows of whole teacher-forced
+        targets, whose grid ``rows`` describes; the logits are scattered to
+        that grid before the log-softmax. ``decode`` runs them on one step per
+        hypothesis row, with key/value providers that read its caches.
         """
         p = self.params
-        opts = dict(train=train, step=step, seed=seed, capture=capture, records=records,
+        opts = dict(rows=rows, train=train, step=step, seed=seed, capture=capture, records=records,
                     batch=batch)
         for i in range(self.config.layers):
             blk = f"dec{i}"
@@ -395,6 +444,8 @@ class TransformerModel:
                                f"{blk}.ffn", train, step, seed)
         x = layer_norm(x, p["dec_ln.g"], p["dec_ln.b"])
         logits = _linear(x, p["out"], p["out&bias"])
+        if rows is not None:
+            logits = reshape(_to_grid(logits, rows), rows[1] + (-1,))
         return log_softmax(logits, axis=-1)
 
     # ------------------------------------------------------------------
@@ -439,7 +490,8 @@ class TransformerModel:
 
         # every per-row array holds `beam` rows per window still searching;
         # the cross keys/values and the source mask hold one row per window
-        cross = {f"dec{i}.cross": self._kv(f"dec{i}.cross", enc) for i in range(cfg.layers)}
+        src = (batch.src_rows, batch.src.shape)
+        cross = {f"dec{i}.cross": self._kv(f"dec{i}.cross", enc, src) for i in range(cfg.layers)}
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         shifts = np.repeat(batch.shifts, beam)
         shape = (b * beam, cfg.heads, t_cap, cfg.hidden // cfg.heads)
@@ -468,8 +520,8 @@ class TransformerModel:
         for t in range(t_cap):
             n = live.size
             seg_col = segs[:, None]
-            x = self._embed(tokens[:, t:t + 1], seg_col, t + seg_col * shifts[:, None],
-                            "tgt_emb", "tgt_emb", False, 0, 0)
+            pos = shift_positions(t, seg_col, shifts[:, None])
+            x = self._embed(tokens[:, t:t + 1], seg_col, pos, "tgt_emb", "tgt_emb", False, 0, 0)
             logp = self._decoder(x, self_kv, lambda name, _: cross[name], 0.0,
                                  cross_mask).data[:, 0]
             logp[:, PAD_ID] = NEG_INF  # padding is never a valid continuation

@@ -34,6 +34,12 @@ def sinusoidal_pe(positions, dim: int, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def shift_positions(index, seg, shift):
+    """Effective positions t' = t + seg * shift, broadcast over arrays of raw
+    positions ``index``, segment indices ``seg`` and shifts ``shift``."""
+    return index + seg * shift
+
+
 def shifted_positions(seg, shift: int) -> np.ndarray:
     """Effective positions t'_i = i + seg_i * shift for one token sequence."""
     if shift < 0:
@@ -44,7 +50,7 @@ def shifted_positions(seg, shift: int) -> np.ndarray:
     steps = np.diff(seg)
     if seg.size and (steps.min(initial=0) < 0 or steps.max(initial=0) > 1):
         raise PositionError("segment indices must be non-decreasing with steps of at most 1")
-    return np.arange(seg.size, dtype=np.int64) + seg * shift
+    return shift_positions(np.arange(seg.size, dtype=np.int64), seg, shift)
 
 
 def init_segment_table(max_window: int, dim: int, rng: np.random.Generator,

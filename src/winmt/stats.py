@@ -78,13 +78,18 @@ def approx_randomization(scores_a: Sequence, scores_b: Sequence, permutations: i
     return (count + 1) / (permutations + 1)
 
 
+_FLIPS_PER_CHUNK = 1 << 20  # bounds the memory of the drawn flips
+
+
 def paired_bleu_randomization(stats_a, stats_b, permutations: int, seed: int) -> float:
     """Approximate randomization where the aggregate statistic is corpus BLEU.
 
     ``stats_a``/``stats_b`` are aligned per-sentence BleuStats; each
-    permutation swaps whole sentences between the two systems.
+    permutation swaps whole sentences between the two systems. Each
+    permutation's corpus sums are formed in integers from the summed
+    statistics and the sentences it swaps.
     """
-    from .evaluation import bleu_from_stats
+    from .evaluation import bleu_from_stats, bleu_from_sums
 
     if len(stats_a) != len(stats_b):
         raise StatsError("per-sentence statistics must be aligned")
@@ -93,13 +98,28 @@ def paired_bleu_randomization(stats_a, stats_b, permutations: int, seed: int) ->
     if permutations < 1:
         raise StatsError(f"need >= 1 permutations, got {permutations}")
     observed = abs(bleu_from_stats(stats_a) - bleu_from_stats(stats_b))
+    max_n = 4  # the n-gram orders bleu_from_stats scores
+
+    def table(stats):
+        # one row per sentence: matches, totals, hypothesis and reference length
+        return np.array([s.matches[:max_n] + s.totals[:max_n] + (s.hyp_len, s.ref_len)
+                         for s in stats], dtype=np.int64)
+
+    def score(row):
+        return bleu_from_sums(row[:max_n], row[max_n:2 * max_n], row[-2], row[-1])
+
+    a, b = table(stats_a), table(stats_b)
+    sum_a, sum_b, swap = a.sum(axis=0), b.sum(axis=0), b - a
     rng = stream(seed, "approx-randomization-bleu")
     n = len(stats_a)
+    chunk = max(1, _FLIPS_PER_CHUNK // n)
     count = 0
-    for _ in range(permutations):
-        flip = rng.random(n) < 0.5
-        pa = [b if f else a for a, b, f in zip(stats_a, stats_b, flip)]
-        pb = [a if f else b for a, b, f in zip(stats_a, stats_b, flip)]
-        if abs(bleu_from_stats(pa) - bleu_from_stats(pb)) >= observed:
-            count += 1
+    for lo in range(0, permutations, chunk):
+        # row-major draws: the same stream values, in the same order, as one
+        # rng.random(n) per permutation
+        flip = rng.random((min(chunk, permutations - lo), n)) < 0.5
+        moved = flip.astype(np.int64) @ swap
+        for pa, pb in zip((sum_a + moved).tolist(), (sum_b - moved).tolist()):
+            if abs(score(pa) - score(pb)) >= observed:
+                count += 1
     return (count + 1) / (permutations + 1)

@@ -2,7 +2,8 @@
 
 The primitive set is exactly what a small encoder-decoder transformer
 needs: matmul, broadcasting elementwise ops, softmax / log-softmax,
-layer normalization, embedding lookup, inverted dropout and reductions.
+layer normalization, embedding lookup, inverted dropout, reductions and
+row gather/scatter between token rows and a padded grid.
 Ops recorded while a Graph is active build a tape in forward order;
 ``backward`` walks it in exact reverse and accumulates a gradient onto
 every tensor reachable from the loss, parameters and intermediates
@@ -39,6 +40,8 @@ __all__ = [
     "dropout",
     "reduce_sum",
     "gather_last",
+    "take_rows",
+    "scatter_rows",
     "finite_diff_check",
 ]
 
@@ -425,6 +428,40 @@ def gather_last(x: Tensor, idx: np.ndarray) -> Tensor:
         return (gx,)
 
     return _emit(np.take_along_axis(x.data, expanded, axis=-1)[..., 0], (x,), bw)
+
+
+def _row_index(op: str, idx, n: int) -> np.ndarray:
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ShapeError(op, f"idx must be a 1-D integer array, got {idx.dtype} {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(op, f"row index out of range for {n} rows")
+    return idx
+
+
+def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Rows ``idx`` of ``x`` along its first axis. The indices must be distinct;
+    rows not taken get exactly zero gradient."""
+    n = x.shape[0]
+    idx = _row_index("take_rows", idx, n)
+
+    def bw(g):
+        gx = np.zeros((n,) + g.shape[1:], dtype=g.dtype)
+        gx[idx] = g
+        return (gx,)
+
+    return _emit(x.data[idx], (x,), bw)
+
+
+def scatter_rows(x: Tensor, idx: np.ndarray, n: int) -> Tensor:
+    """``n`` zero rows with row ``idx[i]`` set to ``x[i]``, the inverse of
+    ``take_rows``. The indices must be distinct."""
+    idx = _row_index("scatter_rows", idx, n)
+    if len(idx) != x.shape[0]:
+        raise ShapeError("scatter_rows", f"{len(idx)} indices for {x.shape[0]} rows")
+    out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
+    out[idx] = x.data
+    return _emit(out, (x,), lambda g: (g[idx],))
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,18 @@ class ConfigError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, step: int, lr: float, grad_norm: float):
-        super().__init__(f"non-finite loss at step {step} (lr={lr:.3e}, "
-                         f"grad_norm={grad_norm:.3e})")
+    """A non-finite loss or gradient; raised before the update is applied."""
+
+    def __init__(self, step: int, lr: float, grad_norm: float, loss: float,
+                 param: str | None):
+        where = f"; first non-finite gradient: {param}" if param else ""
+        super().__init__(f"training diverged at step {step} (loss={loss!r}, lr={lr:.3e}, "
+                         f"grad_norm={grad_norm:.3e}){where}")
         self.step = step
         self.lr = lr
         self.grad_norm = grad_norm
+        self.loss = loss
+        self.param = param
 
 
 @dataclass
@@ -154,10 +160,18 @@ class Adam:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
-    def step(self, lr: float) -> float:
-        """Apply one update; returns the global gradient norm."""
-        self.t += 1
+    def grad_norm(self) -> float:
+        """Global gradient norm; inf or nan when a gradient is not finite."""
         sq_sum = 0.0
+        for p in self.params.values():
+            if p.grad is not None:
+                g = p.grad.astype(p.data.dtype, copy=False)
+                sq_sum += float((g.astype(np.float64) ** 2).sum())
+        return math.sqrt(sq_sum)
+
+    def step(self, lr: float) -> None:
+        """Apply one update."""
+        self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
@@ -165,7 +179,6 @@ class Adam:
             if g is None:
                 continue
             g = g.astype(p.data.dtype, copy=False)
-            sq_sum += float((g.astype(np.float64) ** 2).sum())
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1
@@ -173,7 +186,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        return math.sqrt(sq_sum)
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         out = {}
@@ -301,9 +313,15 @@ class Trainer:
         loss_val = loss.item()
         backward(loss)
         lr = lr_at(step, cfg.hidden, cfg.warmup, self.cfg.scale())
-        grad_norm = self.opt.step(lr)
-        if not math.isfinite(loss_val):
-            raise TrainingDiverged(step=step, lr=lr, grad_norm=grad_norm)
+        grad_norm = self.opt.grad_norm()
+        if not (math.isfinite(loss_val) and math.isfinite(grad_norm)):
+            # checked before the update, so parameters and optimizer state
+            # stay those of the last good step
+            bad = next((name for name, p in self.model.params.items()
+                        if p.grad is not None and not np.isfinite(p.grad).all()), None)
+            raise TrainingDiverged(step=step, lr=lr, grad_norm=grad_norm, loss=loss_val,
+                                   param=bad)
+        self.opt.step(lr)
         return loss_val
 
     def _validate(self) -> tuple[float, float, float]:
@@ -372,10 +390,10 @@ class Trainer:
             log_path.write_text(",".join(LOG_COLUMNS) + "\n")
 
         def write_state():
-            state_path.write_text(json.dumps({
+            ckpt.write_atomic(state_path, json.dumps({
                 "step": step, "epoch": epoch, "batch_idx": batch_idx,
                 "best": best, "best_step": best_step, "bad": bad,
-                "saved": saved, "stopped": early_stopped}, indent=0, sort_keys=True))
+                "saved": saved, "stopped": early_stopped}, indent=0, sort_keys=True).encode())
 
         while not early_stopped and not hit_cap and epoch < cfg.max_epochs:
             batches = self._epoch_batches(epoch)

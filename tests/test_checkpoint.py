@@ -83,3 +83,24 @@ def test_average_drops_optimizer_state(tmp_path):
 
 def test_config_digest_is_order_insensitive():
     assert ckpt.config_digest({"a": 1, "b": 2}) == ckpt.config_digest({"b": 2, "a": 1})
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "average"])
+def test_failed_write_keeps_old_file(tmp_path, params, monkeypatch, target):
+    path = tmp_path / ("ckpt_avg.bin" if target == "average" else "m.bin")
+    ckpt.save_checkpoint(path, params, {"v": 1})
+    old = path.read_bytes()
+    other = tmp_path / "other.bin"
+    ckpt.save_checkpoint(other, {k: v + 1 for k, v in params.items()}, {"v": 2})
+
+    def boom(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ckpt.os, "replace", boom)
+    with pytest.raises(OSError, match="disk full"):
+        if target == "average":
+            ckpt.average_checkpoints([path, other], path)
+        else:
+            ckpt.save_checkpoint(path, {k: v + 1 for k, v in params.items()}, {"v": 2})
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, other.name])

@@ -96,6 +96,59 @@ def test_padding_gets_exactly_zero_attention(setup):
     assert all(r.weights.shape == (ns, ns) for r in enc_recs[:model.config.heads])
 
 
+def ragged_windows(windows, n=3):
+    """``n`` windows whose source and target lengths all differ."""
+    picked = []
+    for w in windows:
+        if all(len(w.src_ids) != len(p.src_ids) and len(w.tgt_ids) != len(p.tgt_ids)
+               for p in picked):
+            picked.append(w)
+        if len(picked) == n:
+            return picked
+    raise AssertionError("corpus too uniform for a ragged batch")
+
+
+def test_padding_does_not_reach_real_positions(setup):
+    _, _, windows, model = setup
+    batch = M.build_batch(ragged_windows(windows), model.config)
+    lp, _ = model.forward(batch)
+    real = batch.tgt_valid > 0
+    assert not real.all() and not (batch.src_valid > 0).all()
+    # real token ids at every padded position
+    batch.src[batch.src_valid == 0] = 5
+    batch.tgt_in[batch.tgt_valid == 0] = 7
+    lp2, _ = model.forward(batch)
+    np.testing.assert_array_equal(lp2.data[real], lp.data[real])
+
+
+def test_padded_batch_gradients_match_finite_differences(setup):
+    from winmt import objective as O
+    from winmt import tensor as T
+    _, _, windows, model = setup
+    assert model.config.dropout == 0.0 and model.config.dtype == "float64"
+    batch = M.build_batch(ragged_windows(windows), model.config)
+    rng = stream(0, "padded-gradcheck")
+
+    def loss_with(name, x):
+        saved = model.params[name]
+        model.params[name] = x
+        try:
+            lp, _ = model.forward(batch)
+            per_tok = O.smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid)
+            bd = O.masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask, 0.3)
+            return O.normalized_training_loss(bd)
+        finally:
+            model.params[name] = saved
+
+    worst = {}
+    for name, p in model.params.items():
+        coords = rng.choice(p.data.size, size=min(3, p.data.size), replace=False)
+        worst[name] = T.finite_diff_check(lambda x, _n=name: loss_with(_n, x), p, h=1e-5,
+                                          coords=[int(c) for c in coords])
+    bad = {name: err for name, err in worst.items() if not err < 1e-4}
+    assert not bad, bad
+
+
 def test_max_length_exceeded_rejected(setup):
     _, _, windows, _ = setup
     config = M.ModelConfig(vocab_size=32, layers=1, heads=2, hidden=16, ffn=32,

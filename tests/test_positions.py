@@ -86,6 +86,17 @@ class TestShiftedPositions:
             assert np.all(np.diff(out) > 0)
 
 
+def test_shift_positions_broadcasts_one_shift_per_row():
+    seg = np.array([[0, 0, 1, 1, 2], [0, 1, 1, 1, 1]])
+    shifts = np.array([3, 10])
+    out = P.shift_positions(np.arange(5)[None, :], seg, shifts[:, None])
+    for row, shift in zip(range(2), shifts):
+        np.testing.assert_array_equal(out[row], P.shifted_positions(seg[row], int(shift)))
+    # one decode step: raw position t for every hypothesis row
+    np.testing.assert_array_equal(P.shift_positions(4, seg[:, 4:], shifts[:, None]),
+                                  out[:, 4:])
+
+
 def test_segment_table_shape():
     assert P.init_segment_table(4, 8, stream(0, "seg")).shape == (4, 8)
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 from winmt import stats as S
-from winmt.evaluation import bleu_from_stats, bleu_stats
+from winmt.evaluation import BleuStats, bleu_from_stats, bleu_stats
 from winmt.rng import stream
 
 
@@ -103,6 +103,42 @@ class TestPairedBleuRandomization:
         assert bleu_from_stats(sa) > bleu_from_stats(sb)
         p = S.paired_bleu_randomization(sa, sb, 500, seed=1)
         assert p <= 0.01
+
+
+def reference_paired_bleu_randomization(stats_a, stats_b, permutations, seed):
+    """One BleuStats list per system and permutation, scored by bleu_from_stats."""
+    observed = abs(bleu_from_stats(stats_a) - bleu_from_stats(stats_b))
+    rng = stream(seed, "approx-randomization-bleu")
+    count = 0
+    for _ in range(permutations):
+        flip = rng.random(len(stats_a)) < 0.5
+        pa = [b if f else a for a, b, f in zip(stats_a, stats_b, flip)]
+        pb = [a if f else b for a, b, f in zip(stats_a, stats_b, flip)]
+        if abs(bleu_from_stats(pa) - bleu_from_stats(pb)) >= observed:
+            count += 1
+    return (count + 1) / (permutations + 1)
+
+
+def random_bleu_stats(rng, n, skill):
+    out = []
+    for _ in range(n):
+        hyp_len, ref_len = int(rng.integers(0, 12)), int(rng.integers(1, 12))
+        totals = tuple(max(0, hyp_len - k) for k in range(4))
+        matches = tuple(int(rng.binomial(t, skill)) for t in totals)
+        out.append(BleuStats(matches, totals, hyp_len, ref_len))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("chunked", [False, True])
+def test_paired_bleu_randomization_equals_reference_loop(seed, chunked, monkeypatch):
+    if chunked:  # permutations drawn over several chunks, 7 per chunk
+        monkeypatch.setattr(S, "_FLIPS_PER_CHUNK", 7 * 50)
+    rng = stream(seed, "bleu-stats")
+    stats_a = random_bleu_stats(rng, 50, 0.5)
+    stats_b = random_bleu_stats(rng, 50, 0.5 + 0.05 * seed)
+    got = S.paired_bleu_randomization(stats_a, stats_b, 200, seed)
+    assert got == reference_paired_bleu_randomization(stats_a, stats_b, 200, seed)
 
 
 def test_chi2_tail_matches_scipy():

@@ -168,7 +168,7 @@ class TestFiniteDiffCheck:
 @pytest.mark.parametrize("op_name", [
     "matmul", "add", "sub", "mul", "relu", "softmax", "log_softmax",
     "layer_norm", "reshape", "transpose", "reduce_sum", "gather_last",
-    "embedding", "mul_const", "add_const",
+    "embedding", "mul_const", "add_const", "take_rows", "scatter_rows",
 ])
 def test_primitive_gradients_over_100_seeds(op_name):
     """Every differentiable primitive matches central finite differences."""
@@ -221,6 +221,16 @@ def test_primitive_gradients_over_100_seeds(op_name):
             w = T.Tensor(rng.normal(0, 1, (2, 3, 4)))
             f = lambda x: T.reduce_sum(T.mul(T.embedding(x, ids), w))
             x0 = rng.normal(0, 1, (5, 4))
+        elif op_name == "take_rows":
+            idx = rng.permutation(5)[:3]
+            w = T.Tensor(rng.normal(0, 1, (3, 4)))
+            f = lambda x: T.reduce_sum(T.mul(T.take_rows(x, idx), w))
+            x0 = rng.normal(0, 1, (5, 4))
+        elif op_name == "scatter_rows":
+            idx = rng.permutation(5)[:3]
+            w = T.Tensor(rng.normal(0, 1, (5, 4)))
+            f = lambda x: T.reduce_sum(T.mul(T.scatter_rows(x, idx, 5), w))
+            x0 = rng.normal(0, 1, (3, 4))
         elif op_name == "mul_const":
             c = rng.normal(0, 1, (2, 3))
             f = lambda x: T.reduce_sum(T.mul_const(x, c))
@@ -230,6 +240,37 @@ def test_primitive_gradients_over_100_seeds(op_name):
             f = lambda x: T.reduce_sum(T.mul(T.add_const(x, c), T.Tensor(c)))
             x0 = rng.normal(0, 1, (2, 3))
         assert T.finite_diff_check(f, T.Tensor(x0), 1e-5) < 1e-4, f"{op_name} seed {seed}"
+
+
+def test_take_and_scatter_rows_are_inverse_and_zero_elsewhere():
+    rng = stream(0, "rows")
+    idx = np.array([4, 0, 2])
+    x = T.Tensor(rng.normal(0, 1, (5, 3)))
+    w = T.Tensor(rng.normal(0, 1, (3, 3)))
+    with T.record(T.Graph()):
+        taken = T.take_rows(x, idx)
+        loss = T.reduce_sum(T.mul(taken, w))
+    T.backward(loss)
+    np.testing.assert_array_equal(taken.data, x.data[idx])
+    np.testing.assert_array_equal(x.grad[idx], w.data)
+    np.testing.assert_array_equal(x.grad[[1, 3]], 0.0)  # rows not taken
+
+    grid = T.scatter_rows(taken, idx, 5)
+    np.testing.assert_array_equal(grid.data[idx], x.data[idx])
+    np.testing.assert_array_equal(grid.data[[1, 3]], 0.0)
+    np.testing.assert_array_equal(T.take_rows(grid, idx).data, taken.data)
+
+
+def test_row_ops_reject_bad_indices():
+    x = T.Tensor(np.zeros((3, 2)))
+    with pytest.raises(T.ShapeError, match="take_rows"):
+        T.take_rows(x, np.array([0, 3]))
+    with pytest.raises(T.ShapeError, match="take_rows"):
+        T.take_rows(x, np.array([0.0]))
+    with pytest.raises(T.ShapeError, match="scatter_rows"):
+        T.scatter_rows(x, np.array([0, 1]), 4)  # one index per row of x
+    with pytest.raises(T.ShapeError, match="scatter_rows"):
+        T.scatter_rows(x, np.array([0, 1, 4]), 4)
 
 
 def test_dropout_inverted_scaling_and_grad():

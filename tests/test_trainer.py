@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from winmt import checkpoint as ckpt
 from winmt import corpus as C
 from winmt import synth
 from winmt import trainer as TR
@@ -211,6 +212,57 @@ class TestTraining:
         assert err.value.step >= 1
         assert err.value.lr > 0
         assert math.isnan(err.value.grad_norm) or err.value.grad_norm >= 0
+
+    @pytest.mark.parametrize("where", ["gradient", "loss"])
+    def test_divergence_raises_before_the_update(self, tmp_path, monkeypatch, where):
+        data = write_data(tmp_path)
+        trainer = TR.Trainer(tiny_config(data, tmp_path / "run"))
+        batches = trainer._epoch_batches(0)
+        trainer._train_step(batches[0], 1)
+        params, opt = trainer.model.params, trainer.opt
+        if where == "gradient":
+            real_backward = TR.backward
+
+            def poisoned(loss):
+                real_backward(loss)
+                params["dec0.ffn.w1"].grad[0, 1] = np.nan
+
+            monkeypatch.setattr(TR, "backward", poisoned)
+            expected = "dec0.ffn.w1"
+        else:
+            # the loss turns NaN, and so does every gradient: the first is named
+            params["dec_ln.b"].data[3] = np.inf
+            expected = next(iter(params))
+
+        def snapshot():
+            return ({k: p.data.tobytes() for k, p in params.items()}, opt.t,
+                    {k: a.tobytes() for k, a in opt.m.items()},
+                    {k: a.tobytes() for k, a in opt.v.items()})
+
+        before = snapshot()
+        with np.errstate(all="ignore"), pytest.raises(TR.TrainingDiverged) as err:
+            trainer._train_step(batches[1], 2)
+        assert snapshot() == before
+        assert err.value.step == 2 and err.value.param == expected
+        assert expected in str(err.value)
+
+    def test_failed_state_write_keeps_old_state(self, tmp_path, monkeypatch):
+        data = write_data(tmp_path)
+        run = tmp_path / "run"
+        TR.train(tiny_config(data, run, max_steps=5))
+        state = (run / "trainer_state.json").read_bytes()
+        real_replace = ckpt.os.replace
+
+        def failing(src, dst):
+            if Path(dst).name == "trainer_state.json":
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(ckpt.os, "replace", failing)
+        with pytest.raises(OSError, match="disk full"):
+            TR.train(tiny_config(data, run, max_steps=10), resume=True)
+        assert (run / "trainer_state.json").read_bytes() == state
+        assert not list(run.rglob("*.tmp"))
 
     def test_averaged_checkpoint_is_mean_of_neighbors(self, tmp_path):
         data = write_data(tmp_path)
