@@ -20,13 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import checkpoint as ckpt
 from . import corpus as corpus_mod
 from . import evaluation as evl
 from . import stats as stats_mod
 from . import synth
 from .model import TransformerModel
 from .trainer import (DEFAULT_SWEEP, ConfigError, TrainConfig, cd_sweep,
-                      config_from_sources, parse_config_text, train, window_losses)
+                      config_from_sources, parse_config_text, train, window_loss_ratio,
+                      window_losses)
 
 SUMMARY_JSON = "summary.json"
 
@@ -54,7 +56,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed,
         "outputs": [str(p) for p in outputs],
         "version": __version__,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    ckpt.write_atomic(out_dir / "manifest.json",
+                      json.dumps(manifest, indent=2, sort_keys=True).encode())
 
 
 def _require_empty(out_dir: Path, force: bool) -> None:
@@ -293,8 +296,7 @@ def cmd_diagnose(args) -> int:
         model, [windows[lo:lo + 32] for lo in range(0, len(windows), 32)], 0.1, records)
     entropy_rows = evl.attention_entropy_rows(records)
     mass = evl.current_attention_mass(records)
-    ctx_means = [c / (w.size - 1) for c, w in zip(ctx_sums, windows) if w.size > 1]
-    ratio = float(np.mean(cur_sums)) / float(np.mean(ctx_means)) if ctx_means else float("nan")
+    ratio = window_loss_ratio(cur_sums, ctx_sums, windows)
 
     series = []
     log_path = run_dir / "log.csv"

@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .checkpoint import write_atomic
+
 PAD, UNK, SEP, EOS = "<PAD>", "<UNK>", "<S>", "<E>"
 RESERVED = (PAD, UNK, SEP, EOS)
 PAD_ID, UNK_ID, SEP_ID, EOS_ID = 0, 1, 2, 3
@@ -99,8 +101,8 @@ class Vocab:
         return Vocab(ordered)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self._tokens[len(RESERVED):], fh, ensure_ascii=False)
+        write_atomic(path, json.dumps(self._tokens[len(RESERVED):],
+                                      ensure_ascii=False).encode("utf-8"))
 
     @staticmethod
     def load(path) -> "Vocab":

@@ -108,10 +108,6 @@ class AccuracyReport:
     disc_all_d: float | None
     excluded: list[str] = field(default_factory=list)
 
-    @property
-    def total_samples(self) -> int:
-        return sum(n for _, n in self.per_category.values())
-
 
 def weighted_accuracy(accuracies: Sequence[float], sizes: Sequence[int]) -> float:
     if len(accuracies) != len(sizes) or not accuracies:

@@ -11,6 +11,14 @@ Hidden states hold the real tokens of a batch only, one row each. The
 position-wise layers (linears, layer norms, FFNs, residuals, dropout) run
 on those rows; attention scatters them into the zero-padded
 (windows, length) grid, where the key masks apply, and takes them back.
+
+A token whose state is provably a copy of one in an earlier window of the
+batch has no row of its own. Windows with the same source inputs share
+every source token and every target token before the first position
+where their decoder inputs differ; contrastive candidates are such
+windows. The grid cells of those tokens are filled from their owner's
+cell, and their gradients flow back into the owner's row. Under training
+dropout, shared tokens therefore share their owner's dropout masks.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from dataclasses import dataclass, field, asdict
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +35,8 @@ from .corpus import EOS_ID, PAD_ID, SEP_ID, Window, compute_shift
 from .positions import (SCHEMES, SEGMENT_VARIANTS, init_segment_table, shift_positions,
                         sinusoidal_pe)
 from .rng import stream
-from .tensor import (Graph, Tensor, add, add_const, dropout, embedding, layer_norm,
-                     log_softmax, matmul, mul_const, record, reduce_sum, relu,
+from .tensor import (Graph, Tensor, add, add_const, copy_rows, dropout, embedding,
+                     layer_norm, log_softmax, matmul, mul_const, record, reduce_sum, relu,
                      reshape, scatter_rows, softmax, take_rows, transpose)
 
 NEG_INF = -np.inf
@@ -113,17 +121,72 @@ class Batch:
     current_mask: np.ndarray
     context_mask: np.ndarray
     shifts: np.ndarray  # resolved shift per window
-    # flat indices of the real tokens in the (windows, length) grids, set once
+    # flat indices in the (windows, length) grids of the real tokens that
+    # own a state row, and (2, n) pairs of (duplicate cell, owner cell) for
+    # the real tokens that copy one; set once (see ``_shared_cells``)
     src_rows: np.ndarray = field(init=False)
+    src_copies: np.ndarray = field(init=False)
     tgt_rows: np.ndarray = field(init=False)
+    tgt_copies: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.src_rows = np.flatnonzero(self.src_valid.reshape(-1))
-        self.tgt_rows = np.flatnonzero(self.tgt_valid.reshape(-1))
+        (self.src_rows, self.src_copies), (self.tgt_rows, self.tgt_copies) = _shared_cells(self)
 
     @property
     def size(self) -> int:
         return len(self.windows)
+
+    @property
+    def src_grid(self) -> "Grid":
+        return Grid(self.src_rows, self.src_copies, self.src.shape)
+
+    @property
+    def tgt_grid(self) -> "Grid":
+        return Grid(self.tgt_rows, self.tgt_copies, self.tgt_in.shape)
+
+
+class Grid(NamedTuple):
+    """Where the state rows of one side of a batch sit in its padded grid."""
+
+    rows: np.ndarray  # flat cell of each state row
+    copies: np.ndarray  # (2, n): duplicate cells and the owner cells they copy
+    shape: tuple[int, int]  # (windows, length)
+
+
+def _shared_cells(batch: Batch) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(rows, copies) of the source and the target grid of ``batch``.
+
+    A window owns its tokens unless an earlier window has the same source
+    inputs (ids, segments, positions, padding); the first such window then
+    owns them. Every source token of the later window is a copy, and so is
+    each target token before the first position where its decoder inputs
+    differ from the owner's, because a decoder state depends on the source
+    and on the decoder inputs up to its own position only.
+    """
+    sources = np.concatenate([batch.src, batch.src_seg, batch.src_pos,
+                              batch.src_valid > 0], axis=1, dtype=np.int64)
+    first: dict[bytes, int] = {}
+    owner = np.array([first.setdefault(row.tobytes(), i) for i, row in enumerate(sources)])
+    dup = np.flatnonzero(owner != np.arange(len(owner)))
+    src_copy = batch.src_valid[dup] > 0
+    same = (batch.tgt_valid[dup] > 0) & (batch.tgt_valid[owner[dup]] > 0)
+    for a in (batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos):
+        same &= a[dup] == a[owner[dup]]
+    tgt_copy = np.logical_and.accumulate(same, axis=1)
+    return tuple(_rows_and_copies(valid, dup, owner[dup], copy)
+                 for valid, copy in ((batch.src_valid, src_copy), (batch.tgt_valid, tgt_copy)))
+
+
+def _rows_and_copies(valid, dup, owner, copy) -> tuple[np.ndarray, np.ndarray]:
+    """Owner cells of the real tokens in ``valid`` and (duplicate, owner) cell
+    pairs, where ``copy`` marks the copied tokens of windows ``dup`` whose
+    owners are windows ``owner``."""
+    length = valid.shape[1]
+    win, pos = np.nonzero(copy)
+    copies = np.stack([dup[win] * length + pos, owner[win] * length + pos])
+    real = valid.reshape(-1) > 0
+    real[copies[0]] = False
+    return np.flatnonzero(real), copies
 
 
 def resolve_window_shift(config: ModelConfig, window: Window) -> int:
@@ -183,16 +246,18 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
 
 
-def _to_grid(x: Tensor, rows) -> Tensor:
-    """Real-token rows -> the zero-padded (windows * length, ...) grid.
-
-    ``rows`` is (flat indices, (windows, length)); None stands for decode's
-    step rows, which hold no padding and stay as they are.
+def _to_grid(x: Tensor, grid: Grid | None) -> Tensor:
+    """State rows -> the zero-padded (windows * length, ...) grid, with each
+    duplicate cell filled from its owner. None stands for decode's step
+    rows, which hold no padding and stay as they are.
     """
-    if rows is None:
+    if grid is None:
         return x
-    idx, (b, t) = rows
-    return scatter_rows(x, idx, b * t)
+    b, t = grid.shape
+    x = scatter_rows(x, grid.rows, b * t)
+    if grid.copies.shape[1]:
+        x = copy_rows(x, grid.copies[0], grid.copies[1])
+    return x
 
 
 def _key_mask(valid: np.ndarray, dtype) -> np.ndarray:
@@ -274,7 +339,7 @@ class TransformerModel:
 
     def _embed(self, ids, seg, pos, table_name, drop_site, train, step, seed, rows=None):
         """Embeddings of the tokens at flat indices ``rows`` of the grids, as
-        (tokens, hidden) rows; with ``rows`` None, of every token in ``ids``."""
+        (rows, hidden); with ``rows`` None, of every token in ``ids``."""
         cfg = self.config
         if rows is not None:
             ids, seg, pos = (a.reshape(-1)[rows] for a in (ids, seg, pos))
@@ -300,33 +365,33 @@ class TransformerModel:
     def _merge_heads(self, x: Tensor, shape) -> Tensor:
         return reshape(transpose(x, (0, 2, 1, 3)), shape)
 
-    def _kv(self, name: str, x: Tensor, rows=None) -> tuple[Tensor, Tensor]:
+    def _kv(self, name: str, x: Tensor, grid: Grid | None = None) -> tuple[Tensor, Tensor]:
         """Keys and values of attention ``name`` over the rows ``x``, placed in
-        the grid ``rows`` (see ``_to_grid``) and split into heads."""
+        ``grid`` (see ``_to_grid``) and split into heads."""
         p = self.params
-        groups = x.shape[0] if rows is None else rows[1][0]
-        k = self._split_heads(_to_grid(matmul(x, p[f"{name}.k"]), rows), groups)
-        v = self._split_heads(_to_grid(_linear(x, p[f"{name}.v"], p[f"{name}.v&bias"]), rows),
+        groups = x.shape[0] if grid is None else grid.shape[0]
+        k = self._split_heads(_to_grid(matmul(x, p[f"{name}.k"]), grid), groups)
+        v = self._split_heads(_to_grid(_linear(x, p[f"{name}.v"], p[f"{name}.v&bias"]), grid),
                               groups)
         return k, v
 
-    def _attention(self, name, q_in, kv, mask_add, *, rows, train, step, seed,
+    def _attention(self, name, q_in, kv, mask_add, *, grid, train, step, seed,
                    capture, records, layer, kind, batch):
         """Attention of ``q_in`` over the keys and values that ``kv(name, q_in)`` gives.
 
         ``kv`` runs after the query projection, so a tape records q, k, v in
-        that order. The projected queries are placed in the padded grid that
-        ``rows`` describes, and the real rows of the result are taken back
-        before the output projection. The query rows are regrouped to the
-        keys' leading axis: in decoding, the `beam` hypothesis rows of a
-        window attend to its one set of encoder states at once.
+        that order. The projected queries are placed in the padded ``grid``,
+        and the owner rows of the result are taken back before the output
+        projection. The query rows are regrouped to the keys' leading axis:
+        in decoding, the `beam` hypothesis rows of a window attend to its
+        one set of encoder states at once.
         """
         cfg = self.config
         p = self.params
         dh = cfg.hidden // cfg.heads
         q = _linear(q_in, p[f"{name}.q"], p[f"{name}.q&bias"])
         k, v = kv(name, q_in)
-        q = self._split_heads(_to_grid(q, rows), k.shape[0])
+        q = self._split_heads(_to_grid(q, grid), k.shape[0])
         scores = mul_const(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         scores = add_const(scores, mask_add)
         attn = softmax(scores, axis=-1)
@@ -334,10 +399,10 @@ class TransformerModel:
             self._capture(records, attn.data, layer, kind, batch)
         if train and cfg.dropout > 0:
             attn = dropout(attn, cfg.dropout, stream(seed, f"drop/{name}.attn", step))
-        if rows is None:
+        if grid is None:
             out = self._merge_heads(matmul(attn, v), q_in.shape)
         else:
-            out = take_rows(self._merge_heads(matmul(attn, v), (-1, cfg.hidden)), rows[0])
+            out = take_rows(self._merge_heads(matmul(attn, v), (-1, cfg.hidden)), grid.rows)
         return _linear(out, p[f"{name}.o"], p[f"{name}.o&bias"])
 
     def _capture(self, records, attn, layer, kind, batch):
@@ -372,18 +437,18 @@ class TransformerModel:
 
     def encode(self, batch: Batch, *, train=False, step=0, seed=0,
                capture=False, records=None) -> Tensor:
-        """Encoder states of the real source tokens, (tokens, hidden)."""
+        """Encoder states of the source tokens that own a row, (rows, hidden)."""
         cfg = self.config
         p = self.params
-        rows = (batch.src_rows, batch.src.shape)
+        grid = batch.src_grid
         key_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         x = self._embed(batch.src, batch.src_seg, batch.src_pos, "src_emb",
                         "src_emb", train, step, seed, rows=batch.src_rows)
         for i in range(cfg.layers):
             blk = f"enc{i}"
             h = layer_norm(x, p[f"{blk}.ln1.g"], p[f"{blk}.ln1.b"])
-            a = self._attention(f"{blk}.self", h, partial(self._kv, rows=rows), key_mask,
-                                rows=rows, train=train, step=step, seed=seed,
+            a = self._attention(f"{blk}.self", h, partial(self._kv, grid=grid), key_mask,
+                                grid=grid, train=train, step=step, seed=seed,
                                 capture=capture, records=records,
                                 layer=i, kind="enc-self", batch=batch)
             x = self._residual(x, a, f"{blk}.self", train, step, seed)
@@ -407,27 +472,26 @@ class TransformerModel:
         causal = _key_mask(np.tril(np.ones((t, t))), cfg.np_dtype)[None, None, :, :]
         self_mask = causal + _key_mask(batch.tgt_valid[:, None, None, :], cfg.np_dtype)
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
-        src = (batch.src_rows, batch.src.shape)
-        tgt = (batch.tgt_rows, batch.tgt_in.shape)
+        tgt = batch.tgt_grid
         x = self._embed(batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos, "tgt_emb",
                         "tgt_emb", train, step, seed, rows=batch.tgt_rows)
-        log_probs = self._decoder(x, partial(self._kv, rows=tgt),
-                                  lambda name, _: self._kv(name, enc, src),
-                                  self_mask, cross_mask, rows=tgt, train=train, step=step,
+        log_probs = self._decoder(x, partial(self._kv, grid=tgt),
+                                  lambda name, _: self._kv(name, enc, batch.src_grid),
+                                  self_mask, cross_mask, grid=tgt, train=train, step=step,
                                   seed=seed, capture=capture, records=records, batch=batch)
         return log_probs, records
 
-    def _decoder(self, x, self_kv, cross_kv, self_mask, cross_mask, *, rows=None, train=False,
+    def _decoder(self, x, self_kv, cross_kv, self_mask, cross_mask, *, grid=None, train=False,
                  step=0, seed=0, capture=False, records=None, batch=None) -> Tensor:
         """Decoder layers, final norm and output log-softmax over embedded targets ``x``.
 
-        ``forward`` runs them over the real rows of whole teacher-forced
-        targets, whose grid ``rows`` describes; the logits are scattered to
-        that grid before the log-softmax. ``decode`` runs them on one step per
+        ``forward`` runs them over the state rows of whole teacher-forced
+        targets, placed in ``grid``; the logits are put in that grid before
+        the log-softmax. ``decode`` runs them on one step per
         hypothesis row, with key/value providers that read its caches.
         """
         p = self.params
-        opts = dict(rows=rows, train=train, step=step, seed=seed, capture=capture, records=records,
+        opts = dict(grid=grid, train=train, step=step, seed=seed, capture=capture, records=records,
                     batch=batch)
         for i in range(self.config.layers):
             blk = f"dec{i}"
@@ -444,8 +508,8 @@ class TransformerModel:
                                f"{blk}.ffn", train, step, seed)
         x = layer_norm(x, p["dec_ln.g"], p["dec_ln.b"])
         logits = _linear(x, p["out"], p["out&bias"])
-        if rows is not None:
-            logits = reshape(_to_grid(logits, rows), rows[1] + (-1,))
+        if grid is not None:
+            logits = reshape(_to_grid(logits, grid), grid.shape + (-1,))
         return log_softmax(logits, axis=-1)
 
     # ------------------------------------------------------------------
@@ -490,8 +554,8 @@ class TransformerModel:
 
         # every per-row array holds `beam` rows per window still searching;
         # the cross keys/values and the source mask hold one row per window
-        src = (batch.src_rows, batch.src.shape)
-        cross = {f"dec{i}.cross": self._kv(f"dec{i}.cross", enc, src) for i in range(cfg.layers)}
+        cross = {f"dec{i}.cross": self._kv(f"dec{i}.cross", enc, batch.src_grid)
+                 for i in range(cfg.layers)}
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         shifts = np.repeat(batch.shifts, beam)
         shape = (b * beam, cfg.heads, t_cap, cfg.hidden // cfg.heads)

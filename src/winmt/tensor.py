@@ -3,7 +3,8 @@
 The primitive set is exactly what a small encoder-decoder transformer
 needs: matmul, broadcasting elementwise ops, softmax / log-softmax,
 layer normalization, embedding lookup, inverted dropout, reductions and
-row gather/scatter between token rows and a padded grid.
+row gather/scatter between token rows and a padded grid, and a row copy
+inside a grid.
 Ops recorded while a Graph is active build a tape in forward order;
 ``backward`` walks it in exact reverse and accumulates a gradient onto
 every tensor reachable from the loss, parameters and intermediates
@@ -42,6 +43,7 @@ __all__ = [
     "gather_last",
     "take_rows",
     "scatter_rows",
+    "copy_rows",
     "finite_diff_check",
 ]
 
@@ -462,6 +464,29 @@ def scatter_rows(x: Tensor, idx: np.ndarray, n: int) -> Tensor:
     out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
     out[idx] = x.data
     return _emit(out, (x,), lambda g: (g[idx],))
+
+
+def copy_rows(x: Tensor, dst: np.ndarray, src: np.ndarray) -> Tensor:
+    """``x`` with row ``dst[i]`` replaced by row ``src[i]``. The ``dst`` rows
+    must be distinct and none of them a ``src`` row; a ``src`` row may feed
+    several ``dst`` rows. The gradient of each ``dst`` row is added into its
+    ``src`` row, and the ``dst`` rows of ``x`` get exactly zero gradient."""
+    n = x.shape[0]
+    dst = _row_index("copy_rows", dst, n)
+    src = _row_index("copy_rows", src, n)
+    if len(dst) != len(src):
+        raise ShapeError("copy_rows", f"{len(dst)} destination rows for {len(src)} sources")
+    source = np.arange(n)
+    source[dst] = src
+    out = np.take(x.data, source, axis=0)
+
+    def bw(g):
+        gx = g.copy()
+        gx[dst] = 0
+        np.add.at(gx, src, g[dst])
+        return (gx,)
+
+    return _emit(out, (x,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,16 @@ def window_losses(model: TransformerModel, batches: Sequence[Sequence[Window]], 
     return current, context, current_tokens, context_tokens
 
 
+def window_loss_ratio(current: Sequence[float], context: Sequence[float],
+                      windows: Sequence[Window]) -> float:
+    """``objective.loss_ratio`` of per-window loss sums; NaN where it is
+    undefined (no window has context, or the context loss is zero)."""
+    try:
+        return loss_ratio(current, context, [w.size - 1 for w in windows])
+    except (ObjectiveError, ZeroDivisionError):
+        return float("nan")
+
+
 def _float_repr(x: float) -> str:
     return repr(float(x))
 
@@ -330,10 +340,7 @@ class Trainer:
                                                    self.cfg.label_smoothing)
         current_loss = sum(cur) / max(1, sum(cur_tok))
         context_loss = sum(ctx) / sum(ctx_tok) if sum(ctx_tok) else float("nan")
-        try:
-            ratio = loss_ratio(cur, ctx, [w.size - 1 for ws in self.dev_batches for w in ws])
-        except (ObjectiveError, ZeroDivisionError):
-            ratio = float("nan")
+        ratio = window_loss_ratio(cur, ctx, [w for ws in self.dev_batches for w in ws])
         return current_loss, context_loss, ratio
 
     def _save_checkpoint(self, step: int) -> Path:
@@ -363,7 +370,7 @@ class Trainer:
         log_path = self.run_dir / "log.csv"
         state_path = self.run_dir / "trainer_state.json"
         self.vocab.save(self.run_dir / "vocab.json")
-        (self.run_dir / "config.txt").write_text(config_to_text(cfg))
+        ckpt.write_atomic(self.run_dir / "config.txt", config_to_text(cfg).encode())
 
         step = 0
         epoch = 0
@@ -387,7 +394,15 @@ class Trainer:
                 p.data = params[name].copy()
             self.opt.load_state(params, t=step)
         else:
-            log_path.write_text(",".join(LOG_COLUMNS) + "\n")
+            ckpt.write_atomic(log_path, (",".join(LOG_COLUMNS) + "\n").encode())
+
+        def validate() -> float:
+            """Validate, append a row to the log and return the dev current loss."""
+            cur, ctx, ratio = self._validate()
+            line = ",".join([str(epoch), str(step), _float_repr(cur), _float_repr(ctx),
+                             _float_repr(ratio), _float_repr(cfg.cd)]) + "\n"
+            ckpt.write_atomic(log_path, log_path.read_bytes() + line.encode())
+            return cur
 
         def write_state():
             ckpt.write_atomic(state_path, json.dumps({
@@ -406,11 +421,7 @@ class Trainer:
                 batch_idx = i + 1
                 self._train_step(batches[i], step)
                 if step % cfg.val_interval == 0:
-                    cur, ctx, ratio = self._validate()
-                    with open(log_path, "a") as fh:
-                        fh.write(",".join([str(epoch), str(step), _float_repr(cur),
-                                           _float_repr(ctx), _float_repr(ratio),
-                                           _float_repr(cfg.cd)]) + "\n")
+                    cur = validate()
                     self._save_checkpoint(step)
                     saved.append(step)
                     if cur < best:
@@ -434,11 +445,7 @@ class Trainer:
 
         if best_step < 0:
             # no validation happened: checkpoint the final state as best
-            cur, ctx, ratio = self._validate()
-            with open(log_path, "a") as fh:
-                fh.write(",".join([str(epoch), str(step), _float_repr(cur),
-                                   _float_repr(ctx), _float_repr(ratio),
-                                   _float_repr(cfg.cd)]) + "\n")
+            validate()
             self._save_checkpoint(max(step, 1))
             saved.append(max(step, 1))
             best_step = max(step, 1)

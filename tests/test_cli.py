@@ -207,6 +207,25 @@ class TestDiagnose:
         assert len(summary["series"]) >= 1
         assert (run_dir / "entropies_dev.csv").exists()
 
+    def test_loss_ratio_is_objective_loss_ratio(self, data_dir, run_dir, tmp_path):
+        from winmt.corpus import make_windows
+        from winmt.objective import loss_ratio
+        from winmt.trainer import window_losses
+        assert run_cli("diagnose", "--run", run_dir, "--data", data_dir, "--split", "dev",
+                       "--limit", "40", "--report-dir", tmp_path) == 0
+        summary = json.loads((tmp_path / "diagnose_dev.json").read_text())
+        model = TransformerModel.load(run_dir / "ckpt_avg.bin")
+        vocab = Vocab.load(run_dir / "vocab.json")
+        windows = [w for d in read_corpus(data_dir / "dev.txt")
+                   for w in make_windows(d, model.config.window_size, vocab)][:40]
+        batches = [windows[lo:lo + 32] for lo in range(0, len(windows), 32)]
+        cur, ctx, _, _ = window_losses(model, batches, 0.1)
+        assert summary["loss_ratio"] == loss_ratio(cur, ctx, [w.size - 1 for w in windows])
+        # at K=1 no window has context, so the ratio is undefined
+        assert run_cli("diagnose", "--run", run_dir, "--data", data_dir, "--split", "dev",
+                       "--limit", "10", "--k", "1", "--report-dir", tmp_path) == 0
+        assert math.isnan(json.loads((tmp_path / "diagnose_dev.json").read_text())["loss_ratio"])
+
 
 class TestStats:
     def test_mcnemar_self_comparison_p_one(self, data_dir, run_dir, capsys):

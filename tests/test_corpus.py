@@ -34,6 +34,25 @@ class TestVocab:
         ids = [vocab.id(t) for t in vocab.tokens]
         assert sorted(ids) == list(range(len(vocab)))
 
+    def test_save_load_round_trip(self, vocab, tmp_path):
+        vocab.save(tmp_path / "vocab.json")
+        assert C.Vocab.load(tmp_path / "vocab.json").tokens == vocab.tokens
+
+    def test_failed_save_keeps_old_file(self, vocab, tmp_path, monkeypatch):
+        from winmt import checkpoint
+        path = tmp_path / "vocab.json"
+        vocab.save(path)
+        old = path.read_bytes()
+
+        def boom(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint.os, "replace", boom)
+        with pytest.raises(OSError, match="disk full"):
+            C.Vocab(["x", "y"]).save(path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.json"]
+
 
 class TestDocument:
     def test_empty_document_rejected(self):

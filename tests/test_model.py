@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -121,13 +123,11 @@ def test_padding_does_not_reach_real_positions(setup):
     np.testing.assert_array_equal(lp2.data[real], lp.data[real])
 
 
-def test_padded_batch_gradients_match_finite_differences(setup):
+def assert_gradients_match_finite_differences(model, batch, seed_label):
     from winmt import objective as O
     from winmt import tensor as T
-    _, _, windows, model = setup
     assert model.config.dropout == 0.0 and model.config.dtype == "float64"
-    batch = M.build_batch(ragged_windows(windows), model.config)
-    rng = stream(0, "padded-gradcheck")
+    rng = stream(0, seed_label)
 
     def loss_with(name, x):
         saved = model.params[name]
@@ -147,6 +147,99 @@ def test_padded_batch_gradients_match_finite_differences(setup):
                                           coords=[int(c) for c in coords])
     bad = {name: err for name, err in worst.items() if not err < 1e-4}
     assert not bad, bad
+
+
+def test_padded_batch_gradients_match_finite_differences(setup):
+    _, _, windows, model = setup
+    batch = M.build_batch(ragged_windows(windows), model.config)
+    assert_gradients_match_finite_differences(model, batch, "padded-gradcheck")
+
+
+def candidate_windows(doc, vocab, k, j, variants):
+    """Windows of sentence ``j`` of ``doc`` at size ``k`` that share the source
+    and the target context and differ in the current target sentence:
+    variant 0 is the reference, 1 drops its last token (shorter), 2 repeats
+    its first token at the end (longer, the whole reference as prefix) and 3
+    swaps its first two tokens (same length)."""
+    chunk = doc.sentences[max(0, j - k + 1):j + 1]
+    src, tgt = [s for s, _ in chunk], [t for _, t in chunk]
+    cur = tgt[-1]
+    forms = [cur, cur[:-1], cur + cur[:1], cur[1:2] + cur[:1] + cur[2:]]
+    return [C.window_from_sentences(src, tgt[:-1] + [forms[v]], vocab, doc.doc_id, j)
+            for v in variants]
+
+
+def unshared(batch):
+    """``batch`` with every real token its own state row."""
+    plain = copy.copy(batch)
+    plain.src_rows = np.flatnonzero(batch.src_valid.reshape(-1))
+    plain.tgt_rows = np.flatnonzero(batch.tgt_valid.reshape(-1))
+    plain.src_copies = plain.tgt_copies = np.zeros((2, 0), dtype=np.int64)
+    return plain
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("scheme,strategy,variant,dtype", [
+    ("plain", "fixed:0", "none", "float32"),
+    ("shifted", "avg-sequence", "learned", "float64"),
+    ("shifted", "fixed:3", "sin", "float32"),
+])
+def test_shared_rows_are_bitwise_equal_to_own_rows(setup, k, scheme, strategy, variant, dtype):
+    docs, vocab, _, _ = setup
+    config = M.ModelConfig(vocab_size=len(vocab), layers=2, heads=2, hidden=16, ffn=32,
+                           dropout=0.0, dtype=dtype, position_scheme=scheme,
+                           shift_strategy=strategy,
+                           shift_value=3 if strategy.startswith("fixed") else None,
+                           segment_variant=variant)
+    model = M.TransformerModel(config, seed=4)
+    # examples of 2 and 3 candidates, interleaved with unrelated windows
+    sets = [[0, 1], [0, 2, 3], [2, 0], [3, 1, 0]]
+    windows = []
+    for n, (doc, variants) in enumerate(zip(docs[2:], sets)):
+        j = len(doc.sentences) - 1 - n
+        windows += candidate_windows(doc, vocab, k, j, variants)
+        windows += C.make_windows(docs[10 + n], k, vocab)[-1:]
+    batch = M.build_batch(windows, config)
+    dups = len(windows) - len({w.src_ids for w in windows})
+    assert len(batch.src_rows) < (batch.src_valid > 0).sum() and dups == 6
+    assert batch.tgt_copies.shape[1] > 0
+    lp, recs = model.forward(batch, capture=True)
+    lp_ref, recs_ref = model.forward(unshared(batch), capture=True)
+    np.testing.assert_array_equal(lp.data, lp_ref.data)
+    assert len(recs) == len(recs_ref)
+    for r, r_ref in zip(recs, recs_ref):
+        np.testing.assert_array_equal(r.weights, r_ref.weights)
+
+
+def test_shared_rows_gradients_match_finite_differences(setup):
+    docs, vocab, windows, model = setup
+    doc = docs[3]
+    pair = candidate_windows(doc, vocab, 2, len(doc.sentences) - 1, [3, 1])
+    other = next(w for w in windows if len(w.src_ids) != len(pair[0].src_ids))
+    batch = M.build_batch([pair[0], other, pair[1]], model.config)
+    assert batch.src_copies.shape[1] == len(pair[0].src_ids)
+    assert 0 < batch.tgt_copies.shape[1] < len(pair[1].tgt_ids)
+    assert_gradients_match_finite_differences(model, batch, "shared-gradcheck")
+
+
+def test_two_candidate_examples_share_source_and_target_prefix(setup):
+    _, vocab, _, model = setup
+    _, examples = synth.gen_synthetic(0, n_docs=30, vocab_size=32)
+    examples = [ex for ex in examples if len(ex.candidates) == 2][:12]
+    assert len(examples) == 12
+    windows = [w for ex in examples for w in ex.candidate_windows(vocab)]
+    batch = M.build_batch(windows, model.config)
+    real_src = int(batch.src_valid.sum())
+    assert len(batch.src_rows) * 2 == real_src
+    shared = 0
+    for ref, alt in zip(windows[::2], windows[1::2]):
+        # decoder inputs are <E> + target[:-1]: they agree up to and
+        # including the first position where the targets differ
+        first = next(i for i, (a, b) in enumerate(zip(ref.tgt_ids, alt.tgt_ids)) if a != b)
+        shared += first + 1
+    assert len(batch.tgt_rows) == int(batch.tgt_valid.sum()) - shared
+    np.testing.assert_array_equal(np.sort(np.concatenate([batch.tgt_rows, batch.tgt_copies[0]])),
+                                  np.flatnonzero(batch.tgt_valid.reshape(-1)))
 
 
 def test_max_length_exceeded_rejected(setup):

@@ -168,7 +168,7 @@ class TestFiniteDiffCheck:
 @pytest.mark.parametrize("op_name", [
     "matmul", "add", "sub", "mul", "relu", "softmax", "log_softmax",
     "layer_norm", "reshape", "transpose", "reduce_sum", "gather_last",
-    "embedding", "mul_const", "add_const", "take_rows", "scatter_rows",
+    "embedding", "mul_const", "add_const", "take_rows", "scatter_rows", "copy_rows",
 ])
 def test_primitive_gradients_over_100_seeds(op_name):
     """Every differentiable primitive matches central finite differences."""
@@ -231,6 +231,13 @@ def test_primitive_gradients_over_100_seeds(op_name):
             w = T.Tensor(rng.normal(0, 1, (5, 4)))
             f = lambda x: T.reduce_sum(T.mul(T.scatter_rows(x, idx, 5), w))
             x0 = rng.normal(0, 1, (3, 4))
+        elif op_name == "copy_rows":
+            rows = rng.permutation(5)
+            dst = rows[:2]
+            src = rows[[2, 2]] if seed % 2 else rows[2:4]  # odd seeds: one source, two copies
+            w = T.Tensor(rng.normal(0, 1, (5, 4)))
+            f = lambda x: T.reduce_sum(T.mul(T.copy_rows(x, dst, src), w))
+            x0 = rng.normal(0, 1, (5, 4))
         elif op_name == "mul_const":
             c = rng.normal(0, 1, (2, 3))
             f = lambda x: T.reduce_sum(T.mul_const(x, c))
@@ -271,6 +278,10 @@ def test_row_ops_reject_bad_indices():
         T.scatter_rows(x, np.array([0, 1]), 4)  # one index per row of x
     with pytest.raises(T.ShapeError, match="scatter_rows"):
         T.scatter_rows(x, np.array([0, 1, 4]), 4)
+    with pytest.raises(T.ShapeError, match="copy_rows"):
+        T.copy_rows(x, np.array([0, 1]), np.array([2]))
+    with pytest.raises(T.ShapeError, match="copy_rows"):
+        T.copy_rows(x, np.array([0]), np.array([3]))
 
 
 def test_dropout_inverted_scaling_and_grad():
