@@ -35,9 +35,9 @@ from .corpus import EOS_ID, PAD_ID, SEP_ID, Window, compute_shift
 from .positions import (SCHEMES, SEGMENT_VARIANTS, init_segment_table, shift_positions,
                         sinusoidal_pe)
 from .rng import stream
-from .tensor import (Graph, Tensor, add, add_const, copy_rows, dropout, embedding,
-                     layer_norm, log_softmax, matmul, mul_const, record, reduce_sum, relu,
-                     reshape, scatter_rows, softmax, take_rows, transpose)
+from .tensor import (Tensor, add, add_const, attention, copy_rows, dropout, embedding,
+                     layer_norm, linear, log_softmax, matmul, mul_const, relu, reshape,
+                     scatter_rows, take_rows, transpose)
 
 NEG_INF = -np.inf
 DTYPES = ("float32", "float64")
@@ -242,10 +242,6 @@ def build_batch(windows: Sequence[Window], config: ModelConfig) -> Batch:
                  current_mask=current, context_mask=context, shifts=shifts)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
-
-
 def _to_grid(x: Tensor, grid: Grid | None) -> Tensor:
     """State rows -> the zero-padded (windows * length, ...) grid, with each
     duplicate cell filled from its owner. None stands for decode's step
@@ -275,6 +271,24 @@ def _take_rows(cache: np.ndarray, idx: np.ndarray, filled: int) -> np.ndarray:
     out = np.empty((len(idx),) + cache.shape[1:], dtype=cache.dtype)
     out[:, :, :filled] = cache[idx, :, :filled]
     return out
+
+
+def _top_candidates(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the ``k`` largest entries in each row of ``scores``,
+    best first; among equal entries the lower index comes first. The same as
+    ``np.argsort(-scores, axis=1, kind="stable")[:, :k]`` without sorting
+    whole rows."""
+    kth = np.partition(scores, -k, axis=1)[:, -k, None]
+    pick = scores >= kth
+    over = pick.sum(axis=1) > k
+    if over.any():
+        # ties at the k-th value: keep only the lowest-indexed ones needed
+        tie = scores[over] == kth[over]
+        need = k - (pick[over] & ~tie).sum(axis=1, keepdims=True)
+        pick[over] &= ~tie | (np.cumsum(tie, axis=1) <= need)
+    idx = np.nonzero(pick)[1].reshape(-1, k)
+    best = np.argsort(-np.take_along_axis(scores, idx, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(idx, best, axis=1)
 
 
 class TransformerModel:
@@ -371,7 +385,7 @@ class TransformerModel:
         p = self.params
         groups = x.shape[0] if grid is None else grid.shape[0]
         k = self._split_heads(_to_grid(matmul(x, p[f"{name}.k"]), grid), groups)
-        v = self._split_heads(_to_grid(_linear(x, p[f"{name}.v"], p[f"{name}.v&bias"]), grid),
+        v = self._split_heads(_to_grid(linear(x, p[f"{name}.v"], p[f"{name}.v&bias"]), grid),
                               groups)
         return k, v
 
@@ -388,22 +402,19 @@ class TransformerModel:
         """
         cfg = self.config
         p = self.params
-        dh = cfg.hidden // cfg.heads
-        q = _linear(q_in, p[f"{name}.q"], p[f"{name}.q&bias"])
+        q = linear(q_in, p[f"{name}.q"], p[f"{name}.q&bias"])
         k, v = kv(name, q_in)
         q = self._split_heads(_to_grid(q, grid), k.shape[0])
-        scores = mul_const(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        scores = add_const(scores, mask_add)
-        attn = softmax(scores, axis=-1)
+        rate = cfg.dropout if train else 0.0
+        rng = stream(seed, f"drop/{name}.attn", step) if rate > 0 else None
+        out, probs = attention(q, k, v, mask_add, rate, rng)
         if capture:
-            self._capture(records, attn.data, layer, kind, batch)
-        if train and cfg.dropout > 0:
-            attn = dropout(attn, cfg.dropout, stream(seed, f"drop/{name}.attn", step))
+            self._capture(records, probs, layer, kind, batch)
         if grid is None:
-            out = self._merge_heads(matmul(attn, v), q_in.shape)
+            out = self._merge_heads(out, q_in.shape)
         else:
-            out = take_rows(self._merge_heads(matmul(attn, v), (-1, cfg.hidden)), grid.rows)
-        return _linear(out, p[f"{name}.o"], p[f"{name}.o&bias"])
+            out = take_rows(self._merge_heads(out, (-1, cfg.hidden)), grid.rows)
+        return linear(out, p[f"{name}.o"], p[f"{name}.o&bias"])
 
     def _capture(self, records, attn, layer, kind, batch):
         for i, w in enumerate(batch.windows):
@@ -427,8 +438,8 @@ class TransformerModel:
 
     def _ffn(self, name, x, *, train, step, seed):
         p = self.params
-        h = relu(_linear(x, p[f"{name}.w1"], p[f"{name}.w1&bias"]))
-        return _linear(h, p[f"{name}.w2"], p[f"{name}.w2&bias"])
+        h = relu(linear(x, p[f"{name}.w1"], p[f"{name}.w1&bias"]))
+        return linear(h, p[f"{name}.w2"], p[f"{name}.w2&bias"])
 
     def _residual(self, x, sub, site, train, step, seed):
         if train and self.config.dropout > 0:
@@ -507,7 +518,7 @@ class TransformerModel:
             x = self._residual(x, self._ffn(f"{blk}.ffn", h, train=train, step=step, seed=seed),
                                f"{blk}.ffn", train, step, seed)
         x = layer_norm(x, p["dec_ln.g"], p["dec_ln.b"])
-        logits = _linear(x, p["out"], p["out&bias"])
+        logits = linear(x, p["out"], p["out&bias"])
         if grid is not None:
             logits = reshape(_to_grid(logits, grid), grid.shape + (-1,))
         return log_softmax(logits, axis=-1)
@@ -592,7 +603,7 @@ class TransformerModel:
             cand = cum.reshape(n * beam, 1) + logp
             cand[~alive.reshape(n * beam)] = NEG_INF
             cand = cand.reshape(n, beam * cfg.vocab_size)
-            top = np.argsort(-cand, axis=1, kind="stable")[:, :2 * beam]
+            top = _top_candidates(cand, 2 * beam)
             new_tokens = np.full(n * beam, PAD_ID, dtype=np.int64)
             new_segs = np.zeros(n * beam, dtype=np.int64)
             new_cum = np.full((n, beam), NEG_INF)

@@ -4,7 +4,10 @@ The primitive set is exactly what a small encoder-decoder transformer
 needs: matmul, broadcasting elementwise ops, softmax / log-softmax,
 layer normalization, embedding lookup, inverted dropout, reductions and
 row gather/scatter between token rows and a padded grid, and a row copy
-inside a grid.
+inside a grid. Two fused ops cover the transformer's hot paths, each one
+tape node with a hand-written backward: ``linear`` (an affine map over
+stacked rows in one GEMM) and ``attention`` (scaled, masked, softmaxed
+and dropped-out scores applied to values).
 Ops recorded while a Graph is active build a tape in forward order;
 ``backward`` walks it in exact reverse and accumulates a gradient onto
 every tensor reachable from the loss, parameters and intermediates
@@ -13,6 +16,7 @@ alike. Outside a recording context the same ops run as plain numpy.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
@@ -26,6 +30,8 @@ __all__ = [
     "record",
     "backward",
     "matmul",
+    "linear",
+    "attention",
     "add",
     "sub",
     "mul",
@@ -241,6 +247,75 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a_data @ b_data, (a, b), bw)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``; stacked leading axes are
+    flattened into one GEMM."""
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ShapeError("linear", f"cannot apply {w.shape} weight and {b.shape} bias "
+                                   f"to {x.shape}")
+    k, n = w.shape
+    x_shape, w_data = x.shape, w.data
+    x2 = np.ascontiguousarray(x.data).reshape(-1, k)
+    y = x2 @ w_data
+    y += b.data
+
+    def bw(g):
+        g2 = np.ascontiguousarray(g).reshape(-1, n)
+        return (g2 @ w_data.T).reshape(x_shape), x2.T @ g2, g2.sum(axis=0)
+
+    return _emit(y.reshape(*x_shape[:-1], n), (x, w, b), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask_add, p: float,
+              rng: np.random.Generator | None) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention with an additive mask and dropout.
+
+    ``q`` is (..., queries, d), ``k`` (..., keys, d) and ``v`` (..., keys,
+    dv) with equal leading axes. ``mask_add`` is added to the scaled scores
+    (-inf removes a key; every query must keep one). Dropout at rate ``p``
+    draws from ``rng`` as ``dropout`` does. Returns the (..., queries, dv)
+    output and the attention probabilities before dropout.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
+    lead = q.shape[:-2]
+    if (q.ndim < 2 or k.shape[:-2] != lead or v.shape[:-2] != lead
+            or k.shape[-1] != q.shape[-1] or v.shape[-2:-1] != k.shape[-2:-1]):
+        raise ShapeError("attention", f"q {q.shape}, k {k.shape}, v {v.shape} do not conform")
+    q_data, k_data, v_data = q.data, k.data, v.data
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    # in place, but in the order and with the operands of the separate ops
+    # (matmul, mul_const, add_const, softmax, dropout), so the bytes match
+    probs = q_data @ np.swapaxes(k_data, -1, -2)
+    probs *= scale
+    try:
+        np.add(probs, mask_add, out=probs)
+    except ValueError:
+        raise ShapeError("attention", f"mask {np.shape(mask_add)} does not broadcast to "
+                                      f"scores {probs.shape}") from None
+    probs -= np.max(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=-1, keepdims=True)
+    keep = _keep_mask(probs.shape, p, rng) if p else None
+    keep_scale = probs.dtype.type(1.0 / (1.0 - p))
+    dropped = probs if keep is None else probs * keep * keep_scale
+
+    def bw(g):
+        gv = np.swapaxes(dropped, -1, -2) @ g
+        gs = g @ np.swapaxes(v_data, -1, -2)
+        if keep is not None:
+            gs *= keep
+            gs *= keep_scale
+        gs -= np.sum(gs * probs, axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale
+        gq = gs @ k_data
+        gk = np.swapaxes(np.swapaxes(q_data, -1, -2) @ gs, -1, -2)
+        return gq, gk, gv
+
+    return _emit(dropped @ v_data, (q, k, v), bw), probs
+
+
 def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
     """``fn(a, b)`` on the data; numpy's broadcast failure becomes a ShapeError."""
     try:
@@ -383,10 +458,20 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ShapeError("embedding", f"id out of range for table of {table.shape[0]} rows")
     vocab, dim = table.shape
+    flat = ids.reshape(-1)
 
     def bw(g):
+        # each id's rows summed in order of occurrence, bitwise as np.add.at
+        # but with one reduction per distinct id: a reduction over the outer
+        # axis adds rows sequentially (a one-column table would sum pairwise)
+        order = np.argsort(flat, kind="stable")
+        sorted_ids = flat[order]
+        rows = g.reshape(-1, dim)[order]
+        cuts = (np.flatnonzero(np.diff(sorted_ids)) + 1).tolist()
+        bounds = [0] + cuts + [flat.size] if flat.size else []
         gt = np.zeros((vocab, dim), dtype=g.dtype)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, dim))
+        for lo, hi in zip(bounds, bounds[1:]):
+            gt[sorted_ids[lo]] = rows[lo:hi].sum(axis=0)
         return (gt,)
 
     return _emit(table.data[ids], (table,), bw)
@@ -398,8 +483,16 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return x
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    mask = _keep_mask(x.shape, p, rng) * x.dtype.type(1.0 / (1.0 - p))
     return _emit(x.data * mask, (x,), lambda g: (g * mask,))
+
+
+def _keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Dropout's boolean keep mask: one uint32 draw per entry (the halves of
+    ``rng``'s raw 64-bit draws), kept when it is at least round(p * 2**32)."""
+    n = math.prod(shape)
+    bits = rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
+    return (bits >= round(p * 2 ** 32)).reshape(shape)
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -226,6 +226,18 @@ class TestDiagnose:
                        "--limit", "10", "--k", "1", "--report-dir", tmp_path) == 0
         assert math.isnan(json.loads((tmp_path / "diagnose_dev.json").read_text())["loss_ratio"])
 
+    def test_current_loss_uses_the_runs_label_smoothing(self, data_dir, tmp_path):
+        out = tmp_path / "ls0"
+        assert run_cli("train", "--data", data_dir, "--out", out, "--seed", "3",
+                       "--hidden", "16", "--ffn", "32", "--heads", "2", "--layers", "1",
+                       "--warmup", "10", "--max-steps", "10", "--val-interval", "10",
+                       "--batch-tokens", "256", "--label-smoothing", "0.0",
+                       "--ckpt-avg", "1") == 0
+        assert run_cli("diagnose", "--run", out, "--data", data_dir, "--split", "dev") == 0
+        summary = json.loads((out / "diagnose_dev.json").read_text())
+        last = (out / "log.csv").read_text().strip().splitlines()[-1].split(",")
+        assert summary["dev_current_loss"] == pytest.approx(float(last[2]), abs=1e-6)
+
 
 class TestStats:
     def test_mcnemar_self_comparison_p_one(self, data_dir, run_dir, capsys):

@@ -299,6 +299,17 @@ class TestBeamSearch:
             ref = greedy_reference(model, w)
             assert hyp == ref
 
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_top_candidates_equal_a_stable_full_sort(self, k):
+        # integer scores in a narrow range tie heavily, also at the k-th place
+        for seed in range(50):
+            rng = stream(seed, "top-candidates")
+            scores = rng.integers(-4, 2, (7, 24)).astype(np.float64)
+            scores[scores == -4] = -np.inf
+            scores[seed % 7] = -np.inf  # a row with no finite score
+            expected = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(M._top_candidates(scores, k), expected)
+
     def test_alpha_zero_scores_are_raw_logprobs(self, setup):
         _, _, windows, model = setup
         w = windows[0]

@@ -1,5 +1,8 @@
+import ast
 import gc
+import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,11 +168,32 @@ class TestFiniteDiffCheck:
         assert err < 1e-8
 
 
-@pytest.mark.parametrize("op_name", [
-    "matmul", "add", "sub", "mul", "relu", "softmax", "log_softmax",
-    "layer_norm", "reshape", "transpose", "reduce_sum", "gather_last",
-    "embedding", "mul_const", "add_const", "take_rows", "scatter_rows", "copy_rows",
-])
+ORACLE_OPS = [
+    "matmul", "linear", "attention", "add", "sub", "mul", "relu", "softmax", "log_softmax",
+    "layer_norm", "reshape", "transpose", "reduce_sum", "gather_last", "embedding",
+    "mul_const", "add_const", "dropout", "take_rows", "scatter_rows", "copy_rows",
+]
+# the names in tensor.__all__ that are not differentiable ops
+NOT_OPS = {"GraphError", "ShapeError", "Graph", "Tensor", "record", "backward",
+           "finite_diff_check"}
+
+
+def test_every_differentiable_op_is_in_the_gradient_oracle():
+    assert set(T.__all__) - NOT_OPS == set(ORACLE_OPS)
+
+
+def test_ops_the_benchmark_tracer_times_stay_exported():
+    # perfbench/tracer.py looks each name of TENSOR_OPS up with getattr
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
+    assign = next(node for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "TENSOR_OPS")
+    names = ast.literal_eval(assign.value)
+    assert len(names) == 16
+    assert set(names) <= set(T.__all__)
+    assert all(callable(getattr(T, name)) for name in names)
+
+
+@pytest.mark.parametrize("op_name", ORACLE_OPS)
 def test_primitive_gradients_over_100_seeds(op_name):
     """Every differentiable primitive matches central finite differences."""
     for seed in range(100):
@@ -178,6 +202,36 @@ def test_primitive_gradients_over_100_seeds(op_name):
             b = rng.normal(0, 1, (3, 2))
             f = lambda x: T.reduce_sum(T.matmul(x, T.Tensor(b)))
             x0 = rng.normal(0, 1, (2, 3))
+        elif op_name == "linear":
+            # the point is x (2-D or stacked 3-D), the weight or the bias in turn
+            args = [rng.normal(0, 1, (2, 3) if seed % 2 else (2, 2, 3)),
+                    rng.normal(0, 1, (3, 4)), rng.normal(0, 1, 4)]
+            w = T.Tensor(rng.normal(0, 1, args[0].shape[:-1] + (4,)))
+            which = seed % 3
+            x0 = args[which]
+
+            def f(x):
+                ts = [x if i == which else T.Tensor(a) for i, a in enumerate(args)]
+                return T.reduce_sum(T.mul(T.linear(*ts), w))
+        elif op_name == "attention":
+            # q, k or v in turn; keys masked with -inf; dropout on even seeds
+            args = [rng.normal(0, 1, (2, 3, 4)), rng.normal(0, 1, (2, 5, 4)),
+                    rng.normal(0, 1, (2, 5, 3))]
+            mask = np.zeros((2, 1, 5))
+            mask[0, :, 4] = mask[1, :, 2:] = -np.inf
+            w = T.Tensor(rng.normal(0, 1, (2, 3, 3)))
+            rate = 0.0 if seed % 2 else 0.3
+            which = seed % 3
+            x0 = args[which]
+
+            def f(x):
+                ts = [x if i == which else T.Tensor(a) for i, a in enumerate(args)]
+                out, _ = T.attention(*ts, mask, rate, stream(seed, "attn-drop"))
+                return T.reduce_sum(T.mul(out, w))
+        elif op_name == "dropout":
+            w = T.Tensor(rng.normal(0, 1, (3, 4)))
+            f = lambda x: T.reduce_sum(T.mul(T.dropout(x, 0.4, stream(seed, "drop")), w))
+            x0 = rng.normal(0, 1, (3, 4))
         elif op_name in ("add", "sub", "mul"):
             b = T.Tensor(rng.normal(0, 1, (1, 3)))  # broadcasting path
             op = getattr(T, op_name)
@@ -249,6 +303,74 @@ def test_primitive_gradients_over_100_seeds(op_name):
         assert T.finite_diff_check(f, T.Tensor(x0), 1e-5) < 1e-4, f"{op_name} seed {seed}"
 
 
+def _old_linear(x, w, b):
+    return T.add(T.matmul(x, w), b)
+
+
+def _old_attention(q, k, v, mask_add, p, rng):
+    scores = T.mul_const(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(q.shape[-1]))
+    probs = T.softmax(T.add_const(scores, mask_add), axis=-1)
+    return T.matmul(T.dropout(probs, p, rng) if p else probs, v), probs.data
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("x_shape", [(6, 8), (3, 2, 8)])
+def test_fused_ops_equal_the_primitive_chain_bitwise(dtype, rate, x_shape):
+    """linear and attention give the bytes of the op chains they replace,
+    forward and backward."""
+    rng = stream(int(rate * 10) + len(x_shape), "fused", np.dtype(dtype).itemsize)
+    values = {"x": rng.normal(0, 1, x_shape), "w": rng.normal(0, 1, (8, 8)),
+              "b": rng.normal(0, 1, 8), "wk": rng.normal(0, 1, (8, 8)),
+              "wv": rng.normal(0, 1, (8, 8))}
+    groups, length = (2, 3) if len(x_shape) == 2 else x_shape[:2]  # windows, tokens
+    mask = np.zeros((groups, 1, 1, length))
+    mask[-1, ..., -1] = -np.inf
+    up = rng.normal(0, 1, x_shape[:-1] + (8,))
+    results = []
+    for lin, attn in ((T.linear, T.attention), (_old_linear, _old_attention)):
+        ts = {name: T.Tensor(a.astype(dtype)) for name, a in values.items()}
+        with T.record(T.Graph()):
+            h = lin(ts["x"], ts["w"], ts["b"])
+            heads = lambda a: T.transpose(T.reshape(a, (groups, length, 2, 4)), (0, 2, 1, 3))
+            q, k, v = heads(h), heads(T.matmul(h, ts["wk"])), heads(lin(h, ts["wv"], ts["b"]))
+            out, probs = attn(q, k, v, mask.astype(dtype), rate, stream(5, "fused-drop"))
+            out = T.reshape(T.transpose(out, (0, 2, 1, 3)), x_shape)
+            loss = T.reduce_sum(T.mul(out, T.Tensor(up.astype(dtype))))
+        T.backward(loss)
+        results.append([out.data, probs] + [t.grad for t in ts.values()])
+    for fused, old in zip(*results):
+        assert fused.dtype == old.dtype == dtype
+        assert fused.tobytes() == old.tobytes()
+
+
+def test_attention_rejects_nonconforming_operands():
+    q, k = T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 5, 4)))
+    with pytest.raises(T.ShapeError, match="attention"):
+        T.attention(q, k, T.Tensor(np.zeros((2, 4, 4))), 0.0, 0.0, None)
+    with pytest.raises(T.ShapeError, match="attention"):
+        T.attention(q, k, k, np.zeros((2, 3, 4)), 0.0, None)
+    with pytest.raises(T.ShapeError, match="linear"):
+        T.linear(q, T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros(4)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_gradient_equals_add_at_bitwise(dtype):
+    rng = stream(2, "emb-grad")
+    ids = rng.integers(0, 6, (7, 50))  # ids 0-5 repeat many times; 6 and 7 never occur
+    ids[3, 7] = 8  # once
+    table = T.Tensor(rng.normal(0, 1, (9, 16)).astype(dtype))
+    up = rng.normal(0, 1, (7, 50, 16)).astype(dtype)
+    up[ids == 2] = -0.0  # np.add.at sums from +0.0, so id 2's row is +0.0
+    with T.record(T.Graph()):
+        loss = T.reduce_sum(T.mul(T.embedding(table, ids), T.Tensor(up)))
+    T.backward(loss)
+    expected = np.zeros((9, 16), dtype=dtype)
+    np.add.at(expected, ids.reshape(-1), up.reshape(-1, 16))
+    assert table.grad.dtype == dtype
+    assert table.grad.tobytes() == expected.tobytes()
+
+
 def test_take_and_scatter_rows_are_inverse_and_zero_elsewhere():
     rng = stream(0, "rows")
     idx = np.array([4, 0, 2])
@@ -296,6 +418,15 @@ def test_dropout_inverted_scaling_and_grad():
     assert abs(y.data.mean() - 1.0) < 0.1  # unbiased in expectation
     np.testing.assert_array_equal(x.grad[kept], 1.0 / 0.75)
     np.testing.assert_array_equal(x.grad[~kept], 0.0)
+
+
+def test_dropout_keeps_each_entry_with_probability_one_minus_p():
+    x = T.Tensor(np.ones(200_001, dtype=np.float32))
+    for p in (0.1, 0.3, 0.5):
+        kept = T.dropout(x, p, stream(1, "rate", int(p * 10))).data > 0
+        assert abs(kept.mean() - (1 - p)) < 0.005  # about 5 standard deviations
+    again = T.dropout(x, 0.3, stream(1, "rate", 3)).data
+    assert again.tobytes() == T.dropout(x, 0.3, stream(1, "rate", 3)).data.tobytes()
 
 
 def test_dropout_zero_rate_is_identity():
