@@ -28,8 +28,8 @@ from . import stats as stats_mod
 from . import synth
 from .model import TransformerModel
 from .trainer import (DEFAULT_SWEEP, ConfigError, TrainConfig, cd_sweep,
-                      config_from_sources, parse_config_text, train, window_loss_ratio,
-                      window_losses)
+                      config_from_sources, parse_config_text, read_log, train,
+                      window_loss_ratio, window_losses)
 
 SUMMARY_JSON = "summary.json"
 
@@ -328,15 +328,8 @@ def cmd_diagnose(args) -> int:
     mass = evl.current_attention_mass(records)
     ratio = window_loss_ratio(cur_sums, ctx_sums, windows)
 
-    series = []
     log_path = run_dir / "log.csv"
-    if log_path.exists():
-        lines = log_path.read_text().strip().splitlines()
-        for line in lines[1:]:
-            epoch, step, cur, ctx, rt, cd = line.split(",")
-            series.append({"epoch": int(epoch), "step": int(step),
-                           "current_loss": float(cur), "context_loss": float(ctx),
-                           "ratio": float(rt), "cd": float(cd)})
+    series = read_log(log_path) if log_path.exists() else []
 
     report_dir = Path(args.report_dir) if args.report_dir else run_dir
     report_dir.mkdir(parents=True, exist_ok=True)

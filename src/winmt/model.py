@@ -37,7 +37,7 @@ from .positions import (SCHEMES, SEGMENT_VARIANTS, init_segment_table, shift_pos
 from .rng import stream
 from .tensor import (Tensor, add, add_const, attention, copy_rows, dropout, embedding,
                      layer_norm, linear, log_softmax, matmul, mul_const, relu, reshape,
-                     scatter_rows, take_rows, transpose)
+                     scatter_rows, take_rows)
 
 NEG_INF = -np.inf
 DTYPES = ("float32", "float64")
@@ -243,7 +243,7 @@ def build_batch(windows: Sequence[Window], config: ModelConfig) -> Batch:
 
 
 def _to_grid(x: Tensor, grid: Grid | None) -> Tensor:
-    """State rows -> the zero-padded (windows * length, ...) grid, with each
+    """State rows -> the zero-padded (windows, length, ...) grid, with each
     duplicate cell filled from its owner. None stands for decode's step
     rows, which hold no padding and stay as they are.
     """
@@ -253,7 +253,7 @@ def _to_grid(x: Tensor, grid: Grid | None) -> Tensor:
     x = scatter_rows(x, grid.rows, b * t)
     if grid.copies.shape[1]:
         x = copy_rows(x, grid.copies[0], grid.copies[1])
-    return x
+    return reshape(x, (b, t) + x.shape[1:])
 
 
 def _key_mask(valid: np.ndarray, dtype) -> np.ndarray:
@@ -262,14 +262,14 @@ def _key_mask(valid: np.ndarray, dtype) -> np.ndarray:
 
 
 def _take_rows(cache: np.ndarray, idx: np.ndarray, filled: int) -> np.ndarray:
-    """Rows ``idx`` of a (rows, heads, steps, dh) cache whose first ``filled``
+    """Rows ``idx`` of a (rows, steps, hidden) cache whose first ``filled``
     steps are written; only that prefix is copied."""
     if len(idx) == len(cache):
         if not np.array_equal(idx, np.arange(len(idx))):
-            cache[:, :, :filled] = cache[idx, :, :filled]
+            cache[:, :filled] = cache[idx, :filled]
         return cache
     out = np.empty((len(idx),) + cache.shape[1:], dtype=cache.dtype)
-    out[:, :, :filled] = cache[idx, :, :filled]
+    out[:, :filled] = cache[idx, :filled]
     return out
 
 
@@ -351,13 +351,19 @@ class TransformerModel:
     # ------------------------------------------------------------------
     # forward
 
-    def _embed(self, ids, seg, pos, table_name, drop_site, train, step, seed, rows=None):
-        """Embeddings of the tokens at flat indices ``rows`` of the grids, as
-        (rows, hidden); with ``rows`` None, of every token in ``ids``."""
+    def _dropout(self, site, train, step, seed) -> tuple[float, np.random.Generator | None]:
+        """Dropout rate and stream of ``site`` at ``step``; (0.0, None) when nothing drops."""
+        if train and self.config.dropout > 0:
+            return self.config.dropout, stream(seed, f"drop/{site}", step)
+        return 0.0, None
+
+    def _embed(self, ids, seg, pos, site, train, step, seed, rows=None):
+        """Table ``site``'s embeddings of the tokens at flat grid indices ``rows``,
+        as (rows, hidden); with ``rows`` None, of every token in ``ids``."""
         cfg = self.config
         if rows is not None:
             ids, seg, pos = (a.reshape(-1)[rows] for a in (ids, seg, pos))
-        x = embedding(self.params[table_name], ids)
+        x = embedding(self.params[site], ids)
         x = mul_const(x, math.sqrt(cfg.hidden))
         pe = sinusoidal_pe(pos, cfg.hidden, cfg.np_dtype)
         x = add_const(x, pe)
@@ -366,28 +372,14 @@ class TransformerModel:
         elif cfg.segment_variant == "learned":
             capped = np.minimum(seg, cfg.max_window - 1)
             x = add(x, embedding(self.params["seg_table"], capped))
-        if train and cfg.dropout > 0:
-            x = dropout(x, cfg.dropout, stream(seed, f"drop/{drop_site}", step))
-        return x
-
-    def _split_heads(self, x: Tensor, groups: int) -> Tensor:
-        """(..., hidden) rows -> (groups, heads, rows per group, hidden // heads)."""
-        cfg = self.config
-        x = reshape(x, (groups, -1, cfg.heads, cfg.hidden // cfg.heads))
-        return transpose(x, (0, 2, 1, 3))
-
-    def _merge_heads(self, x: Tensor, shape) -> Tensor:
-        return reshape(transpose(x, (0, 2, 1, 3)), shape)
+        return dropout(x, *self._dropout(site, train, step, seed))
 
     def _kv(self, name: str, x: Tensor, grid: Grid | None = None) -> tuple[Tensor, Tensor]:
         """Keys and values of attention ``name`` over the rows ``x``, placed in
-        ``grid`` (see ``_to_grid``) and split into heads."""
+        ``grid`` (see ``_to_grid``)."""
         p = self.params
-        groups = x.shape[0] if grid is None else grid.shape[0]
-        k = self._split_heads(_to_grid(matmul(x, p[f"{name}.k"]), grid), groups)
-        v = self._split_heads(_to_grid(linear(x, p[f"{name}.v"], p[f"{name}.v&bias"]), grid),
-                              groups)
-        return k, v
+        return (_to_grid(matmul(x, p[f"{name}.k"]), grid),
+                _to_grid(linear(x, p[f"{name}.v"], p[f"{name}.v&bias"]), grid))
 
     def _attention(self, name, q_in, kv, mask_add, *, grid, train, step, seed,
                    capture, records, layer, kind, batch):
@@ -396,24 +388,20 @@ class TransformerModel:
         ``kv`` runs after the query projection, so a tape records q, k, v in
         that order. The projected queries are placed in the padded ``grid``,
         and the owner rows of the result are taken back before the output
-        projection. The query rows are regrouped to the keys' leading axis:
-        in decoding, the `beam` hypothesis rows of a window attend to its
-        one set of encoder states at once.
+        projection. In decoding, the query rows split evenly over the keys'
+        groups: the `beam` hypothesis rows of a window attend to its one set
+        of encoder states at once.
         """
         cfg = self.config
         p = self.params
         q = linear(q_in, p[f"{name}.q"], p[f"{name}.q&bias"])
         k, v = kv(name, q_in)
-        q = self._split_heads(_to_grid(q, grid), k.shape[0])
-        rate = cfg.dropout if train else 0.0
-        rng = stream(seed, f"drop/{name}.attn", step) if rate > 0 else None
-        out, probs = attention(q, k, v, mask_add, rate, rng)
+        out, probs = attention(_to_grid(q, grid), k, v, cfg.heads, mask_add,
+                               *self._dropout(f"{name}.attn", train, step, seed))
         if capture:
             self._capture(records, probs, layer, kind, batch)
-        if grid is None:
-            out = self._merge_heads(out, q_in.shape)
-        else:
-            out = take_rows(self._merge_heads(out, (-1, cfg.hidden)), grid.rows)
+        if grid is not None:
+            out = take_rows(reshape(out, (-1, cfg.hidden)), grid.rows)
         return linear(out, p[f"{name}.o"], p[f"{name}.o&bias"])
 
     def _capture(self, records, attn, layer, kind, batch):
@@ -436,15 +424,13 @@ class TransformerModel:
                     query_seg=np.asarray(q_seg), key_seg=np.asarray(k_seg),
                     current_seg=w.current_index))
 
-    def _ffn(self, name, x, *, train, step, seed):
+    def _ffn(self, name, x):
         p = self.params
         h = relu(linear(x, p[f"{name}.w1"], p[f"{name}.w1&bias"]))
         return linear(h, p[f"{name}.w2"], p[f"{name}.w2&bias"])
 
     def _residual(self, x, sub, site, train, step, seed):
-        if train and self.config.dropout > 0:
-            sub = dropout(sub, self.config.dropout, stream(seed, f"drop/{site}", step))
-        return add(x, sub)
+        return add(x, dropout(sub, *self._dropout(site, train, step, seed)))
 
     def encode(self, batch: Batch, *, train=False, step=0, seed=0,
                capture=False, records=None) -> Tensor:
@@ -453,8 +439,8 @@ class TransformerModel:
         p = self.params
         grid = batch.src_grid
         key_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
-        x = self._embed(batch.src, batch.src_seg, batch.src_pos, "src_emb",
-                        "src_emb", train, step, seed, rows=batch.src_rows)
+        x = self._embed(batch.src, batch.src_seg, batch.src_pos, "src_emb", train, step, seed,
+                        rows=batch.src_rows)
         for i in range(cfg.layers):
             blk = f"enc{i}"
             h = layer_norm(x, p[f"{blk}.ln1.g"], p[f"{blk}.ln1.b"])
@@ -464,8 +450,7 @@ class TransformerModel:
                                 layer=i, kind="enc-self", batch=batch)
             x = self._residual(x, a, f"{blk}.self", train, step, seed)
             h = layer_norm(x, p[f"{blk}.ln2.g"], p[f"{blk}.ln2.b"])
-            x = self._residual(x, self._ffn(f"{blk}.ffn", h, train=train, step=step, seed=seed),
-                               f"{blk}.ffn", train, step, seed)
+            x = self._residual(x, self._ffn(f"{blk}.ffn", h), f"{blk}.ffn", train, step, seed)
         return layer_norm(x, p["enc_ln.g"], p["enc_ln.b"])
 
     def forward(self, batch: Batch, *, train: bool = False, step: int = 0, seed: int = 0,
@@ -484,8 +469,8 @@ class TransformerModel:
         self_mask = causal + _key_mask(batch.tgt_valid[:, None, None, :], cfg.np_dtype)
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         tgt = batch.tgt_grid
-        x = self._embed(batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos, "tgt_emb",
-                        "tgt_emb", train, step, seed, rows=batch.tgt_rows)
+        x = self._embed(batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos, "tgt_emb", train,
+                        step, seed, rows=batch.tgt_rows)
         log_probs = self._decoder(x, partial(self._kv, grid=tgt),
                                   lambda name, _: self._kv(name, enc, batch.src_grid),
                                   self_mask, cross_mask, grid=tgt, train=train, step=step,
@@ -515,13 +500,9 @@ class TransformerModel:
                                 kind="cross", **opts)
             x = self._residual(x, a, f"{blk}.cross", train, step, seed)
             h = layer_norm(x, p[f"{blk}.ln3.g"], p[f"{blk}.ln3.b"])
-            x = self._residual(x, self._ffn(f"{blk}.ffn", h, train=train, step=step, seed=seed),
-                               f"{blk}.ffn", train, step, seed)
+            x = self._residual(x, self._ffn(f"{blk}.ffn", h), f"{blk}.ffn", train, step, seed)
         x = layer_norm(x, p["dec_ln.g"], p["dec_ln.b"])
-        logits = linear(x, p["out"], p["out&bias"])
-        if grid is not None:
-            logits = reshape(_to_grid(logits, grid), grid.shape + (-1,))
-        return log_softmax(logits, axis=-1)
+        return log_softmax(_to_grid(linear(x, p["out"], p["out&bias"]), grid), axis=-1)
 
     # ------------------------------------------------------------------
     # scoring and decoding
@@ -569,17 +550,15 @@ class TransformerModel:
                  for i in range(cfg.layers)}
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         shifts = np.repeat(batch.shifts, beam)
-        shape = (b * beam, cfg.heads, t_cap, cfg.hidden // cfg.heads)
+        shape = (b * beam, t_cap, cfg.hidden)
         caches = {f"dec{i}.self": [np.zeros(shape, cfg.np_dtype), np.zeros(shape, cfg.np_dtype)]
                   for i in range(cfg.layers)}
 
         def self_kv(name, h):
             # this step's keys/values go into the cache; attend to its filled prefix
-            k, v = self._kv(name, h)
-            cache_k, cache_v = caches[name]
-            cache_k[:, :, t] = k.data[:, :, 0]
-            cache_v[:, :, t] = v.data[:, :, 0]
-            return Tensor(cache_k[:, :, :t + 1]), Tensor(cache_v[:, :, :t + 1])
+            for cache, new in zip(caches[name], self._kv(name, h)):
+                cache[:, t] = new.data[:, 0]
+            return tuple(Tensor(cache[:, :t + 1]) for cache in caches[name])
 
         def lp(n):
             return ((5.0 + n) / 6.0) ** alpha
@@ -596,7 +575,7 @@ class TransformerModel:
             n = live.size
             seg_col = segs[:, None]
             pos = shift_positions(t, seg_col, shifts[:, None])
-            x = self._embed(tokens[:, t:t + 1], seg_col, pos, "tgt_emb", "tgt_emb", False, 0, 0)
+            x = self._embed(tokens[:, t:t + 1], seg_col, pos, "tgt_emb", False, 0, 0)
             logp = self._decoder(x, self_kv, lambda name, _: cross[name], 0.0,
                                  cross_mask).data[:, 0]
             logp[:, PAD_ID] = NEG_INF  # padding is never a valid continuation

@@ -7,7 +7,8 @@ row gather/scatter between token rows and a padded grid, and a row copy
 inside a grid. Two fused ops cover the transformer's hot paths, each one
 tape node with a hand-written backward: ``linear`` (an affine map over
 stacked rows in one GEMM) and ``attention`` (scaled, masked, softmaxed
-and dropped-out scores applied to values).
+and dropped-out scores applied to values, over hidden-width rows that
+the op splits into heads and merges back).
 Ops recorded while a Graph is active build a tape in forward order;
 ``backward`` walks it in exact reverse and accumulates a gradient onto
 every tensor reachable from the loss, parameters and intermediates
@@ -266,24 +267,33 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(y.reshape(*x_shape[:-1], n), (x, w, b), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask_add, p: float,
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask_add, p: float,
               rng: np.random.Generator | None) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product attention with an additive mask and dropout.
+    """Multi-head scaled dot-product attention with an additive mask and dropout.
 
-    ``q`` is (..., queries, d), ``k`` (..., keys, d) and ``v`` (..., keys,
-    dv) with equal leading axes. ``mask_add`` is added to the scaled scores
-    (-inf removes a key; every query must keep one). Dropout at rate ``p``
-    draws from ``rng`` as ``dropout`` does. Returns the (..., queries, dv)
-    output and the attention probabilities before dropout.
+    ``k`` and ``v`` are (groups, keys, hidden). The rows of ``q`` (...,
+    hidden) split evenly over the groups, in order, and each row attends to
+    its group's keys. Each of the ``heads`` heads attends with its own
+    ``hidden // heads`` columns. ``mask_add`` is added to the scaled
+    (groups, heads, queries, keys) scores (-inf removes a key; every query
+    must keep one). Dropout at rate ``p`` draws from ``rng`` as ``dropout``
+    does. Returns the output, shaped like ``q``, and the attention
+    probabilities before dropout.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    lead = q.shape[:-2]
-    if (q.ndim < 2 or k.shape[:-2] != lead or v.shape[:-2] != lead
-            or k.shape[-1] != q.shape[-1] or v.shape[-2:-1] != k.shape[-2:-1]):
-        raise ShapeError("attention", f"q {q.shape}, k {k.shape}, v {v.shape} do not conform")
-    q_data, k_data, v_data = q.data, k.data, v.data
-    scale = 1.0 / math.sqrt(q.shape[-1])
+    if (q.ndim < 1 or k.ndim != 3 or v.shape != k.shape or 0 in q.shape + k.shape
+            or q.shape[-1] != k.shape[-1] or heads < 1 or k.shape[-1] % heads
+            or q.data.size % (k.shape[0] * k.shape[-1])):
+        raise ShapeError("attention", f"q {q.shape}, k {k.shape}, v {v.shape} do not conform "
+                                      f"over {heads} heads")
+    q_shape, k_shape = q.shape, k.shape
+    groups, dh = k_shape[0], k_shape[-1] // heads
+    # (groups, rows, hidden) viewed as (groups, heads, rows, dh), and back
+    split = lambda a: a.reshape(groups, -1, heads, dh).transpose(0, 2, 1, 3)
+    merge = lambda a, shape: a.transpose(0, 2, 1, 3).reshape(shape)
+    q_data, k_data, v_data = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / math.sqrt(dh)
     # in place, but in the order and with the operands of the separate ops
     # (matmul, mul_const, add_const, softmax, dropout), so the bytes match
     probs = q_data @ np.swapaxes(k_data, -1, -2)
@@ -301,6 +311,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask_add, p: float,
     dropped = probs if keep is None else probs * keep * keep_scale
 
     def bw(g):
+        g = split(g)
         gv = np.swapaxes(dropped, -1, -2) @ g
         gs = g @ np.swapaxes(v_data, -1, -2)
         if keep is not None:
@@ -311,9 +322,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask_add, p: float,
         gs *= scale
         gq = gs @ k_data
         gk = np.swapaxes(np.swapaxes(q_data, -1, -2) @ gs, -1, -2)
-        return gq, gk, gv
+        return merge(gq, q_shape), merge(gk, k_shape), merge(gv, k_shape)
 
-    return _emit(dropped @ v_data, (q, k, v), bw), probs
+    return _emit(merge(dropped @ v_data, q_shape), (q, k, v), bw), probs
 
 
 def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
@@ -477,8 +488,8 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _emit(table.data[ids], (table,), bw)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: scales by 1/(1-p) at train time, identity when p == 0."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: scales by 1/(1-p) at train time; identity, without a draw, when p == 0."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:

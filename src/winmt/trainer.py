@@ -28,6 +28,14 @@ from .rng import stream
 from .tensor import Graph, Tensor, backward, record
 
 LOG_COLUMNS = ("epoch", "step", "current_loss", "context_loss", "ratio", "cd")
+_LOG_TYPES = (int, int, float, float, float, float)
+
+
+def read_log(path) -> list[dict]:
+    """A run's ``log.csv`` rows as dicts from ``LOG_COLUMNS`` to int or float values."""
+    lines = Path(path).read_text().strip().splitlines()[1:]
+    return [{name: cast(value) for name, cast, value
+             in zip(LOG_COLUMNS, _LOG_TYPES, line.split(","), strict=True)} for line in lines]
 
 
 class ConfigError(ValueError):
@@ -343,8 +351,11 @@ class Trainer:
         ratio = window_loss_ratio(cur, ctx, [w for ws in self.dev_batches for w in ws])
         return current_loss, context_loss, ratio
 
+    def _checkpoint_path(self, step: int) -> Path:
+        return self.run_dir / "checkpoints" / f"ckpt_{step:07d}.bin"
+
     def _save_checkpoint(self, step: int) -> Path:
-        path = self.run_dir / "checkpoints" / f"ckpt_{step:07d}.bin"
+        path = self._checkpoint_path(step)
         params = {k: v.data for k, v in self.model.params.items()}
         params.update(self.opt.state_tensors())
         ckpt.save_checkpoint(path, params, self.model_config.to_dict())
@@ -361,8 +372,7 @@ class Trainer:
             if recent or near_best:
                 kept.append(s)
             else:
-                path = self.run_dir / "checkpoints" / f"ckpt_{s:07d}.bin"
-                path.unlink(missing_ok=True)
+                self._checkpoint_path(s).unlink(missing_ok=True)
         return kept
 
     def train(self, resume: bool = False) -> TrainResult:
@@ -388,8 +398,7 @@ class Trainer:
             best, best_step, bad = state["best"], state["best_step"], state["bad"]
             saved = list(state["saved"])
             early_stopped = state.get("stopped", False)
-            params, _, _ = ckpt.load_checkpoint(
-                self.run_dir / "checkpoints" / f"ckpt_{step:07d}.bin")
+            params, _, _ = ckpt.load_checkpoint(self._checkpoint_path(step))
             for name, p in self.model.params.items():
                 p.data = params[name].copy()
             self.opt.load_state(params, t=step)
@@ -454,10 +463,8 @@ class Trainer:
         by_distance = sorted(saved, key=lambda s: (abs(s - best_step), s))
         to_average = sorted(by_distance[:max(1, cfg.ckpt_avg)])
         avg_path = self.run_dir / "ckpt_avg.bin"
-        ckpt.average_checkpoints(
-            [self.run_dir / "checkpoints" / f"ckpt_{s:07d}.bin" for s in to_average],
-            avg_path)
-        best_path = self.run_dir / "checkpoints" / f"ckpt_{best_step:07d}.bin"
+        ckpt.average_checkpoints([self._checkpoint_path(s) for s in to_average], avg_path)
+        best_path = self._checkpoint_path(best_step)
         return TrainResult(run_dir=self.run_dir, best_step=best_step,
                            best_checkpoint=best_path, averaged_checkpoint=avg_path,
                            log_path=log_path, stopped_early=early_stopped,
@@ -503,10 +510,8 @@ def cd_sweep(base: TrainConfig, cd_values: Sequence[float] = DEFAULT_SWEEP,
             records: list = []
             window_losses(model, [windows[lo:lo + 32] for lo in range(0, len(windows), 32)],
                           cfg.label_smoothing, records)
-            log_rows = [line.split(",") for line
-                        in result.log_path.read_text().strip().splitlines()[1:]]
             row.update({
-                "best_dev_current_loss": min(float(r[2]) for r in log_rows),
+                "best_dev_current_loss": min(r["current_loss"] for r in read_log(result.log_path)),
                 "contrastive_accuracy": accuracy,
                 "attention_mass": current_attention_mass(records),
                 "attention_entropy": attention_entropy(records),

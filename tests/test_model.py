@@ -285,6 +285,25 @@ def test_gradients_reach_all_parameters(setup):
     assert not missing, f"no gradient for {missing}"
 
 
+def test_training_step_records_each_attention_as_one_node(setup):
+    """The head split and merge are views inside ``tensor.attention``, so a
+    default-config training step records no transpose node."""
+    from winmt import objective as O
+    _, vocab, windows, _ = setup
+    model = M.TransformerModel(M.ModelConfig(vocab_size=len(vocab)), seed=1)
+    batch = M.build_batch(windows[:4], model.config)
+    graph = Graph()
+    with record(graph):
+        lp, _ = model.forward(batch, train=True, step=1, seed=1)
+        per_tok = O.smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid)
+        bd = O.masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask, 0.5)
+        O.normalized_training_loss(bd)
+    ops = [node.backward_fn.__qualname__.split(".")[0] for node in graph.nodes]
+    assert len(ops) <= 149
+    assert "transpose" not in ops
+    assert ops.count("attention") == 6
+
+
 class TestBeamSearch:
     def test_length_penalty_value(self):
         # lp(7) with alpha 0.6 is (12/6)^0.6

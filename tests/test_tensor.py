@@ -214,19 +214,20 @@ def test_primitive_gradients_over_100_seeds(op_name):
                 ts = [x if i == which else T.Tensor(a) for i, a in enumerate(args)]
                 return T.reduce_sum(T.mul(T.linear(*ts), w))
         elif op_name == "attention":
-            # q, k or v in turn; keys masked with -inf; dropout on even seeds
+            # q, k or v in turn over 2 heads; keys masked with -inf; dropout
+            # on even seeds
             args = [rng.normal(0, 1, (2, 3, 4)), rng.normal(0, 1, (2, 5, 4)),
-                    rng.normal(0, 1, (2, 5, 3))]
-            mask = np.zeros((2, 1, 5))
-            mask[0, :, 4] = mask[1, :, 2:] = -np.inf
-            w = T.Tensor(rng.normal(0, 1, (2, 3, 3)))
+                    rng.normal(0, 1, (2, 5, 4))]
+            mask = np.zeros((2, 1, 1, 5))
+            mask[0, ..., 4] = mask[1, ..., 2:] = -np.inf
+            w = T.Tensor(rng.normal(0, 1, (2, 3, 4)))
             rate = 0.0 if seed % 2 else 0.3
             which = seed % 3
             x0 = args[which]
 
             def f(x):
                 ts = [x if i == which else T.Tensor(a) for i, a in enumerate(args)]
-                out, _ = T.attention(*ts, mask, rate, stream(seed, "attn-drop"))
+                out, _ = T.attention(*ts, 2, mask, rate, stream(seed, "attn-drop"))
                 return T.reduce_sum(T.mul(out, w))
         elif op_name == "dropout":
             w = T.Tensor(rng.normal(0, 1, (3, 4)))
@@ -307,23 +308,30 @@ def _old_linear(x, w, b):
     return T.add(T.matmul(x, w), b)
 
 
-def _old_attention(q, k, v, mask_add, p, rng):
+def _old_attention(q, k, v, heads, mask_add, p, rng):
+    shape, groups, hidden = q.shape, k.shape[0], k.shape[-1]
+    split = lambda a: T.transpose(T.reshape(a, (groups, -1, heads, hidden // heads)),
+                                  (0, 2, 1, 3))
+    q, k, v = split(q), split(k), split(v)
     scores = T.mul_const(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(q.shape[-1]))
     probs = T.softmax(T.add_const(scores, mask_add), axis=-1)
-    return T.matmul(T.dropout(probs, p, rng) if p else probs, v), probs.data
+    out = T.matmul(T.dropout(probs, p, rng) if p else probs, v)
+    return T.reshape(T.transpose(out, (0, 2, 1, 3)), shape), probs.data
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("rate", [0.0, 0.3])
-@pytest.mark.parametrize("x_shape", [(6, 8), (3, 2, 8)])
+@pytest.mark.parametrize("x_shape", [(6, 8), (3, 2, 8), (6, 1, 8)])
 def test_fused_ops_equal_the_primitive_chain_bitwise(dtype, rate, x_shape):
     """linear and attention give the bytes of the op chains they replace,
-    forward and backward."""
+    forward and backward. The (6, 1, 8) rows are decode's case: three beam
+    rows of a window share its one key set."""
     rng = stream(int(rate * 10) + len(x_shape), "fused", np.dtype(dtype).itemsize)
     values = {"x": rng.normal(0, 1, x_shape), "w": rng.normal(0, 1, (8, 8)),
               "b": rng.normal(0, 1, 8), "wk": rng.normal(0, 1, (8, 8)),
               "wv": rng.normal(0, 1, (8, 8))}
-    groups, length = (2, 3) if len(x_shape) == 2 else x_shape[:2]  # windows, tokens
+    groups = {(6, 8): 2, (3, 2, 8): 3, (6, 1, 8): 2}[x_shape]  # windows
+    length = math.prod(x_shape[:-1]) // groups  # keys per window
     mask = np.zeros((groups, 1, 1, length))
     mask[-1, ..., -1] = -np.inf
     up = rng.normal(0, 1, x_shape[:-1] + (8,))
@@ -332,10 +340,9 @@ def test_fused_ops_equal_the_primitive_chain_bitwise(dtype, rate, x_shape):
         ts = {name: T.Tensor(a.astype(dtype)) for name, a in values.items()}
         with T.record(T.Graph()):
             h = lin(ts["x"], ts["w"], ts["b"])
-            heads = lambda a: T.transpose(T.reshape(a, (groups, length, 2, 4)), (0, 2, 1, 3))
-            q, k, v = heads(h), heads(T.matmul(h, ts["wk"])), heads(lin(h, ts["wv"], ts["b"]))
-            out, probs = attn(q, k, v, mask.astype(dtype), rate, stream(5, "fused-drop"))
-            out = T.reshape(T.transpose(out, (0, 2, 1, 3)), x_shape)
+            grid = lambda a: T.reshape(a, (groups, length, 8))
+            k, v = grid(T.matmul(h, ts["wk"])), grid(lin(h, ts["wv"], ts["b"]))
+            out, probs = attn(h, k, v, 2, mask.astype(dtype), rate, stream(5, "fused-drop"))
             loss = T.reduce_sum(T.mul(out, T.Tensor(up.astype(dtype))))
         T.backward(loss)
         results.append([out.data, probs] + [t.grad for t in ts.values()])
@@ -347,9 +354,14 @@ def test_fused_ops_equal_the_primitive_chain_bitwise(dtype, rate, x_shape):
 def test_attention_rejects_nonconforming_operands():
     q, k = T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 5, 4)))
     with pytest.raises(T.ShapeError, match="attention"):
-        T.attention(q, k, T.Tensor(np.zeros((2, 4, 4))), 0.0, 0.0, None)
+        T.attention(q, k, T.Tensor(np.zeros((2, 4, 4))), 2, 0.0, 0.0, None)
     with pytest.raises(T.ShapeError, match="attention"):
-        T.attention(q, k, k, np.zeros((2, 3, 4)), 0.0, None)
+        T.attention(q, k, k, 2, np.zeros((2, 3, 4)), 0.0, None)
+    with pytest.raises(T.ShapeError, match="attention"):  # 4 columns over 3 heads
+        T.attention(q, k, k, 3, 0.0, 0.0, None)
+    with pytest.raises(T.ShapeError, match="attention"):  # 6 query rows over 4 key sets
+        T.attention(q, T.Tensor(np.zeros((4, 5, 4))), T.Tensor(np.zeros((4, 5, 4))), 2,
+                    0.0, 0.0, None)
     with pytest.raises(T.ShapeError, match="linear"):
         T.linear(q, T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros(4)))
 

@@ -204,6 +204,18 @@ class TestTraining:
         header = result.log_path.read_text().splitlines()[0]
         assert header == "epoch,step,current_loss,context_loss,ratio,cd"
 
+    def test_read_log_types_rows_by_column(self, tmp_path):
+        path = tmp_path / "log.csv"
+        header = ",".join(TR.LOG_COLUMNS) + "\n"
+        path.write_text(header + "0,5,1.5,nan,0.25,0.01\n1,10,1.25,2.0,0.5,0.01\n")
+        first, second = TR.read_log(path)
+        assert second == {"epoch": 1, "step": 10, "current_loss": 1.25, "context_loss": 2.0,
+                          "ratio": 0.5, "cd": 0.01}
+        assert type(first["step"]) is int and math.isnan(first["context_loss"])
+        path.write_text(header + "0,5,1.5\n")
+        with pytest.raises(ValueError):
+            TR.read_log(path)
+
     def test_divergence_aborts_with_diagnostics(self, tmp_path):
         data = write_data(tmp_path)
         cfg = tiny_config(data, tmp_path / "run", peak_lr=1e9, warmup=1)
