@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -86,39 +87,54 @@ def save_checkpoint(path, params: Mapping[str, np.ndarray], config: Mapping) -> 
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, str]:
-    """Return (params, config, config digest). Validates magic, version and digest."""
+    """Return (params, config, config digest). Validates magic, version and
+    digest, the bounds and dtype code of every record, and the exact file
+    length; a file that fails any of these raises ``CheckpointError``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", blob, 8)
+    view = memoryview(blob)
+    off = len(MAGIC)
+
+    def take(n: int) -> memoryview:
+        """The next n bytes, as a view into the file's bytes rather than a copy."""
+        nonlocal off
+        if n > len(blob) - off:
+            raise CheckpointError(f"{path}: truncated, {n} bytes needed at byte {off} "
+                                  f"of {len(blob)}")
+        off += n
+        return view[off - n:off]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack("<" + fmt, take(struct.calcsize("<" + fmt)))
+
+    (version,) = unpack("I")
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    digest = blob[12:44]
-    (cfg_len,) = struct.unpack_from("<I", blob, 44)
-    off = 48
-    cfg_bytes = blob[off:off + cfg_len]
-    off += cfg_len
+    digest = bytes(take(32))
+    (cfg_len,) = unpack("I")
+    cfg_bytes = bytes(take(cfg_len))
     if hashlib.sha256(cfg_bytes).digest() != digest:
         raise CheckpointError(f"{path}: config digest mismatch, file corrupted")
     config = json.loads(cfg_bytes.decode("utf-8"))
-    (n_params,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (n_params,) = unpack("I")
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        code, ndim = struct.unpack_from("<BB", blob, off)
-        off += 2
-        dims = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
+        (name_len,) = unpack("H")
+        try:
+            name = str(take(name_len), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: a parameter name is not utf-8") from exc
+        code, ndim = unpack("BB")
+        dims = unpack(f"{ndim}I")
+        if code not in _CODE_DTYPES:
+            raise CheckpointError(f"{path}: parameter {name!r} has unknown dtype code {code}")
         dtype = _CODE_DTYPES[code]
-        count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=off).reshape(dims)
-        off += count * dtype.itemsize
-        params[name] = arr.copy()
+        data = take(math.prod(dims) * dtype.itemsize)
+        params[name] = np.frombuffer(data, dtype=dtype).reshape(dims).copy()
+    if off != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - off} bytes after the last record")
     return params, config, digest.hex()
 
 

@@ -186,10 +186,8 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     config = _train_config_from_args(args)
     out_dir = Path(config.out_dir)
-    if not out_dir.exists() or not any(out_dir.iterdir()) or args.force:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    else:
-        raise UsageError(f"output directory {out_dir} is not empty; use --force to overwrite")
+    _require_empty(out_dir, args.force)
+    out_dir.mkdir(parents=True, exist_ok=True)
     values = [float(v) for v in args.cd_values.split(",")] if args.cd_values else list(DEFAULT_SWEEP)
     _keep_freed_memory()
     rows = cd_sweep(config, values)

@@ -526,19 +526,21 @@ class TransformerModel:
         """Batched beam search; returns generated token ids (with <E> when emitted).
 
         Hypotheses are ranked by log-prob / lp(n) with lp(n) = ((5+n)/6)^alpha.
-        Generation stops at <E> or max-len. A window leaves the batch once it
-        holds `beam` finished hypotheses or reaches its length cap, so every
-        step runs on the rows of windows still searching only.
+        Generation stops at <E> or max-len. A window keeps a count of its
+        finished hypotheses and the best of them (the earliest on ties). It
+        leaves the batch once it holds `beam` finished hypotheses or reaches
+        its length cap, so every step runs on the rows of windows still
+        searching only.
         """
         if beam < 1:
             raise ModelError(f"beam must be >= 1, got {beam}")
         cfg = self.config
-        caps = [min(cfg.max_len, 2 * len(w.src_ids) + 8) for w in windows]
+        caps = np.array([min(cfg.max_len, 2 * len(w.src_ids) + 8) for w in windows])
         if max_len is not None:
             if max_len < 1:
                 raise ModelError(f"max-len must be >= 1, got {max_len}")
-            caps = [min(c, max_len) for c in caps]
-        t_cap = max(caps)
+            caps = np.minimum(caps, max_len)
+        t_cap = int(caps.max())
 
         batch = build_batch(windows, cfg)
         enc = self.encode(batch)
@@ -560,16 +562,17 @@ class TransformerModel:
                 cache[:, t] = new.data[:, 0]
             return tuple(Tensor(cache[:, :t + 1]) for cache in caches[name])
 
-        def lp(n):
-            return ((5.0 + n) / 6.0) ** alpha
-
         live = np.arange(b)  # the window behind each group of `beam` rows
-        tokens = np.full((b * beam, t_cap + 1), EOS_ID, dtype=np.int64)  # column 0 = start
+        tokens = np.full((b * beam, t_cap + 1), PAD_ID, dtype=np.int64)
+        tokens[:, 0] = EOS_ID  # the start token
         segs = np.zeros(b * beam, dtype=np.int64)
-        cum = np.full((b, beam), NEG_INF)
-        cum[:, 0] = 0.0
-        alive = np.ones((b, beam), dtype=bool)
-        finished: list[list[tuple[float, list[int]]]] = [[] for _ in range(b)]
+        cum = np.full(b * beam, NEG_INF)  # -inf marks a dead row
+        cum[::beam] = 0.0
+        # per window: how many hypotheses finished, and the best one's
+        # normalized score and ids (padded; later hypotheses are longer)
+        n_done = np.zeros(b, dtype=np.int64)
+        best = np.full(b, NEG_INF)
+        best_ids = np.full((b, t_cap), PAD_ID, dtype=np.int64)
 
         for t in range(t_cap):
             n = live.size
@@ -579,61 +582,60 @@ class TransformerModel:
             logp = self._decoder(x, self_kv, lambda name, _: cross[name], 0.0,
                                  cross_mask).data[:, 0]
             logp[:, PAD_ID] = NEG_INF  # padding is never a valid continuation
-            cand = cum.reshape(n * beam, 1) + logp
-            cand[~alive.reshape(n * beam)] = NEG_INF
-            cand = cand.reshape(n, beam * cfg.vocab_size)
+            cand = (cum[:, None] + logp).reshape(n, beam * cfg.vocab_size)
+
+            # the (n, 2·beam) ranked candidates; the first -inf one ends a list
             top = _top_candidates(cand, 2 * beam)
-            new_tokens = np.full(n * beam, PAD_ID, dtype=np.int64)
-            new_segs = np.zeros(n * beam, dtype=np.int64)
-            new_cum = np.full((n, beam), NEG_INF)
-            new_alive = np.zeros((n, beam), dtype=bool)
+            score = np.take_along_axis(cand, top, axis=1)
+            src, tok = np.divmod(top, cfg.vocab_size)
+            src += np.arange(n)[:, None] * beam
+            ranked = score > NEG_INF
+            # <E> finishes a hypothesis only from the first `beam` ranks (this
+            # keeps beam=1 exactly equal to greedy decoding) and only while the
+            # window holds fewer than `beam` finished ones
+            eos = ranked & (tok == EOS_ID) & (np.arange(2 * beam) < beam)
+            eos &= n_done[live, None] + np.cumsum(eos, axis=1) <= beam
+            n_done[live] += eos.sum(axis=1)
+            # the other candidates fill the window's rows in rank order
+            cont = ranked & (tok != EOS_ID)
+            cont &= np.cumsum(cont, axis=1) <= beam
+            filled = (np.arange(beam) < cont.sum(axis=1, keepdims=True)).reshape(-1)
             reorder = np.arange(n * beam)
-            for row, w in enumerate(live.tolist()):
-                filled = 0
-                for rank, cidx in enumerate(top[row]):
-                    score = cand[row, cidx]
-                    if score == NEG_INF:
-                        break
-                    slot, tok = divmod(int(cidx), cfg.vocab_size)
-                    src_flat = row * beam + slot
-                    if tok == EOS_ID:
-                        # finalize <E> only from the first `beam` ranks; this
-                        # keeps beam=1 exactly equal to greedy decoding
-                        if rank < beam and len(finished[w]) < beam:
-                            seq = tokens[src_flat, 1:t + 1].tolist() + [tok]
-                            finished[w].append((score / lp(len(seq)), seq))
-                        continue
-                    if filled < beam:
-                        dst = row * beam + filled
-                        reorder[dst] = src_flat
-                        new_tokens[dst] = tok
-                        new_segs[dst] = segs[src_flat] + (1 if tokens[src_flat, t] == SEP_ID else 0)
-                        new_cum[row, filled] = score
-                        new_alive[row, filled] = True
-                        filled += 1
-                if len(finished[w]) >= beam:
-                    new_alive[row] = False
+            reorder[filled] = src[cont]
+            cum = np.full(n * beam, NEG_INF)
+            cum[filled] = score[cont]
+            # a window stops at `beam` finished hypotheses; at its length cap
+            # it finishes its live rows and stops
+            stop = n_done[live] >= beam
+            capped = (t + 1 >= caps[live]) & ~stop
+            stop |= capped
+
+            # <E> finishes, then cap finishes, each in rank order: the first
+            # best of this step replaces the window's best if strictly better
+            norm = score / ((5.0 + (t + 1)) / 6.0) ** alpha
+            fin = np.stack([eos, cont & capped[:, None]], axis=1)
+            fin = np.where(fin, norm[:, None], NEG_INF).reshape(n, -1)
+            row = np.flatnonzero(fin.max(axis=1) > best[live])
+            pick = fin[row].argmax(axis=1) % (2 * beam)
+            w = live[row]
+            best[w] = norm[row, pick]
+            best_ids[w, :t] = tokens[src[row, pick], 1:t + 1]
+            best_ids[w, t] = tok[row, pick]
+
             tokens = tokens[reorder]
-            tokens[:, t + 1] = new_tokens
-            segs, cum, alive = new_segs, new_cum, new_alive
-            for row, w in enumerate(live.tolist()):
-                if t + 1 >= caps[w]:
-                    # length cap reached: finalize live hypotheses truncated
-                    for slot in np.flatnonzero(alive[row]).tolist():
-                        seq = tokens[row * beam + slot, 1:t + 2].tolist()
-                        finished[w].append((cum[row, slot] / lp(len(seq)), seq))
-                    alive[row] = False
+            tokens[filled, t + 1] = tok[cont]
+            segs = np.where(filled, segs[reorder] + (tokens[:, t] == SEP_ID), 0)
 
             # finished windows leave the batch; the self-attention caches of
             # the rest follow the beam reorder
-            keep = alive.any(axis=1)
+            keep = cont.any(axis=1) & ~stop
             if not keep.any():
                 break
             gather = reorder
             if not keep.all():
                 kept = np.flatnonzero(np.repeat(keep, beam))
-                live, cum, alive = live[keep], cum[keep], alive[keep]
-                tokens, segs, shifts = tokens[kept], segs[kept], shifts[kept]
+                live = live[keep]
+                tokens, segs, cum, shifts = tokens[kept], segs[kept], cum[kept], shifts[kept]
                 cross_mask = cross_mask[keep]
                 cross = {name: (Tensor(k.data[keep]), Tensor(v.data[keep]))
                          for name, (k, v) in cross.items()}
@@ -641,12 +643,7 @@ class TransformerModel:
             for cache in caches.values():
                 cache[:] = [_take_rows(c, gather, t + 1) for c in cache]
 
-        results = []
-        for hyps in finished:
-            if not hyps:
-                hyps = [(float(NEG_INF), [EOS_ID])]
-            results.append(max(hyps, key=lambda h: h[0])[1])
-        return results
+        return [ids[ids != PAD_ID].tolist() or [EOS_ID] for ids in best_ids]
 
     # ------------------------------------------------------------------
     # persistence

@@ -379,6 +379,17 @@ class Trainer:
         cfg = self.cfg
         log_path = self.run_dir / "log.csv"
         state_path = self.run_dir / "trainer_state.json"
+        state = json.loads(state_path.read_text()) if resume and state_path.exists() else None
+        if state is not None:
+            # the run's record stays as it is unless this is the same model
+            params, stored, _ = ckpt.load_checkpoint(self._checkpoint_path(state["step"]))
+            built = self.model_config.to_dict()
+            differ = [f"{k} ({stored.get(k)!r} saved, {built.get(k)!r} now)"
+                      for k in sorted(stored.keys() | built.keys())
+                      if stored.get(k) != built.get(k)]
+            if differ:
+                raise ConfigError(f"cannot resume {self.run_dir}: its model config differs "
+                                  f"in {', '.join(differ)}")
         self.vocab.save(self.run_dir / "vocab.json")
         ckpt.write_atomic(self.run_dir / "config.txt", config_to_text(cfg).encode())
 
@@ -392,13 +403,11 @@ class Trainer:
         early_stopped = False
         hit_cap = False
 
-        if resume and state_path.exists():
-            state = json.loads(state_path.read_text())
+        if state is not None:
             step, epoch, batch_idx = state["step"], state["epoch"], state["batch_idx"]
             best, best_step, bad = state["best"], state["best_step"], state["bad"]
             saved = list(state["saved"])
             early_stopped = state.get("stopped", False)
-            params, _, _ = ckpt.load_checkpoint(self._checkpoint_path(step))
             for name, p in self.model.params.items():
                 p.data = params[name].copy()
             self.opt.load_state(params, t=step)

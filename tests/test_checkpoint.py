@@ -46,6 +46,41 @@ def test_not_a_checkpoint(tmp_path):
         ckpt.load_checkpoint(path)
 
 
+def test_every_truncation_rejected(tmp_path, params):
+    # cuts inside the header, inside a record header and inside parameter data
+    path = tmp_path / "m.bin"
+    ckpt.save_checkpoint(path, params, {"a": 1})
+    blob = path.read_bytes()
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(ckpt.CheckpointError):
+            ckpt.load_checkpoint(path)
+
+
+def test_trailing_bytes_rejected(tmp_path, params):
+    path = tmp_path / "m.bin"
+    ckpt.save_checkpoint(path, params, {"a": 1})
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ckpt.CheckpointError, match="1 bytes after the last record"):
+        ckpt.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("at,value,message", [(0, 0xFF, "name is not utf-8"),
+                                               (3, 7, "unknown dtype code 7")])
+def test_bad_record_header_rejected(tmp_path, params, at, value, message):
+    path = tmp_path / "m.bin"
+    ckpt.save_checkpoint(path, params, {"a": 1})
+    blob = bytearray(path.read_bytes())
+    # magic, version, digest, config length, config, count and name length
+    # come before the first record's name "emb" and its dtype code (float32)
+    name_at = 8 + 4 + 32 + 4 + len(ckpt.canonical_config({"a": 1})) + 4 + 2
+    assert blob[name_at:name_at + 4] == b"emb\x01"
+    blob[name_at + at] = value
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ckpt.CheckpointError, match=message):
+        ckpt.load_checkpoint(path)
+
+
 def test_average_of_identical_checkpoints_is_identity(tmp_path, params):
     paths = []
     for i in range(5):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -370,9 +371,7 @@ class TestBeamSearch:
         # towards <E> makes some finish early, so windows leave the beam
         # batch at different steps while the others keep searching
         docs, vocab, _, base = setup
-        params = {k: Tensor(v.data.copy()) for k, v in base.params.items()}
-        params["out&bias"].data[C.EOS_ID] += 1.0
-        model = M.TransformerModel(base.config, params)
+        model = eos_biased(base)
         short = C.make_windows(docs[0], 1, vocab)
         long = C.make_windows(docs[1], 4, vocab)
         subset = [short[0], long[-1], short[1], long[-2], short[2], long[-3]]
@@ -384,6 +383,36 @@ class TestBeamSearch:
         ended = [h[-1] == C.EOS_ID for h in together]
         assert any(ended) and not all(ended)
         assert all(len(h) == cap for h, cap, e in zip(together, caps, ended) if not e)
+
+    @pytest.mark.parametrize("variant,beam", [("setup", 2), ("setup", 4), ("eos-biased", 2),
+                                              ("eos-biased", 4), ("two-word", 5)])
+    @pytest.mark.parametrize("max_len", [None, 3])
+    def test_decode_equals_beam_reference(self, setup, variant, beam, max_len):
+        docs, vocab, windows, model = setup
+        subset = [windows[3], C.make_windows(docs[1], 1, vocab)[1],
+                  C.make_windows(docs[1], 2, vocab)[2]]
+        if variant == "eos-biased":
+            model = eos_biased(model)
+        elif variant == "two-word":
+            # ids 4 and 5 are the only words: the first step ranks 5 finite
+            # candidates (all but <pad>) in 10 places and fills at most 4 rows
+            model = M.TransformerModel(M.ModelConfig(
+                vocab_size=6, layers=2, heads=2, hidden=32, ffn=64, dropout=0.0,
+                dtype="float64"), seed=2)
+            two = lambda ids: tuple(i if i < 4 else 4 + i % 2 for i in ids)
+            subset = [dataclasses.replace(w, src_ids=two(w.src_ids), tgt_ids=two(w.tgt_ids))
+                      for w in subset]
+        # a strong length reward lets longer hypotheses beat earlier ones, so
+        # the stop at `beam` finished ones and the cap rule show in the result
+        got = model.decode(subset, beam=beam, alpha=1.5, max_len=max_len)
+        assert got == [beam_reference(model, w, beam, 1.5, max_len) for w in subset]
+
+
+def eos_biased(model):
+    """A copy of ``model`` whose output bias favours <E>."""
+    params = {k: Tensor(v.data.copy()) for k, v in model.params.items()}
+    params["out&bias"].data[C.EOS_ID] += 1.0
+    return M.TransformerModel(model.config, params)
 
 
 def greedy_reference(model, window):
@@ -404,6 +433,44 @@ def greedy_reference(model, window):
         segs.append(segs[-1] + (1 if tokens[-1] == C.SEP_ID else 0))
         tokens.append(tok)
     return out
+
+
+def beam_reference(model, window, beam, alpha, max_len):
+    """Beam search for one window by a full re-forward of every hypothesis
+    each step; oracle for ``decode``. Candidates rank best first, ties by
+    (row, token); <E> finishes from the first ``beam`` ranks only while fewer
+    than ``beam`` hypotheses have finished; the others fill the rows in rank
+    order. The window stops at ``beam`` finished ones, or at its length cap
+    after finishing its live rows. The best normalized score wins, the
+    earliest finished on ties, and ``[<E>]`` when none finished."""
+    cap = min(model.config.max_len, 2 * len(window.src_ids) + 8, max_len or np.inf)
+    rows = [(0.0, [C.EOS_ID], [0])]  # (cumulative log-prob, tokens from start, segments)
+    finished = []
+    for t in range(cap):
+        lp = ((5.0 + (t + 1)) / 6.0) ** alpha
+        cands = []
+        for cum, tokens, segs in rows:
+            logp = full_prefix_logits(model, window, tokens, segs)
+            logp[C.PAD_ID] = -np.inf
+            cands += [(cum + logp[tok], tokens, segs, tok) for tok in range(len(logp))]
+        cands.sort(key=lambda c: -c[0])  # stable: equal scores keep (row, token) order
+        rows = []
+        for rank, (score, tokens, segs, tok) in enumerate(cands[:2 * beam]):
+            if score == -np.inf:
+                break
+            if tok == C.EOS_ID:
+                if rank < beam and len(finished) < beam:
+                    finished.append((score / lp, tokens[1:] + [tok]))
+            elif len(rows) < beam:
+                seg = segs[-1] + (1 if tokens[-1] == C.SEP_ID else 0)
+                rows.append((score, tokens + [tok], segs + [seg]))
+        if len(finished) >= beam:
+            break
+        if t + 1 == cap:
+            finished += [(score / lp, tokens[1:]) for score, tokens, _ in rows]
+        if not rows:
+            break
+    return max(finished, key=lambda h: h[0])[1] if finished else [C.EOS_ID]
 
 
 def greedy_reference_score(model, window):

@@ -175,6 +175,19 @@ class TestTraining:
         assert resumed.averaged_checkpoint.read_bytes() == \
             full.averaged_checkpoint.read_bytes()
 
+    @pytest.mark.parametrize("data_seed,change,key", [(0, {"hidden": 32}, "hidden"),
+                                                      (1, {}, "vocab_digest")])
+    def test_resume_into_another_model_leaves_the_run_untouched(self, tmp_path, data_seed,
+                                                                change, key):
+        run = tmp_path / "run"
+        TR.train(tiny_config(write_data(tmp_path), run, max_steps=5))
+        before = {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()}
+        (tmp_path / "other").mkdir()
+        data = write_data(tmp_path / "other", seed=data_seed)
+        with pytest.raises(TR.ConfigError, match=f"differs in .*{key} "):
+            TR.train(tiny_config(data, run, max_steps=10, **change), resume=True)
+        assert {p: p.read_bytes() for p in sorted(run.rglob("*")) if p.is_file()} == before
+
     def test_patience_one_stops_at_first_non_improvement(self, tmp_path):
         data = write_data(tmp_path)
         # zero learning rate: dev loss is exactly constant, so the second
