@@ -44,10 +44,6 @@ class CheckpointError(ValueError):
     pass
 
 
-def config_digest(config: Mapping) -> str:
-    return hashlib.sha256(canonical_config(config)).hexdigest()
-
-
 def canonical_config(config: Mapping) -> bytes:
     return json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
 

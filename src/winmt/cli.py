@@ -14,6 +14,7 @@ import csv
 import ctypes
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -28,8 +29,7 @@ from . import stats as stats_mod
 from . import synth
 from .model import TransformerModel
 from .trainer import (DEFAULT_SWEEP, ConfigError, TrainConfig, cd_sweep,
-                      config_from_sources, parse_config_text, read_log, train,
-                      window_loss_ratio, window_losses)
+                      config_from_sources, diagnose, parse_config_text, read_log, train)
 
 SUMMARY_JSON = "summary.json"
 
@@ -282,7 +282,7 @@ def cmd_contrastive(args) -> int:
         writer.writerow(["category", "accuracy", "n"])
         for label, (acc, n) in report.per_category.items():
             writer.writerow([label, repr(acc), n])
-    overall = 100.0 * sum(r.correct for r in results) / len(results)
+    overall = evl.overall_accuracy(results)
     summary = {
         "checkpoint": str(ckpt_path),
         "split": args.split,
@@ -312,19 +312,11 @@ def cmd_diagnose(args) -> int:
     model, vocab, ckpt_path = _load_run(run_dir, args.checkpoint, data)
     docs = corpus_mod.read_corpus(data / f"{args.split}.txt")
     k = args.k if args.k else model.config.window_size
-    windows = [w for d in docs for w in corpus_mod.make_windows(d, k, vocab)]
-    if args.limit:
-        windows = windows[:args.limit]
     # score with the run's own label smoothing, so the losses compare with log.csv
     config_path = run_dir / "config.txt"
     smoothing = (config_from_sources(parse_config_text(config_path.read_text())).label_smoothing
                  if config_path.exists() else TrainConfig.label_smoothing)
-    records: list = []
-    cur_sums, ctx_sums, cur_toks, ctx_toks = window_losses(
-        model, [windows[lo:lo + 32] for lo in range(0, len(windows), 32)], smoothing, records)
-    entropy_rows = evl.attention_entropy_rows(records)
-    mass = evl.current_attention_mass(records)
-    ratio = window_loss_ratio(cur_sums, ctx_sums, windows)
+    diag = diagnose(model, docs, vocab, k, smoothing, args.limit)
 
     log_path = run_dir / "log.csv"
     series = read_log(log_path) if log_path.exists() else []
@@ -332,23 +324,23 @@ def cmd_diagnose(args) -> int:
     report_dir = Path(args.report_dir) if args.report_dir else run_dir
     report_dir.mkdir(parents=True, exist_ok=True)
     ent_path = report_dir / f"entropies_{args.split}.csv"
-    ent_path.write_text("".join(repr(float(e)) + "\n" for e in entropy_rows))
+    ent_path.write_text("".join(repr(float(e)) + "\n" for e in diag.entropy_rows))
     summary = {
         "checkpoint": str(ckpt_path),
         "split": args.split,
-        "attention_entropy": float(entropy_rows.mean()),
-        "attention_mass": mass,
-        "dev_current_loss": sum(cur_sums) / max(1, sum(cur_toks)),
-        "dev_context_loss": sum(ctx_sums) / sum(ctx_toks) if sum(ctx_toks) else None,
-        "loss_ratio": ratio,
-        "n_windows": len(windows),
+        "attention_entropy": diag.attention_entropy,
+        "attention_mass": diag.attention_mass,
+        "dev_current_loss": diag.current_loss,
+        "dev_context_loss": None if math.isnan(diag.context_loss) else diag.context_loss,
+        "loss_ratio": diag.ratio,
+        "n_windows": diag.n_windows,
         "series": series,
     }
     (report_dir / f"diagnose_{args.split}.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True))
     print(f"attention entropy: {summary['attention_entropy']:.4f}")
-    print(f"attention mass on current sentence: {mass:.4f}")
-    print(f"current loss: {summary['dev_current_loss']:.4f} ratio: {ratio:.4f}")
+    print(f"attention mass on current sentence: {diag.attention_mass:.4f}")
+    print(f"current loss: {diag.current_loss:.4f} ratio: {diag.ratio:.4f}")
     print(f"per-query entropies: {ent_path}")
     return 0
 

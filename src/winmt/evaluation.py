@@ -32,18 +32,6 @@ class ContrastiveResult:
     scores: tuple[float, ...]
 
 
-def score_contrastive(model: TransformerModel, example: ContrastiveExample,
-                      vocab: Vocab, mode: str = "full") -> ContrastiveResult:
-    """Score one example; ties go to the highest-index tied candidate.
-
-    Candidates are ranked by teacher-forced log-probability of the full
-    target window ("full") or of the current span only ("current"). The
-    pessimistic tie-break means a model that cannot separate reference
-    from distractor scores 0, not 50%.
-    """
-    return _score_batch(model, [example], vocab, mode)[0]
-
-
 def _check_candidates(example: ContrastiveExample) -> None:
     for cand in example.candidates:
         for sent in cand:
@@ -75,6 +63,14 @@ def _score_batch(model, examples, vocab, mode) -> list[ContrastiveResult]:
 def evaluate_contrastive(model: TransformerModel, examples: Sequence[ContrastiveExample],
                          vocab: Vocab, mode: str = "full",
                          batch_candidates: int = 64) -> list[ContrastiveResult]:
+    """Score each example; ties go to the highest-index tied candidate.
+
+    Candidates are ranked by teacher-forced log-probability of the full
+    target window ("full") or of the current span only ("current"). The
+    pessimistic tie-break means a model that cannot separate reference
+    from distractor scores 0, not 50%. Examples are scored together in
+    chunks of about ``batch_candidates`` candidate windows.
+    """
     results: list[ContrastiveResult] = []
     chunk: list[ContrastiveExample] = []
     pending = 0
@@ -87,6 +83,11 @@ def evaluate_contrastive(model: TransformerModel, examples: Sequence[Contrastive
     if chunk:
         results.extend(_score_batch(model, chunk, vocab, mode))
     return results
+
+
+def overall_accuracy(results: Sequence[ContrastiveResult]) -> float:
+    """Percentage of examples whose reference candidate scored best."""
+    return 100.0 * sum(r.correct for r in results) / len(results)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +372,7 @@ def robustness_eval(model: TransformerModel, docs: Sequence[Document], vocab: Vo
         accuracy = None
         if examples:
             rebuilt = rebuild_examples(examples, docs_by_id, size)
-            results = evaluate_contrastive(model, rebuilt, vocab)
-            accuracy = 100.0 * sum(r.correct for r in results) / len(results)
+            accuracy = overall_accuracy(evaluate_contrastive(model, rebuilt, vocab))
         rows.append(RobustnessRow(size=size, bleu=score, accuracy=accuracy,
                                   malformed=malformed, n_windows=len(hyps),
                                   hyps=hyps, refs=refs))

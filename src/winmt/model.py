@@ -32,6 +32,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .corpus import EOS_ID, PAD_ID, SEP_ID, Window, compute_shift
+from .objective import partition_masks
 from .positions import (SCHEMES, SEGMENT_VARIANTS, init_segment_table, shift_positions,
                         sinusoidal_pe)
 from .rng import stream
@@ -200,8 +201,6 @@ def resolve_window_shift(config: ModelConfig, window: Window) -> int:
 
 
 def build_batch(windows: Sequence[Window], config: ModelConfig) -> Batch:
-    from .objective import partition_masks
-
     if not windows:
         raise ModelError("empty batch")
     s_max = max(len(w.src_ids) for w in windows)
@@ -217,8 +216,6 @@ def build_batch(windows: Sequence[Window], config: ModelConfig) -> Batch:
     tgt_in_seg = np.zeros((b, t_max), dtype=np.int64)
     tgt_out = np.full((b, t_max), PAD_ID, dtype=np.int64)
     tgt_valid = np.zeros((b, t_max))
-    current = np.zeros((b, t_max))
-    context = np.zeros((b, t_max))
     shifts = np.zeros(b, dtype=np.int64)
     for i, w in enumerate(windows):
         ns, nt = len(w.src_ids), len(w.tgt_ids)
@@ -230,10 +227,8 @@ def build_batch(windows: Sequence[Window], config: ModelConfig) -> Batch:
         tgt_in_seg[i, 1:nt] = w.tgt_seg[:-1]
         tgt_out[i, :nt] = w.tgt_ids
         tgt_valid[i, :nt] = 1.0
-        cur, ctx = partition_masks(w, t_max)
-        current[i] = cur
-        context[i] = ctx
         shifts[i] = resolve_window_shift(config, w)
+    current, context = partition_masks(windows)
     src_pos = shift_positions(np.arange(s_max)[None, :], src_seg, shifts[:, None])
     tgt_in_pos = shift_positions(np.arange(t_max)[None, :], tgt_in_seg, shifts[:, None])
     return Batch(windows=list(windows), src=src, src_seg=src_seg, src_pos=src_pos,

@@ -1,15 +1,18 @@
 """Training objectives over concatenated windows.
 
 The concatenation loss sums per-token losses over the whole target
-window. The context-discounted variant partitions target positions into
-the current sentence (its tokens plus <E>) and everything earlier
-(context sentences plus their <S> separators) and weighs the context
-part by a discount cd in [0, 1]; cd = 1 recovers the plain
-concatenation loss exactly.
+window. The context-discounted variant splits a batch's target positions
+with ``partition_masks``: the current sentence (its tokens plus <E>) and
+everything earlier (context sentences plus their <S> separators) become
+two 0/1 masks of shape (windows, length), built for every window of the
+batch at once, with padding in neither. ``masked_discounted_loss`` then
+weighs the context part by a discount cd in [0, 1]; cd = 1 recovers the
+plain concatenation loss exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,52 +63,33 @@ class LossBreakdown:
     context_token_count: int
     cd: float
 
-    @property
-    def current(self) -> float:
-        return self.current_loss.item()
 
-    @property
-    def context(self) -> float:
-        return self.context_loss.item()
+def partition_masks(windows: Sequence[Window]) -> tuple[np.ndarray, np.ndarray]:
+    """(current, context) 0/1 masks of shape (windows, longest target).
 
-    @property
-    def total(self) -> float:
-        return self.discounted_total.item()
-
-
-def partition_masks(window: Window, length: int | None = None,
-                    dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """(current, context) 0/1 masks over target positions, padded to ``length``."""
-    n = len(window.tgt_ids)
-    length = n if length is None else length
-    if length < n:
-        raise ObjectiveError(f"mask length {length} shorter than target {n}")
-    start, end = window.current_span
-    if not 0 <= start < end <= n:
-        raise ObjectiveError(f"current span {window.current_span} inconsistent with target length {n}")
-    current = np.zeros(length, dtype=dtype)
-    context = np.zeros(length, dtype=dtype)
-    current[start:end] = 1.0
-    context[:start] = 1.0
-    return current, context
+    Positions past a window's own target are padding and in neither mask.
+    """
+    n = np.array([len(w.tgt_ids) for w in windows], dtype=np.int64)[:, None]
+    spans = np.array([w.current_span for w in windows], dtype=np.int64).reshape(-1, 2)
+    start, end = spans[:, :1], spans[:, 1:]
+    bad = np.flatnonzero(~((0 <= start) & (start < end) & (end <= n)))
+    if bad.size:
+        w = windows[int(bad[0])]
+        raise ObjectiveError(f"current span {w.current_span} inconsistent with target "
+                             f"length {len(w.tgt_ids)}")
+    pos = np.arange(n.max(initial=0))
+    return ((start <= pos) & (pos < end)).astype(np.float64), (pos < start).astype(np.float64)
 
 
 def concat_loss(per_token: Tensor, window: Window) -> Tensor:
-    """Plain concatenation loss: sum over every non-pad target position."""
-    current, context = partition_masks(window, per_token.shape[-1], per_token.data.dtype)
-    return reduce_sum(mul_const(per_token, current + context))
+    """Plain concatenation loss: the sum over the window's target positions.
 
-
-def context_discounted_loss(per_token: Tensor, window: Window, cd: float) -> LossBreakdown:
-    """Decompose one window's losses and apply the context discount."""
-    if not 0.0 <= cd <= 1.0:
-        raise ObjectiveError(f"context discount must be in [0, 1], got {cd}")
-    start, end = window.current_span
-    if end <= start:
-        raise ObjectiveError("window has an empty current span")
-    current_mask, context_mask = partition_masks(window, per_token.shape[-1],
-                                                 per_token.data.dtype)
-    return masked_discounted_loss(per_token, current_mask, context_mask, cd)
+    It reads only the target length, never the current span, so it stays an
+    independent reference for the discounted loss at cd = 1.
+    """
+    mask = np.zeros(per_token.shape[-1], dtype=per_token.data.dtype)
+    mask[:len(window.tgt_ids)] = 1.0
+    return reduce_sum(mul_const(per_token, mask))
 
 
 def masked_discounted_loss(per_token: Tensor, current_mask: np.ndarray,
@@ -148,14 +132,14 @@ def loss_ratio(current: Sequence[float], context: Sequence[float],
 
     ``current`` and ``context`` hold each window's summed losses. Each window
     contributes its current-sentence loss; windows with c >= 1 context
-    sentences contribute context / c to the context mean.
+    sentences contribute context / c to the context mean. The ratio is NaN
+    where it is undefined: no windows, no window with a context sentence, or
+    a context mean of zero.
     """
     if not len(current) == len(context) == len(context_sentence_counts):
         raise ObjectiveError("one current loss, context loss and context-sentence count "
                              "per window required")
-    if not current:
-        raise ObjectiveError("no windows given")
     context_vals = [loss / c for loss, c in zip(context, context_sentence_counts) if c >= 1]
-    if not context_vals:
-        raise ObjectiveError("no window has any context sentence")
+    if not context_vals or sum(context_vals) == 0:
+        return math.nan
     return (sum(current) / len(current)) / (sum(context_vals) / len(context_vals))

@@ -13,16 +13,18 @@ import json
 import math
 from dataclasses import dataclass, fields, asdict
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .corpus import (Vocab, Window, compute_shift, make_windows, read_contrastive,
-                     read_corpus)
+from .corpus import (Document, Vocab, Window, compute_shift, make_windows,
+                     read_contrastive, read_corpus)
+from .evaluation import (attention_entropy_rows, current_attention_mass,
+                         evaluate_contrastive, overall_accuracy)
 from .model import DTYPES, ModelConfig, TransformerModel, build_batch
-from .objective import (ObjectiveError, loss_ratio, masked_discounted_loss,
-                        normalized_training_loss, smoothed_nll)
+from .objective import (loss_ratio, masked_discounted_loss, normalized_training_loss,
+                        smoothed_nll)
 from .positions import SCHEMES, SEGMENT_VARIANTS
 from .rng import stream
 from .tensor import Graph, Tensor, backward, record
@@ -263,14 +265,44 @@ def window_losses(model: TransformerModel, batches: Sequence[Sequence[Window]], 
     return current, context, current_tokens, context_tokens
 
 
-def window_loss_ratio(current: Sequence[float], context: Sequence[float],
-                      windows: Sequence[Window]) -> float:
-    """``objective.loss_ratio`` of per-window loss sums; NaN where it is
-    undefined (no window has context, or the context loss is zero)."""
-    try:
-        return loss_ratio(current, context, [w.size - 1 for w in windows])
-    except (ObjectiveError, ZeroDivisionError):
-        return float("nan")
+def loss_summary(model: TransformerModel, batches: Sequence[Sequence[Window]], eps: float,
+                 records: list | None = None) -> tuple[float, float, float]:
+    """Per-token current loss, per-token context loss and ``objective.loss_ratio``
+    of the windows in ``batches``; ``records`` as in ``window_losses``. The
+    context loss is NaN when no window has a context token.
+    """
+    cur, ctx, cur_tok, ctx_tok = window_losses(model, batches, eps, records)
+    return (sum(cur) / max(1, sum(cur_tok)),
+            sum(ctx) / sum(ctx_tok) if sum(ctx_tok) else math.nan,
+            loss_ratio(cur, ctx, [w.size - 1 for ws in batches for w in ws]))
+
+
+class Diagnosis(NamedTuple):
+    n_windows: int
+    current_loss: float
+    context_loss: float
+    ratio: float
+    attention_mass: float
+    attention_entropy: float
+    entropy_rows: np.ndarray
+
+
+def diagnose(model: TransformerModel, docs: Sequence[Document], vocab: Vocab, k: int,
+             eps: float, limit: int | None) -> Diagnosis:
+    """Losses and attention diagnostics of the first ``limit`` windows (all
+    when None or 0) of ``docs`` at window size ``k``, forwarded in chunks of
+    32: ``loss_summary``, the mean current-sentence attention mass and the
+    per-query attention entropies with their mean.
+    """
+    windows = [w for d in docs for w in make_windows(d, k, vocab)]
+    if limit:
+        windows = windows[:limit]
+    records: list = []
+    losses = loss_summary(model, [windows[lo:lo + 32] for lo in range(0, len(windows), 32)],
+                          eps, records)
+    rows = attention_entropy_rows(records)
+    return Diagnosis(len(windows), *losses, current_attention_mass(records),
+                     float(rows.mean()), rows)
 
 
 def _float_repr(x: float) -> str:
@@ -344,12 +376,7 @@ class Trainer:
 
     def _validate(self) -> tuple[float, float, float]:
         """Dev per-token current loss, per-token context loss, per-sentence ratio."""
-        cur, ctx, cur_tok, ctx_tok = window_losses(self.model, self.dev_batches,
-                                                   self.cfg.label_smoothing)
-        current_loss = sum(cur) / max(1, sum(cur_tok))
-        context_loss = sum(ctx) / sum(ctx_tok) if sum(ctx_tok) else float("nan")
-        ratio = window_loss_ratio(cur, ctx, [w for ws in self.dev_batches for w in ws])
-        return current_loss, context_loss, ratio
+        return loss_summary(self.model, self.dev_batches, self.cfg.label_smoothing)
 
     def _checkpoint_path(self, step: int) -> Path:
         return self.run_dir / "checkpoints" / f"ckpt_{step:07d}.bin"
@@ -495,9 +522,6 @@ def cd_sweep(base: TrainConfig, cd_values: Sequence[float] = DEFAULT_SWEEP,
     and mean attention mass on the current sentence. Failures are recorded
     per run and the sweep continues.
     """
-    from .evaluation import (attention_entropy, current_attention_mass,
-                             evaluate_contrastive)
-
     base_out = Path(base.out_dir)
     data = Path(base.data_dir)
     rows: list[dict] = []
@@ -512,18 +536,13 @@ def cd_sweep(base: TrainConfig, cd_values: Sequence[float] = DEFAULT_SWEEP,
             vocab = Vocab.load(result.run_dir / "vocab.json")
             dev_examples = read_contrastive(data / "contrastive_dev.jsonl")
             results = evaluate_contrastive(model, dev_examples, vocab)
-            accuracy = 100.0 * sum(r.correct for r in results) / len(results)
-            dev_docs = read_corpus(data / "dev.txt")
-            windows = [w for d in dev_docs for w in make_windows(d, cfg.k, vocab)]
-            windows = windows[:diag_windows]
-            records: list = []
-            window_losses(model, [windows[lo:lo + 32] for lo in range(0, len(windows), 32)],
-                          cfg.label_smoothing, records)
+            diag = diagnose(model, read_corpus(data / "dev.txt"), vocab, cfg.k,
+                            cfg.label_smoothing, diag_windows)
             row.update({
                 "best_dev_current_loss": min(r["current_loss"] for r in read_log(result.log_path)),
-                "contrastive_accuracy": accuracy,
-                "attention_mass": current_attention_mass(records),
-                "attention_entropy": attention_entropy(records),
+                "contrastive_accuracy": overall_accuracy(results),
+                "attention_mass": diag.attention_mass,
+                "attention_entropy": diag.attention_entropy,
                 "run_dir": str(result.run_dir),
             })
         except Exception as exc:  # keep sweeping remaining values

@@ -26,8 +26,8 @@ from winmt.evaluation import (aggregate_from_stats, attention_entropy,
                               current_attention_mass, decode_current_sentences,
                               evaluate_contrastive)
 from winmt.model import ModelConfig, TransformerModel, build_batch
-from winmt.objective import (concat_loss, context_discounted_loss,
-                             masked_discounted_loss, smoothed_nll)
+from winmt.objective import (concat_loss, masked_discounted_loss, partition_masks,
+                             smoothed_nll)
 from winmt.positions import shifted_positions, sinusoidal_pe
 from winmt.rng import stream
 from winmt.stats import approx_randomization, mcnemar
@@ -71,13 +71,17 @@ def test_criterion_2_loss_identities():
     windows = windows[:1000]
     rng = stream(0, "acc2")
     max_rel_total = max_rel_split = 0.0
-    for w in windows:
-        losses = T.Tensor(rng.uniform(0.01, 3.0, len(w.tgt_ids)))
-        bd = context_discounted_loss(losses, w, cd=1.0)
+    current, context = partition_masks(windows)
+    for w, cur, ctx in zip(windows, current, context):
+        # padding holds a loss that neither side may count
+        losses = np.full(len(cur), 7.0)
+        losses[:len(w.tgt_ids)] = rng.uniform(0.01, 3.0, len(w.tgt_ids))
+        losses = T.Tensor(losses)
+        bd = masked_discounted_loss(losses, cur, ctx, cd=1.0)
         eq1 = concat_loss(losses, w).item()
-        max_rel_total = max(max_rel_total, abs(bd.total - eq1) / abs(eq1))
-        max_rel_split = max(max_rel_split,
-                            abs((bd.current + bd.context) - eq1) / abs(eq1))
+        max_rel_total = max(max_rel_total, abs(bd.discounted_total.item() - eq1) / abs(eq1))
+        max_rel_split = max(max_rel_split, abs(
+            (bd.current_loss.item() + bd.context_loss.item()) - eq1) / abs(eq1))
     ok_ident = max_rel_total < 1e-9 and max_rel_split < 1e-9
 
     # context-position logit gradients scale linearly with cd
@@ -87,18 +91,17 @@ def test_criterion_2_loss_identities():
         n = len(w.tgt_ids)
         logits = rng.normal(0, 2, (1, n, len(vocab)))
         targets = np.array(w.tgt_ids)[None, :]
-        from winmt.objective import partition_masks
-        cur, ctx = partition_masks(w)
+        cur, ctx = partition_masks([w])
         grads = {}
         for cd in (1.0, 0.01):
             x = T.Tensor(logits.copy())
             with T.record(T.Graph()):
                 lp = T.log_softmax(x, axis=-1)
                 per_tok = smoothed_nll(lp, targets, 0.1)
-                bd = masked_discounted_loss(per_tok, cur[None, :], ctx[None, :], cd)
+                bd = masked_discounted_loss(per_tok, cur, ctx, cd)
             T.backward(bd.discounted_total)
             grads[cd] = x.grad[0]
-        ctx_rows = ctx > 0
+        ctx_rows = ctx[0] > 0
         a = grads[1.0][ctx_rows] * 0.01
         b = grads[0.01][ctx_rows]
         denom = np.maximum(np.abs(a), 1e-300)

@@ -30,7 +30,7 @@ class TestScoreContrastive:
             src_sentences=(("w00", "w01"),),
             candidates=((("w00", "w01"),), (("w00", "w01"),)),
             phenomenon="p", distance=0)
-        res = E.score_contrastive(model, ex, vocab)
+        [res] = E.evaluate_contrastive(model, [ex], vocab)
         assert res.chosen == 1 and not res.correct
 
     def test_pad_in_candidate_rejected(self, setup):
@@ -41,7 +41,7 @@ class TestScoreContrastive:
             candidates=((("<PAD>",),), (("w01",),)),
             phenomenon="p", distance=0)
         with pytest.raises(E.EvalError, match="<PAD>"):
-            E.score_contrastive(model, ex, vocab)
+            E.evaluate_contrastive(model, [ex], vocab)
 
     def test_random_model_near_chance(self, setup):
         # untrained model over balanced 2-candidate examples: accuracy ~= 50%
@@ -69,7 +69,7 @@ class TestScoreContrastive:
     def test_batched_scoring_matches_single(self, setup):
         _, examples, vocab, model = setup
         batched = E.evaluate_contrastive(model, examples[:7], vocab, batch_candidates=6)
-        single = [E.score_contrastive(model, ex, vocab) for ex in examples[:7]]
+        single = [E.evaluate_contrastive(model, [ex], vocab)[0] for ex in examples[:7]]
         for a, b in zip(batched, single):
             assert a.chosen == b.chosen
             np.testing.assert_allclose(a.scores, b.scores, atol=1e-9)

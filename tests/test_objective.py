@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from winmt import objective as O
 from winmt import tensor as T
-from winmt.corpus import Vocab, window_from_sentences
+from winmt.corpus import EOS_ID, SEP_ID, Vocab, window_from_sentences
 from winmt.rng import stream
 
 
@@ -20,6 +21,12 @@ def vocab():
 
 def two_sentence_window(vocab):
     return window_from_sentences([["t0", "t1"], ["t2"]], [["t0", "t1"], ["t2"]], vocab)
+
+
+def discounted(losses, window, cd):
+    """One window's discounted loss, with its masks from a one-window batch."""
+    current, context = O.partition_masks([window])
+    return O.masked_discounted_loss(losses, current[0], context[0], cd)
 
 
 class TestSmoothedNll:
@@ -61,20 +68,47 @@ class TestSmoothedNll:
             O.smoothed_nll(lp, np.array([0]), epsilon=1.0)
 
 
+class TestPartitionMasks:
+    def test_k1_window_next_to_padded_k3_window(self, vocab):
+        long_sentence = [f"t{i}" for i in range(6)]
+        k1 = window_from_sentences([long_sentence], [long_sentence], vocab)
+        sents = [["t0"], ["t1"], ["t2"]]
+        k3 = window_from_sentences(sents, sents, vocab)
+        current, context = O.partition_masks([k1, k3])
+        #                      t0 t1 t2 t3 t4 t5 <E>
+        np.testing.assert_array_equal(current[0], [1, 1, 1, 1, 1, 1, 1])
+        np.testing.assert_array_equal(context[0], [0, 0, 0, 0, 0, 0, 0])
+        #                      t0 <S> t1 <S> t2 <E> pad
+        np.testing.assert_array_equal(current[1], [0, 0, 0, 0, 1, 1, 0])
+        np.testing.assert_array_equal(context[1], [1, 1, 1, 1, 0, 0, 0])
+        for w, cur, ctx in zip([k1, k3], current, context):
+            ids = np.array(w.tgt_ids)
+            assert (ctx[:len(ids)][ids == SEP_ID] == 1).all()  # <S> is context
+            assert ids[-1] == EOS_ID and cur[len(ids) - 1] == 1  # <E> is current
+            assert not cur[len(ids):].any() and not ctx[len(ids):].any()  # padding is neither
+
+    @pytest.mark.parametrize("span", [(2, 6), (3, 3)])  # past the target; empty
+    def test_inconsistent_span_rejected(self, vocab, span):
+        w = two_sentence_window(vocab)
+        with pytest.raises(O.ObjectiveError, match="current span"):
+            O.partition_masks([w, replace(w, current_span=span)])
+
+
 class TestConcatLoss:
     def test_k1_window_equals_current_only(self, vocab):
         w = window_from_sentences([["t0", "t1"]], [["t0", "t1"]], vocab)
         losses = T.Tensor(np.array([0.5, 0.25, 0.125]))
         total = O.concat_loss(losses, w)
-        bd = O.context_discounted_loss(losses, w, cd=1.0)
-        assert total.item() == pytest.approx(bd.current)
+        bd = discounted(losses, w, cd=1.0)
+        assert total.item() == pytest.approx(bd.current_loss.item())
         assert bd.context_token_count == 0
 
     def test_equals_context_plus_current(self, vocab):
         w = two_sentence_window(vocab)
         losses = T.Tensor(stream(0, "loss").uniform(0, 1, len(w.tgt_ids)))
-        bd = O.context_discounted_loss(losses, w, cd=1.0)
-        assert O.concat_loss(losses, w).item() == pytest.approx(bd.current + bd.context, rel=1e-12)
+        bd = discounted(losses, w, cd=1.0)
+        assert O.concat_loss(losses, w).item() == pytest.approx(
+            bd.current_loss.item() + bd.context_loss.item(), rel=1e-12)
 
     def test_tiny_hand_case_matches_manual_sum(self, vocab):
         # 3-token K=1 window with hand-set probabilities for each position
@@ -90,19 +124,20 @@ class TestContextDiscountedLoss:
     def test_cd_one_reproduces_concat_loss_exactly(self, vocab):
         w = two_sentence_window(vocab)
         losses = T.Tensor(stream(1, "loss").uniform(0, 1, len(w.tgt_ids)))
-        bd = O.context_discounted_loss(losses, w, cd=1.0)
-        assert bd.total == pytest.approx(O.concat_loss(losses, w).item(), rel=1e-12)
+        bd = discounted(losses, w, cd=1.0)
+        assert bd.discounted_total.item() == pytest.approx(O.concat_loss(losses, w).item(),
+                                                           rel=1e-12)
 
     def test_cd_zero_keeps_only_current(self, vocab):
         w = two_sentence_window(vocab)
         losses = T.Tensor(stream(2, "loss").uniform(0, 1, len(w.tgt_ids)))
-        bd = O.context_discounted_loss(losses, w, cd=0.0)
-        assert bd.total == pytest.approx(bd.current, rel=1e-12)
+        bd = discounted(losses, w, cd=0.0)
+        assert bd.discounted_total.item() == pytest.approx(bd.current_loss.item(), rel=1e-12)
 
     def test_partition_counts_complete(self, vocab):
         w = two_sentence_window(vocab)
         losses = T.Tensor(np.ones(len(w.tgt_ids)))
-        bd = O.context_discounted_loss(losses, w, cd=0.5)
+        bd = discounted(losses, w, cd=0.5)
         assert bd.current_token_count + bd.context_token_count == len(w.tgt_ids)
         # separator of the context sentence counts as context, <E> as current
         assert bd.context_token_count == 3  # "t0", "t1", "<S>"
@@ -111,30 +146,32 @@ class TestContextDiscountedLoss:
     def test_linearity_in_cd(self, vocab):
         w = two_sentence_window(vocab)
         losses = T.Tensor(stream(3, "loss").uniform(0, 1, len(w.tgt_ids)))
-        a = O.context_discounted_loss(losses, w, cd=0.9)
-        b = O.context_discounted_loss(losses, w, cd=0.4)
-        assert a.total - b.total == pytest.approx(0.5 * a.context, rel=1e-9)
+        a = discounted(losses, w, cd=0.9)
+        b = discounted(losses, w, cd=0.4)
+        assert a.discounted_total.item() - b.discounted_total.item() == pytest.approx(
+            0.5 * a.context_loss.item(), rel=1e-9)
 
     def test_discount_identity_exact(self, vocab):
         w = two_sentence_window(vocab)
         losses = T.Tensor(stream(4, "loss").uniform(0, 1, len(w.tgt_ids)))
-        bd = O.context_discounted_loss(losses, w, cd=0.3)
-        assert bd.total == bd.cd * bd.context + bd.current
+        bd = discounted(losses, w, cd=0.3)
+        assert bd.discounted_total.item() == (bd.cd * bd.context_loss.item()
+                                              + bd.current_loss.item())
 
     def test_gradient_flows_through_total(self, vocab):
         w = two_sentence_window(vocab)
         raw = stream(5, "loss").uniform(0.1, 1, len(w.tgt_ids))
         x = T.Tensor(raw)
         with T.record(T.Graph()):
-            bd = O.context_discounted_loss(x, w, cd=0.25)
+            bd = discounted(x, w, cd=0.25)
         T.backward(bd.discounted_total)
-        cur_mask, ctx_mask = O.partition_masks(w)
-        np.testing.assert_allclose(x.grad, cur_mask + 0.25 * ctx_mask)
+        cur_mask, ctx_mask = O.partition_masks([w])
+        np.testing.assert_allclose(x.grad, cur_mask[0] + 0.25 * ctx_mask[0])
 
     def test_bad_cd_rejected(self, vocab):
         losses = T.Tensor(np.ones(5))
         with pytest.raises(O.ObjectiveError):
-            O.context_discounted_loss(losses, two_sentence_window(vocab), cd=1.5)
+            discounted(losses, two_sentence_window(vocab), cd=1.5)
 
 
 class TestLossRatio:
@@ -143,8 +180,9 @@ class TestLossRatio:
         w = window_from_sentences([["t0", "t1"], ["t2", "t3"]],
                                   [["t0", "t1"], ["t2", "t3"]], vocab)
         losses = T.Tensor(np.ones(len(w.tgt_ids)))
-        bd = O.context_discounted_loss(losses, w, cd=1.0)
-        assert O.loss_ratio([bd.current], [bd.context], [1]) == pytest.approx(1.0)
+        bd = discounted(losses, w, cd=1.0)
+        assert O.loss_ratio([bd.current_loss.item()], [bd.context_loss.item()],
+                            [1]) == pytest.approx(1.0)
 
     def test_definition_case(self):
         assert O.loss_ratio([2.0], [1.0], [1]) == pytest.approx(2.0)
@@ -153,9 +191,14 @@ class TestLossRatio:
         # 3 context sentences: context loss averaged over them
         assert O.loss_ratio([2.0], [3.0], [3]) == pytest.approx(2.0)
 
-    def test_no_context_anywhere_rejected(self):
+    def test_undefined_ratio_is_nan(self):
+        assert math.isnan(O.loss_ratio([1.0], [0.0], [0]))  # no context anywhere
+        assert math.isnan(O.loss_ratio([1.0], [0.0], [1]))  # zero context loss
+        assert math.isnan(O.loss_ratio([], [], []))
+
+    def test_mismatched_lengths_rejected(self):
         with pytest.raises(O.ObjectiveError):
-            O.loss_ratio([1.0], [0.0], [0])
+            O.loss_ratio([1.0, 2.0], [1.0], [1])
 
 
 def test_smoothed_nll_gradcheck():

@@ -1,5 +1,6 @@
 import ast
 import gc
+import importlib
 import math
 import weakref
 from pathlib import Path
@@ -183,14 +184,22 @@ def test_every_differentiable_op_is_in_the_gradient_oracle():
 
 
 def test_ops_the_benchmark_tracer_times_stay_exported():
-    # perfbench/tracer.py looks each name of TENSOR_OPS up with getattr
+    # perfbench/tracer.py looks each name of TENSOR_OPS up in winmt.tensor, and each
+    # (module, attribute path) of SPANS in winmt, with getattr
     source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
-    assign = next(node for node in ast.parse(source).body if isinstance(node, ast.Assign)
-                  and getattr(node.targets[0], "id", None) == "TENSOR_OPS")
-    names = ast.literal_eval(assign.value)
+    lists = {node.targets[0].id: ast.literal_eval(node.value)
+             for node in ast.parse(source).body if isinstance(node, ast.Assign)
+             and getattr(node.targets[0], "id", None) in ("TENSOR_OPS", "SPANS")}
+    names = lists["TENSOR_OPS"]
     assert len(names) == 16
     assert set(names) <= set(T.__all__)
     assert all(callable(getattr(T, name)) for name in names)
+    assert len(lists["SPANS"]) == 28
+    for module_name, path, _ in lists["SPANS"]:
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{module_name}.{path} is not a function"
 
 
 @pytest.mark.parametrize("op_name", ORACLE_OPS)
