@@ -13,6 +13,7 @@ import argparse
 import csv
 import ctypes
 import hashlib
+import io
 import json
 import math
 import sys
@@ -47,18 +48,37 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _json_text(payload, indent: int | None = None) -> str:
+    """Strict JSON: a NaN or infinity raises instead of writing a token that is not JSON."""
+    return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+
+
+def _write_json(path: Path, payload) -> None:
+    ckpt.write_atomic(path, _json_text(payload, indent=2).encode())
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    ckpt.write_atomic(path, buf.getvalue().encode())
+
+
+def _write_lines(path: Path, lines) -> None:
+    ckpt.write_atomic(path, "".join(line + "\n" for line in lines).encode())
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, seed,
                     inputs: list[Path], outputs: list[Path]) -> None:
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "command": command,
         "config": config,
         "seed": seed,
         "inputs": {str(p): _digest(p) for p in inputs if p.exists()},
         "outputs": [str(p) for p in outputs],
         "version": __version__,
-    }
-    ckpt.write_atomic(out_dir / "manifest.json",
-                      json.dumps(manifest, indent=2, sort_keys=True).encode())
+    })
 
 
 def _require_empty(out_dir: Path, force: bool) -> None:
@@ -73,15 +93,21 @@ def _parse_sizes(text: str) -> list[int]:
         raise UsageError(f"bad size list {text!r}; expected comma-separated integers") from None
 
 
-def _token_lines(sentences) -> str:
-    return "".join(" ".join(s) + "\n" for s in sentences)
-
-
 def _load_run(run_dir: Path, checkpoint: str | None, data_dir: Path):
     vocab = corpus_mod.Vocab.load(run_dir / "vocab.json")
     ckpt_path = Path(checkpoint) if checkpoint else run_dir / "ckpt_avg.bin"
     model = TransformerModel.load(ckpt_path, expect_vocab_digest=vocab.digest)
     return model, vocab, ckpt_path
+
+
+def _open_run(args):
+    """The model, vocab and checkpoint of ``--run``, and the report directory."""
+    model, vocab, ckpt_path = _load_run(Path(args.run), args.checkpoint, Path(args.data))
+    return model, vocab, ckpt_path, Path(args.report_dir or args.run)
+
+
+def _or_null(x: float) -> float | None:
+    return None if math.isnan(x) else x
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +220,7 @@ def cmd_sweep(args) -> int:
     table = out_dir / "sweep.csv"
     cols = ["cd", "best_dev_current_loss", "contrastive_accuracy", "attention_mass",
             "attention_entropy", "run_dir", "error"]
-    with open(table, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=cols)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in cols})
+    _write_csv(table, cols, [[row.get(k, "") for k in cols] for row in rows])
     _write_manifest(out_dir, "sweep", asdict(config), config.seed, [], [table])
     for row in rows:
         print(row)
@@ -207,9 +229,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    run_dir = Path(args.run)
+    model, vocab, ckpt_path, report_dir = _open_run(args)
     data = Path(args.data)
-    model, vocab, ckpt_path = _load_run(run_dir, args.checkpoint, data)
     docs = corpus_mod.read_corpus(data / f"{args.split}.txt")
     if args.limit:
         docs = docs[:args.limit]
@@ -224,30 +245,23 @@ def cmd_evaluate(args) -> int:
     rows = evl.robustness_eval(model, docs, vocab, sizes, examples=examples,
                                beam=args.beam, alpha=args.alpha)
 
-    report_dir = Path(args.report_dir) if args.report_dir else run_dir
     report_dir.mkdir(parents=True, exist_ok=True)
     table = report_dir / f"robustness_{args.split}.csv"
-    with open(table, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(evl.ROBUSTNESS_COLUMNS)
-        for r in rows:
-            writer.writerow([r.size, repr(r.bleu),
-                             "" if r.accuracy is None else repr(r.accuracy),
-                             r.malformed, r.n_windows])
+    _write_csv(table, evl.ROBUSTNESS_COLUMNS,
+               [[r.size, repr(r.bleu), "" if r.accuracy is None else repr(r.accuracy),
+                 r.malformed, r.n_windows] for r in rows])
     # per-sentence hypotheses for significance testing, from the decode
     # that the table's BLEU was computed from
     for r in rows:
-        (report_dir / f"hyps_{args.split}_k{r.size}.txt").write_text(_token_lines(r.hyps))
-    (report_dir / f"refs_{args.split}.txt").write_text(_token_lines(rows[0].refs))
-    summary = {
+        _write_lines(report_dir / f"hyps_{args.split}_k{r.size}.txt", map(" ".join, r.hyps))
+    _write_lines(report_dir / f"refs_{args.split}.txt", map(" ".join, rows[0].refs))
+    _write_json(report_dir / f"evaluate_{args.split}.json", {
         "checkpoint": str(ckpt_path),
         "split": args.split,
         "beam": args.beam,
         "alpha": args.alpha,
         "rows": [{k: getattr(r, k) for k in evl.ROBUSTNESS_COLUMNS} for r in rows],
-    }
-    (report_dir / f"evaluate_{args.split}.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True))
+    })
     for r in rows:
         acc = "" if r.accuracy is None else f" accuracy={r.accuracy:.2f}"
         print(f"size={r.size} bleu={r.bleu:.2f}{acc} malformed={r.malformed}/{r.n_windows}")
@@ -256,34 +270,24 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_contrastive(args) -> int:
-    run_dir = Path(args.run)
-    data = Path(args.data)
-    model, vocab, ckpt_path = _load_run(run_dir, args.checkpoint, data)
-    examples = corpus_mod.read_contrastive(data / f"contrastive_{args.split}.jsonl")
+    model, vocab, ckpt_path, report_dir = _open_run(args)
+    examples = corpus_mod.read_contrastive(Path(args.data) / f"contrastive_{args.split}.jsonl")
     if args.limit:
         examples = examples[:args.limit]
     results = evl.evaluate_contrastive(model, examples, vocab, mode=args.mode)
     results = sorted(results, key=lambda r: r.example_id)
     report = evl.aggregate(results, by=args.by)
 
-    report_dir = Path(args.report_dir) if args.report_dir else run_dir
     report_dir.mkdir(parents=True, exist_ok=True)
-    per_example = report_dir / f"contrastive_{args.split}_examples.csv"
-    with open(per_example, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["example_id", "chosen", "correct", "phenomenon",
-                         "distance", "scores"])
-        for r in results:
-            writer.writerow([r.example_id, r.chosen, int(r.correct), r.phenomenon,
-                             r.distance, ";".join(repr(s) for s in r.scores)])
-    per_category = report_dir / f"contrastive_{args.split}_categories.csv"
-    with open(per_category, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category", "accuracy", "n"])
-        for label, (acc, n) in report.per_category.items():
-            writer.writerow([label, repr(acc), n])
+    _write_csv(report_dir / f"contrastive_{args.split}_examples.csv",
+               ["example_id", "chosen", "correct", "phenomenon", "distance", "scores"],
+               [[r.example_id, r.chosen, int(r.correct), r.phenomenon, r.distance,
+                 ";".join(repr(s) for s in r.scores)] for r in results])
+    _write_csv(report_dir / f"contrastive_{args.split}_categories.csv",
+               ["category", "accuracy", "n"],
+               [[label, repr(acc), n] for label, (acc, n) in report.per_category.items()])
     overall = evl.overall_accuracy(results)
-    summary = {
+    _write_json(report_dir / f"contrastive_{args.split}.json", {
         "checkpoint": str(ckpt_path),
         "split": args.split,
         "mode": args.mode,
@@ -295,9 +299,7 @@ def cmd_contrastive(args) -> int:
         "per_category": {k: {"accuracy": a, "n": n}
                          for k, (a, n) in report.per_category.items()},
         "excluded": report.excluded,
-    }
-    (report_dir / f"contrastive_{args.split}.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True))
+    })
     print(f"overall accuracy: {overall:.2f} over {len(results)} examples")
     print(f"disc: {report.disc:.2f} disc_avg: {report.disc_avg:.2f} "
           f"disc_all_d: {report.disc_all_d if report.disc_all_d is None else round(report.disc_all_d, 2)}")
@@ -307,10 +309,9 @@ def cmd_contrastive(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    model, vocab, ckpt_path, report_dir = _open_run(args)
     run_dir = Path(args.run)
-    data = Path(args.data)
-    model, vocab, ckpt_path = _load_run(run_dir, args.checkpoint, data)
-    docs = corpus_mod.read_corpus(data / f"{args.split}.txt")
+    docs = corpus_mod.read_corpus(Path(args.data) / f"{args.split}.txt")
     k = args.k if args.k else model.config.window_size
     # score with the run's own label smoothing, so the losses compare with log.csv
     config_path = run_dir / "config.txt"
@@ -320,25 +321,23 @@ def cmd_diagnose(args) -> int:
 
     log_path = run_dir / "log.csv"
     series = read_log(log_path) if log_path.exists() else []
+    series = [{name: _or_null(value) for name, value in row.items()} for row in series]
 
-    report_dir = Path(args.report_dir) if args.report_dir else run_dir
     report_dir.mkdir(parents=True, exist_ok=True)
     ent_path = report_dir / f"entropies_{args.split}.csv"
-    ent_path.write_text("".join(repr(float(e)) + "\n" for e in diag.entropy_rows))
-    summary = {
+    _write_lines(ent_path, (repr(float(e)) for e in diag.entropy_rows))
+    _write_json(report_dir / f"diagnose_{args.split}.json", {
         "checkpoint": str(ckpt_path),
         "split": args.split,
         "attention_entropy": diag.attention_entropy,
         "attention_mass": diag.attention_mass,
         "dev_current_loss": diag.current_loss,
-        "dev_context_loss": None if math.isnan(diag.context_loss) else diag.context_loss,
-        "loss_ratio": diag.ratio,
+        "dev_context_loss": _or_null(diag.context_loss),
+        "loss_ratio": _or_null(diag.ratio),
         "n_windows": diag.n_windows,
         "series": series,
-    }
-    (report_dir / f"diagnose_{args.split}.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True))
-    print(f"attention entropy: {summary['attention_entropy']:.4f}")
+    })
+    print(f"attention entropy: {diag.attention_entropy:.4f}")
     print(f"attention mass on current sentence: {diag.attention_mass:.4f}")
     print(f"current loss: {diag.current_loss:.4f} ratio: {diag.ratio:.4f}")
     print(f"per-query entropies: {ent_path}")
@@ -401,7 +400,7 @@ def cmd_stats(args) -> int:
                    "bleu_b": evl.bleu_from_stats(stats_b)}
     else:
         raise UsageError(f"unknown test {args.test!r}")
-    print(json.dumps(payload, sort_keys=True))
+    print(_json_text(payload))
     return 0
 
 
@@ -420,6 +419,16 @@ def _add_config_flags(parser, exclude=()) -> None:
         if f.name not in ("data_dir", "out_dir", *exclude):
             parser.add_argument("--" + f.name.replace("_", "-"), type=types[f.type],
                                 default=None, dest=f.name)
+
+
+def _add_run_flags(parser, split: str, limit: int | None, help: str) -> None:
+    """The flags of the commands that read a trained run and write reports."""
+    parser.add_argument("--run", required=True)
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--checkpoint")
+    parser.add_argument("--split", choices=["dev", "test"], default=split)
+    parser.add_argument("--limit", type=int, default=limit, help=help)
+    parser.add_argument("--report-dir")
 
 
 def build_parser() -> _Parser:
@@ -451,36 +460,21 @@ def build_parser() -> _Parser:
     s.set_defaults(func=cmd_sweep)
 
     e = sub.add_parser("evaluate", help="BLEU and window-size robustness")
-    e.add_argument("--run", required=True)
-    e.add_argument("--data", required=True)
-    e.add_argument("--checkpoint")
-    e.add_argument("--split", choices=["dev", "test"], default="test")
+    _add_run_flags(e, "test", None, "cap the number of documents")
     e.add_argument("--window-sizes", help="comma-separated, e.g. 2,3,4")
     e.add_argument("--beam", type=int, default=4)
     e.add_argument("--alpha", type=float, default=0.6)
-    e.add_argument("--limit", type=int, help="cap the number of documents")
-    e.add_argument("--report-dir")
     e.set_defaults(func=cmd_evaluate)
 
     c = sub.add_parser("contrastive", help="accuracy on a contrastive set")
-    c.add_argument("--run", required=True)
-    c.add_argument("--data", required=True)
-    c.add_argument("--checkpoint")
-    c.add_argument("--split", choices=["dev", "test"], default="test")
+    _add_run_flags(c, "test", None, "cap the number of examples")
     c.add_argument("--mode", choices=["full", "current"], default="full")
     c.add_argument("--by", choices=["distance", "phenomenon"], default="distance")
-    c.add_argument("--limit", type=int)
-    c.add_argument("--report-dir")
     c.set_defaults(func=cmd_contrastive)
 
     d = sub.add_parser("diagnose", help="attention entropy, mass and loss ratio")
-    d.add_argument("--run", required=True)
-    d.add_argument("--data", required=True)
-    d.add_argument("--checkpoint")
-    d.add_argument("--split", choices=["dev", "test"], default="dev")
+    _add_run_flags(d, "dev", 200, "cap the number of windows")
     d.add_argument("--k", type=int, help="window size; defaults to the training size")
-    d.add_argument("--limit", type=int, default=200, help="cap the number of windows")
-    d.add_argument("--report-dir")
     d.set_defaults(func=cmd_diagnose)
 
     st = sub.add_parser("stats", help="significance tests between two result files")

@@ -174,14 +174,19 @@ def window_from_sentences(src_sentences: Sequence[Sequence[str]],
                   current_span=(current_start, len(tgt_ids)))
 
 
+def window_pairs(doc: Document, j: int, k: int):
+    """The (source, target) pairs of the size-``k`` window ending at sentence ``j``:
+    sentence j and up to k-1 sentences before it."""
+    return doc.sentences[max(0, j - k + 1):j + 1]
+
+
 def make_windows(doc: Document, k: int, vocab: Vocab) -> list[Window]:
     """One window per sentence j, holding min(k-1, j) preceding context sentences."""
     if k < 1:
         raise CorpusError(f"window size must be >= 1, got {k}")
     windows = []
     for j in range(len(doc.sentences)):
-        first = max(0, j - k + 1)
-        chunk = doc.sentences[first:j + 1]
+        chunk = window_pairs(doc, j, k)
         windows.append(window_from_sentences([s for s, _ in chunk], [t for _, t in chunk],
                                              vocab, doc_id=doc.doc_id, j=j))
     return windows
@@ -222,14 +227,9 @@ def compute_shift(strategy: str, corpus: Sequence[Document] | None = None,
 
 
 def write_corpus(path, docs: Iterable[Document]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        first = True
-        for doc in docs:
-            if not first:
-                fh.write("\n")
-            first = False
-            for src, tgt in doc.sentences:
-                fh.write(f"{' '.join(src)} ||| {' '.join(tgt)}\n")
+    text = "\n".join("".join(f"{' '.join(src)} ||| {' '.join(tgt)}\n"
+                             for src, tgt in doc.sentences) for doc in docs)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def read_corpus(path) -> list[Document]:
@@ -312,18 +312,16 @@ def _parse_window_text(text: str) -> tuple[tuple[str, ...], ...]:
 
 def write_contrastive(path, examples: Iterable[ContrastiveExample]) -> None:
     """One canonical JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            rec = {
-                "id": ex.example_id,
-                "doc": ex.doc_id,
-                "j": ex.j,
-                "src": _window_text(ex.src_sentences),
-                "candidates": [_window_text(c) for c in ex.candidates],
-                "phenomenon": ex.phenomenon,
-                "distance": ex.distance,
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    lines = (json.dumps({
+        "id": ex.example_id,
+        "doc": ex.doc_id,
+        "j": ex.j,
+        "src": _window_text(ex.src_sentences),
+        "candidates": [_window_text(c) for c in ex.candidates],
+        "phenomenon": ex.phenomenon,
+        "distance": ex.distance,
+    }, sort_keys=True, separators=(",", ":")) + "\n" for ex in examples)
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 def read_contrastive(path) -> list[ContrastiveExample]:
@@ -352,9 +350,7 @@ def rebuild_examples(examples: Iterable[ContrastiveExample],
     """
     rebuilt = []
     for ex in examples:
-        doc = docs[ex.doc_id]
-        first = max(0, ex.j - k + 1)
-        chunk = doc.sentences[first:ex.j + 1]
+        chunk = window_pairs(docs[ex.doc_id], ex.j, k)
         src_sents = tuple(s for s, _ in chunk)
         ref_tgt = tuple(t for _, t in chunk)
         old_ref_cur = ex.candidates[0][-1]

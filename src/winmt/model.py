@@ -48,6 +48,30 @@ class ModelError(ValueError):
     pass
 
 
+def check_model_settings(cfg) -> None:
+    """Raise ModelError naming the first invalid model setting of ``cfg``, a
+    ModelConfig or any object with its ``heads``, ``hidden``, ``dropout``,
+    ``position_scheme``, ``shift_strategy``, ``segment_variant`` and ``dtype``."""
+    if cfg.heads < 1 or cfg.hidden % cfg.heads:
+        raise ModelError(f"hidden {cfg.hidden} not divisible by heads {cfg.heads}")
+    if cfg.hidden < 2 or cfg.hidden % 2:
+        raise ModelError(f"hidden must be even and positive for the sinusoidal encodings, "
+                         f"got {cfg.hidden}")
+    if not 0.0 <= cfg.dropout < 1.0:
+        raise ModelError(f"dropout must be in [0, 1), got {cfg.dropout}")
+    for key, allowed in (("position_scheme", SCHEMES), ("segment_variant", SEGMENT_VARIANTS),
+                         ("dtype", DTYPES)):
+        if getattr(cfg, key) not in allowed:
+            raise ModelError(f"{key} must be one of {', '.join(allowed)}, "
+                             f"got {getattr(cfg, key)!r}")
+    if cfg.shift_strategy not in ("avg-corpus", "avg-sequence"):
+        try:
+            compute_shift(cfg.shift_strategy)
+        except ValueError as exc:  # CorpusError, or a non-integer fixed shift
+            raise ModelError(f"shift_strategy must be fixed:<n> with n >= 0, avg-corpus or "
+                             f"avg-sequence, got {cfg.shift_strategy!r}") from exc
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -67,16 +91,7 @@ class ModelConfig:
     vocab_digest: str = ""
 
     def __post_init__(self):
-        if self.hidden % self.heads != 0:
-            raise ModelError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.position_scheme not in SCHEMES:
-            raise ModelError(f"unknown position scheme {self.position_scheme!r}")
-        if self.segment_variant not in SEGMENT_VARIANTS:
-            raise ModelError(f"unknown segment variant {self.segment_variant!r}")
-        if self.dtype not in DTYPES:
-            raise ModelError(f"unknown dtype {self.dtype!r}")
+        check_model_settings(self)
 
     @property
     def np_dtype(self):

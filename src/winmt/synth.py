@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import ContrastiveExample, CorpusError, Document
+from .corpus import ContrastiveExample, CorpusError, Document, window_pairs
 from .rng import stream
 
 AMB = "amb"
@@ -128,8 +128,7 @@ def _flip(sentence: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _make_example(doc: Document, j: int, distance: int, k: int) -> ContrastiveExample:
-    first = max(0, j - k + 1)
-    chunk = doc.sentences[first:j + 1]
+    chunk = window_pairs(doc, j, k)
     ref = tuple(t for _, t in chunk)
     distractor = ref[:-1] + (_flip(ref[-1]),)
     return ContrastiveExample(

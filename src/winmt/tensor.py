@@ -139,34 +139,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_const(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_const(self, -other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return mul_const(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        return mul_const(self, 1.0 / other)
-
-    def __neg__(self) -> "Tensor":
-        return mul_const(self, -1.0)
-
 
 def _emit(data: np.ndarray, parents: tuple, backward_fn: Callable) -> Tensor:
     out = Tensor(data)

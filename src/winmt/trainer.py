@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -22,10 +22,9 @@ from .corpus import (Document, Vocab, Window, compute_shift, make_windows,
                      read_contrastive, read_corpus)
 from .evaluation import (attention_entropy_rows, current_attention_mass,
                          evaluate_contrastive, overall_accuracy)
-from .model import DTYPES, ModelConfig, TransformerModel, build_batch
+from .model import ModelConfig, ModelError, TransformerModel, build_batch, check_model_settings
 from .objective import (loss_ratio, masked_discounted_loss, normalized_training_loss,
                         smoothed_nll)
-from .positions import SCHEMES, SEGMENT_VARIANTS
 from .rng import stream
 from .tensor import Graph, Tensor, backward, record
 
@@ -97,11 +96,10 @@ class TrainConfig:
             raise ConfigError(f"batch_tokens must be >= 1, got {self.batch_tokens}")
         if not 0.0 <= self.cd <= 1.0:
             raise ConfigError(f"cd must be in [0, 1], got {self.cd}")
-        for key, allowed in (("position_scheme", SCHEMES), ("segment_variant", SEGMENT_VARIANTS),
-                             ("dtype", DTYPES)):
-            if getattr(self, key) not in allowed:
-                raise ConfigError(f"{key} must be one of {', '.join(allowed)}, "
-                                  f"got {getattr(self, key)!r}")
+        try:
+            check_model_settings(self)
+        except ModelError as exc:
+            raise ConfigError(str(exc)) from None
 
     def scale(self) -> float:
         if self.lr_scale > 0:
@@ -309,6 +307,23 @@ def _float_repr(x: float) -> str:
     return repr(float(x))
 
 
+@dataclass
+class Progress:
+    """Where a run stands; ``trainer_state.json`` holds exactly these fields."""
+
+    step: int = 0
+    epoch: int = 0
+    batch_idx: int = 0  # batches of ``epoch`` already trained on
+    best: float = math.inf  # lowest dev current loss so far
+    best_step: int = -1
+    bad: int = 0  # validations since the best one
+    saved: list[int] = field(default_factory=list)  # steps with a kept checkpoint
+    stopped: bool = False  # early-stopped: ``bad`` reached the patience
+
+    def save(self, path: Path) -> None:
+        ckpt.write_atomic(path, json.dumps(asdict(self), indent=0, sort_keys=True).encode())
+
+
 class Trainer:
     def __init__(self, config: TrainConfig):
         self.cfg = config
@@ -406,8 +421,9 @@ class Trainer:
         cfg = self.cfg
         log_path = self.run_dir / "log.csv"
         state_path = self.run_dir / "trainer_state.json"
-        state = json.loads(state_path.read_text()) if resume and state_path.exists() else None
-        if state is not None:
+        rec = Progress()
+        if resume and state_path.exists():
+            state = json.loads(state_path.read_text())
             # the run's record stays as it is unless this is the same model
             params, stored, _ = ckpt.load_checkpoint(self._checkpoint_path(state["step"]))
             built = self.model_config.to_dict()
@@ -417,94 +433,58 @@ class Trainer:
             if differ:
                 raise ConfigError(f"cannot resume {self.run_dir}: its model config differs "
                                   f"in {', '.join(differ)}")
+            rec = Progress(**state)
+            for name, p in self.model.params.items():
+                p.data = params[name].copy()
+            self.opt.load_state(params, t=rec.step)
+        else:
+            ckpt.write_atomic(log_path, (",".join(LOG_COLUMNS) + "\n").encode())
         self.vocab.save(self.run_dir / "vocab.json")
         ckpt.write_atomic(self.run_dir / "config.txt", config_to_text(cfg).encode())
 
-        step = 0
-        epoch = 0
-        batch_idx = 0
-        best = math.inf
-        best_step = -1
-        bad = 0
-        saved: list[int] = []
-        early_stopped = False
-        hit_cap = False
-
-        if state is not None:
-            step, epoch, batch_idx = state["step"], state["epoch"], state["batch_idx"]
-            best, best_step, bad = state["best"], state["best_step"], state["bad"]
-            saved = list(state["saved"])
-            early_stopped = state.get("stopped", False)
-            for name, p in self.model.params.items():
-                p.data = params[name].copy()
-            self.opt.load_state(params, t=step)
-        else:
-            ckpt.write_atomic(log_path, (",".join(LOG_COLUMNS) + "\n").encode())
-
-        def validate() -> float:
-            """Validate, append a row to the log and return the dev current loss."""
+        def validate() -> None:
+            """Validate, log, checkpoint, track the best dev current loss and save ``rec``."""
             cur, ctx, ratio = self._validate()
-            line = ",".join([str(epoch), str(step), _float_repr(cur), _float_repr(ctx),
+            line = ",".join([str(rec.epoch), str(rec.step), _float_repr(cur), _float_repr(ctx),
                              _float_repr(ratio), _float_repr(cfg.cd)]) + "\n"
             ckpt.write_atomic(log_path, log_path.read_bytes() + line.encode())
-            return cur
+            self._save_checkpoint(rec.step)
+            rec.saved.append(rec.step)
+            if cur < rec.best:
+                rec.best, rec.best_step, rec.bad = cur, rec.step, 0
+            else:
+                rec.bad += 1
+            rec.saved = self._prune_checkpoints(rec.saved, rec.best_step)
+            rec.stopped = rec.bad >= cfg.patience
+            rec.save(state_path)
 
-        def write_state():
-            ckpt.write_atomic(state_path, json.dumps({
-                "step": step, "epoch": epoch, "batch_idx": batch_idx,
-                "best": best, "best_step": best_step, "bad": bad,
-                "saved": saved, "stopped": early_stopped}, indent=0, sort_keys=True).encode())
-
-        while not early_stopped and not hit_cap and epoch < cfg.max_epochs:
-            batches = self._epoch_batches(epoch)
-            if batch_idx >= len(batches):
-                epoch += 1
-                batch_idx = 0
-                continue
-            for i in range(batch_idx, len(batches)):
-                step += 1
-                batch_idx = i + 1
-                self._train_step(batches[i], step)
-                if step % cfg.val_interval == 0:
-                    cur = validate()
-                    self._save_checkpoint(step)
-                    saved.append(step)
-                    if cur < best:
-                        best, best_step, bad = cur, step, 0
-                    else:
-                        bad += 1
-                    saved = self._prune_checkpoints(saved, best_step)
-                    if bad >= cfg.patience:
-                        early_stopped = True
-                    write_state()
-                    if early_stopped:
-                        break
-                if cfg.max_steps and step >= cfg.max_steps:
-                    hit_cap = True
+        hit_cap = False
+        while not (rec.stopped or hit_cap) and rec.epoch < cfg.max_epochs:
+            for batch in self._epoch_batches(rec.epoch)[rec.batch_idx:]:
+                rec.step += 1
+                rec.batch_idx += 1
+                self._train_step(batch, rec.step)
+                if rec.step % cfg.val_interval == 0:
+                    validate()
+                hit_cap = bool(cfg.max_steps) and rec.step >= cfg.max_steps
+                if rec.stopped or hit_cap:
                     break
             else:
-                epoch += 1
-                batch_idx = 0
-                continue
-            break
+                rec.epoch += 1
+                rec.batch_idx = 0
 
-        if best_step < 0:
-            # no validation happened: checkpoint the final state as best
-            validate()
-            self._save_checkpoint(max(step, 1))
-            saved.append(max(step, 1))
-            best_step = max(step, 1)
-        write_state()
+        if rec.best_step < 0:
+            validate()  # no validation happened: the final state is the best
+        rec.save(state_path)
 
-        by_distance = sorted(saved, key=lambda s: (abs(s - best_step), s))
+        by_distance = sorted(rec.saved, key=lambda s: (abs(s - rec.best_step), s))
         to_average = sorted(by_distance[:max(1, cfg.ckpt_avg)])
         avg_path = self.run_dir / "ckpt_avg.bin"
         ckpt.average_checkpoints([self._checkpoint_path(s) for s in to_average], avg_path)
-        best_path = self._checkpoint_path(best_step)
-        return TrainResult(run_dir=self.run_dir, best_step=best_step,
-                           best_checkpoint=best_path, averaged_checkpoint=avg_path,
-                           log_path=log_path, stopped_early=early_stopped,
-                           final_step=step)
+        return TrainResult(run_dir=self.run_dir, best_step=rec.best_step,
+                           best_checkpoint=self._checkpoint_path(rec.best_step),
+                           averaged_checkpoint=avg_path, log_path=log_path,
+                           stopped_early=rec.stopped, final_step=rec.step)
 
 
 def train(config: TrainConfig, resume: bool = False) -> TrainResult:

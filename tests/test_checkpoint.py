@@ -1,4 +1,6 @@
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,3 +143,50 @@ def test_failed_write_keeps_old_file(tmp_path, params, monkeypatch, target):
             ckpt.save_checkpoint(path, {k: v + 1 for k, v in params.items()}, {"v": 2})
     assert path.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, other.name])
+
+
+def file_writes(tree: ast.AST):
+    """(enclosing function, line) of each call in ``tree`` that writes a file:
+    ``open`` or ``.open`` with a mode other than a read-only constant,
+    ``.write_text``, ``.write_bytes`` and ``json.dump``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "open":
+                # builtin open(file, mode), method path.open(mode)
+                pos = 1 if isinstance(f, ast.Name) else 0
+                mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                            node.args[pos] if len(node.args) > pos else ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt")):
+                    found.append((function, node.lineno))
+            elif name in ("write_text", "write_bytes") or (
+                    name == "dump" and isinstance(f.value, ast.Name) and f.value.id == "json"):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_write_atomic_writes_files():
+    src = Path(ckpt.__file__).parent
+    writes = {f"{path.name}:{function}:{line}"
+              for path in sorted(src.glob("*.py"))
+              for function, line in file_writes(ast.parse(path.read_text()))}
+    atomic = {w for w in writes if w.startswith("checkpoint.py:write_atomic:")}
+    assert len(atomic) == 1  # the one open(tmp, "wb") behind every file winmt writes
+    assert writes == atomic
+
+
+def test_file_write_finder_sees_each_kind():
+    tree = ast.parse("def f(p, q, d):\n"
+                     "    open(p, 'w'); open(p, mode='ab'); p.open('w'); open(p, q)\n"
+                     "    p.write_text('x'); p.write_bytes(b'x'); json.dump(d, p)\n"
+                     "    open(p); open(p, 'rb'); p.open(); p.read_text(); json.dumps(d)\n")
+    assert [line for _, line in file_writes(tree)] == [2] * 4 + [3] * 3

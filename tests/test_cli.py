@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from winmt import checkpoint as ckpt
 from winmt.cli import main
 from winmt.corpus import Vocab, read_corpus
 from winmt.evaluation import bleu, extract_current
 from winmt.model import TransformerModel
+from winmt.trainer import read_log
 
 
 def run_cli(*argv):
@@ -224,7 +226,7 @@ class TestDiagnose:
         # at K=1 no window has context, so the ratio is undefined
         assert run_cli("diagnose", "--run", run_dir, "--data", data_dir, "--split", "dev",
                        "--limit", "10", "--k", "1", "--report-dir", tmp_path) == 0
-        assert math.isnan(json.loads((tmp_path / "diagnose_dev.json").read_text())["loss_ratio"])
+        assert json.loads((tmp_path / "diagnose_dev.json").read_text())["loss_ratio"] is None
 
     def test_current_loss_uses_the_runs_label_smoothing(self, data_dir, tmp_path):
         out = tmp_path / "ls0"
@@ -336,12 +338,82 @@ class TestSweep:
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_unknown_position_scheme_is_config_error(command, data_dir, tmp_path, capsys):
-    code = run_cli(command, "--data", data_dir, "--out", tmp_path / "x",
-                   "--position-scheme", "spiral")
-    assert code == 1
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "ConfigError"
-    assert "spiral" in err["message"]
+    # every bad model setting fails before the output directory is touched
+    for flags, named in ((["--position-scheme", "spiral"], "spiral"),
+                         (["--shift-strategy", "bogus"], "bogus"),
+                         (["--position-scheme", "shifted", "--shift-strategy", "bogus"], "bogus"),
+                         (["--shift-strategy", "fixed:-1"], "fixed:-1"),
+                         (["--hidden", "9", "--heads", "3"], "even"),
+                         (["--hidden", "130", "--heads", "4"], "divisible")):
+        out = tmp_path / "x"
+        code = run_cli(command, "--data", data_dir, "--out", out, *flags)
+        assert code == 1, flags
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert named in err["message"]
+        assert not out.exists(), flags
+
+
+def strict_json(text: str):
+    """Parse JSON, failing on the NaN and Infinity tokens that Python accepts."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_json_output_is_strict(data_dir, run_dir, tmp_path, capsys):
+    reports = tmp_path / "reports"
+    assert run_cli("evaluate", "--run", run_dir, "--data", data_dir, "--limit", "2",
+                   "--beam", "2", "--report-dir", reports / "ev") == 0
+    assert run_cli("contrastive", "--run", run_dir, "--data", data_dir,
+                   "--report-dir", reports / "con") == 0
+    assert run_cli("diagnose", "--run", run_dir, "--data", data_dir, "--limit", "10",
+                   "--report-dir", reports / "diag") == 0
+    # at K=1 no window has context: the undefined figures are null
+    assert run_cli("diagnose", "--run", run_dir, "--data", data_dir, "--limit", "10",
+                   "--k", "1", "--report-dir", reports / "diag1") == 0
+    k1 = strict_json((reports / "diag1" / "diagnose_dev.json").read_text())
+    assert k1["loss_ratio"] is None and k1["dev_context_loss"] is None
+    examples = reports / "con" / "contrastive_test_examples.csv"
+    capsys.readouterr()
+    assert run_cli("stats", "--test", "mcnemar", "--a", examples, "--b", examples) == 0
+    strict_json(capsys.readouterr().out)
+    # a run too short for an interval validation: its final validation is its best
+    short = tmp_path / "short"
+    assert run_cli("train", "--data", data_dir, "--out", short, "--seed", "3", "--k", "1",
+                   "--hidden", "16", "--ffn", "32", "--heads", "2", "--layers", "1",
+                   "--warmup", "10", "--max-steps", "3", "--batch-tokens", "256") == 0
+    state = strict_json((short / "trainer_state.json").read_text())
+    (logged,) = read_log(short / "log.csv")
+    assert state["best"] == logged["current_loss"] and state["best_step"] == 3
+    # at K=1 the logged context loss and ratio are NaN; the diagnose series holds null
+    assert math.isnan(logged["ratio"])
+    assert run_cli("diagnose", "--run", short, "--data", data_dir, "--limit", "10",
+                   "--report-dir", reports / "diag_short") == 0
+    (row,) = strict_json((reports / "diag_short" / "diagnose_dev.json").read_text())["series"]
+    assert row["ratio"] is None and row["current_loss"] == logged["current_loss"]
+    written = [*reports.rglob("*.json"), *data_dir.glob("*.json"), *run_dir.glob("*.json"),
+               *short.glob("*.json")]
+    assert len(written) >= 9
+    for path in written:
+        strict_json(path.read_text())
+
+
+def test_failed_report_write_keeps_earlier_report(data_dir, run_dir, tmp_path, monkeypatch,
+                                                  capsys):
+    report = tmp_path / "report"
+    assert run_cli("contrastive", "--run", run_dir, "--data", data_dir,
+                   "--report-dir", report) == 0
+    before = {p.name: p.read_bytes() for p in report.iterdir()}
+
+    def failing(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ckpt.os, "replace", failing)
+    assert run_cli("contrastive", "--run", run_dir, "--data", data_dir, "--mode", "current",
+                   "--report-dir", report) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in report.iterdir()} == before
 
 
 def test_usage_error_exit_code():

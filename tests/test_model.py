@@ -21,6 +21,21 @@ def setup():
     return docs, vocab, windows, M.TransformerModel(config, seed=1)
 
 
+@pytest.mark.parametrize("change, named", [
+    (dict(hidden=30, heads=4), "divisible"),
+    (dict(hidden=9, heads=3), "even"),
+    (dict(dropout=1.0), "dropout"),
+    (dict(position_scheme="spiral"), "spiral"),
+    (dict(segment_variant="cos"), "cos"),
+    (dict(dtype="float16"), "float16"),
+    (dict(shift_strategy="fixed:x"), "fixed:x"),
+    (dict(shift_strategy="avg"), "avg"),
+])
+def test_bad_model_settings_rejected(change, named):
+    with pytest.raises(M.ModelError, match=named):
+        M.ModelConfig(vocab_size=8, **change)
+
+
 def test_log_prob_rows_sum_to_one(setup):
     _, _, windows, model = setup
     batch = M.build_batch(windows[:6], model.config)
