@@ -16,6 +16,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -69,8 +71,18 @@ def _write_lines(path: Path, lines) -> None:
     ckpt.write_atomic(path, "".join(line + "\n" for line in lines).encode())
 
 
+def _environment(kept_freed_memory: bool) -> dict:
+    """What a run's speed depends on outside its inputs: the allocator policy,
+    the numpy and Python versions and the BLAS thread settings."""
+    return {"keep_freed_memory": kept_freed_memory,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            **{name: os.environ.get(name)
+               for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, seed,
-                    inputs: list[Path], outputs: list[Path]) -> None:
+                    inputs: list[Path], outputs: list[Path], environment: dict) -> None:
     _write_json(out_dir / "manifest.json", {
         "command": command,
         "config": config,
@@ -78,6 +90,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed,
         "inputs": {str(p): _digest(p) for p in inputs if p.exists()},
         "outputs": [str(p) for p in outputs],
         "version": __version__,
+        "environment": environment,
     })
 
 
@@ -141,8 +154,8 @@ def cmd_gen_data(args) -> int:
                           ("contrastive_test.jsonl", test_examples)):
         corpus_mod.write_contrastive(out_dir / name, payload)
         outputs.append(out_dir / name)
-    flags = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_manifest(out_dir, "gen-data", flags, args.seed, [], outputs)
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "environment")}
+    _write_manifest(out_dir, "gen-data", flags, args.seed, [], outputs, args.environment)
     print(f"documents: train={len(train_docs)} dev={len(dev_docs)} test={len(test_docs)}")
     print(f"contrastive examples: dev={len(dev_examples)} test={len(test_examples)}")
     inter = sum(1 for e in examples if e.distance >= 1)
@@ -165,27 +178,29 @@ def _train_config_from_args(args) -> TrainConfig:
     return config
 
 
-def _keep_freed_memory() -> None:
-    """Keep freed heap memory in the process rather than handing it back.
+def _keep_freed_memory() -> bool:
+    """Keep freed heap memory in the process rather than handing it back;
+    True when glibc took both settings.
 
     By default glibc serves each array above an adaptive size threshold
     from a fresh mapping and returns the free top of the heap to the
-    kernel. A training step frees its activations when it ends, so the
-    next step faults the same pages in again: 2.2-2.5 s of system time in
-    60 steps of the default model (2-vCPU Xeon guest), against 0.2 s with
-    fixed thresholds that keep arrays of up to 32 MiB on the heap and up
-    to 256 MiB of freed heap mapped. Only the training commands set it:
-    under ``winmt evaluate`` it raised peak memory by about 9 %. Without
-    glibc this does nothing.
+    kernel, so every array a loop frees is faulted in again by the next
+    pass. Fixed thresholds keep arrays of up to 32 MiB on the heap and up
+    to 256 MiB of freed heap mapped. Over 60 steps of the default model
+    that cut system time from 2.2-2.5 s to 0.2 s (2-vCPU Xeon guest); on
+    the 90-document seed-1013 evaluation slice, with decode's caches made
+    by ``np.empty`` at the size the search uses, minor faults fell from
+    about 200 k to 16 k and peak memory from 67 to 53 MiB. Without glibc
+    this does nothing and returns False.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # no glibc: macOS, Windows
-        return
+        return False
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    kept = mallopt(-3, 32 << 20) == 1  # M_MMAP_THRESHOLD
+    return mallopt(-1, 256 << 20) == 1 and kept  # M_TRIM_THRESHOLD
 
 
 def cmd_train(args) -> int:
@@ -193,12 +208,12 @@ def cmd_train(args) -> int:
     out_dir = Path(config.out_dir)
     if not args.resume:
         _require_empty(out_dir, args.force)
-    _keep_freed_memory()
     result = train(config, resume=args.resume)
     data = Path(config.data_dir)
     _write_manifest(out_dir, "train", asdict(config), config.seed,
                     [data / "train.txt", data / "dev.txt"],
-                    [result.averaged_checkpoint, result.best_checkpoint, result.log_path])
+                    [result.averaged_checkpoint, result.best_checkpoint, result.log_path],
+                    args.environment)
     model = TransformerModel.load(result.averaged_checkpoint)
     if model.config.position_scheme == "shifted" and model.config.shift_value is not None:
         print(f"segment shift: {model.config.shift_value} "
@@ -215,13 +230,12 @@ def cmd_sweep(args) -> int:
     _require_empty(out_dir, args.force)
     out_dir.mkdir(parents=True, exist_ok=True)
     values = [float(v) for v in args.cd_values.split(",")] if args.cd_values else list(DEFAULT_SWEEP)
-    _keep_freed_memory()
     rows = cd_sweep(config, values)
     table = out_dir / "sweep.csv"
     cols = ["cd", "best_dev_current_loss", "contrastive_accuracy", "attention_mass",
             "attention_entropy", "run_dir", "error"]
     _write_csv(table, cols, [[row.get(k, "") for k in cols] for row in rows])
-    _write_manifest(out_dir, "sweep", asdict(config), config.seed, [], [table])
+    _write_manifest(out_dir, "sweep", asdict(config), config.seed, [], [table], args.environment)
     for row in rows:
         print(row)
     print(f"sweep table: {table}")
@@ -493,6 +507,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.environment = _environment(_keep_freed_memory())
         return args.func(args)
     except (UsageError, ConfigError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

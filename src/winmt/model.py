@@ -42,6 +42,7 @@ from .tensor import (Tensor, add, add_const, attention, copy_rows, dropout, embe
 
 NEG_INF = -np.inf
 DTYPES = ("float32", "float64")
+CACHE_STEPS = 32  # first capacity of decode's self-attention caches; it doubles when reached
 
 
 class ModelError(ValueError):
@@ -271,16 +272,22 @@ def _key_mask(valid: np.ndarray, dtype) -> np.ndarray:
     return np.where(valid > 0, 0.0, NEG_INF).astype(dtype)
 
 
-def _take_rows(cache: np.ndarray, idx: np.ndarray, filled: int) -> np.ndarray:
-    """Rows ``idx`` of a (rows, steps, hidden) cache whose first ``filled``
-    steps are written; only that prefix is copied."""
-    if len(idx) == len(cache):
-        if not np.array_equal(idx, np.arange(len(idx))):
-            cache[:, :filled] = cache[idx, :filled]
+def _keep_rows(cache: np.ndarray, rows: np.ndarray, filled: int, limit: int) -> np.ndarray:
+    """A (rows, capacity, hidden) self-attention cache of a beam search whose
+    first rows hold rows ``rows`` of ``cache``, over the ``filled`` steps
+    written so far, with room for the next step.
+
+    The rows are gathered in place, and not at all when they stay where
+    they are. A full cache is made again twice as long (at most ``limit``
+    steps) and for the rows still in use only.
+    """
+    if not np.array_equal(rows, np.arange(len(rows))):
+        cache[:len(rows), :filled] = cache[rows, :filled]
+    if filled < cache.shape[1]:
         return cache
-    out = np.empty((len(idx),) + cache.shape[1:], dtype=cache.dtype)
-    out[:, :filled] = cache[idx, :filled]
-    return out
+    grown = np.empty((len(rows), min(2 * filled, limit)) + cache.shape[2:], cache.dtype)
+    grown[:, :filled] = cache[:len(rows)]
+    return grown
 
 
 def _top_candidates(scores: np.ndarray, k: int) -> np.ndarray:
@@ -562,15 +569,18 @@ class TransformerModel:
                  for i in range(cfg.layers)}
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         shifts = np.repeat(batch.shifts, beam)
-        shape = (b * beam, t_cap, cfg.hidden)
-        caches = {f"dec{i}.self": [np.zeros(shape, cfg.np_dtype), np.zeros(shape, cfg.np_dtype)]
+        # each cache holds the rows in use first and the steps written first;
+        # np.empty, as only that part is read
+        shape = (b * beam, min(t_cap, CACHE_STEPS), cfg.hidden)
+        caches = {f"dec{i}.self": [np.empty(shape, cfg.np_dtype), np.empty(shape, cfg.np_dtype)]
                   for i in range(cfg.layers)}
 
         def self_kv(name, h):
             # this step's keys/values go into the cache; attend to its filled prefix
+            m = len(h.data)
             for cache, new in zip(caches[name], self._kv(name, h)):
-                cache[:, t] = new.data[:, 0]
-            return tuple(Tensor(cache[:, :t + 1]) for cache in caches[name])
+                cache[:m, t] = new.data[:, 0]
+            return tuple(Tensor(cache[:m, :t + 1]) for cache in caches[name])
 
         live = np.arange(b)  # the window behind each group of `beam` rows
         tokens = np.full((b * beam, t_cap + 1), PAD_ID, dtype=np.int64)
@@ -651,7 +661,7 @@ class TransformerModel:
                          for name, (k, v) in cross.items()}
                 gather = reorder[kept]
             for cache in caches.values():
-                cache[:] = [_take_rows(c, gather, t + 1) for c in cache]
+                cache[:] = [_keep_rows(c, gather, t + 1, t_cap) for c in cache]
 
         return [ids[ids != PAD_ID].tolist() or [EOS_ID] for ids in best_ids]
 

@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from winmt import checkpoint as ckpt
+from winmt import cli
 from winmt.cli import main
 from winmt.corpus import Vocab, read_corpus
 from winmt.evaluation import bleu, extract_current
@@ -45,6 +49,11 @@ class TestGenData:
         manifest = json.loads((data_dir / "manifest.json").read_text())
         assert manifest["command"] == "gen-data"
         assert manifest["seed"] == 7
+        threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        assert manifest["environment"] == {
+            "keep_freed_memory": platform.libc_ver()[0] == "glibc",
+            "numpy": np.__version__, "python": platform.python_version(),
+            **{name: os.environ.get(name) for name in threads}}
 
     def test_same_seed_identical_files(self, data_dir, tmp_path):
         other = tmp_path / "again"
@@ -75,10 +84,13 @@ class TestGenData:
 
 
 class TestTrain:
-    def test_run_dir_contents(self, run_dir):
+    def test_run_dir_contents(self, data_dir, run_dir):
         names = {p.name for p in run_dir.iterdir()}
         assert {"manifest.json", "config.txt", "vocab.json", "log.csv",
                 "ckpt_avg.bin", "trainer_state.json", "checkpoints"} <= names
+        environment = [json.loads((d / "manifest.json").read_text())["environment"]
+                       for d in (data_dir, run_dir)]
+        assert environment[0] == environment[1]
 
     def test_invalid_config_key_lists_valid(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -414,6 +426,30 @@ def test_failed_report_write_keeps_earlier_report(data_dir, run_dir, tmp_path, m
                    "--report-dir", report) == 2
     assert "disk full" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in report.iterdir()} == before
+
+
+def test_every_command_sets_the_allocator_policy_once(run_dir, tmp_path, monkeypatch):
+    # a command that skipped it would run on glibc's faulting default; the
+    # manifest records what the call returned
+    calls = []
+
+    def refused():
+        calls.append(1)
+        return False
+
+    monkeypatch.setattr(cli, "_keep_freed_memory", refused)
+    data, reports = tmp_path / "data", tmp_path / "reports"
+    hyps = reports / "hyps_test_k2.txt"
+    for argv in (["gen-data", "--out", data, "--seed", "7", "--docs", "20", "--vocab-size", "32"],
+                 ["evaluate", "--run", run_dir, "--data", data, "--limit", "2", "--beam", "2",
+                  "--report-dir", reports],
+                 ["stats", "--test", "ar-bleu", "--a", hyps, "--b", hyps,
+                  "--refs", reports / "refs_test.txt", "--permutations", "10"]):
+        calls.clear()
+        assert run_cli(*argv) == 0, argv[0]
+        assert len(calls) == 1, argv[0]
+    manifest = json.loads((data / "manifest.json").read_text())
+    assert manifest["environment"]["keep_freed_memory"] is False
 
 
 def test_usage_error_exit_code():

@@ -320,6 +320,11 @@ def test_training_step_records_each_attention_as_one_node(setup):
     assert ops.count("attention") == 6
 
 
+# (model variant, beam) of the beam_reference comparisons
+REFERENCE_CASES = [("setup", 2), ("setup", 4), ("eos-biased", 2), ("eos-biased", 4),
+                   ("two-word", 5)]
+
+
 class TestBeamSearch:
     def test_length_penalty_value(self):
         # lp(7) with alpha 0.6 is (12/6)^0.6
@@ -399,8 +404,7 @@ class TestBeamSearch:
         assert any(ended) and not all(ended)
         assert all(len(h) == cap for h, cap, e in zip(together, caps, ended) if not e)
 
-    @pytest.mark.parametrize("variant,beam", [("setup", 2), ("setup", 4), ("eos-biased", 2),
-                                              ("eos-biased", 4), ("two-word", 5)])
+    @pytest.mark.parametrize("variant,beam", REFERENCE_CASES)
     @pytest.mark.parametrize("max_len", [None, 3])
     def test_decode_equals_beam_reference(self, setup, variant, beam, max_len):
         docs, vocab, windows, model = setup
@@ -421,6 +425,17 @@ class TestBeamSearch:
         # the stop at `beam` finished ones and the cap rule show in the result
         got = model.decode(subset, beam=beam, alpha=1.5, max_len=max_len)
         assert got == [beam_reference(model, w, beam, 1.5, max_len) for w in subset]
+
+    def test_cache_growth_keeps_decode_equal_to_its_references(self, setup, monkeypatch):
+        # from a capacity of one step the self-attention caches double at
+        # steps 1, 2, 4, ... up to the length cap, also while windows leave
+        # the batch; at the default capacity only searches of more than 32
+        # steps grow, and none under max_len 3
+        monkeypatch.setattr(M, "CACHE_STEPS", 1)
+        for max_len in (None, 3):
+            self.test_batched_decode_matches_single_as_windows_finish(setup, max_len)
+            for variant, beam in REFERENCE_CASES:
+                self.test_decode_equals_beam_reference(setup, variant, beam, max_len)
 
 
 def eos_biased(model):
