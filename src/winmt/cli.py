@@ -71,11 +71,22 @@ def _write_lines(path: Path, lines) -> None:
     ckpt.write_atomic(path, "".join(line + "\n" for line in lines).encode())
 
 
+def _blas() -> dict | None:
+    """Name and version of the BLAS library numpy was built with; None where
+    numpy does not report them (``show_config`` has no ``mode`` before 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _environment(kept_freed_memory: bool) -> dict:
     """What a run's speed depends on outside its inputs: the allocator policy,
-    the numpy and Python versions and the BLAS thread settings."""
+    the numpy and Python versions, the BLAS library and its thread settings."""
     return {"keep_freed_memory": kept_freed_memory,
             "numpy": np.__version__,
+            "blas": _blas(),
             "python": platform.python_version(),
             **{name: os.environ.get(name)
                for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}}
@@ -339,7 +350,7 @@ def cmd_diagnose(args) -> int:
 
     report_dir.mkdir(parents=True, exist_ok=True)
     ent_path = report_dir / f"entropies_{args.split}.csv"
-    _write_lines(ent_path, (repr(float(e)) for e in diag.entropy_rows))
+    _write_lines(ent_path, map(repr, diag.entropy_rows.tolist()))
     _write_json(report_dir / f"diagnose_{args.split}.json", {
         "checkpoint": str(ckpt_path),
         "split": args.split,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -27,8 +28,11 @@ class CorpusError(ValueError):
 
 
 def tokenize(text: str) -> list[str]:
-    """Whitespace tokenization; pre-tokenized text passes through unchanged."""
-    return text.split()
+    """Whitespace tokenization; pre-tokenized text passes through unchanged.
+
+    Tokens are interned, so a corpus holds one string per token type.
+    """
+    return list(map(sys.intern, text.split()))
 
 
 @dataclass(frozen=True)

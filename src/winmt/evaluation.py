@@ -253,16 +253,27 @@ def _validate_rows(weights: np.ndarray) -> None:
 
 
 def attention_entropy_rows(records: Iterable[AttentionRecord]) -> np.ndarray:
-    """Per-query entropies over all records, in deterministic record order."""
-    rows = []
-    for rec in records:
-        _validate_rows(rec.weights)
-        w = rec.weights
-        ent = -np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0), axis=-1)
-        rows.append(ent)
-    if not rows:
+    """Per-query entropies over all records, in deterministic record order.
+
+    Records with the same number of keys are stacked and reduced together;
+    each row is still summed over exactly its own keys.
+    """
+    weights = [rec.weights for rec in records]
+    if not weights:
         raise EvalError("no attention records")
-    return np.concatenate(rows)
+    # the key count of every row, in record order
+    row_keys = np.repeat([w.shape[-1] for w in weights], [w.shape[0] for w in weights])
+    groups = []
+    for keys in np.unique(row_keys):
+        w = np.concatenate([x for x in weights if x.shape[-1] == keys])
+        _validate_rows(w)
+        groups.append(-np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0),
+                              axis=-1))
+    # the groups hold the rows in order of key count, then of record
+    grouped = np.concatenate(groups)
+    rows = np.empty_like(grouped)
+    rows[np.argsort(row_keys, kind="stable")] = grouped
+    return rows
 
 
 def attention_entropy(records: Iterable[AttentionRecord]) -> float:

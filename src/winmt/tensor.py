@@ -10,9 +10,10 @@ stacked rows in one GEMM) and ``attention`` (scaled, masked, softmaxed
 and dropped-out scores applied to values, over hidden-width rows that
 the op splits into heads and merges back).
 Ops recorded while a Graph is active build a tape in forward order;
-``backward`` walks it in exact reverse and accumulates a gradient onto
-every tensor reachable from the loss, parameters and intermediates
-alike. Outside a recording context the same ops run as plain numpy.
+``backward`` walks it in exact reverse, dropping each node once it has
+run, and accumulates a gradient onto every tensor reachable from the
+loss: leaves and the intermediates the caller holds keep theirs. Outside
+a recording context the same ops run as plain numpy.
 """
 
 from __future__ import annotations
@@ -160,7 +161,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) onto every tensor t reachable from ``loss``."""
+    """Accumulate d(loss)/d(t) onto every tensor t reachable from ``loss``.
+
+    The walk consumes the tape: it pops the nodes in reverse order and drops
+    each one once its backward function has run. Reference counting then
+    frees the node's saved activations, and its output tensor with that
+    tensor's gradient, unless the caller still holds the tensor. Leaves and
+    held tensors keep their gradients.
+    """
     if loss.data.shape != ():
         raise GraphError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
     graph = loss.graph
@@ -170,20 +178,22 @@ def backward(loss: Tensor) -> None:
         raise GraphError("backward() already ran on this graph; run a new forward pass")
     graph.consumed = True
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    for node in reversed(graph.nodes):
-        out_grad = node.tensor.grad
-        if out_grad is None:
-            continue
-        for parent, pgrad in zip(node.parents, node.backward_fn(out_grad)):
-            if pgrad is None:
-                continue
-            if parent.grad is None:
-                parent.grad = pgrad
-            else:
-                parent.grad = parent.grad + pgrad
-    # the tape and its tensors point at each other; dropping the tape lets
+    # the tape and its tensors point at each other; detaching the list lets
     # reference counting free the activations without the cyclic collector
-    graph.nodes = []
+    nodes, graph.nodes = graph.nodes, []
+    while nodes:
+        node = nodes.pop()
+        out_grad = node.tensor.grad
+        if out_grad is not None:
+            for parent, pgrad in zip(node.parents, node.backward_fn(out_grad)):
+                if pgrad is None:
+                    continue
+                if parent.grad is None:
+                    parent.grad = pgrad
+                else:
+                    parent.grad = parent.grad + pgrad
+        # no local may keep this node's arrays alive while the next one runs
+        node = out_grad = pgrad = None
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +476,11 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return x
-    mask = _keep_mask(x.shape, p, rng) * x.dtype.type(1.0 / (1.0 - p))
-    return _emit(x.data * mask, (x,), lambda g: (g * mask,))
+    # the boolean mask is saved, a quarter of a float32 one; multiplying by
+    # it (1 or 0) is exact, so ``x * keep * scale`` has the bits of ``x * (keep * scale)``
+    keep = _keep_mask(x.shape, p, rng)
+    scale = x.dtype.type(1.0 / (1.0 - p))
+    return _emit(x.data * keep * scale, (x,), lambda g: (g * keep * scale,))
 
 
 def _keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:

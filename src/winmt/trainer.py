@@ -9,6 +9,7 @@ single-threaded mode, and can be resumed from the last checkpoint.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -292,9 +293,9 @@ def diagnose(model: TransformerModel, docs: Sequence[Document], vocab: Vocab, k:
     32: ``loss_summary``, the mean current-sentence attention mass and the
     per-query attention entropies with their mean.
     """
-    windows = [w for d in docs for w in make_windows(d, k, vocab)]
-    if limit:
-        windows = windows[:limit]
+    # windows are made document by document, only up to the limit
+    windows = list(itertools.islice((w for d in docs for w in make_windows(d, k, vocab)),
+                                    limit or None))
     records: list = []
     losses = loss_summary(model, [windows[lo:lo + 32] for lo in range(0, len(windows), 32)],
                           eps, records)

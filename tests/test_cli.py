@@ -50,9 +50,15 @@ class TestGenData:
         assert manifest["command"] == "gen-data"
         assert manifest["seed"] == 7
         threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        try:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            blas = {key: blas[key] for key in ("name", "version")}
+        except TypeError:  # numpy before 1.26 does not report it
+            blas = None
         assert manifest["environment"] == {
             "keep_freed_memory": platform.libc_ver()[0] == "glibc",
             "numpy": np.__version__, "python": platform.python_version(),
+            "blas": blas,
             **{name: os.environ.get(name) for name in threads}}
 
     def test_same_seed_identical_files(self, data_dir, tmp_path):

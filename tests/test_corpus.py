@@ -174,6 +174,15 @@ class TestCorpusIO:
         assert loaded[0].sentences == docs[0].sentences
         assert loaded[1].sentences == docs[1].sentences
 
+    def test_equal_tokens_are_one_object(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("the-cat sat.down ||| sat.down the-cat\n\nthe-cat ||| sat.down\n")
+        first, second = C.read_corpus(path)
+        (src, tgt), = first.sentences
+        (src2, tgt2), = second.sentences
+        assert src[0] is tgt[1] is src2[0]
+        assert src[1] is tgt[0] is tgt2[0]
+
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("no separator here\n")
@@ -201,6 +210,13 @@ class TestContrastiveIO:
         C.write_contrastive(path, [ex])
         loaded = C.read_contrastive(path)
         assert loaded == [ex]
+
+    def test_equal_tokens_are_one_object(self, tmp_path):
+        path = tmp_path / "contrastive.jsonl"
+        C.write_contrastive(path, [self.example()] * 2)
+        first, second = C.read_contrastive(path)
+        assert first.src_sentences[1][1] is second.src_sentences[1][1]
+        assert first.candidates[0][1][1] is second.candidates[0][1][1]
 
     def test_candidates_must_match_outside_current(self):
         with pytest.raises(C.CorpusError, match="outside"):

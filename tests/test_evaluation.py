@@ -228,6 +228,16 @@ class TestAttentionDiagnostics:
         max_keys = max(r.weights.shape[-1] for r in records)
         assert 0.0 <= ent <= math.log(max_keys)
 
+    def test_entropy_rows_equal_the_per_record_formula_bitwise(self, setup):
+        docs, _, vocab, model = setup
+        windows = [w for d in docs[:10] for w in C.make_windows(d, 3, vocab)]
+        _, records = model.forward(M.build_batch(windows, model.config), capture=True)
+        assert len({r.weights.shape[-1] for r in records}) > 1
+        want = np.concatenate([
+            -np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0), axis=-1)
+            for w in (r.weights for r in records)])
+        assert E.attention_entropy_rows(records).tobytes() == want.tobytes()
+
     def test_mass_k1_window_is_one(self):
         rec = self.record(np.full((3, 3), 1 / 3), [0] * 3, [0] * 3, 0)
         assert E.current_attention_mass([rec]) == pytest.approx(1.0)

@@ -2,6 +2,7 @@ import ast
 import gc
 import importlib
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -114,6 +115,25 @@ class TestBackward:
             assert activation() is None
         finally:
             gc.enable()
+
+    def test_backward_frees_each_node_once_walked(self):
+        x = scalar(np.ones(1 << 17))  # 1 MiB
+        with T.record(T.Graph()):
+            h = x
+            for _ in range(16):
+                h = T.mul_const(h, 0.5)
+            loss = T.reduce_sum(h)
+        del h
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a gradient at a time, not one per node (17 MiB)
+        assert peak - start < 4 * 2 ** 20
+        assert x.grad.tobytes() == np.full(1 << 17, 0.5 ** 16).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_relu_forward_and_gradient_exact(self, dtype):
@@ -439,6 +459,25 @@ def test_dropout_inverted_scaling_and_grad():
     assert abs(y.data.mean() - 1.0) < 0.1  # unbiased in expectation
     np.testing.assert_array_equal(x.grad[kept], 1.0 / 0.75)
     np.testing.assert_array_equal(x.grad[~kept], 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_equals_the_float_mask_formula_bitwise(dtype):
+    special = [0.0, -0.0, np.inf, -np.inf, 1e-30, -3.5, 7.25, np.pi]
+    a = np.resize(np.array(special, dtype=dtype), (4, 50))
+    upstream = np.resize(np.array(special[::-1], dtype=dtype), (4, 50))
+    x = T.Tensor(a)
+    with np.errstate(invalid="ignore"):  # a dropped inf is NaN in both formulas
+        with T.record(T.Graph()):
+            y = T.dropout(x, 0.3, stream(5, "drop"))
+            loss = T.reduce_sum(T.mul(y, T.Tensor(upstream)))
+        T.backward(loss)
+        mask = T._keep_mask(a.shape, 0.3, stream(5, "drop")) * dtype(1.0 / 0.7)
+        expected_y, expected_grad = a * mask, upstream * mask
+    assert 0 < np.count_nonzero(mask) < mask.size
+    assert y.data.dtype == x.grad.dtype == dtype
+    assert y.data.tobytes() == expected_y.tobytes()
+    assert x.grad.tobytes() == expected_grad.tobytes()
 
 
 def test_dropout_keeps_each_entry_with_probability_one_minus_p():

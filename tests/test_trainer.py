@@ -155,6 +155,21 @@ def test_window_losses_match_per_window_loop():
     assert {r.kind for r in records} == {"enc-self", "dec-self", "cross"}
 
 
+def test_diagnose_forwards_the_first_limit_windows():
+    from winmt.model import ModelConfig
+    docs, _ = synth.gen_synthetic(0, n_docs=8, vocab_size=32)
+    vocab = C.Vocab.from_documents(docs)
+    windows = [w for d in docs for w in C.make_windows(d, 2, vocab)]
+    model = TransformerModel(ModelConfig(vocab_size=len(vocab), layers=1, heads=2,
+                                         hidden=16, ffn=32), seed=4)
+    limit = len(docs[0].sentences) + 3  # ends inside the second document
+    got = TR.diagnose(model, docs, vocab, 2, 0.1, limit)
+    want = TR.loss_summary(model, [windows[:limit]], 0.1)
+    assert got.n_windows == limit and got[1:4] == want
+    for everything in (0, None):
+        assert TR.diagnose(model, docs, vocab, 2, 0.1, everything).n_windows == len(windows)
+
+
 class TestTraining:
     def test_determinism_bitwise(self, tmp_path):
         data = write_data(tmp_path)
