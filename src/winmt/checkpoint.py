@@ -82,8 +82,8 @@ def save_checkpoint(path, params: Mapping[str, np.ndarray], config: Mapping) -> 
     write_atomic(path, b"".join(chunks))
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, str]:
-    """Return (params, config, config digest). Validates magic, version and
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Return (params, config). Validates magic, version and config
     digest, the bounds and dtype code of every record, and the exact file
     length; a file that fails any of these raises ``CheckpointError``."""
     with open(path, "rb") as fh:
@@ -131,7 +131,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict, str]:
         params[name] = np.frombuffer(data, dtype=dtype).reshape(dims).copy()
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} bytes after the last record")
-    return params, config, digest.hex()
+    return params, config
 
 
 def average_checkpoints(paths: Iterable, out_path) -> None:
@@ -148,7 +148,7 @@ def average_checkpoints(paths: Iterable, out_path) -> None:
     dtypes: dict[str, np.dtype] = {}
     config = None
     for path in paths:
-        params, cfg, _ = load_checkpoint(path)
+        params, cfg = load_checkpoint(path)
         if config is None:
             config = cfg
         for name, arr in params.items():

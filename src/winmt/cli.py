@@ -110,11 +110,16 @@ def _require_empty(out_dir: Path, force: bool) -> None:
         raise UsageError(f"output directory {out_dir} is not empty; use --force to overwrite")
 
 
-def _parse_sizes(text: str) -> list[int]:
+def _parse_list(flag: str, text: str, cast, sep: str = ",") -> list:
+    """The values of a ``sep``-separated flag; a value that does not parse, or
+    no value at all, is a usage error."""
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [cast(part) for part in text.split(sep) if part]
     except ValueError:
-        raise UsageError(f"bad size list {text!r}; expected comma-separated integers") from None
+        values = []
+    if not values:
+        raise UsageError(f"bad {flag} {text!r}; expected {sep}-separated {cast.__name__} values")
+    return values
 
 
 def _load_run(run_dir: Path, checkpoint: str | None, data_dir: Path):
@@ -139,6 +144,9 @@ def _or_null(x: float) -> float | None:
 
 
 def cmd_gen_data(args) -> int:
+    ratios = tuple(_parse_list("--split", args.split, int, sep="/"))
+    if len(ratios) != 3:
+        raise UsageError(f"bad --split {args.split!r}; expected like 80/10/10")
     out_dir = Path(args.out)
     _require_empty(out_dir, args.force)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -147,9 +155,6 @@ def cmd_gen_data(args) -> int:
         vocab_size=args.vocab_size, inter_sentential_rate=args.rate,
         window_size=args.window_size, amb_rate=args.amb_rate,
         noun_rate=args.noun_rate)
-    ratios = tuple(int(x) for x in args.split.split("/"))
-    if len(ratios) != 3:
-        raise UsageError(f"bad split {args.split!r}; expected like 80/10/10")
     train_docs, dev_docs, test_docs = corpus_mod.split_documents(docs, ratios)
     dev_ids = {d.doc_id for d in dev_docs}
     test_ids = {d.doc_id for d in test_docs}
@@ -237,10 +242,11 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _train_config_from_args(args)
+    values = (_parse_list("--cd-values", args.cd_values, float) if args.cd_values
+              else list(DEFAULT_SWEEP))
     out_dir = Path(config.out_dir)
     _require_empty(out_dir, args.force)
     out_dir.mkdir(parents=True, exist_ok=True)
-    values = [float(v) for v in args.cd_values.split(",")] if args.cd_values else list(DEFAULT_SWEEP)
     rows = cd_sweep(config, values)
     table = out_dir / "sweep.csv"
     cols = ["cd", "best_dev_current_loss", "contrastive_accuracy", "attention_mass",
@@ -254,6 +260,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    sizes = _parse_list("--window-sizes", args.window_sizes, int) if args.window_sizes else None
     model, vocab, ckpt_path, report_dir = _open_run(args)
     data = Path(args.data)
     docs = corpus_mod.read_corpus(data / f"{args.split}.txt")
@@ -265,10 +272,8 @@ def cmd_evaluate(args) -> int:
         examples = corpus_mod.read_contrastive(contrastive_path)
         doc_ids = {d.doc_id for d in docs}
         examples = [e for e in examples if e.doc_id in doc_ids]
-    sizes = _parse_sizes(args.window_sizes) if args.window_sizes else \
-        [model.config.window_size]
-    rows = evl.robustness_eval(model, docs, vocab, sizes, examples=examples,
-                               beam=args.beam, alpha=args.alpha)
+    rows = evl.robustness_eval(model, docs, vocab, sizes or [model.config.window_size],
+                               examples=examples, beam=args.beam, alpha=args.alpha)
 
     report_dir.mkdir(parents=True, exist_ok=True)
     table = report_dir / f"robustness_{args.split}.csv"
@@ -338,10 +343,12 @@ def cmd_diagnose(args) -> int:
     run_dir = Path(args.run)
     docs = corpus_mod.read_corpus(Path(args.data) / f"{args.split}.txt")
     k = args.k if args.k else model.config.window_size
-    # score with the run's own label smoothing, so the losses compare with log.csv
+    # score with the run's own label smoothing, so the losses compare with
+    # log.csv; no other key of config.txt is read, so the runs of versions
+    # with other keys diagnose too
     config_path = run_dir / "config.txt"
-    smoothing = (config_from_sources(parse_config_text(config_path.read_text())).label_smoothing
-                 if config_path.exists() else TrainConfig.label_smoothing)
+    run_config = parse_config_text(config_path.read_text()) if config_path.exists() else {}
+    smoothing = float(run_config.get("label_smoothing", TrainConfig.label_smoothing))
     diag = diagnose(model, docs, vocab, k, smoothing, args.limit)
 
     log_path = run_dir / "log.csv"
@@ -387,6 +394,8 @@ def _read_scores(path: Path) -> list[float]:
 
 
 def cmd_stats(args) -> int:
+    if args.permutations is not None and args.permutations < 1:
+        raise UsageError(f"--permutations must be at least 1, got {args.permutations}")
     if args.test == "mcnemar":
         a = _read_correct_column(Path(args.a))
         b = _read_correct_column(Path(args.b))
@@ -402,7 +411,7 @@ def cmd_stats(args) -> int:
         if len(scores_a) != len(scores_b):
             raise UsageError(f"line counts differ: --a has {len(scores_a)}, "
                              f"--b has {len(scores_b)}")
-        perms = args.permutations or 1000
+        perms = 1000 if args.permutations is None else args.permutations
         p = stats_mod.approx_randomization(scores_a, scores_b, perms, args.seed)
         payload = {"test": "ar", "n": len(scores_a), "permutations": perms,
                    "p_value": p, "mean_a": float(np.mean(scores_a)),
@@ -418,7 +427,7 @@ def cmd_stats(args) -> int:
                              f"{len(hyps_b)}, --refs has {len(refs)}")
         stats_a = [evl.bleu_stats(h, r) for h, r in zip(hyps_a, refs)]
         stats_b = [evl.bleu_stats(h, r) for h, r in zip(hyps_b, refs)]
-        perms = args.permutations or 10000
+        perms = 10000 if args.permutations is None else args.permutations
         p = stats_mod.paired_bleu_randomization(stats_a, stats_b, perms, args.seed)
         payload = {"test": "ar-bleu", "n": len(refs), "permutations": perms,
                    "p_value": p, "bleu_a": evl.bleu_from_stats(stats_a),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .checkpoint import write_atomic
@@ -71,19 +71,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    @property
-    def tokens(self) -> list[str]:
-        return list(self._tokens)
-
-    def id(self, token: str) -> int:
-        return self._index.get(token, UNK_ID)
-
-    def token(self, idx: int) -> str:
-        return self._tokens[idx]
-
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self._index.get(tok, UNK_ID) for tok in tokens]
 
@@ -136,12 +123,10 @@ class Window:
     def current_index(self) -> int:
         return self.size - 1
 
-    def sentence_lengths(self, side: str = "src") -> list[int]:
-        """Token count per included sentence, separators and <E> excluded."""
-        ids = self.src_ids if side == "src" else self.tgt_ids
-        seg = self.src_seg if side == "src" else self.tgt_seg
+    def sentence_lengths(self) -> list[int]:
+        """Source token count per included sentence, separators and <E> excluded."""
         counts = [0] * self.size
-        for tok, k in zip(ids, seg):
+        for tok, k in zip(self.src_ids, self.src_seg):
             if tok not in (SEP_ID, EOS_ID):
                 counts[k] += 1
         return counts
@@ -221,7 +206,7 @@ def compute_shift(strategy: str, corpus: Sequence[Document] | None = None,
     if strategy == "avg-sequence":
         if window is None:
             raise CorpusError("avg-sequence shift needs a window")
-        lengths = window.sentence_lengths("src")
+        lengths = window.sentence_lengths()
         return int(round(sum(lengths) / len(lengths)))
     raise CorpusError(f"unknown shift strategy {strategy!r}")
 

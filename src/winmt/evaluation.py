@@ -5,13 +5,18 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import (EOS_ID, PAD, PAD_ID, SEP_ID, ContrastiveExample, Document,
+from .corpus import (EOS_ID, PAD, SEP_ID, ContrastiveExample, Document,
                      Vocab, Window, make_windows, rebuild_examples)
 from .model import AttentionRecord, TransformerModel
+
+
+MAX_N = 4  # BLEU's highest n-gram order
+BATCH_CANDIDATES = 64  # candidate windows scored together by evaluate_contrastive
+BATCH_WINDOWS = 32  # windows decoded together by decode_current_sentences
 
 
 class EvalError(ValueError):
@@ -61,15 +66,14 @@ def _score_batch(model, examples, vocab, mode) -> list[ContrastiveResult]:
 
 
 def evaluate_contrastive(model: TransformerModel, examples: Sequence[ContrastiveExample],
-                         vocab: Vocab, mode: str = "full",
-                         batch_candidates: int = 64) -> list[ContrastiveResult]:
+                         vocab: Vocab, mode: str = "full") -> list[ContrastiveResult]:
     """Score each example; ties go to the highest-index tied candidate.
 
     Candidates are ranked by teacher-forced log-probability of the full
     target window ("full") or of the current span only ("current"). The
     pessimistic tie-break means a model that cannot separate reference
     from distractor scores 0, not 50%. Examples are scored together in
-    chunks of about ``batch_candidates`` candidate windows.
+    chunks of about ``BATCH_CANDIDATES`` candidate windows.
     """
     results: list[ContrastiveResult] = []
     chunk: list[ContrastiveExample] = []
@@ -77,7 +81,7 @@ def evaluate_contrastive(model: TransformerModel, examples: Sequence[Contrastive
     for ex in examples:
         chunk.append(ex)
         pending += len(ex.candidates)
-        if pending >= batch_candidates:
+        if pending >= BATCH_CANDIDATES:
             results.extend(_score_batch(model, chunk, vocab, mode))
             chunk, pending = [], 0
     if chunk:
@@ -187,12 +191,12 @@ def _as_tokens(x) -> list[str]:
     return x.split() if isinstance(x, str) else list(x)
 
 
-def bleu_stats(hypothesis, reference, max_n: int = 4) -> BleuStats:
+def bleu_stats(hypothesis, reference) -> BleuStats:
     hyp, ref = _as_tokens(hypothesis), _as_tokens(reference)
     if not ref:
         raise EvalError("empty reference sentence")
     matches, totals = [], []
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         hyp_counts = _ngrams(hyp, n)
         ref_counts = _ngrams(ref, n)
         matches.append(sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()))
@@ -200,11 +204,11 @@ def bleu_stats(hypothesis, reference, max_n: int = 4) -> BleuStats:
     return BleuStats(tuple(matches), tuple(totals), len(hyp), len(ref))
 
 
-def bleu_from_stats(stats: Sequence[BleuStats], max_n: int = 4) -> float:
+def bleu_from_stats(stats: Sequence[BleuStats]) -> float:
     if not stats:
         raise EvalError("empty corpus")
-    return bleu_from_sums([sum(s.matches[n] for s in stats) for n in range(max_n)],
-                          [sum(s.totals[n] for s in stats) for n in range(max_n)],
+    return bleu_from_sums([sum(s.matches[n] for s in stats) for n in range(MAX_N)],
+                          [sum(s.totals[n] for s in stats) for n in range(MAX_N)],
                           sum(s.hyp_len for s in stats), sum(s.ref_len for s in stats))
 
 
@@ -229,15 +233,14 @@ def bleu_from_sums(matches: Sequence[int], totals: Sequence[int], hyp_len: int,
     return 100.0 * brevity * math.exp(sum(logs) / len(logs))
 
 
-def bleu(hypotheses: Sequence, references: Sequence, max_n: int = 4) -> float:
+def bleu(hypotheses: Sequence, references: Sequence) -> float:
     """Corpus BLEU: geometric mean of modified n-gram precisions times the
     brevity penalty. No smoothing; case-sensitive."""
     if len(hypotheses) != len(references):
         raise EvalError(f"{len(hypotheses)} hypotheses vs {len(references)} references")
     if not hypotheses:
         raise EvalError("empty corpus")
-    return bleu_from_stats([bleu_stats(h, r, max_n) for h, r in zip(hypotheses, references)],
-                           max_n)
+    return bleu_from_stats([bleu_stats(h, r) for h, r in zip(hypotheses, references)])
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +338,8 @@ class RobustnessRow:
 
 
 def decode_current_sentences(model: TransformerModel, docs: Sequence[Document],
-                             vocab: Vocab, k: int, beam: int = 4, alpha: float = 0.6,
-                             batch_windows: int = 32) -> tuple[list[list[str]], list[list[str]], int]:
+                             vocab: Vocab, k: int, beam: int = 4,
+                             alpha: float = 0.6) -> tuple[list[list[str]], list[list[str]], int]:
     """Decode documents at window size k and keep only current sentences.
 
     Returns (hypothesis sentences, reference sentences, malformed count).
@@ -347,8 +350,8 @@ def decode_current_sentences(model: TransformerModel, docs: Sequence[Document],
         refs.extend([list(t) for _, t in d.sentences])
     hyps: list[list[str]] = []
     malformed = 0
-    for lo in range(0, len(windows), batch_windows):
-        chunk = windows[lo:lo + batch_windows]
+    for lo in range(0, len(windows), BATCH_WINDOWS):
+        chunk = windows[lo:lo + BATCH_WINDOWS]
         decoded = model.decode(chunk, beam=beam, alpha=alpha)
         for w, ids in zip(chunk, decoded):
             current, ok = extract_current(ids, expected_seps=w.size - 1)

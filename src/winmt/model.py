@@ -98,13 +98,6 @@ class ModelConfig:
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**d)
-
 
 @dataclass
 class AttentionRecord:
@@ -357,9 +350,6 @@ class TransformerModel:
         norm("enc_ln", d)
         norm("dec_ln", d)
         return params
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -670,12 +660,12 @@ class TransformerModel:
 
     def save(self, path) -> None:
         ckpt.save_checkpoint(path, {k: v.data for k, v in self.params.items()},
-                             self.config.to_dict())
+                             asdict(self.config))
 
     @staticmethod
     def load(path, expect_vocab_digest: str | None = None) -> "TransformerModel":
-        params, config_dict, _ = ckpt.load_checkpoint(path)
-        config = ModelConfig.from_dict(config_dict)
+        params, config_dict = ckpt.load_checkpoint(path)
+        config = ModelConfig(**config_dict)
         if expect_vocab_digest is not None and config.vocab_digest != expect_vocab_digest:
             raise ModelError(
                 "vocab digest mismatch between checkpoint and data: "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,12 +50,12 @@ def mcnemar(correct_a: Sequence, correct_b: Sequence) -> McNemarResult:
 
 
 def approx_randomization(scores_a: Sequence, scores_b: Sequence, permutations: int,
-                         seed: int, statistic: Callable | None = None) -> float:
-    """Paired approximate randomization test.
+                         seed: int) -> float:
+    """Paired approximate randomization test on the difference of means.
 
     Each permutation swaps every item pair independently with probability
-    1/2 and recomputes |difference of the aggregate statistic| (mean by
-    default); p = (#{permuted >= observed} + 1) / (permutations + 1).
+    1/2 and recomputes |difference of the means|;
+    p = (#{permuted >= observed} + 1) / (permutations + 1).
     """
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
@@ -65,15 +65,14 @@ def approx_randomization(scores_a: Sequence, scores_b: Sequence, permutations: i
         raise StatsError("empty score arrays")
     if permutations < 1:
         raise StatsError(f"need >= 1 permutations, got {permutations}")
-    stat = statistic if statistic is not None else np.mean
-    observed = abs(float(stat(a)) - float(stat(b)))
+    observed = abs(float(np.mean(a)) - float(np.mean(b)))
     rng = stream(seed, "approx-randomization")
     count = 0
     for _ in range(permutations):
         flip = rng.random(a.size) < 0.5
         pa = np.where(flip, b, a)
         pb = np.where(flip, a, b)
-        if abs(float(stat(pa)) - float(stat(pb))) >= observed:
+        if abs(float(np.mean(pa)) - float(np.mean(pb))) >= observed:
             count += 1
     return (count + 1) / (permutations + 1)
 
@@ -89,7 +88,7 @@ def paired_bleu_randomization(stats_a, stats_b, permutations: int, seed: int) ->
     permutation's corpus sums are formed in integers from the summed
     statistics and the sentences it swaps.
     """
-    from .evaluation import bleu_from_stats, bleu_from_sums
+    from .evaluation import MAX_N, bleu_from_stats, bleu_from_sums
 
     if len(stats_a) != len(stats_b):
         raise StatsError("per-sentence statistics must be aligned")
@@ -98,15 +97,13 @@ def paired_bleu_randomization(stats_a, stats_b, permutations: int, seed: int) ->
     if permutations < 1:
         raise StatsError(f"need >= 1 permutations, got {permutations}")
     observed = abs(bleu_from_stats(stats_a) - bleu_from_stats(stats_b))
-    max_n = 4  # the n-gram orders bleu_from_stats scores
-
     def table(stats):
         # one row per sentence: matches, totals, hypothesis and reference length
-        return np.array([s.matches[:max_n] + s.totals[:max_n] + (s.hyp_len, s.ref_len)
+        return np.array([s.matches[:MAX_N] + s.totals[:MAX_N] + (s.hyp_len, s.ref_len)
                          for s in stats], dtype=np.int64)
 
     def score(row):
-        return bleu_from_sums(row[:max_n], row[max_n:2 * max_n], row[-2], row[-1])
+        return bleu_from_sums(row[:MAX_N], row[MAX_N:2 * MAX_N], row[-2], row[-1])
 
     a, b = table(stats_a), table(stats_b)
     sum_a, sum_b, swap = a.sum(axis=0), b.sum(axis=0), b - a

@@ -25,6 +25,7 @@ DEFAULT_DOCS = 5000
 DEFAULT_SENTENCES = 4
 DEFAULT_VOCAB = 64
 DEFAULT_RATE = 0.7
+MIN_FILLERS, MAX_FILLERS = 3, 7  # filler tokens per sentence, inclusive
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,7 @@ def gen_synthetic(seed: int,
                   inter_sentential_rate: float = DEFAULT_RATE,
                   window_size: int = 2,
                   amb_rate: float = 0.4,
-                  noun_rate: float = 0.55,
-                  min_fillers: int = 3,
-                  max_fillers: int = 7) -> tuple[list[Document], list[ContrastiveExample]]:
+                  noun_rate: float = 0.55) -> tuple[list[Document], list[ContrastiveExample]]:
     """Generate (documents, contrastive examples); byte-identical per seed.
 
     Contrastive examples are windowed at ``window_size``; they can be
@@ -85,7 +84,7 @@ def gen_synthetic(seed: int,
         last_noun: tuple[int, int] | None = None  # (sentence index, class)
 
         for j in range(sentences_per_doc):
-            n_fill = int(rng.integers(min_fillers, max_fillers + 1))
+            n_fill = int(rng.integers(MIN_FILLERS, MAX_FILLERS + 1))
             toks = [inv.fillers[i] for i in rng.integers(0, len(inv.fillers), n_fill)]
 
             has_amb = j > 0 and rng.random() < amb_rate

@@ -410,38 +410,30 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _emit(y, (a,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, eps in the denominator."""
+LN_EPS = 1e-5  # added to the variance before its square root
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, ``LN_EPS`` in the
+    denominator, then scale by ``gain`` and shift by ``bias``."""
     dim = x.shape[-1]
     for name, t in (("gain", gain), ("bias", bias)):
-        if t is not None and t.shape != (dim,):
+        if t.shape != (dim,):
             raise ShapeError("layer_norm", f"{name} shape {t.shape} != ({dim},)")
     mean = np.mean(x.data, axis=-1, keepdims=True)
     centered = x.data - mean
     var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv
-    out = xhat
-    if gain is not None:
-        out = out * gain.data
-    if bias is not None:
-        out = out + bias.data
-    gain_data = None if gain is None else gain.data
-    parents = tuple(t for t in (x, gain, bias) if t is not None)
+    gain_data = gain.data
 
     def bw(g):
-        ghat = g if gain_data is None else g * gain_data
+        ghat = g * gain_data
         dx = inv * (ghat - np.mean(ghat, axis=-1, keepdims=True)
                     - xhat * np.mean(ghat * xhat, axis=-1, keepdims=True))
-        grads = [dx]
-        if gain is not None:
-            grads.append((g * xhat).reshape(-1, dim).sum(axis=0))
-        if bias is not None:
-            grads.append(g.reshape(-1, dim).sum(axis=0))
-        return tuple(grads)
+        return dx, (g * xhat).reshape(-1, dim).sum(axis=0), g.reshape(-1, dim).sum(axis=0)
 
-    return _emit(out, parents, bw)
+    return _emit(xhat * gain_data + bias.data, (x, gain, bias), bw)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -491,16 +483,14 @@ def _keep_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     return (bits >= round(p * 2 ** 32)).reshape(shape)
 
 
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x: Tensor, axis=None) -> Tensor:
     x_shape = x.shape
 
     def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, x_shape).astype(g.dtype),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
+        g_exp = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g_exp, x_shape).astype(g.dtype),)
 
-    return _emit(np.sum(x.data, axis=axis, keepdims=keepdims), (x,), bw)
+    return _emit(np.sum(x.data, axis=axis), (x,), bw)
 
 
 def gather_last(x: Tensor, idx: np.ndarray) -> Tensor:

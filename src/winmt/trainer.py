@@ -77,8 +77,7 @@ class TrainConfig:
     position_scheme: str = "plain"
     shift_strategy: str = "avg-corpus"
     segment_variant: str = "none"
-    peak_lr: float = 1e-3
-    lr_scale: float = 0.0  # overrides peak_lr when > 0
+    peak_lr: float = 1e-3  # the learning rate at step ``warmup``, where the schedule peaks
     warmup: int = 400
     batch_tokens: int = 1024
     max_epochs: int = 20
@@ -103,8 +102,6 @@ class TrainConfig:
             raise ConfigError(str(exc)) from None
 
     def scale(self) -> float:
-        if self.lr_scale > 0:
-            return self.lr_scale
         return self.peak_lr * math.sqrt(self.hidden) * math.sqrt(self.warmup)
 
 
@@ -137,12 +134,9 @@ def config_from_sources(file_values: dict | None = None,
             merged[key] = value
     coerced = {}
     for key, value in merged.items():
-        ftype = _FIELD_TYPES[key]
-        if isinstance(value, str):
-            if ftype in ("int", int):
-                value = int(value)
-            elif ftype in ("float", float):
-                value = float(value)
+        ftype = _FIELD_TYPES[key]  # a string: annotations are postponed
+        if isinstance(value, str) and ftype in ("int", "float"):
+            value = int(value) if ftype == "int" else float(value)
         coerced[key] = value
     return TrainConfig(**coerced)
 
@@ -161,10 +155,10 @@ def lr_at(step: int, hidden: int, warmup: int, scale: float = 1.0) -> float:
 class Adam:
     """Adaptive moment estimation, beta = (0.9, 0.98), eps = 1e-9."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.98, eps: float = 1e-9):
+    beta1, beta2, eps = 0.9, 0.98, 1e-9
+
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -238,7 +232,6 @@ class TrainResult:
     averaged_checkpoint: Path
     log_path: Path
     stopped_early: bool
-    final_step: int
 
 
 def window_losses(model: TransformerModel, batches: Sequence[Sequence[Window]], eps: float,
@@ -401,7 +394,7 @@ class Trainer:
         path = self._checkpoint_path(step)
         params = {k: v.data for k, v in self.model.params.items()}
         params.update(self.opt.state_tensors())
-        ckpt.save_checkpoint(path, params, self.model_config.to_dict())
+        ckpt.save_checkpoint(path, params, asdict(self.model_config))
         return path
 
     def _prune_checkpoints(self, saved: list[int], best_step: int) -> list[int]:
@@ -426,8 +419,8 @@ class Trainer:
         if resume and state_path.exists():
             state = json.loads(state_path.read_text())
             # the run's record stays as it is unless this is the same model
-            params, stored, _ = ckpt.load_checkpoint(self._checkpoint_path(state["step"]))
-            built = self.model_config.to_dict()
+            params, stored = ckpt.load_checkpoint(self._checkpoint_path(state["step"]))
+            built = asdict(self.model_config)
             differ = [f"{k} ({stored.get(k)!r} saved, {built.get(k)!r} now)"
                       for k in sorted(stored.keys() | built.keys())
                       if stored.get(k) != built.get(k)]
@@ -485,7 +478,7 @@ class Trainer:
         return TrainResult(run_dir=self.run_dir, best_step=rec.best_step,
                            best_checkpoint=self._checkpoint_path(rec.best_step),
                            averaged_checkpoint=avg_path, log_path=log_path,
-                           stopped_early=rec.stopped, final_step=rec.step)
+                           stopped_early=rec.stopped)
 
 
 def train(config: TrainConfig, resume: bool = False) -> TrainResult:
@@ -493,15 +486,16 @@ def train(config: TrainConfig, resume: bool = False) -> TrainResult:
 
 
 DEFAULT_SWEEP = (1.0, 0.9, 0.7, 0.5, 0.3, 0.1, 0.01, 0.0)
+DIAG_WINDOWS = 200  # dev windows each sweep run's attention diagnostics cover
 
 
-def cd_sweep(base: TrainConfig, cd_values: Sequence[float] = DEFAULT_SWEEP,
-             diag_windows: int = 200) -> list[dict]:
+def cd_sweep(base: TrainConfig, cd_values: Sequence[float]) -> list[dict]:
     """Train one model per context discount with shared seed and data.
 
     Emits, per cd: best dev current-loss, overall dev contrastive accuracy
-    and mean attention mass on the current sentence. Failures are recorded
-    per run and the sweep continues.
+    and mean attention mass on the current sentence over the first
+    ``DIAG_WINDOWS`` dev windows. Failures are recorded per run and the
+    sweep continues.
     """
     base_out = Path(base.out_dir)
     data = Path(base.data_dir)
@@ -518,7 +512,7 @@ def cd_sweep(base: TrainConfig, cd_values: Sequence[float] = DEFAULT_SWEEP,
             dev_examples = read_contrastive(data / "contrastive_dev.jsonl")
             results = evaluate_contrastive(model, dev_examples, vocab)
             diag = diagnose(model, read_corpus(data / "dev.txt"), vocab, cfg.k,
-                            cfg.label_smoothing, diag_windows)
+                            cfg.label_smoothing, DIAG_WINDOWS)
             row.update({
                 "best_dev_current_loss": min(r["current_loss"] for r in read_log(result.log_path)),
                 "contrastive_accuracy": overall_accuracy(results),

@@ -3,6 +3,9 @@ import json
 import math
 import os
 import platform
+import re
+import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ from winmt.cli import main
 from winmt.corpus import Vocab, read_corpus
 from winmt.evaluation import bleu, extract_current
 from winmt.model import TransformerModel
-from winmt.trainer import read_log
+from winmt.trainer import TrainConfig, read_log
 
 
 def run_cli(*argv):
@@ -106,6 +109,17 @@ class TestTrain:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "valid keys" in err["message"]
+
+    def test_config_key_of_no_field_is_rejected_before_writing(self, data_dir, tmp_path,
+                                                                capsys):
+        # every config.txt written while lr_scale was a key holds this line
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("hidden = 16\nlr_scale = 0.0\n")
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--data", data_dir, "--out", out) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError" and "'lr_scale'" in err["message"]
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, data_dir, tmp_path):
         cfg = tmp_path / "train.cfg"
@@ -259,6 +273,32 @@ class TestDiagnose:
         assert summary["dev_current_loss"] == pytest.approx(float(last[2]), abs=1e-6)
 
 
+    def test_reads_only_label_smoothing_from_the_runs_config(self, data_dir, run_dir,
+                                                              tmp_path):
+        from winmt.trainer import diagnose
+        # a run written by a version with other config keys: lr_scale was
+        # one until it was removed, and no version has had a schedule key
+        old = tmp_path / "old_run"
+        old.mkdir()
+        for name in ("ckpt_avg.bin", "vocab.json", "log.csv"):
+            shutil.copy(run_dir / name, old / name)
+        text = (run_dir / "config.txt").read_text().replace("label_smoothing = 0.1",
+                                                            "label_smoothing = 0.2")
+        assert "label_smoothing = 0.2" in text
+        (old / "config.txt").write_text(text + "lr_scale = 0.0\nschedule = inverse-sqrt\n")
+        assert run_cli("diagnose", "--run", old, "--data", data_dir, "--split", "dev",
+                       "--limit", "40") == 0
+        summary = json.loads((old / "diagnose_dev.json").read_text())
+        model = TransformerModel.load(old / "ckpt_avg.bin")
+        vocab = Vocab.load(old / "vocab.json")
+        docs = read_corpus(data_dir / "dev.txt")
+        diag = diagnose(model, docs, vocab, model.config.window_size, 0.2, 40)
+        assert (summary["dev_current_loss"], summary["dev_context_loss"],
+                summary["loss_ratio"]) == (diag.current_loss, diag.context_loss, diag.ratio)
+        default = diagnose(model, docs, vocab, model.config.window_size, 0.1, 40)
+        assert summary["dev_current_loss"] != default.current_loss
+
+
 class TestStats:
     def test_mcnemar_self_comparison_p_one(self, data_dir, run_dir, capsys):
         assert run_cli("contrastive", "--run", run_dir, "--data", data_dir,
@@ -317,6 +357,20 @@ class TestStats:
         assert err["error"] == "UsageError"
         assert "line counts differ" in err["message"]
 
+    @pytest.mark.parametrize("test", ["ar", "ar-bleu"])
+    @pytest.mark.parametrize("permutations", ["0", "-5"])
+    def test_permutations_below_one_is_usage_error(self, test, permutations, tmp_path,
+                                                   capsys):
+        lines = tmp_path / "lines.txt"
+        lines.write_text("1.0\n2.0\n3.0\n")
+        code = run_cli("stats", "--test", test, "--a", lines, "--b", lines, "--refs", lines,
+                       "--permutations", permutations)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == "UsageError" and "--permutations" in err["message"]
+
     def test_ar_defaults_to_1000_perms(self, tmp_path, capsys):
         scores = tmp_path / "s.txt"
         scores.write_text("1.0\n2.0\n3.0\n")
@@ -370,6 +424,37 @@ def test_unknown_position_scheme_is_config_error(command, data_dir, tmp_path, ca
         assert err["error"] == "ConfigError"
         assert named in err["message"]
         assert not out.exists(), flags
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("evaluate", ["--window-sizes", ","]),
+    ("gen-data", ["--split", "a/b/c"]),
+    ("sweep", ["--cd-values", "1,x"]),
+])
+def test_unparsable_flag_value_is_usage_error(command, flags, data_dir, run_dir, tmp_path,
+                                              capsys):
+    out = tmp_path / "out"
+    where = {"evaluate": ["--run", run_dir, "--data", data_dir, "--report-dir", out],
+             "gen-data": ["--out", out, "--docs", "10"],
+             "sweep": ["--data", data_dir, "--out", out]}[command]
+    assert run_cli(command, *where, *flags) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "UsageError" and flags[0] in err["message"]
+    assert not out.exists()
+
+
+def test_readme_and_train_help_list_every_config_key(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("The keys:", 1)[1].split("```")[1]
+    keys = re.findall(r"[a-z_]+", re.sub(r"\([^)]*\)", "", block))
+    names = [f.name for f in fields(TrainConfig)]
+    assert sorted(keys) == sorted(names)
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE))
+    flags = {"--" + name.replace("_", "-") for name in names
+             if name not in ("data_dir", "out_dir")}
+    assert listed == flags | {"--config", "--data", "--out", "--force", "--resume"}
 
 
 def strict_json(text: str):

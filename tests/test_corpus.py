@@ -17,7 +17,7 @@ def doc_of(token_rows):
 
 class TestVocab:
     def test_reserved_ids_fixed(self, vocab):
-        assert [vocab.token(i) for i in range(4)] == ["<PAD>", "<UNK>", "<S>", "<E>"]
+        assert vocab.decode(range(4)) == ["<PAD>", "<UNK>", "<S>", "<E>"]
 
     def test_round_trip(self, vocab):
         sent = ["t3", "t1", "t3"]
@@ -31,12 +31,14 @@ class TestVocab:
             C.Vocab(["<S>"])
 
     def test_bijection(self, vocab):
-        ids = [vocab.id(t) for t in vocab.tokens]
-        assert sorted(ids) == list(range(len(vocab)))
+        ids = vocab.encode(vocab.decode(range(len(vocab))))
+        assert ids == list(range(len(vocab)))
 
     def test_save_load_round_trip(self, vocab, tmp_path):
         vocab.save(tmp_path / "vocab.json")
-        assert C.Vocab.load(tmp_path / "vocab.json").tokens == vocab.tokens
+        loaded = C.Vocab.load(tmp_path / "vocab.json")
+        assert len(loaded) == len(vocab)
+        assert loaded.decode(range(len(vocab))) == vocab.decode(range(len(vocab)))
 
     def test_failed_save_keeps_old_file(self, vocab, tmp_path, monkeypatch):
         from winmt import checkpoint

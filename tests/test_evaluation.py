@@ -66,9 +66,10 @@ class TestScoreContrastive:
         # scores must differ (context positions included vs not)
         assert any(f.scores != c.scores for f, c in zip(full, cur))
 
-    def test_batched_scoring_matches_single(self, setup):
+    def test_batched_scoring_matches_single(self, setup, monkeypatch):
         _, examples, vocab, model = setup
-        batched = E.evaluate_contrastive(model, examples[:7], vocab, batch_candidates=6)
+        monkeypatch.setattr(E, "BATCH_CANDIDATES", 6)
+        batched = E.evaluate_contrastive(model, examples[:7], vocab)
         single = [E.evaluate_contrastive(model, [ex], vocab)[0] for ex in examples[:7]]
         for a, b in zip(batched, single):
             assert a.chosen == b.chosen

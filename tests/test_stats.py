@@ -76,13 +76,6 @@ class TestApproxRandomization:
         with pytest.raises(S.StatsError):
             S.approx_randomization([], [], permutations=10, seed=0)
 
-    def test_custom_statistic(self):
-        a = [1.0, 1.0, 10.0]
-        b = [1.0, 1.0, 1.0]
-        p_mean = S.approx_randomization(a, b, 400, 0)
-        p_median = S.approx_randomization(a, b, 400, 0, statistic=np.median)
-        assert 0 < p_mean <= 1 and 0 < p_median <= 1
-
 
 class TestPairedBleuRandomization:
     def test_identical_systems_p_one(self):

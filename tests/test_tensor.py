@@ -29,7 +29,7 @@ class TestForwardPrimitives:
 
     def test_layer_norm_hand_case(self):
         # mean = 2, variance = 1, so [1, 3] maps to [-1, 1] up to epsilon
-        out = T.layer_norm(scalar([1.0, 3.0]))
+        out = T.layer_norm(scalar([1.0, 3.0]), scalar([1.0, 1.0]), scalar([0.0, 0.0]))
         np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-4)
 
     def test_matmul_shape_error_names_op_and_shapes(self):

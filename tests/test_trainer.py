@@ -224,7 +224,8 @@ class TestTraining:
                           max_epochs=50, peak_lr=0.0)
         result = TR.train(cfg)
         assert result.stopped_early
-        assert result.final_step >= 3 * 4
+        state = json.loads((result.run_dir / "trainer_state.json").read_text())
+        assert state["step"] >= 3 * 4
 
     def test_log_has_fixed_columns(self, tmp_path):
         data = write_data(tmp_path)
@@ -313,7 +314,7 @@ class TestTraining:
         saved = state["saved"]
         best = state["best_step"]
         closest = sorted(sorted(saved, key=lambda s: (abs(s - best), s))[:3])
-        avg, _, _ = load_checkpoint(result.averaged_checkpoint)
+        avg, _ = load_checkpoint(result.averaged_checkpoint)
         partials = [load_checkpoint(result.run_dir / "checkpoints" / f"ckpt_{s:07d}.bin")[0]
                     for s in closest]
         for name in avg:
@@ -344,7 +345,7 @@ class TestTraining:
 def test_cd_sweep_degenerate_single_value(tmp_path):
     data = write_data(tmp_path)
     base = tiny_config(data, tmp_path / "sweep", max_steps=8, val_interval=4)
-    rows = TR.cd_sweep(base, [1.0], diag_windows=10)
+    rows = TR.cd_sweep(base, [1.0])
     assert len(rows) == 1
     row = rows[0]
     assert row["cd"] == 1.0 and "error" not in row
@@ -362,6 +363,6 @@ def test_cd_sweep_continues_after_failure(tmp_path):
     base = tiny_config(data, tmp_path / "sweep2", max_steps=4, val_interval=2,
                        peak_lr=1e9, warmup=1)  # diverges
     with np.errstate(all="ignore"):
-        rows = TR.cd_sweep(base, [1.0, 0.5], diag_windows=5)
+        rows = TR.cd_sweep(base, [1.0, 0.5])
     assert all("error" in row for row in rows)
     assert len(rows) == 2
