@@ -149,13 +149,16 @@ def cmd_gen_data(args) -> int:
         raise UsageError(f"bad --split {args.split!r}; expected like 80/10/10")
     out_dir = Path(args.out)
     _require_empty(out_dir, args.force)
-    out_dir.mkdir(parents=True, exist_ok=True)
     docs, examples = synth.gen_synthetic(
         args.seed, n_docs=args.docs, sentences_per_doc=args.sentences,
         vocab_size=args.vocab_size, inter_sentential_rate=args.rate,
         window_size=args.window_size, amb_rate=args.amb_rate,
         noun_rate=args.noun_rate)
-    train_docs, dev_docs, test_docs = corpus_mod.split_documents(docs, ratios)
+    try:
+        train_docs, dev_docs, test_docs = corpus_mod.split_documents(docs, ratios)
+    except corpus_mod.CorpusError as exc:
+        raise UsageError(f"bad --split {args.split!r}: {exc}") from None
+    out_dir.mkdir(parents=True, exist_ok=True)
     dev_ids = {d.doc_id for d in dev_docs}
     test_ids = {d.doc_id for d in test_docs}
     dev_examples = [e for e in examples if e.doc_id in dev_ids]
@@ -180,12 +183,7 @@ def cmd_gen_data(args) -> int:
 
 
 def _train_config_from_args(args) -> TrainConfig:
-    file_values = {}
-    inputs = []
-    if args.config:
-        path = Path(args.config)
-        file_values = parse_config_text(path.read_text())
-        inputs.append(path)
+    file_values = parse_config_text(Path(args.config).read_text()) if args.config else {}
     overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig)
                  if getattr(args, f.name, None) is not None}
     config = config_from_sources(file_values, overrides)

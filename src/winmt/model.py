@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -246,6 +246,27 @@ def build_batch(windows: Sequence[Window], config: ModelConfig) -> Batch:
                  current_mask=current, context_mask=context, shifts=shifts)
 
 
+class ForwardPass(NamedTuple):
+    """What one forward pass reads besides its inputs: the dropout rate (0
+    outside training), drawn per site from a stream of ``seed`` at ``step``,
+    and the list that captures attention of ``batch`` (None: no capture)."""
+
+    rate: float = 0.0
+    step: int = 0
+    seed: int = 0
+    records: list[AttentionRecord] | None = None
+    batch: Batch | None = None
+
+    def drop(self, site: str) -> tuple[float, np.random.Generator | None]:
+        """Dropout rate and stream of ``site``; (0.0, None) when nothing drops."""
+        if self.rate:
+            return self.rate, stream(self.seed, f"drop/{site}", self.step)
+        return 0.0, None
+
+
+EVAL = ForwardPass()  # no dropout, no capture
+
+
 def _to_grid(x: Tensor, grid: Grid | None) -> Tensor:
     """State rows -> the zero-padded (windows, length, ...) grid, with each
     duplicate cell filled from its owner. None stands for decode's step
@@ -358,13 +379,7 @@ class TransformerModel:
     # ------------------------------------------------------------------
     # forward
 
-    def _dropout(self, site, train, step, seed) -> tuple[float, np.random.Generator | None]:
-        """Dropout rate and stream of ``site`` at ``step``; (0.0, None) when nothing drops."""
-        if train and self.config.dropout > 0:
-            return self.config.dropout, stream(seed, f"drop/{site}", step)
-        return 0.0, None
-
-    def _embed(self, ids, seg, pos, site, train, step, seed, rows=None):
+    def _embed(self, ids, seg, pos, site, fp, rows=None):
         """Table ``site``'s embeddings of the tokens at flat grid indices ``rows``,
         as (rows, hidden); with ``rows`` None, of every token in ``ids``."""
         cfg = self.config
@@ -379,7 +394,7 @@ class TransformerModel:
         elif cfg.segment_variant == "learned":
             capped = np.minimum(seg, cfg.max_window - 1)
             x = add(x, embedding(self.params["seg_table"], capped))
-        return dropout(x, *self._dropout(site, train, step, seed))
+        return dropout(x, *fp.drop(site))
 
     def _kv(self, name: str, x: Tensor, grid: Grid | None = None) -> tuple[Tensor, Tensor]:
         """Keys and values of attention ``name`` over the rows ``x``, placed in
@@ -388,8 +403,7 @@ class TransformerModel:
         return (_to_grid(matmul(x, p[f"{name}.k"]), grid),
                 _to_grid(linear(x, p[f"{name}.v"], p[f"{name}.v&bias"]), grid))
 
-    def _attention(self, name, q_in, kv, mask_add, *, grid, train, step, seed,
-                   capture, records, layer, kind, batch):
+    def _attention(self, name, q_in, kv, mask_add, grid, fp, layer, kind):
         """Attention of ``q_in`` over the keys and values that ``kv(name, q_in)`` gives.
 
         ``kv`` runs after the query projection, so a tape records q, k, v in
@@ -404,28 +418,28 @@ class TransformerModel:
         q = linear(q_in, p[f"{name}.q"], p[f"{name}.q&bias"])
         k, v = kv(name, q_in)
         out, probs = attention(_to_grid(q, grid), k, v, cfg.heads, mask_add,
-                               *self._dropout(f"{name}.attn", train, step, seed))
-        if capture:
-            self._capture(records, probs, layer, kind, batch)
+                               *fp.drop(f"{name}.attn"))
+        if fp.records is not None:
+            self._capture(fp, probs, layer, kind)
         if grid is not None:
             out = take_rows(reshape(out, (-1, cfg.hidden)), grid.rows)
         return linear(out, p[f"{name}.o"], p[f"{name}.o&bias"])
 
-    def _capture(self, records, attn, layer, kind, batch):
-        for i, w in enumerate(batch.windows):
+    def _capture(self, fp, attn, layer, kind):
+        for i, w in enumerate(fp.batch.windows):
             ns, nt = len(w.src_ids), len(w.tgt_ids)
             if kind == "enc-self":
                 q_seg = k_seg = np.asarray(w.src_seg)
                 rows, cols = ns, ns
             elif kind == "dec-self":
-                q_seg = k_seg = batch.tgt_in_seg[i, :nt]
+                q_seg = k_seg = fp.batch.tgt_in_seg[i, :nt]
                 rows, cols = nt, nt
             else:
-                q_seg = batch.tgt_in_seg[i, :nt]
+                q_seg = fp.batch.tgt_in_seg[i, :nt]
                 k_seg = np.asarray(w.src_seg)
                 rows, cols = nt, ns
             for h in range(self.config.heads):
-                records.append(AttentionRecord(
+                fp.records.append(AttentionRecord(
                     layer=layer, head=h, kind=kind,
                     weights=attn[i, h, :rows, :cols].copy(),
                     query_seg=np.asarray(q_seg), key_seg=np.asarray(k_seg),
@@ -436,28 +450,22 @@ class TransformerModel:
         h = relu(linear(x, p[f"{name}.w1"], p[f"{name}.w1&bias"]))
         return linear(h, p[f"{name}.w2"], p[f"{name}.w2&bias"])
 
-    def _residual(self, x, sub, site, train, step, seed):
-        return add(x, dropout(sub, *self._dropout(site, train, step, seed)))
-
-    def encode(self, batch: Batch, *, train=False, step=0, seed=0,
-               capture=False, records=None) -> Tensor:
+    def encode(self, batch: Batch, fp=EVAL) -> Tensor:
         """Encoder states of the source tokens that own a row, (rows, hidden)."""
         cfg = self.config
         p = self.params
         grid = batch.src_grid
         key_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
-        x = self._embed(batch.src, batch.src_seg, batch.src_pos, "src_emb", train, step, seed,
+        x = self._embed(batch.src, batch.src_seg, batch.src_pos, "src_emb", fp,
                         rows=batch.src_rows)
         for i in range(cfg.layers):
             blk = f"enc{i}"
             h = layer_norm(x, p[f"{blk}.ln1.g"], p[f"{blk}.ln1.b"])
             a = self._attention(f"{blk}.self", h, partial(self._kv, grid=grid), key_mask,
-                                grid=grid, train=train, step=step, seed=seed,
-                                capture=capture, records=records,
-                                layer=i, kind="enc-self", batch=batch)
-            x = self._residual(x, a, f"{blk}.self", train, step, seed)
+                                grid, fp, i, "enc-self")
+            x = add(x, dropout(a, *fp.drop(f"{blk}.self")))
             h = layer_norm(x, p[f"{blk}.ln2.g"], p[f"{blk}.ln2.b"])
-            x = self._residual(x, self._ffn(f"{blk}.ffn", h), f"{blk}.ffn", train, step, seed)
+            x = add(x, dropout(self._ffn(f"{blk}.ffn", h), *fp.drop(f"{blk}.ffn")))
         return layer_norm(x, p["enc_ln.g"], p["enc_ln.b"])
 
     def forward(self, batch: Batch, *, train: bool = False, step: int = 0, seed: int = 0,
@@ -469,23 +477,22 @@ class TransformerModel:
         """
         cfg = self.config
         records: list[AttentionRecord] = []
-        enc = self.encode(batch, train=train, step=step, seed=seed,
-                          capture=capture, records=records)
+        fp = ForwardPass(cfg.dropout if train else 0.0, step, seed,
+                         records if capture else None, batch)
+        enc = self.encode(batch, fp)
         t = batch.tgt_in.shape[1]
         causal = _key_mask(np.tril(np.ones((t, t))), cfg.np_dtype)[None, None, :, :]
         self_mask = causal + _key_mask(batch.tgt_valid[:, None, None, :], cfg.np_dtype)
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         tgt = batch.tgt_grid
-        x = self._embed(batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos, "tgt_emb", train,
-                        step, seed, rows=batch.tgt_rows)
+        x = self._embed(batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos, "tgt_emb", fp,
+                        rows=batch.tgt_rows)
         log_probs = self._decoder(x, partial(self._kv, grid=tgt),
                                   lambda name, _: self._kv(name, enc, batch.src_grid),
-                                  self_mask, cross_mask, grid=tgt, train=train, step=step,
-                                  seed=seed, capture=capture, records=records, batch=batch)
+                                  self_mask, cross_mask, tgt, fp)
         return log_probs, records
 
-    def _decoder(self, x, self_kv, cross_kv, self_mask, cross_mask, *, grid=None, train=False,
-                 step=0, seed=0, capture=False, records=None, batch=None) -> Tensor:
+    def _decoder(self, x, self_kv, cross_kv, self_mask, cross_mask, grid=None, fp=EVAL) -> Tensor:
         """Decoder layers, final norm and output log-softmax over embedded targets ``x``.
 
         ``forward`` runs them over the state rows of whole teacher-forced
@@ -494,20 +501,16 @@ class TransformerModel:
         hypothesis row, with key/value providers that read its caches.
         """
         p = self.params
-        opts = dict(grid=grid, train=train, step=step, seed=seed, capture=capture, records=records,
-                    batch=batch)
         for i in range(self.config.layers):
             blk = f"dec{i}"
             h = layer_norm(x, p[f"{blk}.ln1.g"], p[f"{blk}.ln1.b"])
-            a = self._attention(f"{blk}.self", h, self_kv, self_mask, layer=i,
-                                kind="dec-self", **opts)
-            x = self._residual(x, a, f"{blk}.self", train, step, seed)
+            a = self._attention(f"{blk}.self", h, self_kv, self_mask, grid, fp, i, "dec-self")
+            x = add(x, dropout(a, *fp.drop(f"{blk}.self")))
             h = layer_norm(x, p[f"{blk}.ln2.g"], p[f"{blk}.ln2.b"])
-            a = self._attention(f"{blk}.cross", h, cross_kv, cross_mask, layer=i,
-                                kind="cross", **opts)
-            x = self._residual(x, a, f"{blk}.cross", train, step, seed)
+            a = self._attention(f"{blk}.cross", h, cross_kv, cross_mask, grid, fp, i, "cross")
+            x = add(x, dropout(a, *fp.drop(f"{blk}.cross")))
             h = layer_norm(x, p[f"{blk}.ln3.g"], p[f"{blk}.ln3.b"])
-            x = self._residual(x, self._ffn(f"{blk}.ffn", h), f"{blk}.ffn", train, step, seed)
+            x = add(x, dropout(self._ffn(f"{blk}.ffn", h), *fp.drop(f"{blk}.ffn")))
         x = layer_norm(x, p["dec_ln.g"], p["dec_ln.b"])
         return log_softmax(_to_grid(linear(x, p["out"], p["out&bias"]), grid), axis=-1)
 
@@ -588,7 +591,7 @@ class TransformerModel:
             n = live.size
             seg_col = segs[:, None]
             pos = shift_positions(t, seg_col, shifts[:, None])
-            x = self._embed(tokens[:, t:t + 1], seg_col, pos, "tgt_emb", False, 0, 0)
+            x = self._embed(tokens[:, t:t + 1], seg_col, pos, "tgt_emb", EVAL)
             logp = self._decoder(x, self_kv, lambda name, _: cross[name], 0.0,
                                  cross_mask).data[:, 0]
             logp[:, PAD_ID] = NEG_INF  # padding is never a valid continuation
@@ -657,10 +660,6 @@ class TransformerModel:
 
     # ------------------------------------------------------------------
     # persistence
-
-    def save(self, path) -> None:
-        ckpt.save_checkpoint(path, {k: v.data for k, v in self.params.items()},
-                             asdict(self.config))
 
     @staticmethod
     def load(path, expect_vocab_digest: str | None = None) -> "TransformerModel":

@@ -136,7 +136,10 @@ def config_from_sources(file_values: dict | None = None,
     for key, value in merged.items():
         ftype = _FIELD_TYPES[key]  # a string: annotations are postponed
         if isinstance(value, str) and ftype in ("int", "float"):
-            value = int(value) if ftype == "int" else float(value)
+            try:
+                value = int(value) if ftype == "int" else float(value)
+            except ValueError:
+                raise ConfigError(f"config key {key!r} expects {ftype}, got {value!r}") from None
         coerced[key] = value
     return TrainConfig(**coerced)
 
@@ -336,18 +339,13 @@ class Trainer:
 
         shift_value = None
         if config.position_scheme == "shifted" and config.shift_strategy != "avg-sequence":
-            if config.shift_strategy == "avg-corpus":
-                shift_value = compute_shift("avg-corpus", corpus=self.train_docs)
-            else:
-                shift_value = compute_shift(config.shift_strategy)
-        self.model_config = ModelConfig(
-            vocab_size=len(self.vocab), layers=config.layers, heads=config.heads,
-            hidden=config.hidden, ffn=config.ffn, dropout=config.dropout,
-            max_window=max(config.max_window, config.k), max_len=config.max_len,
-            window_size=config.k,
-            position_scheme=config.position_scheme, shift_strategy=config.shift_strategy,
-            shift_value=shift_value, segment_variant=config.segment_variant,
-            dtype=config.dtype, vocab_digest=self.vocab.digest)
+            shift_value = compute_shift(config.shift_strategy, corpus=self.train_docs)
+        shared = {f.name: getattr(config, f.name) for f in fields(ModelConfig)
+                  if f.name in _FIELD_TYPES}
+        self.model_config = ModelConfig(**(shared | dict(
+            vocab_size=len(self.vocab), window_size=config.k,
+            max_window=max(config.max_window, config.k), vocab_digest=self.vocab.digest,
+            shift_value=shift_value)))
         self.model = TransformerModel(self.model_config, seed=config.seed)
         self.opt = Adam(self.model.params)
         self.dev_batches = pack_batches(self.dev_windows, config.batch_tokens)

@@ -411,7 +411,10 @@ class TestSweep:
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_unknown_position_scheme_is_config_error(command, data_dir, tmp_path, capsys):
     # every bad model setting fails before the output directory is touched
+    unparsable = tmp_path / "unparsable.cfg"
+    unparsable.write_text("hidden = abc\n")
     for flags, named in ((["--position-scheme", "spiral"], "spiral"),
+                         (["--config", unparsable], "'hidden' expects int"),
                          (["--shift-strategy", "bogus"], "bogus"),
                          (["--position-scheme", "shifted", "--shift-strategy", "bogus"], "bogus"),
                          (["--shift-strategy", "fixed:-1"], "fixed:-1"),
@@ -430,6 +433,7 @@ def test_unknown_position_scheme_is_config_error(command, data_dir, tmp_path, ca
     ("evaluate", ["--window-sizes", ","]),
     ("gen-data", ["--split", "a/b/c"]),
     ("sweep", ["--cd-values", "1,x"]),
+    ("gen-data", ["--split", "0/0/0"]),
 ])
 def test_unparsable_flag_value_is_usage_error(command, flags, data_dir, run_dir, tmp_path,
                                               capsys):

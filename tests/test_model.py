@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from winmt import checkpoint as ckpt
 from winmt import corpus as C
 from winmt import model as M
 from winmt import synth
@@ -91,6 +92,31 @@ def test_forward_deterministic_with_dropout_seeded(setup):
     assert np.array_equal(lp1.data, lp2.data)
     lp3, _ = model.forward(batch, train=True, step=6, seed=11)
     assert not np.array_equal(lp1.data, lp3.data)
+
+
+def test_training_forward_draws_one_stream_per_dropout_site(setup, monkeypatch):
+    # the training bytes rest on these addresses: each dropout site draws
+    # stream(seed, "drop/<site>", step), and an eval forward draws nothing
+    _, _, windows, _ = setup
+    config = M.ModelConfig(vocab_size=32, layers=1, heads=2, hidden=16, ffn=32,
+                           dropout=0.3, dtype="float64")
+    model = M.TransformerModel(config, seed=3)
+    batch = M.build_batch(windows[:3], config)
+    calls = []
+
+    def recording(seed, name, *counters):
+        calls.append((seed, name, counters))
+        return stream(seed, name, *counters)
+
+    monkeypatch.setattr(M, "stream", recording)
+    model.forward(batch, train=True, step=5, seed=11)
+    sites = ["src_emb", "tgt_emb", "enc0.self", "enc0.self.attn", "enc0.ffn", "dec0.self",
+             "dec0.self.attn", "dec0.cross", "dec0.cross.attn", "dec0.ffn"]
+    assert sorted(calls) == sorted((11, f"drop/{site}", (5,)) for site in sites)
+    calls.clear()
+    model.forward(batch, capture=True)
+    model.decode(windows[:2], beam=2, max_len=3)
+    assert calls == []
 
 
 def test_padding_gets_exactly_zero_attention(setup):
@@ -266,10 +292,16 @@ def test_max_length_exceeded_rejected(setup):
         M.build_batch(windows[:3], config)
 
 
+def _save(model, path):
+    """Write ``model`` as the trainer writes its checkpoints."""
+    ckpt.save_checkpoint(path, {k: v.data for k, v in model.params.items()},
+                         dataclasses.asdict(model.config))
+
+
 def test_checkpoint_round_trip_bitwise_log_probs(setup, tmp_path):
     _, _, windows, model = setup
     path = tmp_path / "model.bin"
-    model.save(path)
+    _save(model, path)
     loaded = M.TransformerModel.load(path)
     batch = M.build_batch(windows[:4], model.config)
     lp1, _ = model.forward(batch)
@@ -280,7 +312,7 @@ def test_checkpoint_round_trip_bitwise_log_probs(setup, tmp_path):
 def test_vocab_digest_validated_on_load(setup, tmp_path):
     _, _, _, model = setup
     path = tmp_path / "model.bin"
-    model.save(path)
+    _save(model, path)
     with pytest.raises(M.ModelError, match="digest"):
         M.TransformerModel.load(path, expect_vocab_digest="deadbeef")
 

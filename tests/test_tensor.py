@@ -9,7 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from winmt import corpus as C
+from winmt import synth
 from winmt import tensor as T
+from winmt import trainer as TR
+from winmt.model import TransformerModel
 from winmt.rng import stream
 
 
@@ -220,6 +224,30 @@ def test_ops_the_benchmark_tracer_times_stay_exported():
         for part in path.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module_name}.{path} is not a function"
+
+
+def test_trainer_passes_the_train_flag_the_benchmark_tracer_splits_on(tmp_path, monkeypatch):
+    # perfbench/tracer.py times TransformerModel.forward as model.forward_train
+    # when it gets the keyword train=True, and as model.forward_eval otherwise
+    docs, _ = synth.gen_synthetic(0, n_docs=20, vocab_size=32)
+    train_docs, dev_docs, _ = C.split_documents(docs, (80, 20, 0))
+    C.write_corpus(tmp_path / "train.txt", train_docs)
+    C.write_corpus(tmp_path / "dev.txt", dev_docs)
+    trainer = TR.Trainer(TR.TrainConfig(data_dir=str(tmp_path), out_dir=str(tmp_path / "run"),
+                                        layers=1, heads=2, hidden=16, ffn=32))
+    calls = []
+    forward = TransformerModel.forward
+
+    def spy(self, *args, **kwargs):
+        calls.append(kwargs)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(TransformerModel, "forward", spy)
+    trainer._train_step(trainer.train_windows[:4], 1)
+    assert len(calls) == 1 and calls[0].get("train") is True
+    calls.clear()
+    trainer._validate()
+    assert calls and not any("train" in kwargs for kwargs in calls)
 
 
 @pytest.mark.parametrize("op_name", ORACLE_OPS)
