@@ -9,16 +9,22 @@ tape node with a hand-written backward: ``linear`` (an affine map over
 stacked rows in one GEMM) and ``attention`` (scaled, masked, softmaxed
 and dropped-out scores applied to values, over hidden-width rows that
 the op splits into heads and merges back).
-Ops recorded while a Graph is active build a tape in forward order;
-``backward`` walks it in exact reverse, dropping each node once it has
-run, and accumulates a gradient onto every tensor reachable from the
-loss: leaves and the intermediates the caller holds keep theirs. Outside
-a recording context the same ops run as plain numpy.
+Ops recorded while a Graph is active build a tape in forward order. A
+node keeps three things: its op's backward function, which holds exactly
+the arrays that backward reads; a weak reference to its output; and its
+inputs, each the id of another node of the tape or a leaf (a parameter,
+an input or a tensor of another graph). The tape therefore keeps no
+output alive, and no tensor and tape point at each other. ``backward`` walks
+the tape in exact reverse, dropping each node once it has run, and sums
+the gradients of the nodes in a slot per node. It sets ``grad`` on the
+leaves and on the outputs the caller still holds. Outside a recording
+context the same ops run as plain numpy.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
@@ -69,10 +75,17 @@ class GraphError(RuntimeError):
 
 
 class _Node:
-    __slots__ = ("tensor", "parents", "backward_fn")
+    """One op on the tape.
 
-    def __init__(self, tensor: "Tensor", parents: tuple, backward_fn: Callable):
-        self.tensor = tensor
+    ``out`` is a weak reference to the op's output, so the tape never keeps
+    it alive. Each entry of ``parents`` is the node id of an input recorded
+    on the same graph, or the input ``Tensor`` itself for a leaf.
+    """
+
+    __slots__ = ("out", "parents", "backward_fn")
+
+    def __init__(self, out: "weakref.ref[Tensor]", parents: tuple, backward_fn: Callable):
+        self.out = out
         self.parents = parents
         self.backward_fn = backward_fn
 
@@ -111,7 +124,7 @@ def record(graph: Graph) -> Iterator[Graph]:
 class Tensor:
     """Dense tensor; ``grad`` is populated by backward()."""
 
-    __slots__ = ("data", "grad", "graph", "node_id")
+    __slots__ = ("data", "grad", "graph", "node_id", "__weakref__")
 
     def __init__(self, data, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -143,10 +156,12 @@ class Tensor:
 
 def _emit(data: np.ndarray, parents: tuple, backward_fn: Callable) -> Tensor:
     out = Tensor(data)
-    if _active is not None:
-        out.graph = _active
-        out.node_id = len(_active.nodes)
-        _active.nodes.append(_Node(out, parents, backward_fn))
+    graph = _active
+    if graph is not None:
+        out.graph = graph
+        out.node_id = len(graph.nodes)
+        ids = tuple(p.node_id if p.graph is graph else p for p in parents)
+        graph.nodes.append(_Node(weakref.ref(out), ids, backward_fn))
     return out
 
 
@@ -161,13 +176,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) onto every tensor t reachable from ``loss``.
+    """Accumulate d(loss)/d(t) onto every leaf and every held tensor t
+    reachable from ``loss``.
 
     The walk consumes the tape: it pops the nodes in reverse order and drops
-    each one once its backward function has run. Reference counting then
-    frees the node's saved activations, and its output tensor with that
-    tensor's gradient, unless the caller still holds the tensor. Leaves and
-    held tensors keep their gradients.
+    each one once its backward function has run. A node's gradient is the
+    sum, in the order the walk reaches them, of what its consumers pass it,
+    kept in the node's slot. When the node is popped, its slot becomes the
+    output's ``grad`` if the caller still holds the output, and is dropped.
+    Reference counting then frees the node's saved arrays. Leaves keep
+    their gradients, summed onto any ``grad`` they already have.
     """
     if loss.data.shape != ():
         raise GraphError(f"backward() needs a scalar loss, got shape {loss.data.shape}")
@@ -177,23 +195,29 @@ def backward(loss: Tensor) -> None:
     if graph.consumed:
         raise GraphError("backward() already ran on this graph; run a new forward pass")
     graph.consumed = True
-    loss.grad = np.ones((), dtype=loss.data.dtype)
-    # the tape and its tensors point at each other; detaching the list lets
-    # reference counting free the activations without the cyclic collector
     nodes, graph.nodes = graph.nodes, []
+    slots: list[np.ndarray | None] = [None] * len(nodes)
+    slots[loss.node_id] = np.ones((), dtype=loss.data.dtype)
     while nodes:
         node = nodes.pop()
-        out_grad = node.tensor.grad
+        node_id = len(nodes)
+        out_grad, slots[node_id] = slots[node_id], None
         if out_grad is not None:
+            out = node.out()
+            if out is not None:
+                out.grad = out_grad
             for parent, pgrad in zip(node.parents, node.backward_fn(out_grad)):
                 if pgrad is None:
                     continue
-                if parent.grad is None:
+                if type(parent) is int:
+                    held = slots[parent]
+                    slots[parent] = pgrad if held is None else held + pgrad
+                elif parent.grad is None:
                     parent.grad = pgrad
                 else:
                     parent.grad = parent.grad + pgrad
         # no local may keep this node's arrays alive while the next one runs
-        node = out_grad = pgrad = None
+        node = out = out_grad = pgrad = held = None
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,24 @@ def test_training_step_records_each_attention_as_one_node(setup):
     assert ops.count("attention") == 6
 
 
+def test_training_tape_keeps_only_the_tensors_the_caller_holds(setup):
+    from winmt import objective as O
+    _, vocab, windows, _ = setup
+    model = M.TransformerModel(M.ModelConfig(vocab_size=len(vocab)), seed=1)
+    batch = M.build_batch(windows[:4], model.config)
+    graph = Graph()
+    with record(graph):
+        lp, _ = model.forward(batch, train=True, step=1, seed=1)
+        per_tok = O.smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid)
+        loss = O.normalized_training_loss(
+            O.masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask, 0.5))
+    assert len(graph.nodes) == 149
+    alive = {id(t) for t in (node.out() for node in graph.nodes) if t is not None}
+    assert alive == {id(lp), id(per_tok), id(loss)}
+    leaves = {id(p) for node in graph.nodes for p in node.parents if not isinstance(p, int)}
+    assert leaves == {id(p) for p in model.params.values()}
+
+
 # (model variant, beam) of the beam_reference comparisons
 REFERENCE_CASES = [("setup", 2), ("setup", 4), ("eos-biased", 2), ("eos-biased", 4),
                    ("two-word", 5)]

@@ -102,7 +102,46 @@ class TestBackward:
             y = T.mul(x, x)
             loss = T.reduce_sum(y)
         T.backward(loss)
-        assert y.grad is not None and x.grad is not None
+        assert y.grad.tobytes() == np.ones(2).tobytes()
+        assert x.grad.tobytes() == np.array([2.0, 4.0]).tobytes()
+
+    def test_tensor_used_several_times_sums_in_walk_order(self):
+        x = scalar(stream(5, "reuse").normal(0, 1, 64))
+        with T.record(T.Graph()):
+            h = T.mul_const(x, 3.0)
+            loss = T.reduce_sum(T.add(T.mul(h, h), h))
+        T.backward(loss)
+        # the walk reaches add's gradient (ones) before mul's two (h each)
+        want = (1.0 + h.data) + h.data
+        assert not np.array_equal(want, 1.0 + (h.data + h.data))  # the order shows
+        assert h.grad.tobytes() == want.tobytes()
+        assert x.grad.tobytes() == (want * 3.0).tobytes()
+
+    def test_tensor_of_a_consumed_graph_is_a_leaf_of_the_next(self):
+        x = scalar([1.0, 2.0])
+        with T.record(T.Graph()):
+            h = T.mul_const(x, 2.0)
+            first = T.reduce_sum(h)
+        T.backward(first)
+        with T.record(T.Graph()):
+            second = T.reduce_sum(T.mul(h, h))
+        T.backward(second)
+        # h keeps its first gradient (ones) and adds 2h; x is not reached again
+        assert h.grad.tobytes() == np.array([5.0, 9.0]).tobytes()
+        assert x.grad.tobytes() == np.array([2.0, 2.0]).tobytes()
+
+    def test_replaced_backward_function_takes_effect(self):
+        """The benchmark tracer wraps ``graph.nodes[t.node_id].backward_fn``."""
+        x = scalar([1.0, 2.0])
+        graph = T.Graph()
+        with T.record(graph):
+            h = T.mul_const(x, 2.0)
+            loss = T.reduce_sum(h)
+        node = graph.nodes[h.node_id]
+        inner = node.backward_fn
+        node.backward_fn = lambda g: tuple(gi * 10.0 for gi in inner(g))
+        T.backward(loss)
+        assert x.grad.tobytes() == np.array([20.0, 20.0]).tobytes()
 
     def test_backward_frees_tape_without_cyclic_gc(self):
         x = scalar([1.0, -2.0, 3.0])
@@ -119,6 +158,39 @@ class TestBackward:
             assert activation() is None
         finally:
             gc.enable()
+
+    def test_unwalked_tape_is_freed_without_cyclic_gc(self):
+        """A forward that raises mid-step leaves a tape backward never walks."""
+        x = scalar([1.0, -2.0, 3.0])
+        gc.disable()
+        try:
+            with T.record(T.Graph()):
+                h = T.softmax(T.mul(x, x))  # softmax's backward keeps its output's data
+                loss = T.reduce_sum(h)
+            activation = weakref.ref(h.data)
+            del h, loss
+            assert activation() is None
+        finally:
+            gc.enable()
+
+    def test_tape_keeps_no_output_no_backward_reads(self):
+        x = scalar(np.ones(1 << 17))  # 1 MiB
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with T.record(T.Graph()):
+                h = x
+                for _ in range(16):
+                    h = T.mul_const(h, 0.5)
+                loss = T.reduce_sum(h)
+            del h
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # mul_const's backward reads no array; keeping the outputs would hold 16 MiB
+        assert held < 4 * 2 ** 20
+        T.backward(loss)
+        assert x.grad.tobytes() == np.full(1 << 17, 0.5 ** 16).tobytes()
 
     def test_backward_frees_each_node_once_walked(self):
         x = scalar(np.ones(1 << 17))  # 1 MiB
