@@ -453,13 +453,24 @@ def _add_config_flags(parser, exclude=()) -> None:
                                 default=None, dest=f.name)
 
 
+def _limit(text: str) -> int:
+    """A ``--limit`` value: a count of at least 0, where 0 means no cap."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0 (0 for no cap), got {text!r}")
+    return value
+
+
 def _add_run_flags(parser, split: str, limit: int | None, help: str) -> None:
     """The flags of the commands that read a trained run and write reports."""
     parser.add_argument("--run", required=True)
     parser.add_argument("--data", required=True)
     parser.add_argument("--checkpoint")
     parser.add_argument("--split", choices=["dev", "test"], default=split)
-    parser.add_argument("--limit", type=int, default=limit, help=help)
+    parser.add_argument("--limit", type=_limit, default=limit, help=help)
     parser.add_argument("--report-dir")
 
 

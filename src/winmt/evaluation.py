@@ -12,6 +12,7 @@ import numpy as np
 from .corpus import (EOS_ID, PAD, SEP_ID, ContrastiveExample, Document,
                      Vocab, Window, make_windows, rebuild_examples)
 from .model import AttentionRecord, TransformerModel
+from .parallel import map_ordered
 
 
 MAX_N = 4  # BLEU's highest n-gram order
@@ -73,20 +74,19 @@ def evaluate_contrastive(model: TransformerModel, examples: Sequence[Contrastive
     target window ("full") or of the current span only ("current"). The
     pessimistic tie-break means a model that cannot separate reference
     from distractor scores 0, not 50%. Examples are scored together in
-    chunks of about ``BATCH_CANDIDATES`` candidate windows.
+    chunks of about ``BATCH_CANDIDATES`` candidate windows, spread over the
+    CPUs by ``parallel.map_ordered``.
     """
-    results: list[ContrastiveResult] = []
-    chunk: list[ContrastiveExample] = []
+    chunks: list[list[ContrastiveExample]] = []
     pending = 0
     for ex in examples:
-        chunk.append(ex)
+        if not chunks or pending >= BATCH_CANDIDATES:
+            chunks.append([])
+            pending = 0
+        chunks[-1].append(ex)
         pending += len(ex.candidates)
-        if pending >= BATCH_CANDIDATES:
-            results.extend(_score_batch(model, chunk, vocab, mode))
-            chunk, pending = [], 0
-    if chunk:
-        results.extend(_score_batch(model, chunk, vocab, mode))
-    return results
+    scored = map_ordered(lambda chunk: _score_batch(model, chunk, vocab, mode), chunks)
+    return [r for results in scored for r in results]
 
 
 def overall_accuracy(results: Sequence[ContrastiveResult]) -> float:
@@ -342,22 +342,25 @@ def decode_current_sentences(model: TransformerModel, docs: Sequence[Document],
                              alpha: float = 0.6) -> tuple[list[list[str]], list[list[str]], int]:
     """Decode documents at window size k and keep only current sentences.
 
+    Windows are decoded in chunks of ``BATCH_WINDOWS``, spread over the
+    CPUs by ``parallel.map_ordered``.
+
     Returns (hypothesis sentences, reference sentences, malformed count).
     """
     windows = [w for d in docs for w in make_windows(d, k, vocab)]
     refs = []
     for d in docs:
         refs.extend([list(t) for _, t in d.sentences])
+    decoded = map_ordered(lambda chunk: model.decode(chunk, beam=beam, alpha=alpha),
+                          [windows[lo:lo + BATCH_WINDOWS]
+                           for lo in range(0, len(windows), BATCH_WINDOWS)])
     hyps: list[list[str]] = []
     malformed = 0
-    for lo in range(0, len(windows), BATCH_WINDOWS):
-        chunk = windows[lo:lo + BATCH_WINDOWS]
-        decoded = model.decode(chunk, beam=beam, alpha=alpha)
-        for w, ids in zip(chunk, decoded):
-            current, ok = extract_current(ids, expected_seps=w.size - 1)
-            if not ok:
-                malformed += 1
-            hyps.append(vocab.decode(current))
+    for w, ids in zip(windows, (ids for chunk in decoded for ids in chunk)):
+        current, ok = extract_current(ids, expected_seps=w.size - 1)
+        if not ok:
+            malformed += 1
+        hyps.append(vocab.decode(current))
     return hyps, refs, malformed
 
 

@@ -314,11 +314,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask_add, p: float,
     probs /= np.sum(probs, axis=-1, keepdims=True)
     keep = _keep_mask(probs.shape, p, rng) if p else None
     keep_scale = probs.dtype.type(1.0 / (1.0 - p))
-    dropped = probs if keep is None else probs * keep * keep_scale
+    # made again by the backward, bit for bit, rather than kept for it
+    dropped = lambda: probs if keep is None else probs * keep * keep_scale
 
     def bw(g):
         g = split(g)
-        gv = np.swapaxes(dropped, -1, -2) @ g
+        gv = np.swapaxes(dropped(), -1, -2) @ g
         gs = g @ np.swapaxes(v_data, -1, -2)
         if keep is not None:
             gs *= keep
@@ -330,7 +331,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask_add, p: float,
         gk = np.swapaxes(np.swapaxes(q_data, -1, -2) @ gs, -1, -2)
         return merge(gq, q_shape), merge(gk, k_shape), merge(gv, k_shape)
 
-    return _emit(merge(dropped @ v_data, q_shape), (q, k, v), bw), probs
+    return _emit(merge(dropped() @ v_data, q_shape), (q, k, v), bw), probs
 
 
 def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:

@@ -26,6 +26,7 @@ from .evaluation import (attention_entropy_rows, current_attention_mass,
 from .model import ModelConfig, ModelError, TransformerModel, build_batch, check_model_settings
 from .objective import (loss_ratio, masked_discounted_loss, normalized_training_loss,
                         smoothed_nll)
+from .parallel import map_ordered
 from .rng import stream
 from .tensor import Graph, Tensor, backward, record
 
@@ -244,19 +245,26 @@ def window_losses(model: TransformerModel, batches: Sequence[Sequence[Window]], 
     Returns the lists (current, context, current tokens, context tokens),
     one entry per window in the order of ``batches``. Given a ``records``
     list, the forward passes also capture their attention weights into it.
+    The batches are spread over the CPUs by ``parallel.map_ordered``.
     """
-    current, context, current_tokens, context_tokens = [], [], [], []
-    for windows in batches:
+    def batch_losses(windows):
         batch = build_batch(windows, model.config)
         log_probs, recs = model.forward(batch, capture=records is not None)
-        if records is not None:
-            records.extend(recs)
         per_tok = smoothed_nll(log_probs, batch.tgt_out, eps, batch.tgt_valid).data
         cur_mask, ctx_mask = batch.current_mask, batch.context_mask
-        current.extend((per_tok * cur_mask).sum(axis=1).tolist())
-        context.extend((per_tok * ctx_mask).sum(axis=1).tolist())
-        current_tokens.extend(cur_mask.sum(axis=1).astype(int).tolist())
-        context_tokens.extend(ctx_mask.sum(axis=1).astype(int).tolist())
+        return ((per_tok * cur_mask).sum(axis=1).tolist(),
+                (per_tok * ctx_mask).sum(axis=1).tolist(),
+                cur_mask.sum(axis=1).astype(int).tolist(),
+                ctx_mask.sum(axis=1).astype(int).tolist(), recs)
+
+    current, context, current_tokens, context_tokens = [], [], [], []
+    for cur, ctx, cur_tok, ctx_tok, recs in map_ordered(batch_losses, batches):
+        current.extend(cur)
+        context.extend(ctx)
+        current_tokens.extend(cur_tok)
+        context_tokens.extend(ctx_tok)
+        if records is not None:
+            records.extend(recs)
     return current, context, current_tokens, context_tokens
 
 

@@ -158,7 +158,7 @@ class TestEvaluate:
         assert (run_dir / "hyps_test_k2.txt").exists()
         assert (run_dir / "refs_test.txt").exists()
 
-    def test_one_decode_per_size(self, run_dir, tmp_path, monkeypatch):
+    def test_one_decode_per_size(self, run_dir, tmp_path, monkeypatch, one_worker):
         calls = []
         original = TransformerModel.decode
 
@@ -434,11 +434,15 @@ def test_unknown_position_scheme_is_config_error(command, data_dir, tmp_path, ca
     ("gen-data", ["--split", "a/b/c"]),
     ("sweep", ["--cd-values", "1,x"]),
     ("gen-data", ["--split", "0/0/0"]),
+    ("contrastive", ["--limit", "-3"]),
+    ("evaluate", ["--limit", "-28"]),
+    ("diagnose", ["--limit", "-3"]),
 ])
 def test_unparsable_flag_value_is_usage_error(command, flags, data_dir, run_dir, tmp_path,
                                               capsys):
     out = tmp_path / "out"
-    where = {"evaluate": ["--run", run_dir, "--data", data_dir, "--report-dir", out],
+    reads_run = ["--run", run_dir, "--data", data_dir, "--report-dir", out]
+    where = {"evaluate": reads_run, "contrastive": reads_run, "diagnose": reads_run,
              "gen-data": ["--out", out, "--docs", "10"],
              "sweep": ["--data", data_dir, "--out", out]}[command]
     assert run_cli(command, *where, *flags) == 1

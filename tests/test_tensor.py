@@ -298,7 +298,8 @@ def test_ops_the_benchmark_tracer_times_stay_exported():
         assert callable(owner), f"{module_name}.{path} is not a function"
 
 
-def test_trainer_passes_the_train_flag_the_benchmark_tracer_splits_on(tmp_path, monkeypatch):
+def test_trainer_passes_the_train_flag_the_benchmark_tracer_splits_on(tmp_path, monkeypatch,
+                                                                      one_worker):
     # perfbench/tracer.py times TransformerModel.forward as model.forward_train
     # when it gets the keyword train=True, and as model.forward_eval otherwise
     docs, _ = synth.gen_synthetic(0, n_docs=20, vocab_size=32)
@@ -493,6 +494,38 @@ def test_attention_rejects_nonconforming_operands():
                     0.0, 0.0, None)
     with pytest.raises(T.ShapeError, match="linear"):
         T.linear(q, T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros(4)))
+
+
+def _closure_arrays(fn, seen=None) -> list[np.ndarray]:
+    """The arrays ``fn`` keeps alive through its closure and its closures' closures."""
+    seen = set() if seen is None else seen
+    found = []
+    for cell in getattr(fn, "__closure__", None) or ():
+        value = cell.cell_contents
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value):
+            found += _closure_arrays(value, seen)
+    return found
+
+
+def test_attention_backward_keeps_only_probs_of_the_scores_shape():
+    """Under dropout the backward remakes ``probs * keep * keep_scale``
+    rather than keeping a second float array of the scores' shape."""
+    rng = stream(0, "attn-tape")
+    q, k, v = (T.Tensor(rng.normal(0, 1, shape).astype(np.float32))
+               for shape in ((2, 5, 8), (2, 6, 8), (2, 6, 8)))
+    graph = T.Graph()
+    with T.record(graph):
+        out, probs = T.attention(q, k, v, 2, np.zeros((2, 1, 1, 6), np.float32), 0.3,
+                                 stream(1, "attn-tape-drop"))
+    arrays = _closure_arrays(graph.nodes[out.node_id].backward_fn)
+    scores_shaped = [a for a in arrays if a.shape == probs.shape and a.dtype.kind == "f"]
+    assert len(scores_shaped) == 1 and scores_shaped[0] is probs
+    assert any(a.shape == probs.shape and a.dtype == bool for a in arrays)  # the keep mask
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -10,6 +10,12 @@ command's standard output, after replacing each tree's own paths (its
 checkout and its output directory) with placeholders. It prints one line
 per file and exits 1 on any difference, 0 when every file matches.
 Both trees run on one machine, so the BLAS build cannot tell them apart.
+
+It then runs this tree's commands once more pinned to one CPU, where
+``winmt.parallel.map_ordered`` computes every batch in one process, and
+compares that output with the all-CPU output in the same way: outputs
+must not depend on the number of worker processes. Only the command
+processes are pinned (``os.sched_setaffinity``, Linux).
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ COMMANDS = [
                       "--position-scheme shifted --shift-strategy avg-corpus "
                       "--segment-variant learned --layers 1 --max-steps 30 --val-interval 10"),
     ("gen-slice", "gen-data --out {out}/slice --seed 1001 --docs 30 --split 0/0/100"),
-    ("evaluate", "evaluate --run {fixture} --data {out}/slice --split test --limit 6 "
+    ("evaluate", "evaluate --run {fixture} --data {out}/slice --split test --limit 9 "
                  "--window-sizes 2,3 --report-dir {out}/evaluate"),
     ("contrastive-full", "contrastive --run {fixture} --data {out}/slice --split test "
                          "--mode full --report-dir {out}/contrastive-full"),
@@ -49,8 +55,13 @@ COMMANDS = [
 ]
 
 
-def run_commands(tree: Path, out: Path) -> None:
-    """Run ``COMMANDS`` with ``tree``'s winmt, writing under ``out``."""
+def _pin_to_one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_commands(tree: Path, out: Path, one_cpu: bool = False) -> None:
+    """Run ``COMMANDS`` with ``tree``'s winmt, writing under ``out``; with
+    ``one_cpu``, each command process may run on one CPU only."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -59,7 +70,8 @@ def run_commands(tree: Path, out: Path) -> None:
     for name, command in COMMANDS:
         argv = command.format(out=out, fixture=tree / "perfbench" / "fixture").split()
         done = subprocess.run([sys.executable, "-m", "winmt.cli", *argv], env=env,
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              preexec_fn=_pin_to_one_cpu if one_cpu else None)
         if done.returncode:
             sys.exit(f"{tree}: winmt {' '.join(argv)} exited {done.returncode}\n{done.stderr}")
         (stdout / f"{name}.txt").write_text(done.stdout)
@@ -110,11 +122,17 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="same_bytes-") as tmp:
         tmp = Path(tmp)
         rev_tree, rev_out, tree_out = tmp / "rev", tmp / "out-rev", tmp / "out-tree"
+        one_out = tmp / "out-one-cpu"
         export(argv[0], rev_tree)
         run_commands(rev_tree, rev_out)
         run_commands(ROOT, tree_out)
-        return compare(rev_out, {rev_tree: "<tree>", rev_out: "<out>"},
-                       tree_out, {ROOT: "<tree>", tree_out: "<out>"})
+        run_commands(ROOT, one_out, one_cpu=True)
+        print(f"{argv[0]} against this tree:")
+        differ = compare(rev_out, {rev_tree: "<tree>", rev_out: "<out>"},
+                         tree_out, {ROOT: "<tree>", tree_out: "<out>"})
+        print("this tree on all CPUs against one CPU:")
+        return differ | compare(tree_out, {ROOT: "<tree>", tree_out: "<out>"},
+                                one_out, {ROOT: "<tree>", one_out: "<out>"})
 
 
 if __name__ == "__main__":
