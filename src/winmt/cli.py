@@ -111,10 +111,12 @@ def _require_empty(out_dir: Path, force: bool) -> None:
 
 
 def _parse_list(flag: str, text: str, cast, sep: str = ",") -> list:
-    """The values of a ``sep``-separated flag; a value that does not parse, or
+    """The values of a ``sep``-separated flag; a value that ``cast`` rejects, or
     no value at all, is a usage error."""
     try:
         values = [cast(part) for part in text.split(sep) if part]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"bad {flag} {text!r}: {exc}") from None
     except ValueError:
         values = []
     if not values:
@@ -258,7 +260,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    sizes = _parse_list("--window-sizes", args.window_sizes, int) if args.window_sizes else None
+    sizes = (_parse_list("--window-sizes", args.window_sizes, _count(1)) if args.window_sizes
+             else None)
     model, vocab, ckpt_path, report_dir = _open_run(args)
     data = Path(args.data)
     docs = corpus_mod.read_corpus(data / f"{args.split}.txt")
@@ -453,15 +456,17 @@ def _add_config_flags(parser, exclude=()) -> None:
                                 default=None, dest=f.name)
 
 
-def _limit(text: str) -> int:
-    """A ``--limit`` value: a count of at least 0, where 0 means no cap."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a count >= 0 (0 for no cap), got {text!r}")
-    return value
+def _count(minimum: int):
+    """The argparse type of a count of at least ``minimum``."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected a count >= {minimum}, got {text!r}")
+        return value
+    return count
 
 
 def _add_run_flags(parser, split: str, limit: int | None, help: str) -> None:
@@ -470,7 +475,7 @@ def _add_run_flags(parser, split: str, limit: int | None, help: str) -> None:
     parser.add_argument("--data", required=True)
     parser.add_argument("--checkpoint")
     parser.add_argument("--split", choices=["dev", "test"], default=split)
-    parser.add_argument("--limit", type=_limit, default=limit, help=help)
+    parser.add_argument("--limit", type=_count(0), default=limit, help=help + "; 0 for no cap")
     parser.add_argument("--report-dir")
 
 
@@ -505,7 +510,7 @@ def build_parser() -> _Parser:
     e = sub.add_parser("evaluate", help="BLEU and window-size robustness")
     _add_run_flags(e, "test", None, "cap the number of documents")
     e.add_argument("--window-sizes", help="comma-separated, e.g. 2,3,4")
-    e.add_argument("--beam", type=int, default=4)
+    e.add_argument("--beam", type=_count(1), default=4)
     e.add_argument("--alpha", type=float, default=0.6)
     e.set_defaults(func=cmd_evaluate)
 
@@ -517,7 +522,7 @@ def build_parser() -> _Parser:
 
     d = sub.add_parser("diagnose", help="attention entropy, mass and loss ratio")
     _add_run_flags(d, "dev", 200, "cap the number of windows")
-    d.add_argument("--k", type=int, help="window size; defaults to the training size")
+    d.add_argument("--k", type=_count(1), help="window size; defaults to the training size")
     d.set_defaults(func=cmd_diagnose)
 
     st = sub.add_parser("stats", help="significance tests between two result files")

@@ -256,27 +256,17 @@ def _validate_rows(weights: np.ndarray) -> None:
 
 
 def attention_entropy_rows(records: Iterable[AttentionRecord]) -> np.ndarray:
-    """Per-query entropies over all records, in deterministic record order.
-
-    Records with the same number of keys are stacked and reduced together;
-    each row is still summed over exactly its own keys.
-    """
-    weights = [rec.weights for rec in records]
-    if not weights:
-        raise EvalError("no attention records")
-    # the key count of every row, in record order
-    row_keys = np.repeat([w.shape[-1] for w in weights], [w.shape[0] for w in weights])
-    groups = []
-    for keys in np.unique(row_keys):
-        w = np.concatenate([x for x in weights if x.shape[-1] == keys])
+    """Per-query entropies over all records, in record order, then by head
+    and query; each row is summed over exactly its own keys."""
+    rows = []
+    for rec in records:
+        w = rec.weights
         _validate_rows(w)
-        groups.append(-np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0),
-                              axis=-1))
-    # the groups hold the rows in order of key count, then of record
-    grouped = np.concatenate(groups)
-    rows = np.empty_like(grouped)
-    rows[np.argsort(row_keys, kind="stable")] = grouped
-    return rows
+        rows.append(-np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0),
+                            axis=-1).ravel())
+    if not rows:
+        raise EvalError("no attention records")
+    return np.concatenate(rows)
 
 
 def attention_entropy(records: Iterable[AttentionRecord]) -> float:
@@ -284,21 +274,26 @@ def attention_entropy(records: Iterable[AttentionRecord]) -> float:
     return float(attention_entropy_rows(records).mean())
 
 
-def current_attention_mass(records: Iterable[AttentionRecord]) -> float:
-    """Mean fraction of self-attention from current-sentence queries that
-    lands on current-sentence keys (encoder-self and decoder-self)."""
+def current_attention_mass_rows(records: Iterable[AttentionRecord]) -> np.ndarray:
+    """Per current-sentence query of self-attention (encoder-self and
+    decoder-self), the fraction of its attention on current-sentence keys;
+    in record order, then by head and query. Empty when there is none."""
     masses = []
     for rec in records:
         if rec.kind not in ("enc-self", "dec-self"):
             continue
-        query_rows = rec.query_seg == rec.current_seg
-        if not query_rows.any():
-            continue
         key_cols = rec.key_seg == rec.current_seg
-        masses.append(rec.weights[query_rows][:, key_cols].sum(axis=-1))
-    if not masses:
+        queries = rec.weights[:, rec.query_seg == rec.current_seg]
+        masses.append(queries[:, :, key_cols].sum(axis=-1).ravel())
+    return np.concatenate(masses) if masses else np.empty(0)
+
+
+def current_attention_mass(records: Iterable[AttentionRecord]) -> float:
+    """Mean of ``current_attention_mass_rows``."""
+    masses = current_attention_mass_rows(records)
+    if not masses.size:
         raise EvalError("no current-sentence queries in the given records")
-    return float(np.concatenate(masses).mean())
+    return float(masses.mean())
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Pre-norm residual blocks at small-scale default dimensions. The decoder
 input is the target shifted right with <E> doubling as the start token.
 Position encodings are closed-form sinusoids over effective positions,
 optionally segment-shifted; segment embeddings (sinusoidal or learned)
-can be added on top. Attention weights can be captured per layer, head
-and kind for diagnostics.
+can be added on top. Attention weights can be captured for diagnostics,
+one record per (layer, kind, window) with a heads axis.
 
 Hidden states hold the real tokens of a batch only, one row each. The
 position-wise layers (linears, layer norms, FFNs, residuals, dropout) run
@@ -101,16 +101,15 @@ class ModelConfig:
 
 @dataclass
 class AttentionRecord:
-    """One example's attention weights for a (layer, head, kind) triple.
+    """One window's attention weights in one layer and kind, for every head.
 
     Rows are probability distributions over unpadded keys; masked keys
     carry exactly zero weight.
     """
 
     layer: int
-    head: int
     kind: str  # enc-self | dec-self | cross
-    weights: np.ndarray  # (queries, keys)
+    weights: np.ndarray  # (heads, queries, keys)
     query_seg: np.ndarray
     key_seg: np.ndarray
     current_seg: int
@@ -427,23 +426,13 @@ class TransformerModel:
 
     def _capture(self, fp, attn, layer, kind):
         for i, w in enumerate(fp.batch.windows):
-            ns, nt = len(w.src_ids), len(w.tgt_ids)
-            if kind == "enc-self":
-                q_seg = k_seg = np.asarray(w.src_seg)
-                rows, cols = ns, ns
-            elif kind == "dec-self":
-                q_seg = k_seg = fp.batch.tgt_in_seg[i, :nt]
-                rows, cols = nt, nt
-            else:
-                q_seg = fp.batch.tgt_in_seg[i, :nt]
-                k_seg = np.asarray(w.src_seg)
-                rows, cols = nt, ns
-            for h in range(self.config.heads):
-                fp.records.append(AttentionRecord(
-                    layer=layer, head=h, kind=kind,
-                    weights=attn[i, h, :rows, :cols].copy(),
-                    query_seg=np.asarray(q_seg), key_seg=np.asarray(k_seg),
-                    current_seg=w.current_index))
+            src_seg = np.asarray(w.src_seg)
+            tgt_seg = fp.batch.tgt_in_seg[i, :len(w.tgt_ids)]
+            q_seg = src_seg if kind == "enc-self" else tgt_seg
+            k_seg = tgt_seg if kind == "dec-self" else src_seg
+            fp.records.append(AttentionRecord(
+                layer=layer, kind=kind, weights=attn[i, :, :len(q_seg), :len(k_seg)].copy(),
+                query_seg=q_seg, key_seg=k_seg, current_seg=w.current_index))
 
     def _ffn(self, name, x):
         p = self.params

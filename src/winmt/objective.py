@@ -81,17 +81,6 @@ def partition_masks(windows: Sequence[Window]) -> tuple[np.ndarray, np.ndarray]:
     return ((start <= pos) & (pos < end)).astype(np.float64), (pos < start).astype(np.float64)
 
 
-def concat_loss(per_token: Tensor, window: Window) -> Tensor:
-    """Plain concatenation loss: the sum over the window's target positions.
-
-    It reads only the target length, never the current span, so it stays an
-    independent reference for the discounted loss at cd = 1.
-    """
-    mask = np.zeros(per_token.shape[-1], dtype=per_token.data.dtype)
-    mask[:len(window.tgt_ids)] = 1.0
-    return reduce_sum(mul_const(per_token, mask))
-
-
 def masked_discounted_loss(per_token: Tensor, current_mask: np.ndarray,
                            context_mask: np.ndarray, cd: float) -> LossBreakdown:
     """Batched form of the discounted loss; masks select target positions."""

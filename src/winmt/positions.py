@@ -40,19 +40,6 @@ def shift_positions(index, seg, shift):
     return index + seg * shift
 
 
-def shifted_positions(seg, shift: int) -> np.ndarray:
-    """Effective positions t'_i = i + seg_i * shift for one token sequence."""
-    if shift < 0:
-        raise PositionError(f"shift must be nonnegative, got {shift}")
-    seg = np.asarray(seg, dtype=np.int64)
-    if seg.ndim != 1:
-        raise PositionError(f"seg must be 1-D, got shape {seg.shape}")
-    steps = np.diff(seg)
-    if seg.size and (steps.min(initial=0) < 0 or steps.max(initial=0) > 1):
-        raise PositionError("segment indices must be non-decreasing with steps of at most 1")
-    return shift_positions(np.arange(seg.size, dtype=np.int64), seg, shift)
-
-
 def init_segment_table(max_window: int, dim: int, rng: np.random.Generator,
                        dtype=np.float32) -> np.ndarray:
     """Trainable table of shape (max window size, dim), small Gaussian init."""

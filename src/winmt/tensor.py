@@ -58,7 +58,6 @@ __all__ = [
     "take_rows",
     "scatter_rows",
     "copy_rows",
-    "finite_diff_check",
 ]
 
 
@@ -591,49 +590,3 @@ def copy_rows(x: Tensor, dst: np.ndarray, src: np.ndarray) -> Tensor:
         return (gx,)
 
     return _emit(out, (x,), bw)
-
-
-# ---------------------------------------------------------------------------
-# gradient oracle
-
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], point, h: float,
-                      coords: Sequence[int] | None = None) -> float:
-    """Compare analytic gradients of ``f`` against central finite differences.
-
-    ``f`` must be deterministic and return a scalar. Returns the max over
-    (selected) coordinates of |analytic - numeric| / max(1e-12, |analytic| +
-    |numeric|). ``coords`` restricts the check to the given flat indices of
-    ``point``; by default every coordinate is checked.
-    """
-    if h <= 0:
-        raise ValueError(f"step size h must be positive, got {h}")
-    base = np.array(point.data if isinstance(point, Tensor) else point, dtype=np.float64)
-
-    x = Tensor(base.copy())
-    with record(Graph()):
-        y = f(x)
-    backward(y)
-    if x.grad is None:
-        raise ValueError("f does not depend on the given point")
-    analytic = x.grad.ravel()
-    if not np.all(np.isfinite(analytic)) or not np.isfinite(y.item()):
-        raise ValueError("non-finite values in f or its gradient")
-
-    flat = base.ravel()
-    indices = range(flat.size) if coords is None else coords
-    max_err = 0.0
-    for i in indices:
-        saved = flat[i]
-        flat[i] = saved + h
-        fp = f(Tensor(base)).item()
-        flat[i] = saved - h
-        fm = f(Tensor(base)).item()
-        flat[i] = saved
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite f value at coordinate {i}")
-        numeric = (fp - fm) / (2.0 * h)
-        a = analytic[i]
-        err = abs(a - numeric) / max(1e-12, abs(a) + abs(numeric))
-        max_err = max(max_err, err)
-    return max_err

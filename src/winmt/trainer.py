@@ -21,7 +21,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .corpus import (Document, Vocab, Window, compute_shift, make_windows,
                      read_contrastive, read_corpus)
-from .evaluation import (attention_entropy_rows, current_attention_mass,
+from .evaluation import (EvalError, attention_entropy_rows, current_attention_mass_rows,
                          evaluate_contrastive, overall_accuracy)
 from .model import ModelConfig, ModelError, TransformerModel, build_batch, check_model_settings
 from .objective import (loss_ratio, masked_discounted_loss, normalized_training_loss,
@@ -238,46 +238,50 @@ class TrainResult:
     stopped_early: bool
 
 
-def window_losses(model: TransformerModel, batches: Sequence[Sequence[Window]], eps: float,
-                  records: list | None = None):
+def _batch_losses(model: TransformerModel, windows: Sequence[Window], eps: float,
+                  capture: bool = False):
+    """The ``window_losses`` columns of one batch, and the attention records
+    of its forward pass (none without ``capture``)."""
+    batch = build_batch(windows, model.config)
+    log_probs, records = model.forward(batch, capture=capture)
+    per_tok = smoothed_nll(log_probs, batch.tgt_out, eps, batch.tgt_valid).data
+    cur_mask, ctx_mask = batch.current_mask, batch.context_mask
+    return ((per_tok * cur_mask).sum(axis=1).tolist(),
+            (per_tok * ctx_mask).sum(axis=1).tolist(),
+            cur_mask.sum(axis=1).astype(int).tolist(),
+            ctx_mask.sum(axis=1).astype(int).tolist()), records
+
+
+def _joined(per_batch) -> tuple[list, ...]:
+    """Per-batch column tuples joined column by column, in batch order."""
+    return tuple([v for columns in per_batch for v in columns[i]] for i in range(4))
+
+
+def window_losses(model: TransformerModel, batches: Sequence[Sequence[Window]], eps: float):
     """Label-smoothed loss sums over each window's current and context spans.
 
     Returns the lists (current, context, current tokens, context tokens),
-    one entry per window in the order of ``batches``. Given a ``records``
-    list, the forward passes also capture their attention weights into it.
-    The batches are spread over the CPUs by ``parallel.map_ordered``.
+    one entry per window in the order of ``batches``. The batches are spread
+    over the CPUs by ``parallel.map_ordered``.
     """
-    def batch_losses(windows):
-        batch = build_batch(windows, model.config)
-        log_probs, recs = model.forward(batch, capture=records is not None)
-        per_tok = smoothed_nll(log_probs, batch.tgt_out, eps, batch.tgt_valid).data
-        cur_mask, ctx_mask = batch.current_mask, batch.context_mask
-        return ((per_tok * cur_mask).sum(axis=1).tolist(),
-                (per_tok * ctx_mask).sum(axis=1).tolist(),
-                cur_mask.sum(axis=1).astype(int).tolist(),
-                ctx_mask.sum(axis=1).astype(int).tolist(), recs)
-
-    current, context, current_tokens, context_tokens = [], [], [], []
-    for cur, ctx, cur_tok, ctx_tok, recs in map_ordered(batch_losses, batches):
-        current.extend(cur)
-        context.extend(ctx)
-        current_tokens.extend(cur_tok)
-        context_tokens.extend(ctx_tok)
-        if records is not None:
-            records.extend(recs)
-    return current, context, current_tokens, context_tokens
+    return _joined(map_ordered(lambda ws: _batch_losses(model, ws, eps)[0], batches))
 
 
-def loss_summary(model: TransformerModel, batches: Sequence[Sequence[Window]], eps: float,
-                 records: list | None = None) -> tuple[float, float, float]:
-    """Per-token current loss, per-token context loss and ``objective.loss_ratio``
-    of the windows in ``batches``; ``records`` as in ``window_losses``. The
-    context loss is NaN when no window has a context token.
-    """
-    cur, ctx, cur_tok, ctx_tok = window_losses(model, batches, eps, records)
+def _summary(losses, batches) -> tuple[float, float, float]:
+    """``loss_summary`` from the ``window_losses`` columns of ``batches``."""
+    cur, ctx, cur_tok, ctx_tok = losses
     return (sum(cur) / max(1, sum(cur_tok)),
             sum(ctx) / sum(ctx_tok) if sum(ctx_tok) else math.nan,
             loss_ratio(cur, ctx, [w.size - 1 for ws in batches for w in ws]))
+
+
+def loss_summary(model: TransformerModel, batches: Sequence[Sequence[Window]],
+                 eps: float) -> tuple[float, float, float]:
+    """Per-token current loss, per-token context loss and ``objective.loss_ratio``
+    of the windows in ``batches``. The context loss is NaN when no window has
+    a context token.
+    """
+    return _summary(window_losses(model, batches, eps), batches)
 
 
 class Diagnosis(NamedTuple):
@@ -295,17 +299,24 @@ def diagnose(model: TransformerModel, docs: Sequence[Document], vocab: Vocab, k:
     """Losses and attention diagnostics of the first ``limit`` windows (all
     when None or 0) of ``docs`` at window size ``k``, forwarded in chunks of
     32: ``loss_summary``, the mean current-sentence attention mass and the
-    per-query attention entropies with their mean.
+    per-query attention entropies with their mean. Each chunk reduces its
+    own attention records, so none leaves the process that captured it.
     """
     # windows are made document by document, only up to the limit
     windows = list(itertools.islice((w for d in docs for w in make_windows(d, k, vocab)),
                                     limit or None))
-    records: list = []
-    losses = loss_summary(model, [windows[lo:lo + 32] for lo in range(0, len(windows), 32)],
-                          eps, records)
-    rows = attention_entropy_rows(records)
-    return Diagnosis(len(windows), *losses, current_attention_mass(records),
-                     float(rows.mean()), rows)
+    if not windows:
+        raise EvalError("no windows to diagnose")
+    batches = [windows[lo:lo + 32] for lo in range(0, len(windows), 32)]
+
+    def reduced(ws):
+        losses, records = _batch_losses(model, ws, eps, capture=True)
+        return losses, attention_entropy_rows(records), current_attention_mass_rows(records)
+
+    losses, rows, masses = zip(*map_ordered(reduced, batches))
+    rows = np.concatenate(rows)
+    return Diagnosis(len(windows), *_summary(_joined(losses), batches),
+                     float(np.concatenate(masses).mean()), float(rows.mean()), rows)
 
 
 def _float_repr(x: float) -> str:

@@ -26,12 +26,13 @@ from winmt.evaluation import (aggregate_from_stats, attention_entropy,
                               current_attention_mass, decode_current_sentences,
                               evaluate_contrastive)
 from winmt.model import ModelConfig, TransformerModel, build_batch
-from winmt.objective import (concat_loss, masked_discounted_loss, partition_masks,
-                             smoothed_nll)
-from winmt.positions import shifted_positions, sinusoidal_pe
+from winmt.objective import masked_discounted_loss, partition_masks, smoothed_nll
+from winmt.positions import sinusoidal_pe
 from winmt.rng import stream
 from winmt.stats import approx_randomization, mcnemar
 from winmt.trainer import TrainConfig, train
+
+from reference_ops import concat_loss, finite_diff_check, shifted_positions
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -145,8 +146,8 @@ def test_criterion_3_full_model_gradients():
             p = model.params[name]
             n_coords = min(3, p.data.size)
             coords = rng.choice(p.data.size, size=n_coords, replace=False)
-            err = T.finite_diff_check(lambda x, _n=name: loss_with(_n, x),
-                                      p, h=1e-5, coords=[int(c) for c in coords])
+            err = finite_diff_check(lambda x, _n=name: loss_with(_n, x),
+                                    p, h=1e-5, coords=[int(c) for c in coords])
             worst = max(worst, err)
             checked += n_coords
         if worst > 1e-4:

@@ -437,6 +437,10 @@ def test_unknown_position_scheme_is_config_error(command, data_dir, tmp_path, ca
     ("contrastive", ["--limit", "-3"]),
     ("evaluate", ["--limit", "-28"]),
     ("diagnose", ["--limit", "-3"]),
+    ("diagnose", ["--k", "0"]),
+    ("diagnose", ["--k", "-1"]),
+    ("evaluate", ["--window-sizes", "0"]),
+    ("evaluate", ["--beam", "0"]),
 ])
 def test_unparsable_flag_value_is_usage_error(command, flags, data_dir, run_dir, tmp_path,
                                               capsys):

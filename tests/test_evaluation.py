@@ -201,8 +201,9 @@ class TestBleu:
 class TestAttentionDiagnostics:
     @staticmethod
     def record(weights, q_seg, k_seg, current, kind="enc-self"):
-        return M.AttentionRecord(layer=0, head=0, kind=kind,
-                                 weights=np.asarray(weights, dtype=float),
+        # one head; ``weights`` is its (queries, keys) matrix
+        return M.AttentionRecord(layer=0, kind=kind,
+                                 weights=np.asarray(weights, dtype=float)[None],
                                  query_seg=np.asarray(q_seg),
                                  key_seg=np.asarray(k_seg), current_seg=current)
 
@@ -234,10 +235,22 @@ class TestAttentionDiagnostics:
         windows = [w for d in docs[:10] for w in C.make_windows(d, 3, vocab)]
         _, records = model.forward(M.build_batch(windows, model.config), capture=True)
         assert len({r.weights.shape[-1] for r in records}) > 1
+        assert {r.weights.shape[0] for r in records} == {model.config.heads}
         want = np.concatenate([
-            -np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0), axis=-1)
+            -np.sum(np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0), axis=-1).ravel()
             for w in (r.weights for r in records)])
         assert E.attention_entropy_rows(records).tobytes() == want.tobytes()
+
+    def test_mass_rows_equal_the_per_head_formula_bitwise(self, setup):
+        docs, _, vocab, model = setup
+        windows = [w for d in docs[:10] for w in C.make_windows(d, 3, vocab)]
+        _, records = model.forward(M.build_batch(windows, model.config), capture=True)
+        want = [r.weights[h][r.query_seg == r.current_seg][:, r.key_seg == r.current_seg]
+                .sum(axis=-1) for r in records if r.kind != "cross"
+                for h in range(model.config.heads)]
+        got = E.current_attention_mass_rows(records)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+        assert E.current_attention_mass(records) == float(got.mean())
 
     def test_mass_k1_window_is_one(self):
         rec = self.record(np.full((3, 3), 1 / 3), [0] * 3, [0] * 3, 0)

