@@ -1,12 +1,19 @@
-"""An order-keeping map that spreads independent items over the CPUs.
+"""Work spread over the CPUs by forked workers: an order-keeping map and a
+one-shot background call.
 
 ``map_ordered(fn, items)`` deals the items round-robin over one process
 per CPU this process may run on: the calling process takes ``items[0::n]``
-and each ``os.fork`` child ``items[i::n]``. The function and the items
-reach the children through the fork; only the results come back, pickled
-over a pipe. Every item is computed by the same code on the same inputs
-as in a plain loop, so with single-threaded BLAS the results are bitwise
-the loop's whatever the number of workers. With one CPU it is the loop.
+and each ``os.fork`` child ``items[i::n]``. ``submit(fn)`` starts ``fn()``
+in one forked child and returns at once; the caller polls the returned
+``Pending`` with ``ready()`` and collects it with ``result()``. The map is
+built on ``submit``, so both share one fork-and-collect path. The function
+and its inputs reach a child through the fork; only the outcome comes
+back, pickled over a pipe. Every item is computed by the same code on the
+same inputs as in a plain loop, so with single-threaded BLAS the results
+are bitwise the loop's whatever the number of workers. With one CPU the
+map is the loop and ``submit`` calls ``fn`` at once. Inside a worker the
+same holds, so a worker never forks workers of its own that would compete
+with its parent for the CPUs.
 
 The workers are forked rather than spawned: a spawned worker would pay a
 fresh import of numpy and winmt and need the model and its inputs
@@ -16,13 +23,17 @@ and OpenBLAS, when it runs threads, shuts them down before a fork.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
+import select
 import signal
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Generic, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+_in_worker = False  # set in each forked worker, whose maps and submissions run in-process
 
 
 class WorkerError(RuntimeError):
@@ -35,6 +46,11 @@ def available_cpus() -> int:
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def _workers() -> int:
+    """How many processes may compute at once: 1 inside a worker."""
+    return 1 if _in_worker else available_cpus()
 
 
 def _run(fn: Callable[[T], R], shard: Sequence[T]) -> tuple[list[R], Exception | None]:
@@ -58,19 +74,30 @@ def _portable(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _worker(fn: Callable[[T], R], shard: Sequence[T], read_fd: int, write_fd: int) -> None:
-    """In a forked child: run ``shard``, send the outcome over ``write_fd`` and
+def _run_in_worker(fn: Callable[[T], R],
+                   shard: Sequence[T]) -> tuple[list[R], Exception | None]:
+    """``_run`` with the exception made fit to send back."""
+    results, exc = _run(fn, shard)
+    return results, None if exc is None else _portable(exc)
+
+
+def _worker(fn: Callable[[], R], read_fd: int, write_fd: int) -> None:
+    """In a forked child: call ``fn``, send the outcome over ``write_fd`` and
     leave by ``os._exit``, so no inherited buffer is flushed, no atexit handler
     runs and no code of the caller runs on."""
+    global _in_worker
+    _in_worker = True
     status = 1
     try:
         os.close(read_fd)
-        results, exc = _run(fn, shard)
         try:
-            data = pickle.dumps((results, None if exc is None else _portable(exc)),
-                                pickle.HIGHEST_PROTOCOL)
-        except Exception as err:  # an unpicklable result fails the shard's first item
-            data = pickle.dumps(([], _portable(err)), pickle.HIGHEST_PROTOCOL)
+            outcome = fn(), None
+        except Exception as exc:
+            outcome = None, _portable(exc)
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception as err:  # an unpicklable result
+            data = pickle.dumps((None, _portable(err)), pickle.HIGHEST_PROTOCOL)
         view = memoryview(data)
         while view:
             view = view[os.write(write_fd, view):]
@@ -85,6 +112,85 @@ def _ended(status: int) -> str:
     return f"killed by signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
 
 
+class Pending(Generic[R]):
+    """The outcome of one ``submit``: a call running in a forked worker, or
+    one already made in this process. ``result`` or ``close`` reaps the
+    worker; call one of them before dropping the object."""
+
+    def __init__(self, outcome: tuple[R, Exception | None] | None = None,
+                 pid: int | None = None, read_fd: int | None = None):
+        self._outcome = outcome  # (return value, exception or None) once known
+        self._pid = pid
+        self._fd = read_fd
+
+    def ready(self) -> bool:
+        """Whether ``result`` would return without waiting for the worker to
+        compute: it has begun to send its outcome, or has ended."""
+        return self._fd is None or bool(select.select([self._fd], [], [], 0)[0])
+
+    def result(self) -> R:
+        """The call's return value, once the worker has sent it.
+
+        An exception of the call is raised again here with its type and
+        message. A worker that ends without sending its outcome raises
+        ``WorkerError`` with its exit status. The worker is reaped before
+        this returns or raises, and killed first when this process fails.
+        """
+        if self._outcome is None:
+            try:
+                with open(self._fd, "rb") as fh:
+                    self._fd = None
+                    try:
+                        self._outcome = pickle.load(fh)
+                    except Exception as exc:
+                        status = os.waitpid(self._pid, 0)[1]
+                        self._pid = None
+                        raise WorkerError(f"worker process ended without its results "
+                                          f"({_ended(status)})") from exc
+            finally:
+                self.close()
+        value, exc = self._outcome
+        if exc is not None:
+            raise exc
+        return value
+
+    def close(self) -> None:
+        """Kill the worker unless it has sent its outcome, reap it and close
+        its pipe; nothing once that is done."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        if self._pid is not None:
+            if self._outcome is None:
+                try:
+                    os.kill(self._pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
+def submit(fn: Callable[[], R]) -> Pending[R]:
+    """Start ``fn()`` in a forked worker and return its ``Pending`` at once.
+
+    With one CPU, or inside a worker, ``fn`` is called here before this
+    returns, and its exception is raised by ``submit`` itself.
+    """
+    if _workers() <= 1:
+        return Pending(outcome=(fn(), None))
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _worker(fn, read_fd, write_fd)
+    except BaseException:
+        os.close(read_fd)
+        raise
+    finally:
+        os.close(write_fd)
+    return Pending(pid=pid, read_fd=read_fd)
+
+
 def map_ordered(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """``[fn(item) for item in items]``, computed on up to ``available_cpus()``
     processes.
@@ -95,47 +201,24 @@ def map_ordered(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     with its exit status. Every child is reaped before this returns or
     raises; when this process fails itself, the children are killed first.
     """
-    n = min(len(items), available_cpus())
+    n = min(len(items), _workers())
     if n <= 1:
         return [fn(item) for item in items]
-    workers: list[list] = []  # [pid, read fd or None once read]
-    shards: list[tuple[list[R], Exception | None]] = []
-    delivered = False
+    jobs: list[Pending] = []
     try:
         for i in range(1, n):
-            read_fd, write_fd = os.pipe()
-            workers.append([None, read_fd])
+            jobs.append(submit(functools.partial(_run_in_worker, fn, items[i::n])))
+        shards = [_run(fn, items[0::n])]
+        for job in jobs:
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker(fn, items[i::n], read_fd, write_fd)
-                workers[-1][0] = pid
-            finally:
-                os.close(write_fd)
-        shards.append(_run(fn, items[0::n]))
-        for worker in workers:
-            with open(worker[1], "rb") as fh:
-                worker[1] = None
-                try:
-                    shards.append(pickle.load(fh))
-                except Exception as exc:
-                    status = os.waitpid(worker[0], 0)[1]
-                    worker[0] = None
-                    raise WorkerError(f"worker process ended without its results "
-                                      f"({_ended(status)})") from exc
-        delivered = True
+                shards.append(job.result())
+            except WorkerError:
+                raise
+            except Exception as exc:  # an unpicklable result fails the shard's first item
+                shards.append(([], exc))
     finally:
-        for pid, fd in workers:
-            if fd is not None:
-                os.close(fd)
-            if pid is not None and not delivered:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-        for pid, _ in workers:
-            if pid is not None:
-                os.waitpid(pid, 0)
+        for job in jobs:
+            job.close()
     # shard s holds items s, s + n, ...; the loop would stop at the first failure
     failures = [(s + n * len(results), exc) for s, (results, exc) in enumerate(shards)
                 if exc is not None]

@@ -26,7 +26,7 @@ from .evaluation import (EvalError, attention_entropy_rows, current_attention_ma
 from .model import ModelConfig, ModelError, TransformerModel, build_batch, check_model_settings
 from .objective import (loss_ratio, masked_discounted_loss, normalized_training_loss,
                         smoothed_nll)
-from .parallel import map_ordered
+from .parallel import map_ordered, submit
 from .rng import stream
 from .tensor import Graph, Tensor, backward, record
 
@@ -404,6 +404,13 @@ class Trainer:
         """Dev per-token current loss, per-token context loss, per-sentence ratio."""
         return loss_summary(self.model, self.dev_batches, self.cfg.label_smoothing)
 
+    def _restore(self, params: dict[str, np.ndarray], step: int) -> None:
+        """Take the parameters and optimizer state from the checkpoint tensors
+        ``params`` of ``step``."""
+        for name, p in self.model.params.items():
+            p.data = params[name].copy()
+        self.opt.load_state(params, t=step)
+
     def _checkpoint_path(self, step: int) -> Path:
         return self.run_dir / "checkpoints" / f"ckpt_{step:07d}.bin"
 
@@ -429,10 +436,21 @@ class Trainer:
         return kept
 
     def train(self, resume: bool = False) -> TrainResult:
+        """Train to the step cap, the epoch limit or an early stop.
+
+        Each interval's dev losses are computed by ``parallel.submit`` in a
+        forked worker while the next steps train; the loop polls it after
+        every step and applies its result as of the step it was started at.
+        A result that stops the run drops the steps trained past it. The
+        validations the loop would wait for anyway (at the step cap, at the
+        last batch of the last epoch and the final fallback) run here, over
+        every CPU. With one CPU each validation is applied before the next
+        step, as a plain loop would.
+        """
         cfg = self.cfg
         log_path = self.run_dir / "log.csv"
         state_path = self.run_dir / "trainer_state.json"
-        rec = Progress()
+        rec = Progress()  # as of the last validation, whose checkpoint exists
         if resume and state_path.exists():
             state = json.loads(state_path.read_text())
             # the run's record stays as it is unless this is the same model
@@ -445,21 +463,21 @@ class Trainer:
                 raise ConfigError(f"cannot resume {self.run_dir}: its model config differs "
                                   f"in {', '.join(differ)}")
             rec = Progress(**state)
-            for name, p in self.model.params.items():
-                p.data = params[name].copy()
-            self.opt.load_state(params, t=rec.step)
+            self._restore(params, rec.step)
         else:
             ckpt.write_atomic(log_path, (",".join(LOG_COLUMNS) + "\n").encode())
         self.vocab.save(self.run_dir / "vocab.json")
         ckpt.write_atomic(self.run_dir / "config.txt", config_to_text(cfg).encode())
 
-        def validate() -> None:
-            """Validate, log, checkpoint, track the best dev current loss and save ``rec``."""
-            cur, ctx, ratio = self._validate()
+        def apply(at: tuple[int, int, int], losses: tuple[float, float, float]) -> None:
+            """Log the dev losses of the validation at ``at`` = (epoch, step,
+            batch_idx), whose checkpoint is written, track the best dev current
+            loss and save ``rec`` at that position."""
+            rec.epoch, rec.step, rec.batch_idx = at
+            cur, ctx, ratio = losses
             line = ",".join([str(rec.epoch), str(rec.step), _float_repr(cur), _float_repr(ctx),
                              _float_repr(ratio), _float_repr(cfg.cd)]) + "\n"
             ckpt.write_atomic(log_path, log_path.read_bytes() + line.encode())
-            self._save_checkpoint(rec.step)
             rec.saved.append(rec.step)
             if cur < rec.best:
                 rec.best, rec.best_step, rec.bad = cur, rec.step, 0
@@ -469,24 +487,57 @@ class Trainer:
             rec.stopped = rec.bad >= cfg.patience
             rec.save(state_path)
 
-        hit_cap = False
-        while not (rec.stopped or hit_cap) and rec.epoch < cfg.max_epochs:
-            for batch in self._epoch_batches(rec.epoch)[rec.batch_idx:]:
-                rec.step += 1
-                rec.batch_idx += 1
-                self._train_step(batch, rec.step)
-                if rec.step % cfg.val_interval == 0:
-                    validate()
-                hit_cap = bool(cfg.max_steps) and rec.step >= cfg.max_steps
-                if rec.stopped or hit_cap:
-                    break
-            else:
-                rec.epoch += 1
-                rec.batch_idx = 0
+        epoch, step, batch_idx = rec.epoch, rec.step, rec.batch_idx
+        pending = None  # (position, Pending) of the validation running beside training
 
-        if rec.best_step < 0:
-            validate()  # no validation happened: the final state is the best
-        rec.save(state_path)
+        def settle(wait: bool) -> bool:
+            """Apply the pending validation if it is done, or with ``wait`` once it
+            is; whether the run has stopped. A stop puts the model back to the
+            stopping validation's step."""
+            nonlocal pending
+            if pending is not None and (wait or pending[1].ready()):
+                at, job = pending
+                pending = None
+                apply(at, job.result())
+                if rec.stopped and step > rec.step:  # drop the steps trained past it
+                    self._restore(ckpt.load_checkpoint(self._checkpoint_path(rec.step))[0],
+                                  rec.step)
+            return rec.stopped
+
+        hit_cap = bool(cfg.max_steps) and step >= cfg.max_steps  # a resumed run may be done
+        try:
+            while not (rec.stopped or hit_cap) and epoch < cfg.max_epochs:
+                batches = self._epoch_batches(epoch)
+                for batch in batches[batch_idx:]:
+                    step += 1
+                    batch_idx += 1
+                    try:
+                        self._train_step(batch, step)
+                    except TrainingDiverged:
+                        if settle(wait=True):  # the run stopped before this step
+                            break
+                        raise
+                    hit_cap = bool(cfg.max_steps) and step >= cfg.max_steps
+                    if step % cfg.val_interval == 0 and not settle(wait=True):
+                        at = (epoch, step, batch_idx)
+                        self._save_checkpoint(step)
+                        if hit_cap or (epoch + 1 == cfg.max_epochs and batch_idx == len(batches)):
+                            apply(at, self._validate())  # nothing left to train meanwhile
+                        else:
+                            pending = at, submit(self._validate)
+                    if settle(wait=False) or hit_cap:
+                        break
+                else:
+                    epoch += 1
+                    batch_idx = 0
+            settle(wait=True)
+        finally:
+            if pending is not None:
+                pending[1].close()
+
+        if rec.best_step < 0:  # no validation happened: the final state is the best
+            self._save_checkpoint(step)
+            apply((epoch, step, batch_idx), self._validate())
 
         by_distance = sorted(rec.saved, key=lambda s: (abs(s - rec.best_step), s))
         to_average = sorted(by_distance[:max(1, cfg.ckpt_avg)])

@@ -1,6 +1,11 @@
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
+import pickle
+import shutil
 import signal
 import time
 
@@ -190,6 +195,21 @@ def test_first_failing_item_wins_as_in_the_loop(monkeypatch):
         parallel.map_ordered(fail, range(8))
 
 
+def test_unpicklable_result_fails_its_shards_first_item(monkeypatch):
+    def item(x):
+        if x == 0 and fail_first:
+            raise KeyError("item 0")
+        return (lambda: 0) if x == 3 else x  # item 3 runs in the child
+
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    fail_first = False
+    with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
+        parallel.map_ordered(item, range(4))
+    fail_first = True  # an earlier failing item wins, as in the loop
+    with pytest.raises(KeyError, match="item 0"):
+        parallel.map_ordered(item, range(4))
+
+
 def test_unpicklable_worker_error_keeps_its_type_and_message(monkeypatch):
     class Custom(Exception):
         def __init__(self, a, b):
@@ -252,3 +272,273 @@ def test_workers_flush_no_inherited_buffer(monkeypatch, tmp_path):
         fh.write("written once")  # still in this process's buffer at the fork
         assert parallel.map_ordered(lambda x: x, range(3)) == [0, 1, 2]
     assert (tmp_path / "log.txt").read_text() == "written once"
+
+
+def test_submitted_call_runs_in_a_worker_and_is_polled(monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    read_fd, write_fd = os.pipe()
+    try:
+        # the worker waits for one byte from this process before it returns
+        job = parallel.submit(lambda: (os.read(read_fd, 1), os.getpid()))
+        assert not job.ready()
+        os.write(write_fd, b"x")
+        deadline = time.monotonic() + 30
+        while not job.ready() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert job.ready()
+        assert job.result()[0] == b"x" and job.result()[1] != os.getpid()
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+
+
+def test_submit_on_one_cpu_calls_at_once(monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+    job = parallel.submit(os.getpid)
+    assert job.ready() and job.result() == os.getpid()
+    with pytest.raises(KeyError, match="raised here"):
+        parallel.submit(lambda: {}["raised here"])
+
+
+def test_submitted_worker_error_keeps_its_type(monkeypatch):
+    class Custom(Exception):
+        def __init__(self, a, b):
+            super().__init__(f"{a} and {b}")
+
+    def fail(exc):
+        raise exc
+
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    with pytest.raises(KeyError, match="in the worker"):
+        parallel.submit(lambda: fail(KeyError("in the worker"))).result()
+    with pytest.raises(RuntimeError, match="Custom: one and two"):
+        parallel.submit(lambda: fail(Custom("one", "two"))).result()
+    with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
+        parallel.submit(lambda: (lambda: 0)).result()  # an unpicklable result
+
+
+def test_killed_submitted_worker_raises_a_named_error(monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    job = parallel.submit(lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(parallel.WorkerError, match="killed by signal SIGKILL"):
+        job.result()
+
+
+def test_interrupted_wait_kills_and_reaps_the_worker(monkeypatch):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    job = parallel.submit(lambda: time.sleep(60))  # a worker the parent must not wait for
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(KeyboardInterrupt):
+            job.result()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+
+
+def test_work_inside_a_worker_runs_in_the_worker(monkeypatch):
+    def inner():
+        return (os.getpid(), parallel.map_ordered(lambda x: (x * x, os.getpid()), range(5)),
+                parallel.submit(os.getpid).result())
+
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 3)
+    pid, mapped, submitted = parallel.submit(inner).result()
+    assert pid != os.getpid()
+    assert mapped == [(x * x, pid) for x in range(5)] and submitted == pid
+    # the same in the workers of a map
+    outer = parallel.map_ordered(lambda _: inner(), range(3))
+    assert outer[0][0] == os.getpid() and len({pid for pid, _, _ in outer}) == 3
+    for pid, mapped, submitted in outer[1:]:
+        assert mapped == [(x * x, pid) for x in range(5)] and submitted == pid
+
+
+# ---------------------------------------------------------------------------
+# training: each interval's validation runs in a worker beside the next steps
+
+
+@pytest.fixture(scope="module")
+def train_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("train") / "data"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-data", "--out", str(data), "--seed", "5", "--docs", "40",
+                     "--vocab-size", "32"]) == 0
+    return data
+
+
+def train_config(data, run, **kw):
+    return TR.TrainConfig(**dict(dict(
+        data_dir=str(data), out_dir=str(run), seed=3, layers=1, heads=2, hidden=16, ffn=32,
+        warmup=20, batch_tokens=256, val_interval=5), **kw))
+
+
+@pytest.fixture
+def trained_steps(monkeypatch):
+    """The steps this process trains."""
+    steps, train_step = [], TR.Trainer._train_step
+
+    def noting(self, batch, step):
+        steps.append(step)
+        return train_step(self, batch, step)
+
+    monkeypatch.setattr(TR.Trainer, "_train_step", noting)
+    return steps
+
+
+@pytest.fixture
+def slow_worker_validation(monkeypatch):
+    """A validation computed in a worker takes at least 0.2 s, so that the
+    steps after it train before its result is in."""
+    parent, validate = os.getpid(), TR.Trainer._validate
+
+    def slow_in_worker(self):
+        if os.getpid() != parent:
+            time.sleep(0.2)
+        return validate(self)
+
+    monkeypatch.setattr(TR.Trainer, "_validate", slow_in_worker)
+
+
+def run_files(run):
+    return {p.relative_to(run).as_posix(): p.read_bytes()
+            for p in sorted(run.rglob("*")) if p.is_file()}
+
+
+def train_per_worker_count(monkeypatch, trained_steps, run, *configs):
+    """For each count in ``WORKERS``, train from ``configs`` in turn (each
+    after the first resumes) into a new ``run``. Checks that the run's files
+    and the final parameters and optimizer state are the same for every
+    count; returns the files and, per count, the last step this process
+    trained."""
+    out = []
+    for n in WORKERS:
+        monkeypatch.setattr(parallel, "available_cpus", lambda n=n: n)
+        shutil.rmtree(run, ignore_errors=True)
+        trained_steps.clear()
+        for i, config in enumerate(configs):
+            trainer = TR.Trainer(config)
+            trainer.train(resume=i > 0)
+        opt = trainer.opt
+        out.append((run_files(run), bits([p.data for p in trainer.model.params.values()]),
+                    bits([opt.t, list(opt.m.values()), list(opt.v.values())]),
+                    max(trained_steps)))
+    assert all(o[:3] == out[0][:3] for o in out[1:])
+    return out[0][0], [o[3] for o in out]
+
+
+def state(files):
+    return json.loads(files["trainer_state.json"])
+
+
+def test_capped_run_is_the_same_for_any_worker_count(train_data, monkeypatch, trained_steps,
+                                                    tmp_path):
+    files, last = train_per_worker_count(monkeypatch, trained_steps, tmp_path / "run",
+                                         train_config(train_data, tmp_path / "run",
+                                                      max_steps=13, val_interval=4))
+    assert last == [13] * len(WORKERS)
+    # the state names the last validation, whose checkpoint exists
+    assert state(files)["step"] == 12 and "checkpoints/ckpt_0000012.bin" in files
+    assert [line.split(b",")[1] for line in files["log.csv"].splitlines()[1:]] == [
+        b"4", b"8", b"12"]
+
+
+@pytest.mark.usefixtures("slow_worker_validation")
+def test_early_stop_drops_the_steps_trained_past_it(train_data, monkeypatch, trained_steps,
+                                                   tmp_path):
+    # with no learning every validation after the first is worse: a stop at step 6
+    config = train_config(train_data, tmp_path / "run", patience=1, peak_lr=0.0,
+                          val_interval=3, max_steps=40)
+    files, last = train_per_worker_count(monkeypatch, trained_steps, tmp_path / "run",
+                                         config)
+    assert state(files)["stopped"] and state(files)["step"] == 6
+    assert last[0] == 6 and all(s > 6 for s in last[1:])
+
+
+@pytest.mark.usefixtures("slow_worker_validation")
+def test_stop_at_an_epochs_last_batch_keeps_its_position(train_data, monkeypatch,
+                                                         trained_steps, tmp_path):
+    config = train_config(train_data, tmp_path / "run", patience=1, peak_lr=0.0,
+                          batch_tokens=512, max_epochs=3)
+    per_epoch = len(TR.Trainer(config)._epoch_batches(0))
+    assert per_epoch % 2 == 0  # the second validation is at the epoch's last batch
+    config.val_interval = per_epoch // 2
+    files, last = train_per_worker_count(monkeypatch, trained_steps, tmp_path / "run",
+                                         config)
+    assert {k: state(files)[k] for k in ("stopped", "epoch", "batch_idx", "step")} == {
+        "stopped": True, "epoch": 0, "batch_idx": per_epoch, "step": per_epoch}
+    assert last[0] == per_epoch and all(s > per_epoch for s in last[1:])
+
+
+@pytest.mark.usefixtures("slow_worker_validation")
+@pytest.mark.parametrize("stops", [True, False])
+def test_divergence_past_a_pending_validation(train_data, monkeypatch, trained_steps,
+                                             tmp_path, stops):
+    # the validation at step 6 stops the run; the one at step 3 does not
+    diverge_at = 7 if stops else 4
+    train_step = TR.Trainer._train_step
+
+    def diverging(self, batch, step):
+        if step == diverge_at:
+            trained_steps.append(step)
+            raise TR.TrainingDiverged(step=step, lr=1.0, grad_norm=math.inf, loss=math.nan,
+                                      param=None)
+        return train_step(self, batch, step)
+
+    monkeypatch.setattr(TR.Trainer, "_train_step", diverging)
+    config = train_config(train_data, tmp_path / "run", patience=1, peak_lr=0.0,
+                          val_interval=3, max_steps=40)
+    if stops:  # the step diverges after the stop: the run ends as if it never ran
+        files, last = train_per_worker_count(monkeypatch, trained_steps, tmp_path / "run",
+                                             config)
+        assert state(files)["stopped"] and state(files)["step"] == 6
+        assert last[0] == 6 and all(s == 7 for s in last[1:])
+        return
+    logs = []
+    for n in WORKERS:
+        monkeypatch.setattr(parallel, "available_cpus", lambda n=n: n)
+        shutil.rmtree(tmp_path / "run", ignore_errors=True)
+        with pytest.raises(TR.TrainingDiverged, match="at step 4"):
+            TR.Trainer(config).train()
+        logs.append(run_files(tmp_path / "run"))
+    assert all(log == logs[0] for log in logs)
+    assert state(logs[0])["step"] == 3
+
+
+def test_resume_after_a_cap_between_validations(train_data, monkeypatch, trained_steps,
+                                                tmp_path):
+    run = tmp_path / "run"
+    whole, _ = train_per_worker_count(monkeypatch, trained_steps, run,
+                                      train_config(train_data, run, max_steps=12))
+    resumed, _ = train_per_worker_count(monkeypatch, trained_steps, run,
+                                        train_config(train_data, run, max_steps=7),
+                                        train_config(train_data, run, max_steps=12))
+    assert resumed == whole
+    assert state(whole)["step"] == 10
+    # resumed again, the run trains the steps after its last validation once more
+    trained_steps.clear()
+    TR.Trainer(train_config(train_data, run, max_steps=12)).train(resume=True)
+    assert run_files(run) == whole and trained_steps == [11, 12]
+    # and none when that validation is at the cap
+    trained_steps.clear()
+    TR.Trainer(train_config(train_data, run, max_steps=10)).train(resume=True)
+    assert trained_steps == [] and state(run_files(run)) == state(whole)
+
+
+def test_interrupted_training_leaves_no_worker(train_data, monkeypatch, trained_steps,
+                                               tmp_path):
+    train_step = TR.Trainer._train_step
+
+    def interrupted(self, batch, step):
+        if step == 6:  # the validation of step 5 is still running
+            raise KeyboardInterrupt
+        return train_step(self, batch, step)
+
+    monkeypatch.setattr(TR.Trainer, "_train_step", interrupted)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    with pytest.raises(KeyboardInterrupt):
+        TR.Trainer(train_config(train_data, tmp_path / "run", max_steps=20)).train()

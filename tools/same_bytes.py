@@ -43,6 +43,10 @@ COMMANDS = [
     ("train-learned", "train --data {out}/data --out {out}/train-learned --cd 0.01 "
                       "--position-scheme shifted --shift-strategy avg-corpus "
                       "--segment-variant learned --layers 1 --max-steps 30 --val-interval 10"),
+    # no learning: the validation at step 8 stops the run, and training
+    # that ran on beside it is dropped
+    ("train-stop", "train --data {out}/data --out {out}/train-stop --patience 1 "
+                   "--val-interval 4 --max-steps 30 --peak-lr 0"),
     ("gen-slice", "gen-data --out {out}/slice --seed 1001 --docs 30 --split 0/0/100"),
     ("evaluate", "evaluate --run {fixture} --data {out}/slice --split test --limit 9 "
                  "--window-sizes 2,3 --report-dir {out}/evaluate"),
