@@ -377,20 +377,24 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _read_correct_column(path: Path) -> dict[str, bool]:
-    out = {}
+def _read_correct_column(flag: str, path: Path) -> dict[str, bool]:
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[row["example_id"]] = bool(int(row["correct"]))
-    return out
+        reader = csv.DictReader(fh)
+        for column in ("example_id", "correct"):
+            if column not in (reader.fieldnames or ()):
+                raise UsageError(f"{flag} {path} has no {column!r} column")
+        return {row["example_id"]: bool(int(row["correct"])) for row in reader}
 
 
-def _read_scores(path: Path) -> list[float]:
+def _read_scores(flag: str, path: Path) -> list[float]:
     values = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line:
-            values.append(float(line))
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if line.strip():
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise UsageError(f"{flag} {path} line {number} is not a number: "
+                                 f"{line.strip()!r}") from None
     return values
 
 
@@ -398,8 +402,8 @@ def cmd_stats(args) -> int:
     if args.permutations is not None and args.permutations < 1:
         raise UsageError(f"--permutations must be at least 1, got {args.permutations}")
     if args.test == "mcnemar":
-        a = _read_correct_column(Path(args.a))
-        b = _read_correct_column(Path(args.b))
+        a = _read_correct_column("--a", Path(args.a))
+        b = _read_correct_column("--b", Path(args.b))
         if set(a) != set(b):
             raise UsageError("result files cover different example ids")
         ids = sorted(a)
@@ -407,8 +411,8 @@ def cmd_stats(args) -> int:
         payload = {"test": "mcnemar", "n": len(ids), "b": res.b, "c": res.c,
                    "statistic": res.statistic, "p_value": res.p_value}
     elif args.test == "ar":
-        scores_a = _read_scores(Path(args.a))
-        scores_b = _read_scores(Path(args.b))
+        scores_a = _read_scores("--a", Path(args.a))
+        scores_b = _read_scores("--b", Path(args.b))
         if len(scores_a) != len(scores_b):
             raise UsageError(f"line counts differ: --a has {len(scores_a)}, "
                              f"--b has {len(scores_b)}")

@@ -204,17 +204,22 @@ def bleu_stats(hypothesis, reference) -> BleuStats:
     return BleuStats(tuple(matches), tuple(totals), len(hyp), len(ref))
 
 
+def bleu_rows(stats: Sequence[BleuStats]) -> np.ndarray:
+    """One int64 row per sentence: MAX_N n-gram matches, MAX_N n-gram totals,
+    hypothesis and reference length; their sum is what ``bleu_from_row`` scores."""
+    return np.array([s.matches[:MAX_N] + s.totals[:MAX_N] + (s.hyp_len, s.ref_len)
+                     for s in stats], dtype=np.int64)
+
+
 def bleu_from_stats(stats: Sequence[BleuStats]) -> float:
     if not stats:
         raise EvalError("empty corpus")
-    return bleu_from_sums([sum(s.matches[n] for s in stats) for n in range(MAX_N)],
-                          [sum(s.totals[n] for s in stats) for n in range(MAX_N)],
-                          sum(s.hyp_len for s in stats), sum(s.ref_len for s in stats))
+    return bleu_from_row(bleu_rows(stats).sum(axis=0).tolist())
 
 
-def bleu_from_sums(matches: Sequence[int], totals: Sequence[int], hyp_len: int,
-                   ref_len: int) -> float:
-    """Corpus BLEU from corpus-summed n-gram matches and totals and lengths."""
+def bleu_from_row(row: Sequence[int]) -> float:
+    """Corpus BLEU from corpus sums in the layout of ``bleu_rows``."""
+    matches, totals, hyp_len, ref_len = row[:MAX_N], row[MAX_N:2 * MAX_N], row[-2], row[-1]
     if hyp_len == 0:
         return 0.0
     # orders with no n-gram slots at all carry no evidence and are skipped,
@@ -238,8 +243,6 @@ def bleu(hypotheses: Sequence, references: Sequence) -> float:
     brevity penalty. No smoothing; case-sensitive."""
     if len(hypotheses) != len(references):
         raise EvalError(f"{len(hypotheses)} hypotheses vs {len(references)} references")
-    if not hypotheses:
-        raise EvalError("empty corpus")
     return bleu_from_stats([bleu_stats(h, r) for h, r in zip(hypotheses, references)])
 
 

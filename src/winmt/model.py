@@ -37,7 +37,7 @@ from .positions import (SCHEMES, SEGMENT_VARIANTS, init_segment_table, shift_pos
                         sinusoidal_pe)
 from .rng import stream
 from .tensor import (Tensor, add, add_const, attention, copy_rows, dropout, embedding,
-                     layer_norm, linear, log_softmax, matmul, mul_const, relu, reshape,
+                     layer_norm, linear, log_softmax, mul_const, relu, reshape,
                      scatter_rows, take_rows)
 
 NEG_INF = -np.inf
@@ -399,7 +399,7 @@ class TransformerModel:
         """Keys and values of attention ``name`` over the rows ``x``, placed in
         ``grid`` (see ``_to_grid``)."""
         p = self.params
-        return (_to_grid(matmul(x, p[f"{name}.k"]), grid),
+        return (_to_grid(linear(x, p[f"{name}.k"]), grid),
                 _to_grid(linear(x, p[f"{name}.v"], p[f"{name}.v&bias"]), grid))
 
     def _attention(self, name, q_in, kv, mask_add, grid, fp, layer, kind):

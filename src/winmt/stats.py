@@ -49,74 +49,62 @@ def mcnemar(correct_a: Sequence, correct_b: Sequence) -> McNemarResult:
     return McNemarResult(b=b, c=c, statistic=statistic, p_value=chi2_tail_1dof(statistic))
 
 
+_FLIPS_PER_CHUNK = 1 << 20  # bounds the memory of the drawn flips
+
+
+def _randomization_p(n: int, permutations: int, seed: int, label: str, statistics) -> float:
+    """p = (#{permuted >= observed} + 1) / (permutations + 1), where each permutation
+    swaps each of ``n`` pairs with probability 1/2, and ``statistics`` maps
+    (permutations, n) swap masks to their statistics; the observed one is that of
+    no swap. The masks are drawn row-major, as one draw of ``n`` per permutation."""
+    if permutations < 1:
+        raise StatsError(f"need >= 1 permutations, got {permutations}")
+    observed = statistics(np.zeros((1, n), dtype=bool))[0]
+    rng = stream(seed, label)
+    chunk = max(1, _FLIPS_PER_CHUNK // n)
+    count = 0
+    for lo in range(0, permutations, chunk):
+        flip = rng.random((min(chunk, permutations - lo), n)) < 0.5
+        count += int(np.count_nonzero(statistics(flip) >= observed))
+    return (count + 1) / (permutations + 1)
+
+
 def approx_randomization(scores_a: Sequence, scores_b: Sequence, permutations: int,
                          seed: int) -> float:
-    """Paired approximate randomization test on the difference of means.
-
-    Each permutation swaps every item pair independently with probability
-    1/2 and recomputes |difference of the means|;
-    p = (#{permuted >= observed} + 1) / (permutations + 1).
-    """
+    """Paired approximate randomization test on |difference of the means|."""
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise StatsError(f"score arrays must be equal-length vectors, got {a.shape} vs {b.shape}")
     if a.size == 0:
         raise StatsError("empty score arrays")
-    if permutations < 1:
-        raise StatsError(f"need >= 1 permutations, got {permutations}")
-    observed = abs(float(np.mean(a)) - float(np.mean(b)))
-    rng = stream(seed, "approx-randomization")
-    count = 0
-    for _ in range(permutations):
-        flip = rng.random(a.size) < 0.5
-        pa = np.where(flip, b, a)
-        pb = np.where(flip, a, b)
-        if abs(float(np.mean(pa)) - float(np.mean(pb))) >= observed:
-            count += 1
-    return (count + 1) / (permutations + 1)
-
-
-_FLIPS_PER_CHUNK = 1 << 20  # bounds the memory of the drawn flips
+    bad = int(np.count_nonzero(~np.isfinite(a)) + np.count_nonzero(~np.isfinite(b)))
+    if bad:
+        raise StatsError(f"{bad} non-finite scores")
+    return _randomization_p(
+        a.size, permutations, seed, "approx-randomization",
+        lambda flip: np.abs(np.where(flip, b, a).mean(axis=1) - np.where(flip, a, b).mean(axis=1)))
 
 
 def paired_bleu_randomization(stats_a, stats_b, permutations: int, seed: int) -> float:
     """Approximate randomization where the aggregate statistic is corpus BLEU.
 
-    ``stats_a``/``stats_b`` are aligned per-sentence BleuStats; each
-    permutation swaps whole sentences between the two systems. Each
-    permutation's corpus sums are formed in integers from the summed
-    statistics and the sentences it swaps.
-    """
-    from .evaluation import MAX_N, bleu_from_stats, bleu_from_sums
+    ``stats_a``/``stats_b`` are aligned per-sentence BleuStats, and each
+    permutation swaps whole sentences; its corpus sums are formed in
+    integers from the summed statistics and the sentences it swaps."""
+    from .evaluation import bleu_from_row, bleu_rows
 
     if len(stats_a) != len(stats_b):
         raise StatsError("per-sentence statistics must be aligned")
     if not stats_a:
         raise StatsError("empty corpus")
-    if permutations < 1:
-        raise StatsError(f"need >= 1 permutations, got {permutations}")
-    observed = abs(bleu_from_stats(stats_a) - bleu_from_stats(stats_b))
-    def table(stats):
-        # one row per sentence: matches, totals, hypothesis and reference length
-        return np.array([s.matches[:MAX_N] + s.totals[:MAX_N] + (s.hyp_len, s.ref_len)
-                         for s in stats], dtype=np.int64)
-
-    def score(row):
-        return bleu_from_sums(row[:MAX_N], row[MAX_N:2 * MAX_N], row[-2], row[-1])
-
-    a, b = table(stats_a), table(stats_b)
+    a, b = bleu_rows(stats_a), bleu_rows(stats_b)
     sum_a, sum_b, swap = a.sum(axis=0), b.sum(axis=0), b - a
-    rng = stream(seed, "approx-randomization-bleu")
-    n = len(stats_a)
-    chunk = max(1, _FLIPS_PER_CHUNK // n)
-    count = 0
-    for lo in range(0, permutations, chunk):
-        # row-major draws: the same stream values, in the same order, as one
-        # rng.random(n) per permutation
-        flip = rng.random((min(chunk, permutations - lo), n)) < 0.5
+
+    def statistics(flip):
         moved = flip.astype(np.int64) @ swap
-        for pa, pb in zip((sum_a + moved).tolist(), (sum_b - moved).tolist()):
-            if abs(score(pa) - score(pb)) >= observed:
-                count += 1
-    return (count + 1) / (permutations + 1)
+        return np.array([abs(bleu_from_row(pa) - bleu_from_row(pb)) for pa, pb in
+                         zip((sum_a + moved).tolist(), (sum_b - moved).tolist())])
+
+    return _randomization_p(len(stats_a), permutations, seed, "approx-randomization-bleu",
+                            statistics)

@@ -253,23 +253,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a_data @ b_data, (a, b), bw)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` over the last axis of ``x``; stacked leading axes are
-    flattened into one GEMM."""
-    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
-        raise ShapeError("linear", f"cannot apply {w.shape} weight and {b.shape} bias "
-                                   f"to {x.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w``, plus ``b`` if given, over the last axis of ``x``; stacked
+    leading axes are flattened into one GEMM."""
+    biased = b is not None
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or biased and b.shape != w.shape[1:]:
+        raise ShapeError("linear", f"cannot apply {w.shape} weight and "
+                                   f"{b.shape if biased else 'no'} bias to {x.shape}")
     k, n = w.shape
     x_shape, w_data = x.shape, w.data
     x2 = np.ascontiguousarray(x.data).reshape(-1, k)
     y = x2 @ w_data
-    y += b.data
+    if biased:
+        y += b.data
 
     def bw(g):
         g2 = np.ascontiguousarray(g).reshape(-1, n)
-        return (g2 @ w_data.T).reshape(x_shape), x2.T @ g2, g2.sum(axis=0)
+        grads = (g2 @ w_data.T).reshape(x_shape), x2.T @ g2
+        return grads + (g2.sum(axis=0),) if biased else grads
 
-    return _emit(y.reshape(*x_shape[:-1], n), (x, w, b), bw)
+    return _emit(y.reshape(*x_shape[:-1], n), (x, w, b) if biased else (x, w), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask_add, p: float,

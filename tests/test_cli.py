@@ -371,6 +371,41 @@ class TestStats:
         err = json.loads(captured.err.strip().splitlines()[-1])
         assert err["error"] == "UsageError" and "--permutations" in err["message"]
 
+    def test_ar_rejects_non_finite_scores(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("1.0\nnan\n2.0\n")
+        b.write_text("1.5\n0.5\n2.5\n")
+        assert run_cli("stats", "--test", "ar", "--a", a, "--b", b) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err == {"error": "StatsError", "message": "1 non-finite scores"}
+
+    def test_ar_score_that_is_not_a_number_is_usage_error(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("1.0\n2.0\n")
+        b.write_text("1.0\n\nabc\n")
+        assert run_cli("stats", "--test", "ar", "--a", a, "--b", b) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == "UsageError"
+        assert err["message"] == f"--b {b} line 3 is not a number: 'abc'"
+
+    def test_mcnemar_csv_without_correct_column_is_usage_error(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("example_id,correct\nx,1\n")
+        b.write_text("example_id,score\nx,0.5\n")
+        assert run_cli("stats", "--test", "mcnemar", "--a", a, "--b", b) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == "UsageError"
+        assert err["message"] == f"--b {b} has no 'correct' column"
+
     def test_ar_defaults_to_1000_perms(self, tmp_path, capsys):
         scores = tmp_path / "s.txt"
         scores.write_text("1.0\n2.0\n3.0\n")

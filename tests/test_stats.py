@@ -76,6 +76,42 @@ class TestApproxRandomization:
         with pytest.raises(S.StatsError):
             S.approx_randomization([], [], permutations=10, seed=0)
 
+    def test_non_finite_scores_rejected_with_their_count(self):
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(S.StatsError, match="3 non-finite"):
+            S.approx_randomization([1.0, nan, 2.0], [inf, 0.5, -inf], 1000, 1)
+
+
+def reference_approx_randomization(scores_a, scores_b, permutations, seed):
+    """One swap mask and one pair of means per permutation."""
+    a, b = np.asarray(scores_a, dtype=np.float64), np.asarray(scores_b, dtype=np.float64)
+    observed = abs(float(np.mean(a)) - float(np.mean(b)))
+    rng = stream(seed, "approx-randomization")
+    count = 0
+    for _ in range(permutations):
+        flip = rng.random(a.size) < 0.5
+        pa, pb = np.where(flip, b, a), np.where(flip, a, b)
+        if abs(float(np.mean(pa)) - float(np.mean(pb))) >= observed:
+            count += 1
+    return (count + 1) / (permutations + 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("ties", ["none", "identical", "rounded"])
+@pytest.mark.parametrize("chunked", [False, True])
+def test_approx_randomization_equals_reference_loop(seed, ties, chunked, monkeypatch):
+    if chunked:  # permutations drawn over several chunks, 7 per chunk
+        monkeypatch.setattr(S, "_FLIPS_PER_CHUNK", 7 * 40)
+    rng = stream(seed, "ar-scores")
+    a = rng.normal(0, 1, 40)
+    if ties == "rounded":  # many swaps whose means tie with the observed ones but for rounding
+        a = np.round(a, 1)
+        b = np.round(a + rng.choice([-0.1, 0.0, 0.1], 40), 1)
+    else:
+        b = a if ties == "identical" else a + rng.normal(0.1 * seed, 1, 40)
+    got = S.approx_randomization(a, b, 200, seed)
+    assert got == reference_approx_randomization(a, b, 200, seed)
+
 
 class TestPairedBleuRandomization:
     def test_identical_systems_p_one(self):

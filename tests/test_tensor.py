@@ -334,11 +334,12 @@ def test_primitive_gradients_over_100_seeds(op_name):
             f = lambda x: T.reduce_sum(T.matmul(x, T.Tensor(b)))
             x0 = rng.normal(0, 1, (2, 3))
         elif op_name == "linear":
-            # the point is x (2-D or stacked 3-D), the weight or the bias in turn
+            # the point is x (2-D or stacked 3-D), the weight or the bias in
+            # turn; every fifth seed has no bias (the key projection's form)
             args = [rng.normal(0, 1, (2, 3) if seed % 2 else (2, 2, 3)),
-                    rng.normal(0, 1, (3, 4)), rng.normal(0, 1, 4)]
+                    rng.normal(0, 1, (3, 4)), rng.normal(0, 1, 4)][:2 if seed % 5 == 4 else 3]
             w = T.Tensor(rng.normal(0, 1, args[0].shape[:-1] + (4,)))
-            which = seed % 3
+            which = seed % len(args)
             x0 = args[which]
 
             def f(x):
@@ -455,8 +456,9 @@ def _old_attention(q, k, v, heads, mask_add, p, rng):
 @pytest.mark.parametrize("x_shape", [(6, 8), (3, 2, 8), (6, 1, 8)])
 def test_fused_ops_equal_the_primitive_chain_bitwise(dtype, rate, x_shape):
     """linear and attention give the bytes of the op chains they replace,
-    forward and backward. The (6, 1, 8) rows are decode's case: three beam
-    rows of a window share its one key set."""
+    forward and backward; so does the bias-free key projection against
+    matmul. The (6, 1, 8) rows are decode's case: three beam rows of a
+    window share its one key set."""
     rng = stream(int(rate * 10) + len(x_shape), "fused", np.dtype(dtype).itemsize)
     values = {"x": rng.normal(0, 1, x_shape), "w": rng.normal(0, 1, (8, 8)),
               "b": rng.normal(0, 1, 8), "wk": rng.normal(0, 1, (8, 8)),
@@ -467,12 +469,13 @@ def test_fused_ops_equal_the_primitive_chain_bitwise(dtype, rate, x_shape):
     mask[-1, ..., -1] = -np.inf
     up = rng.normal(0, 1, x_shape[:-1] + (8,))
     results = []
-    for lin, attn in ((T.linear, T.attention), (_old_linear, _old_attention)):
+    for lin, key, attn in ((T.linear, T.linear, T.attention),
+                           (_old_linear, T.matmul, _old_attention)):
         ts = {name: T.Tensor(a.astype(dtype)) for name, a in values.items()}
         with T.record(T.Graph()):
             h = lin(ts["x"], ts["w"], ts["b"])
             grid = lambda a: T.reshape(a, (groups, length, 8))
-            k, v = grid(T.matmul(h, ts["wk"])), grid(lin(h, ts["wv"], ts["b"]))
+            k, v = grid(key(h, ts["wk"])), grid(lin(h, ts["wv"], ts["b"]))
             out, probs = attn(h, k, v, 2, mask.astype(dtype), rate, stream(5, "fused-drop"))
             loss = T.reduce_sum(T.mul(out, T.Tensor(up.astype(dtype))))
         T.backward(loss)
@@ -495,6 +498,8 @@ def test_attention_rejects_nonconforming_operands():
                     0.0, 0.0, None)
     with pytest.raises(T.ShapeError, match="linear"):
         T.linear(q, T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros(4)))
+    with pytest.raises(T.ShapeError, match="linear"):
+        T.linear(q, T.Tensor(np.zeros((3, 2))))
 
 
 def _closure_arrays(fn, seen=None) -> list[np.ndarray]:

@@ -58,6 +58,16 @@ COMMANDS = [
                  "--report-dir {out}/diagnose"),
     ("diagnose-k3", "diagnose --run {fixture} --data {out}/slice --split test --limit 70 "
                     "--k 3 --report-dir {out}/diagnose-k3"),
+    ("diagnose-default", "diagnose --run {out}/train-default --data {out}/slice --split test "
+                         "--limit 100 --report-dir {out}/diagnose-default"),
+    # the significance tests, on files the commands above write
+    ("stats-mcnemar", "stats --test mcnemar "
+                      "--a {out}/contrastive-full/contrastive_test_examples.csv "
+                      "--b {out}/contrastive-current/contrastive_test_examples.csv"),
+    ("stats-ar-bleu", "stats --test ar-bleu --a {out}/evaluate/hyps_test_k2.txt "
+                      "--b {out}/evaluate/hyps_test_k3.txt --refs {out}/evaluate/refs_test.txt"),
+    ("stats-ar", "stats --test ar --a {out}/diagnose/entropies_test.csv "
+                 "--b {out}/diagnose-default/entropies_test.csv"),
 ]
 
 
