@@ -383,7 +383,14 @@ def _read_correct_column(flag: str, path: Path) -> dict[str, bool]:
         for column in ("example_id", "correct"):
             if column not in (reader.fieldnames or ()):
                 raise UsageError(f"{flag} {path} has no {column!r} column")
-        return {row["example_id"]: bool(int(row["correct"])) for row in reader}
+        correct = {}
+        for row in reader:
+            try:
+                correct[row["example_id"]] = bool(int(row["correct"]))
+            except (TypeError, ValueError):  # a missing field reads None
+                raise UsageError(f"{flag} {path} line {reader.line_num} has no integer "
+                                 f"'correct' value: {row['correct']!r}") from None
+        return correct
 
 
 def _read_scores(flag: str, path: Path) -> list[float]:
@@ -425,6 +432,9 @@ def cmd_stats(args) -> int:
         if not args.refs:
             raise UsageError("ar-bleu needs --refs")
         refs = [line.split() for line in Path(args.refs).read_text().splitlines()]
+        empty = next((number for number, ref in enumerate(refs, 1) if not ref), None)
+        if empty is not None:
+            raise UsageError(f"--refs {args.refs} line {empty} is empty")
         hyps_a = [line.split() for line in Path(args.a).read_text().splitlines()]
         hyps_b = [line.split() for line in Path(args.b).read_text().splitlines()]
         if not len(hyps_a) == len(hyps_b) == len(refs):

@@ -97,8 +97,14 @@ class Vocab:
 
     @staticmethod
     def load(path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            return Vocab(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                tokens = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorpusError(f"{path}: not a vocabulary file: {exc}") from None
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise CorpusError(f"{path}: not a vocabulary file: expected a JSON list of strings")
+        return Vocab(tokens)
 
 
 @dataclass(frozen=True)
@@ -221,6 +227,18 @@ def write_corpus(path, docs: Iterable[Document]) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
+def _invalid_utf8(path) -> CorpusError:
+    """The error naming the first line of ``path`` that is not valid UTF-8;
+    looked for only once decoding the whole file has failed."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return CorpusError(f"{path}:{lineno}: invalid UTF-8 ({exc.reason})")
+    return CorpusError(f"{path}: invalid UTF-8")
+
+
 def read_corpus(path) -> list[Document]:
     docs: list[Document] = []
     pairs: list[tuple[list[str], list[str]]] = []
@@ -230,16 +248,19 @@ def read_corpus(path) -> list[Document]:
             docs.append(Document.from_pairs(f"d{len(docs):05d}", pairs))
             pairs.clear()
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            if " ||| " not in line:
-                raise CorpusError(f"{path}:{lineno}: expected 'source ||| target'")
-            src, tgt = line.split(" ||| ", 1)
-            pairs.append((tokenize(src), tokenize(tgt)))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    flush()
+                    continue
+                if " ||| " not in line:
+                    raise CorpusError(f"{path}:{lineno}: expected 'source ||| target'")
+                src, tgt = line.split(" ||| ", 1)
+                pairs.append((tokenize(src), tokenize(tgt)))
+    except UnicodeDecodeError:
+        raise _invalid_utf8(path) from None
     flush()
     if not docs:
         raise CorpusError(f"{path}: empty corpus")
@@ -313,19 +334,57 @@ def write_contrastive(path, examples: Iterable[ContrastiveExample]) -> None:
     write_atomic(path, "".join(lines).encode("utf-8"))
 
 
+_TEXT_KEYS = ("id", "doc", "src", "phenomenon")
+_COUNT_KEYS = ("j", "distance")
+
+
+def _schema_problem(rec) -> str | None:
+    """What makes ``rec`` not a contrastive record, or None: it needs the
+    text keys as strings, ``j`` and ``distance`` as integers >= 0 (not
+    bools), and exactly two candidate strings."""
+    if not isinstance(rec, dict):
+        return "expected a JSON object"
+    missing = [key for key in (*_TEXT_KEYS, *_COUNT_KEYS, "candidates") if key not in rec]
+    if missing:
+        return f"missing key {', '.join(map(repr, missing))}"
+    for key in _TEXT_KEYS:
+        if not isinstance(rec[key], str):
+            return f"{key!r} must be a string, got {rec[key]!r}"
+    for key in _COUNT_KEYS:
+        if type(rec[key]) is not int or rec[key] < 0:
+            return f"{key!r} must be an integer >= 0, got {rec[key]!r}"
+    candidates = rec["candidates"]
+    if not (isinstance(candidates, list) and len(candidates) == 2):
+        return f"expected exactly 2 candidates, got {candidates!r}"
+    if not all(isinstance(c, str) for c in candidates):
+        return f"candidates must be strings, got {candidates!r}"
+    return None
+
+
 def read_contrastive(path) -> list[ContrastiveExample]:
+    """The examples of a contrastive JSONL file. A line that is not a valid
+    record raises ``CorpusError`` naming ``path:line``."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            examples.append(ContrastiveExample(
-                example_id=rec["id"], doc_id=rec["doc"], j=rec["j"],
-                src_sentences=_parse_window_text(rec["src"]),
-                candidates=tuple(_parse_window_text(c) for c in rec["candidates"]),
-                phenomenon=rec["phenomenon"], distance=rec["distance"]))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                    problem = _schema_problem(rec)
+                    if problem:
+                        raise CorpusError(problem)
+                    examples.append(ContrastiveExample(
+                        example_id=rec["id"], doc_id=rec["doc"], j=rec["j"],
+                        src_sentences=_parse_window_text(rec["src"]),
+                        candidates=tuple(_parse_window_text(c) for c in rec["candidates"]),
+                        phenomenon=rec["phenomenon"], distance=rec["distance"]))
+                except (CorpusError, json.JSONDecodeError) as exc:
+                    raise CorpusError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _invalid_utf8(path) from None
     return examples
 
 

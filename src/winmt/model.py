@@ -247,19 +247,21 @@ def build_batch(windows: Sequence[Window], config: ModelConfig) -> Batch:
 
 class ForwardPass(NamedTuple):
     """What one forward pass reads besides its inputs: the dropout rate (0
-    outside training), drawn per site from a stream of ``seed`` at ``step``,
-    and the list that captures attention of ``batch`` (None: no capture)."""
+    outside training), drawn per site from a stream of ``seed`` at ``step``
+    and ``shard`` (the training step's shard), and the list that captures
+    attention of ``batch`` (None: no capture)."""
 
     rate: float = 0.0
     step: int = 0
     seed: int = 0
+    shard: int = 0
     records: list[AttentionRecord] | None = None
     batch: Batch | None = None
 
     def drop(self, site: str) -> tuple[float, np.random.Generator | None]:
         """Dropout rate and stream of ``site``; (0.0, None) when nothing drops."""
         if self.rate:
-            return self.rate, stream(self.seed, f"drop/{site}", self.step)
+            return self.rate, stream(self.seed, f"drop/{site}", self.step, self.shard)
         return 0.0, None
 
 
@@ -458,7 +460,7 @@ class TransformerModel:
         return layer_norm(x, p["enc_ln.g"], p["enc_ln.b"])
 
     def forward(self, batch: Batch, *, train: bool = False, step: int = 0, seed: int = 0,
-                capture: bool = False) -> tuple[Tensor, list[AttentionRecord]]:
+                shard: int = 0, capture: bool = False) -> tuple[Tensor, list[AttentionRecord]]:
         """Teacher-forced forward pass: per-position log-probabilities over the vocab.
 
         The result covers the padded (windows, length) grid; every row,
@@ -466,7 +468,7 @@ class TransformerModel:
         """
         cfg = self.config
         records: list[AttentionRecord] = []
-        fp = ForwardPass(cfg.dropout if train else 0.0, step, seed,
+        fp = ForwardPass(cfg.dropout if train else 0.0, step, seed, shard,
                          records if capture else None, batch)
         enc = self.encode(batch, fp)
         t = batch.tgt_in.shape[1]

@@ -1,5 +1,5 @@
-"""Work spread over the CPUs by forked workers: an order-keeping map and a
-one-shot background call.
+"""Work spread over the CPUs by forked workers: an order-keeping map, a
+one-shot background call and a persistent worker.
 
 ``map_ordered(fn, items)`` deals the items round-robin over one process
 per CPU this process may run on: the calling process takes ``items[0::n]``
@@ -15,6 +15,14 @@ map is the loop and ``submit`` calls ``fn`` at once. Inside a worker the
 same holds, so a worker never forks workers of its own that would compete
 with its parent for the CPUs.
 
+``serve(fn)`` forks one worker that stays: it runs ``fn(request)`` for each
+request the caller ``send``s, one at a time, and sends each outcome back
+the way a submitted call does. Requests go to it pickled over a second
+pipe. Large arrays that change between requests are better passed through
+``shared_arrays``, memory that the caller and a worker forked after it
+both write. With one CPU, or inside a worker, ``serve`` forks nothing and
+returns None; the caller then does the work itself.
+
 The workers are forked rather than spawned: a spawned worker would pay a
 fresh import of numpy and winmt and need the model and its inputs
 pickled, where a fork shares them. winmt starts no threads of its own,
@@ -24,11 +32,14 @@ and OpenBLAS, when it runs threads, shuts them down before a fork.
 from __future__ import annotations
 
 import functools
+import mmap
 import os
 import pickle
 import select
 import signal
 from typing import Callable, Generic, Sequence, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -81,6 +92,26 @@ def _run_in_worker(fn: Callable[[T], R],
     return results, None if exc is None else _portable(exc)
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _send_outcome(fn: Callable[[], R], write_fd: int) -> None:
+    """Call ``fn`` and send its outcome, (value, None) or (None, exception),
+    pickled over ``write_fd``."""
+    try:
+        outcome = fn(), None
+    except Exception as exc:
+        outcome = None, _portable(exc)
+    try:
+        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+    except Exception as err:  # an unpicklable result
+        data = pickle.dumps((None, _portable(err)), pickle.HIGHEST_PROTOCOL)
+    _write_all(write_fd, data)
+
+
 def _worker(fn: Callable[[], R], read_fd: int, write_fd: int) -> None:
     """In a forked child: call ``fn``, send the outcome over ``write_fd`` and
     leave by ``os._exit``, so no inherited buffer is flushed, no atexit handler
@@ -90,17 +121,7 @@ def _worker(fn: Callable[[], R], read_fd: int, write_fd: int) -> None:
     status = 1
     try:
         os.close(read_fd)
-        try:
-            outcome = fn(), None
-        except Exception as exc:
-            outcome = None, _portable(exc)
-        try:
-            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-        except Exception as err:  # an unpicklable result
-            data = pickle.dumps((None, _portable(err)), pickle.HIGHEST_PROTOCOL)
-        view = memoryview(data)
-        while view:
-            view = view[os.write(write_fd, view):]
+        _send_outcome(fn, write_fd)
         status = 0
     finally:
         os._exit(status)
@@ -110,6 +131,17 @@ def _ended(status: int) -> str:
     """How a child with wait status ``status`` ended."""
     code = os.waitstatus_to_exitcode(status)
     return f"killed by signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+
+
+def _receive(fh, pid: int) -> tuple:
+    """The outcome that worker ``pid`` sends over ``fh``. A worker that ends
+    without sending it is reaped, and ``WorkerError`` names its exit status."""
+    try:
+        return pickle.load(fh)
+    except Exception as exc:
+        status = os.waitpid(pid, 0)[1]
+        raise WorkerError(f"worker process ended without its results "
+                          f"({_ended(status)})") from exc
 
 
 class Pending(Generic[R]):
@@ -140,13 +172,10 @@ class Pending(Generic[R]):
             try:
                 with open(self._fd, "rb") as fh:
                     self._fd = None
-                    try:
-                        self._outcome = pickle.load(fh)
-                    except Exception as exc:
-                        status = os.waitpid(self._pid, 0)[1]
-                        self._pid = None
-                        raise WorkerError(f"worker process ended without its results "
-                                          f"({_ended(status)})") from exc
+                    self._outcome = _receive(fh, self._pid)
+            except WorkerError:
+                self._pid = None  # reaped
+                raise
             finally:
                 self.close()
         value, exc = self._outcome
@@ -225,3 +254,131 @@ def map_ordered(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     return [shards[i % n][0][i // n] for i in range(len(items))]
+
+
+def _serve(fn: Callable[[T], R], requests_fd: int, replies_fd: int,
+           unused: tuple[int, int]) -> None:
+    """In a forked child: send the outcome of ``fn(request)`` over
+    ``replies_fd`` for each request read from ``requests_fd``, until the stop
+    message or the end of the requests, and leave by ``os._exit`` as
+    ``_worker`` does. ``unused`` are the caller's ends of the two pipes."""
+    global _in_worker
+    _in_worker = True
+    status = 1
+    try:
+        for fd in unused:
+            os.close(fd)
+        with open(requests_fd, "rb") as requests:
+            while True:
+                try:
+                    message = pickle.load(requests)
+                except EOFError:  # no process holds the write end any more
+                    break
+                if message is None:  # the stop message
+                    break
+                _send_outcome(functools.partial(fn, *message), replies_fd)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class Server(Generic[T, R]):
+    """A persistent forked worker that runs one function on each request
+    ``send`` passes it, one request at a time. ``result`` collects the
+    outcome of the request last sent; ``close`` stops and reaps the worker.
+    Call ``close`` before dropping the object."""
+
+    def __init__(self, pid: int, requests_fd: int, replies_fd: int):
+        self._pid: int | None = pid
+        self._requests: int | None = requests_fd
+        self._replies = open(replies_fd, "rb")
+        self._busy = False  # a request is sent and its outcome not yet read
+
+    def send(self, request: T) -> None:
+        """Pass ``request`` to the worker, which starts on it at once; a
+        worker that ``result`` found ended raises ``WorkerError``."""
+        data = pickle.dumps((request,), pickle.HIGHEST_PROTOCOL)
+        if self._pid is None:
+            raise WorkerError("worker process has ended")
+        self._busy = True
+        try:
+            _write_all(self._requests, data)
+        except BrokenPipeError:  # the worker has ended; ``result`` says how
+            pass
+
+    def result(self) -> R:
+        """The return value of the function on the request last sent, once
+        the worker has sent it.
+
+        An exception of the function is raised again here with its type
+        and message, and the worker goes on serving. A worker that ends
+        without sending the outcome raises ``WorkerError`` with its exit
+        status.
+        """
+        try:
+            value, exc = _receive(self._replies, self._pid)
+        except WorkerError:
+            self._pid = None  # reaped
+            raise
+        self._busy = False
+        if exc is not None:
+            raise exc
+        return value
+
+    def close(self) -> None:
+        """Stop the worker, by the stop message when it is idle and by
+        SIGKILL while it works on a request, reap it and close its pipes;
+        nothing once that is done."""
+        if self._requests is not None:
+            if self._pid is not None:
+                if self._busy:
+                    try:
+                        os.kill(self._pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+                else:
+                    try:
+                        _write_all(self._requests, pickle.dumps(None))
+                    except BrokenPipeError:  # it has ended already
+                        pass
+            os.close(self._requests)
+            self._requests = None
+        self._replies.close()
+        if self._pid is not None:
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
+def serve(fn: Callable[[T], R]) -> Server[T, R] | None:
+    """Fork a worker that runs ``fn`` on each request its ``Server`` sends;
+    None, with nothing forked, on one CPU or inside a worker."""
+    if _workers() <= 1:
+        return None
+    requests_r, requests_w = os.pipe()
+    replies_r, replies_w = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            _serve(fn, requests_r, replies_w, unused=(requests_w, replies_r))
+    except BaseException:
+        os.close(requests_w)
+        os.close(replies_r)
+        raise
+    finally:
+        os.close(requests_r)
+        os.close(replies_w)
+    return Server(pid, requests_w, replies_r)
+
+
+def shared_arrays(like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Zeroed arrays of the shapes and dtypes of ``like``, by the same names,
+    in one anonymous shared mapping: a worker forked after this call reads
+    and writes the memory that the caller does."""
+    offsets, end = [], 0
+    for a in like.values():
+        end = -(-end // 64) * 64  # each array starts on a cache line
+        offsets.append(end)
+        end += a.nbytes
+    buf = mmap.mmap(-1, max(end, 1))
+    return {name: np.frombuffer(buf, a.dtype, a.size, offset).reshape(a.shape)
+            for (name, a), offset in zip(like.items(), offsets)}

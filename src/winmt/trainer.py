@@ -23,10 +23,11 @@ from .corpus import (Document, Vocab, Window, compute_shift, make_windows,
                      read_contrastive, read_corpus)
 from .evaluation import (EvalError, attention_entropy_rows, current_attention_mass_rows,
                          evaluate_contrastive, overall_accuracy)
-from .model import ModelConfig, ModelError, TransformerModel, build_batch, check_model_settings
+from .model import (Batch, ModelConfig, ModelError, TransformerModel, build_batch,
+                    check_model_settings)
 from .objective import (loss_ratio, masked_discounted_loss, normalized_training_loss,
                         smoothed_nll)
-from .parallel import map_ordered, submit
+from .parallel import map_ordered, serve, shared_arrays, submit
 from .rng import stream
 from .tensor import Graph, Tensor, backward, record
 
@@ -228,6 +229,29 @@ def pack_batches(windows: Sequence, batch_tokens: int,
     return batches
 
 
+def by_length(windows: Sequence[Window]) -> np.ndarray:
+    """Indices of ``windows`` ordered by (target length, index)."""
+    return np.argsort([len(w.tgt_ids) for w in windows], kind="stable")
+
+
+# shards per training step, whatever the number of CPUs: the step runs
+# shard 0 in the calling process and shard 1 in the shard worker
+SHARDS = 2
+
+
+def split_shards(windows: Sequence[Window]) -> list[list[Window]]:
+    """The ``SHARDS`` shards of a training batch: its windows ordered by
+    (target length, position in the batch), cut where the running
+    target-token count first reaches each ``s / SHARDS`` of the batch's.
+    A shard may be empty, as the second of a one-window batch is."""
+    ordered = [windows[int(i)] for i in by_length(windows)]
+    running = np.cumsum([len(w.tgt_ids) for w in ordered])
+    total = int(running[-1]) if len(ordered) else 0
+    cuts = [0] + [int(np.searchsorted(SHARDS * running, s * total)) + 1
+                  for s in range(1, SHARDS)] + [len(ordered)]
+    return [ordered[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
 @dataclass
 class TrainResult:
     run_dir: Path
@@ -367,7 +391,11 @@ class Trainer:
             shift_value=shift_value)))
         self.model = TransformerModel(self.model_config, seed=config.seed)
         self.opt = Adam(self.model.params)
-        self.dev_batches = pack_batches(self.dev_windows, config.batch_tokens)
+        # length-sorted, so a dev batch holds little padding
+        self.dev_batches = pack_batches(self.dev_windows, config.batch_tokens,
+                                        by_length(self.dev_windows))
+        self._shard_worker = None  # computes shard 1 of each step while ``train`` runs
+        self._shared = None  # (parameters, shard-1 gradients) the worker shares
 
     # ------------------------------------------------------------------
 
@@ -375,19 +403,88 @@ class Trainer:
         order = stream(self.cfg.seed, "shuffle", epoch).permutation(len(self.train_windows))
         return pack_batches(self.train_windows, self.cfg.batch_tokens, order)
 
-    def _train_step(self, batch_windows: list, step: int) -> float:
+    def _shard_backward(self, batch: Batch, step: int, shard: int,
+                        current_tokens: int) -> float:
+        """Forward and backward of shard ``shard`` of a training batch with
+        ``current_tokens`` current-sentence tokens, into gradients zeroed
+        first; the shard's share of the batch's loss."""
         cfg = self.cfg
-        batch = build_batch(batch_windows, self.model_config)
         self.model.zero_grad()
         with record(Graph()):
-            log_probs, _ = self.model.forward(batch, train=True, step=step, seed=cfg.seed)
+            log_probs, _ = self.model.forward(batch, train=True, step=step, seed=cfg.seed,
+                                              shard=shard)
             per_tok = smoothed_nll(log_probs, batch.tgt_out, cfg.label_smoothing,
                                    batch.tgt_valid)
             bd = masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask,
                                         cfg.cd)
-            loss = normalized_training_loss(bd)
+            loss = normalized_training_loss(bd, current_tokens)
         loss_val = loss.item()
         backward(loss)
+        return loss_val
+
+    def _grads(self) -> dict[str, np.ndarray | None]:
+        return {name: p.grad for name, p in self.model.params.items()}
+
+    def _start_shard_worker(self) -> None:
+        """Fork the worker that runs shard 1 of each step, after the buffers
+        it shares with this process; no worker where ``parallel.serve``
+        forks none."""
+        params = {name: p.data for name, p in self.model.params.items()}
+        self._shared = shared_arrays(params), shared_arrays(params)
+        self._shard_worker = serve(self._serve_shard)
+
+    def _stop_shard_worker(self) -> None:
+        if self._shard_worker is not None:
+            self._shard_worker.close()
+        self._shard_worker = self._shared = None
+
+    def _serve_shard(self, request: tuple[int, Batch, int]):
+        """In the shard worker: the loss of shard 1 of step ``request`` =
+        (step, batch, current tokens), with its gradients written to the
+        shared buffer, and the names of the parameters that have one. The
+        parameters are the parent's, read from the shared buffer."""
+        step, batch, current_tokens = request
+        params, grads = self._shared
+        for name, p in self.model.params.items():
+            p.data = params[name]
+        loss_val = self._shard_backward(batch, step, 1, current_tokens)
+        present = [name for name, g in self._grads().items() if g is not None]
+        for name in present:
+            np.copyto(grads[name], self.model.params[name].grad, casting="no")
+        self.model.zero_grad()
+        return loss_val, present
+
+    def _train_step(self, batch_windows: list, step: int) -> float:
+        """One update from the summed gradients of the batch's two shards.
+
+        Shard 1 runs in the shard worker while this process runs shard 0,
+        or here after shard 0 when there is no worker; either way each
+        gradient is shard 0's plus shard 1's, so the bytes are the same.
+        """
+        cfg = self.cfg
+        first, second = split_shards(batch_windows)
+        shards = [build_batch(ws, self.model_config) for ws in (first, second) if ws]
+        current_tokens = sum(int(b.current_mask.sum()) for b in shards)
+        worker = self._shard_worker if len(shards) > 1 else None
+        if worker is not None:
+            params = self._shared[0]
+            for name, p in self.model.params.items():
+                np.copyto(params[name], p.data)
+            worker.send((step, shards[1], current_tokens))
+        loss_val = self._shard_backward(shards[0], step, 0, current_tokens)
+        if len(shards) > 1:
+            grads = self._grads()
+            if worker is not None:
+                second_loss, present = worker.result()
+                more = {name: self._shared[1][name] if name in present else None
+                        for name in grads}
+            else:
+                second_loss = self._shard_backward(shards[1], step, 1, current_tokens)
+                more = self._grads()
+            loss_val += second_loss
+            for name, p in self.model.params.items():
+                a, b = grads[name], more[name]
+                p.grad = a if b is None else b.copy() if a is None else a + b
         lr = lr_at(step, cfg.hidden, cfg.warmup, self.cfg.scale())
         grad_norm = self.opt.grad_norm()
         if not (math.isfinite(loss_val) and math.isfinite(grad_norm)):
@@ -446,6 +543,10 @@ class Trainer:
         last batch of the last epoch and the final fallback) run here, over
         every CPU. With one CPU each validation is applied before the next
         step, as a plain loop would.
+
+        For the duration of the loop a persistent forked worker
+        (``parallel.serve``) computes shard 1 of every step; it is stopped
+        and reaped before this returns or raises.
         """
         cfg = self.cfg
         log_path = self.run_dir / "log.csv"
@@ -506,6 +607,7 @@ class Trainer:
 
         hit_cap = bool(cfg.max_steps) and step >= cfg.max_steps  # a resumed run may be done
         try:
+            self._start_shard_worker()
             while not (rec.stopped or hit_cap) and epoch < cfg.max_epochs:
                 batches = self._epoch_batches(epoch)
                 for batch in batches[batch_idx:]:
@@ -534,6 +636,7 @@ class Trainer:
         finally:
             if pending is not None:
                 pending[1].close()
+            self._stop_shard_worker()
 
         if rec.best_step < 0:  # no validation happened: the final state is the best
             self._save_checkpoint(step)

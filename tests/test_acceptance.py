@@ -2,8 +2,9 @@
 
 One test per criterion; each prints a [PASS]/[FAIL] line. The module
 holds criteria 1-4, 8 and 9: contrastive aggregation, the loss
-identities, full-model gradients against finite differences, positional
-properties, the significance tests and bitwise training determinism.
+identities, full-model gradients against finite differences (of single
+windows and of a training step's two shards), positional properties, the
+significance tests and bitwise training determinism.
 Criterion 3's gradient oracle takes most of its time, about half a
 minute on a desktop CPU. No test trains a model to convergence, so the
 trained-model criteria 5-7 are not here.
@@ -30,7 +31,7 @@ from winmt.objective import masked_discounted_loss, partition_masks, smoothed_nl
 from winmt.positions import sinusoidal_pe
 from winmt.rng import stream
 from winmt.stats import approx_randomization, mcnemar
-from winmt.trainer import TrainConfig, train
+from winmt.trainer import TrainConfig, Trainer, split_shards, train
 
 from reference_ops import concat_loss, finite_diff_check, shifted_positions
 
@@ -154,6 +155,50 @@ def test_criterion_3_full_model_gradients():
             break
     report("criterion 3: full-model gradient check", worst < 1e-4,
            f"max rel err {worst:.2e} over {checked} coordinates, 20 windows")
+
+
+def test_criterion_3_sharded_step_gradients(tmp_path):
+    # a training step sums the gradients of its two shards; at float64 with
+    # no dropout that sum is the gradient of the whole batch's normalised loss
+    docs, _ = synth.gen_synthetic(11, n_docs=12, vocab_size=24)
+    C.write_corpus(tmp_path / "train.txt", docs[:10])
+    C.write_corpus(tmp_path / "dev.txt", docs[10:])
+    trainer = Trainer(TrainConfig(data_dir=str(tmp_path), out_dir=str(tmp_path / "run"),
+                                  layers=2, heads=2, hidden=32, ffn=64, dropout=0.0,
+                                  dtype="float64", cd=0.3))
+    windows = trainer.train_windows[:6]
+    first, second = split_shards(windows)
+    assert first and second
+    trainer.opt.step = lambda lr: None  # keep the parameters the gradients are taken at
+    trainer._train_step(windows, 1)
+    batch = build_batch(windows, trainer.model_config)
+    params = trainer.model.params
+
+    def whole_batch_loss():
+        lp, _ = trainer.model.forward(batch)
+        per_tok = smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid)
+        bd = masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask, 0.3)
+        return T.mul_const(bd.discounted_total, 1.0 / bd.current_token_count).item()
+
+    rng = stream(0, "acc3-shards")
+    worst, checked, h = 0.0, 0, 1e-5
+    for name, p in params.items():
+        flat = p.data.reshape(-1)
+        for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+            saved = flat[i]
+            flat[i] = saved + h
+            fp = whole_batch_loss()
+            flat[i] = saved - h
+            fm = whole_batch_loss()
+            flat[i] = saved
+            numeric = (fp - fm) / (2.0 * h)
+            analytic = p.grad.reshape(-1)[i]
+            worst = max(worst, abs(analytic - numeric)
+                        / max(1e-12, abs(analytic) + abs(numeric)))
+            checked += 1
+    report("criterion 3: sharded step gradient check", worst < 1e-4,
+           f"max rel err {worst:.2e} over {checked} coordinates, shards of "
+           f"{len(first)} and {len(second)} windows")
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,32 @@ class TestStats:
         assert err["error"] == "UsageError"
         assert err["message"] == f"--b {b} has no 'correct' column"
 
+    @pytest.mark.parametrize("row,value", [("y,yes", "'yes'"), ("y", "None")])
+    def test_mcnemar_correct_value_that_is_not_an_integer_is_usage_error(
+            self, tmp_path, capsys, row, value):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("example_id,correct\nx,1\ny,0\n")
+        b.write_text(f"example_id,correct\nx,1\n{row}\n")
+        assert run_cli("stats", "--test", "mcnemar", "--a", a, "--b", b) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == "UsageError"
+        assert err["message"] == f"--b {b} line 3 has no integer 'correct' value: {value}"
+
+    def test_ar_bleu_empty_reference_line_is_usage_error(self, tmp_path, capsys):
+        hyps = tmp_path / "h.txt"
+        refs = tmp_path / "r.txt"
+        hyps.write_text("a b c\na b c\n")
+        refs.write_text("a b c\n\n")
+        assert run_cli("stats", "--test", "ar-bleu", "--a", hyps, "--b", hyps,
+                       "--refs", refs) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err == {"error": "UsageError", "message": f"--refs {refs} line 2 is empty"}
+
     def test_ar_defaults_to_1000_perms(self, tmp_path, capsys):
         scores = tmp_path / "s.txt"
         scores.write_text("1.0\n2.0\n3.0\n")

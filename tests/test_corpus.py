@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +42,14 @@ class TestVocab:
         loaded = C.Vocab.load(tmp_path / "vocab.json")
         assert len(loaded) == len(vocab)
         assert loaded.decode(range(len(vocab))) == vocab.decode(range(len(vocab)))
+
+    @pytest.mark.parametrize("text", ['["t0", "t1"', '{"t0": 1}'])
+    def test_truncated_or_foreign_file_names_itself(self, tmp_path, text):
+        path = tmp_path / "vocab.json"
+        path.write_text(text)
+        with pytest.raises(C.CorpusError,
+                           match=rf"^{re.escape(str(path))}: not a vocabulary file"):
+            C.Vocab.load(path)
 
     def test_failed_save_keeps_old_file(self, vocab, tmp_path, monkeypatch):
         from winmt import checkpoint
@@ -191,6 +202,12 @@ class TestCorpusIO:
         with pytest.raises(C.CorpusError, match="expected"):
             C.read_corpus(path)
 
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes("a ||| b\n\nc \u00e9 ||| d\n".encode() + b"e \xff ||| f\n")
+        with pytest.raises(C.CorpusError, match=rf"^{re.escape(str(path))}:4: invalid UTF-8"):
+            C.read_corpus(path)
+
     def test_empty_corpus_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("\n\n")
@@ -219,6 +236,39 @@ class TestContrastiveIO:
         first, second = C.read_contrastive(path)
         assert first.src_sentences[1][1] is second.src_sentences[1][1]
         assert first.candidates[0][1][1] is second.candidates[0][1][1]
+
+    @pytest.mark.parametrize("change,message", [
+        ({"distance": None}, "missing key 'distance'"),
+        ({"distance": "two"}, "'distance' must be an integer >= 0, got 'two'"),
+        ({"distance": -1}, "'distance' must be an integer >= 0"),
+        ({"j": True}, "'j' must be an integer >= 0, got True"),
+        ({"phenomenon": 3}, "'phenomenon' must be a string"),
+        ({"candidates": ["a b <S> c amb_a"] * 3}, "expected exactly 2 candidates"),
+        ({"candidates": ["a b <S> c amb_a", 5]}, "candidates must be strings"),
+        ({"candidates": ["a b <S> c amb_a", "z <S> c amb_b"]}, "outside the current"),
+    ])
+    def test_record_that_breaks_the_schema_names_its_line(self, tmp_path, change, message):
+        path = tmp_path / "contrastive.jsonl"
+        C.write_contrastive(path, [self.example()] * 2)
+        first, second = path.read_text().splitlines()
+        rec = json.loads(second)
+        rec.update(change)
+        rec = {k: v for k, v in rec.items() if v is not None}
+        path.write_text(f"{first}\n\n{json.dumps(rec)}\n")
+        with pytest.raises(C.CorpusError) as err:
+            C.read_contrastive(path)
+        assert str(err.value).startswith(f"{path}:3: ") and message in str(err.value)
+
+    def test_line_that_is_not_json_or_utf8_names_itself(self, tmp_path):
+        path = tmp_path / "contrastive.jsonl"
+        C.write_contrastive(path, [self.example()])
+        valid = path.read_bytes()
+        path.write_bytes(valid + valid[:20] + b"\n")
+        with pytest.raises(C.CorpusError, match=rf"^{re.escape(str(path))}:2: "):
+            C.read_contrastive(path)
+        path.write_bytes(valid + b'{"id": "\xff"}\n')
+        with pytest.raises(C.CorpusError, match=rf"^{re.escape(str(path))}:2: invalid UTF-8"):
+            C.read_contrastive(path)
 
     def test_candidates_must_match_outside_current(self):
         with pytest.raises(C.CorpusError, match="outside"):

@@ -98,7 +98,7 @@ def test_forward_deterministic_with_dropout_seeded(setup):
 
 def test_training_forward_draws_one_stream_per_dropout_site(setup, monkeypatch):
     # the training bytes rest on these addresses: each dropout site draws
-    # stream(seed, "drop/<site>", step), and an eval forward draws nothing
+    # stream(seed, "drop/<site>", step, shard), and an eval forward draws nothing
     _, _, windows, _ = setup
     config = M.ModelConfig(vocab_size=32, layers=1, heads=2, hidden=16, ffn=32,
                            dropout=0.3, dtype="float64")
@@ -114,7 +114,10 @@ def test_training_forward_draws_one_stream_per_dropout_site(setup, monkeypatch):
     model.forward(batch, train=True, step=5, seed=11)
     sites = ["src_emb", "tgt_emb", "enc0.self", "enc0.self.attn", "enc0.ffn", "dec0.self",
              "dec0.self.attn", "dec0.cross", "dec0.cross.attn", "dec0.ffn"]
-    assert sorted(calls) == sorted((11, f"drop/{site}", (5,)) for site in sites)
+    assert sorted(calls) == sorted((11, f"drop/{site}", (5, 0)) for site in sites)
+    calls.clear()
+    model.forward(batch, train=True, step=5, seed=11, shard=1)
+    assert sorted(calls) == sorted((11, f"drop/{site}", (5, 1)) for site in sites)
     calls.clear()
     model.forward(batch, capture=True)
     model.decode(windows[:2], beam=2, max_len=3)

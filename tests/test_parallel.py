@@ -15,6 +15,7 @@ import pytest
 from winmt import corpus as C
 from winmt import evaluation as E
 from winmt import model as M
+from winmt import objective as O
 from winmt import parallel
 from winmt import synth
 from winmt import trainer as TR
@@ -358,6 +359,96 @@ def test_work_inside_a_worker_runs_in_the_worker(monkeypatch):
         assert mapped == [(x * x, pid) for x in range(5)] and submitted == pid
 
 
+def test_served_requests_run_in_one_worker_in_order(monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    shared = parallel.shared_arrays({"x": np.zeros(3), "n": np.zeros((), dtype=np.int64)})
+
+    def add(k):
+        shared["x"] += k  # the caller sees the worker's writes
+        shared["n"] += 1
+        return os.getpid(), k * k
+
+    server = parallel.serve(add)
+    try:
+        outcomes = []
+        for k in range(1, 4):
+            server.send(k)
+            outcomes.append(server.result())
+    finally:
+        server.close()
+    assert len({pid for pid, _ in outcomes}) == 1 and outcomes[0][0] != os.getpid()
+    assert [sq for _, sq in outcomes] == [1, 4, 9]
+    assert shared["x"].tolist() == [6.0] * 3 and int(shared["n"]) == 3
+
+
+def test_serve_on_one_cpu_or_in_a_worker_forks_nothing(monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+    assert parallel.serve(abs) is None
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    assert parallel.submit(lambda: parallel.serve(abs) is None).result()
+
+
+def test_served_error_keeps_its_type_and_the_worker_serves_on(monkeypatch):
+    class Custom(Exception):
+        def __init__(self, a, b):
+            super().__init__(f"{a} and {b}")
+
+    def fail(kind):
+        if kind == "key":
+            raise KeyError("in the worker")
+        if kind == "custom":
+            raise Custom("one", "two")
+        return "served"
+
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    server = parallel.serve(fail)
+    try:
+        server.send("key")
+        with pytest.raises(KeyError, match="in the worker"):
+            server.result()
+        server.send("custom")
+        with pytest.raises(RuntimeError, match="Custom: one and two"):
+            server.result()
+        with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
+            server.send(lambda: 0)  # an unpicklable request is never sent
+        server.send("none")
+        assert server.result() == "served"
+    finally:
+        server.close()
+
+
+def test_killed_served_worker_raises_a_named_error(monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    server = parallel.serve(lambda sig: os.kill(os.getpid(), sig))
+    try:
+        server.send(signal.SIGKILL)
+        with pytest.raises(parallel.WorkerError, match="killed by signal SIGKILL"):
+            server.result()
+        with pytest.raises(parallel.WorkerError, match="has ended"):
+            server.send(signal.SIGKILL)
+    finally:
+        server.close()
+
+
+def test_served_worker_stops_at_the_end_of_its_requests(monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    server = parallel.serve(abs)
+    os.close(server._requests)  # as when every process holding the write end has ended
+    server._requests = None
+    assert os.waitstatus_to_exitcode(os.waitpid(server._pid, 0)[1]) == 0
+    server._pid = None
+    server.close()
+
+
+def test_closing_a_busy_served_worker_kills_it(monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    server = parallel.serve(time.sleep)
+    start = time.monotonic()
+    server.send(60)  # a request the caller must not wait for
+    server.close()
+    assert time.monotonic() - start < 30
+
+
 # ---------------------------------------------------------------------------
 # training: each interval's validation runs in a worker beside the next steps
 
@@ -542,3 +633,96 @@ def test_interrupted_training_leaves_no_worker(train_data, monkeypatch, trained_
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     with pytest.raises(KeyboardInterrupt):
         TR.Trainer(train_config(train_data, tmp_path / "run", max_steps=20)).train()
+
+
+# ---------------------------------------------------------------------------
+# training: shard 1 of every step runs in a persistent worker
+
+
+@pytest.fixture
+def shard_worker_fails(monkeypatch):
+    """Make shard 1, computed in the shard worker, fail in the way the test
+    names: "raise" raises an ObjectiveError, "die" kills the worker."""
+    parent, shard_backward = os.getpid(), TR.Trainer._shard_backward
+    how = {}
+
+    def failing(self, batch, step, shard, current_tokens):
+        if os.getpid() != parent and step == 3:
+            if how["mode"] == "raise":
+                raise O.ObjectiveError("shard 1 of step 3 failed")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return shard_backward(self, batch, step, shard, current_tokens)
+
+    monkeypatch.setattr(TR.Trainer, "_shard_backward", failing)
+    return how
+
+
+@pytest.mark.parametrize("mode,error,message", [
+    ("raise", O.ObjectiveError, "shard 1 of step 3 failed"),
+    ("die", parallel.WorkerError, "killed by signal SIGKILL")])
+def test_shard_worker_failure_is_raised_in_the_parent(train_data, monkeypatch, tmp_path,
+                                                      shard_worker_fails, mode, error,
+                                                      message):
+    shard_worker_fails["mode"] = mode
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    with pytest.raises(error, match=message):
+        TR.Trainer(train_config(train_data, tmp_path / "run", max_steps=6)).train()
+    with pytest.raises(ChildProcessError):  # the worker is reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("ends", ["returns", "diverges"])
+def test_training_leaves_no_shard_worker(train_data, monkeypatch, tmp_path, ends):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    served = []
+    serve = parallel.serve
+
+    def noting(fn):
+        served.append(serve(fn))
+        return served[-1]
+
+    monkeypatch.setattr(TR, "serve", noting)
+    config = train_config(train_data, tmp_path / "run", max_steps=6)
+    if ends == "returns":
+        TR.Trainer(config).train()
+    else:
+        config.peak_lr, config.warmup = 1e9, 1
+        with np.errstate(all="ignore"), pytest.raises(TR.TrainingDiverged):
+            TR.Trainer(config).train()
+    assert len(served) == 1 and served[0] is not None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_window_batch_sends_no_request(train_data, monkeypatch, tmp_path):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    sent = []
+    monkeypatch.setattr(parallel.Server, "send", lambda self, request: sent.append(request))
+    trainer = TR.Trainer(train_config(train_data, tmp_path / "run"))
+    window = trainer.train_windows[0]
+    assert TR.split_shards([window]) == [[window], []]
+    trainer.opt.step = lambda lr: None  # keep the gradients to compare
+    trainer._start_shard_worker()
+    try:
+        trainer._train_step([window], 1)
+    finally:
+        trainer._stop_shard_worker()
+    assert sent == []
+    summed = {name: p.grad for name, p in trainer.model.params.items()}
+    batch = M.build_batch([window], trainer.model_config)
+    trainer._shard_backward(batch, 1, 0, int(batch.current_mask.sum()))
+    assert all(np.array_equal(summed[name], p.grad)
+               for name, p in trainer.model.params.items())
+
+
+def test_parameters_stay_private_to_the_parent(train_data, monkeypatch, tmp_path):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    trainer = TR.Trainer(train_config(train_data, tmp_path / "run"))
+    trainer._start_shard_worker()
+    try:
+        trainer._train_step(trainer._epoch_batches(0)[0], 1)
+        shared = [a.base for arrays in trainer._shared for a in arrays.values()]
+        assert not any(p.data.base is not None and any(p.data.base is b for b in shared)
+                       for p in trainer.model.params.values())
+    finally:
+        trainer._stop_shard_worker()

@@ -317,8 +317,9 @@ def test_trainer_passes_the_train_flag_the_benchmark_tracer_splits_on(tmp_path, 
         return forward(self, *args, **kwargs)
 
     monkeypatch.setattr(TransformerModel, "forward", spy)
-    trainer._train_step(trainer.train_windows[:4], 1)
-    assert len(calls) == 1 and calls[0].get("train") is True
+    trainer._train_step(trainer.train_windows[:4], 1)  # one forward per shard
+    assert [(kwargs.get("train"), kwargs.get("shard")) for kwargs in calls] == [
+        (True, 0), (True, 1)]
     calls.clear()
     trainer._validate()
     assert calls and not any("train" in kwargs for kwargs in calls)

@@ -12,7 +12,8 @@ per file and exits 1 on any difference, 0 when every file matches.
 Both trees run on one machine, so the BLAS build cannot tell them apart.
 
 It then runs this tree's commands once more pinned to one CPU, where
-``winmt.parallel.map_ordered`` computes every batch in one process, and
+``winmt.parallel.map_ordered`` computes every batch in one process and
+each training step runs both its shards in that process too, and
 compares that output with the all-CPU output in the same way: outputs
 must not depend on the number of worker processes. Only the command
 processes are pinned (``os.sched_setaffinity``, Linux).
@@ -40,6 +41,10 @@ COMMANDS = [
     ("train-shifted", "train --data {out}/data --out {out}/train-shifted --cd 0.01 "
                       "--position-scheme shifted --shift-strategy avg-corpus "
                       "--max-steps 30 --val-interval 10 --patience 2 --ckpt-avg 2"),
+    # the same run resumed from its last validation and trained on to step 40
+    ("train-resume", "train --data {out}/data --out {out}/train-shifted --cd 0.01 "
+                     "--position-scheme shifted --shift-strategy avg-corpus "
+                     "--val-interval 10 --patience 2 --ckpt-avg 2 --resume --max-steps 40"),
     ("train-learned", "train --data {out}/data --out {out}/train-learned --cd 0.01 "
                       "--position-scheme shifted --shift-strategy avg-corpus "
                       "--segment-variant learned --layers 1 --max-steps 30 --val-interval 10"),
