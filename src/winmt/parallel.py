@@ -1,27 +1,25 @@
-"""Work spread over the CPUs by forked workers: an order-keeping map, a
-one-shot background call and a persistent worker.
+"""Work spread over the CPUs by forked workers, all of one kind.
+
+``serve(fn)`` forks one worker and returns its ``Server``. The worker runs
+``fn(*args)`` for each request ``send(*args)`` passes it, one at a time,
+and sends each outcome back pickled over a pipe; the caller polls it with
+``ready()``, collects it with ``result()`` and stops and reaps the worker
+with ``close()``. Requests go to the worker pickled over a second pipe.
+The function, and whatever it holds, reaches the worker through the fork
+and is never pickled. Large arrays that change between requests are better
+passed through ``shared_arrays``, memory that the caller and a worker
+forked after it both write.
 
 ``map_ordered(fn, items)`` deals the items round-robin over one process
 per CPU this process may run on: the calling process takes ``items[0::n]``
-and each ``os.fork`` child ``items[i::n]``. ``submit(fn)`` starts ``fn()``
-in one forked child and returns at once; the caller polls the returned
-``Pending`` with ``ready()`` and collects it with ``result()``. The map is
-built on ``submit``, so both share one fork-and-collect path. The function
-and its inputs reach a child through the fork; only the outcome comes
-back, pickled over a pipe. Every item is computed by the same code on the
-same inputs as in a plain loop, so with single-threaded BLAS the results
-are bitwise the loop's whatever the number of workers. With one CPU the
-map is the loop and ``submit`` calls ``fn`` at once. Inside a worker the
-same holds, so a worker never forks workers of its own that would compete
-with its parent for the CPUs.
+and a served worker holding ``items[i::n]`` gets one empty request for
+them. Every item is computed by the same code on the same inputs as in a
+plain loop, so with single-threaded BLAS the results are bitwise the
+loop's whatever the number of workers.
 
-``serve(fn)`` forks one worker that stays: it runs ``fn(request)`` for each
-request the caller ``send``s, one at a time, and sends each outcome back
-the way a submitted call does. Requests go to it pickled over a second
-pipe. Large arrays that change between requests are better passed through
-``shared_arrays``, memory that the caller and a worker forked after it
-both write. With one CPU, or inside a worker, ``serve`` forks nothing and
-returns None; the caller then does the work itself.
+With one CPU, or inside a worker, ``serve`` forks nothing and returns
+None, and the map is the loop, so a worker never forks workers of its own
+that would compete with its parent for the CPUs.
 
 The workers are forked rather than spawned: a spawned worker would pay a
 fresh import of numpy and winmt and need the model and its inputs
@@ -44,7 +42,7 @@ import numpy as np
 T = TypeVar("T")
 R = TypeVar("R")
 
-_in_worker = False  # set in each forked worker, whose maps and submissions run in-process
+_in_worker = False  # set in each forked worker, whose maps run in-process and which serves nothing
 
 
 class WorkerError(RuntimeError):
@@ -112,112 +110,10 @@ def _send_outcome(fn: Callable[[], R], write_fd: int) -> None:
     _write_all(write_fd, data)
 
 
-def _worker(fn: Callable[[], R], read_fd: int, write_fd: int) -> None:
-    """In a forked child: call ``fn``, send the outcome over ``write_fd`` and
-    leave by ``os._exit``, so no inherited buffer is flushed, no atexit handler
-    runs and no code of the caller runs on."""
-    global _in_worker
-    _in_worker = True
-    status = 1
-    try:
-        os.close(read_fd)
-        _send_outcome(fn, write_fd)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _ended(status: int) -> str:
     """How a child with wait status ``status`` ended."""
     code = os.waitstatus_to_exitcode(status)
     return f"killed by signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
-
-
-def _receive(fh, pid: int) -> tuple:
-    """The outcome that worker ``pid`` sends over ``fh``. A worker that ends
-    without sending it is reaped, and ``WorkerError`` names its exit status."""
-    try:
-        return pickle.load(fh)
-    except Exception as exc:
-        status = os.waitpid(pid, 0)[1]
-        raise WorkerError(f"worker process ended without its results "
-                          f"({_ended(status)})") from exc
-
-
-class Pending(Generic[R]):
-    """The outcome of one ``submit``: a call running in a forked worker, or
-    one already made in this process. ``result`` or ``close`` reaps the
-    worker; call one of them before dropping the object."""
-
-    def __init__(self, outcome: tuple[R, Exception | None] | None = None,
-                 pid: int | None = None, read_fd: int | None = None):
-        self._outcome = outcome  # (return value, exception or None) once known
-        self._pid = pid
-        self._fd = read_fd
-
-    def ready(self) -> bool:
-        """Whether ``result`` would return without waiting for the worker to
-        compute: it has begun to send its outcome, or has ended."""
-        return self._fd is None or bool(select.select([self._fd], [], [], 0)[0])
-
-    def result(self) -> R:
-        """The call's return value, once the worker has sent it.
-
-        An exception of the call is raised again here with its type and
-        message. A worker that ends without sending its outcome raises
-        ``WorkerError`` with its exit status. The worker is reaped before
-        this returns or raises, and killed first when this process fails.
-        """
-        if self._outcome is None:
-            try:
-                with open(self._fd, "rb") as fh:
-                    self._fd = None
-                    self._outcome = _receive(fh, self._pid)
-            except WorkerError:
-                self._pid = None  # reaped
-                raise
-            finally:
-                self.close()
-        value, exc = self._outcome
-        if exc is not None:
-            raise exc
-        return value
-
-    def close(self) -> None:
-        """Kill the worker unless it has sent its outcome, reap it and close
-        its pipe; nothing once that is done."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-        if self._pid is not None:
-            if self._outcome is None:
-                try:
-                    os.kill(self._pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-            os.waitpid(self._pid, 0)
-            self._pid = None
-
-
-def submit(fn: Callable[[], R]) -> Pending[R]:
-    """Start ``fn()`` in a forked worker and return its ``Pending`` at once.
-
-    With one CPU, or inside a worker, ``fn`` is called here before this
-    returns, and its exception is raised by ``submit`` itself.
-    """
-    if _workers() <= 1:
-        return Pending(outcome=(fn(), None))
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-        if pid == 0:
-            _worker(fn, read_fd, write_fd)
-    except BaseException:
-        os.close(read_fd)
-        raise
-    finally:
-        os.close(write_fd)
-    return Pending(pid=pid, read_fd=read_fd)
 
 
 def map_ordered(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
@@ -233,21 +129,22 @@ def map_ordered(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     n = min(len(items), _workers())
     if n <= 1:
         return [fn(item) for item in items]
-    jobs: list[Pending] = []
+    workers: list[Server] = []
     try:
         for i in range(1, n):
-            jobs.append(submit(functools.partial(_run_in_worker, fn, items[i::n])))
+            workers.append(serve(functools.partial(_run_in_worker, fn, items[i::n])))
+            workers[-1].send()
         shards = [_run(fn, items[0::n])]
-        for job in jobs:
+        for worker in workers:
             try:
-                shards.append(job.result())
+                shards.append(worker.result())
             except WorkerError:
                 raise
             except Exception as exc:  # an unpicklable result fails the shard's first item
                 shards.append(([], exc))
     finally:
-        for job in jobs:
-            job.close()
+        for worker in workers:
+            worker.close()
     # shard s holds items s, s + n, ...; the loop would stop at the first failure
     failures = [(s + n * len(results), exc) for s, (results, exc) in enumerate(shards)
                 if exc is not None]
@@ -256,12 +153,13 @@ def map_ordered(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     return [shards[i % n][0][i // n] for i in range(len(items))]
 
 
-def _serve(fn: Callable[[T], R], requests_fd: int, replies_fd: int,
+def _serve(fn: Callable[..., R], requests_fd: int, replies_fd: int,
            unused: tuple[int, int]) -> None:
-    """In a forked child: send the outcome of ``fn(request)`` over
-    ``replies_fd`` for each request read from ``requests_fd``, until the stop
-    message or the end of the requests, and leave by ``os._exit`` as
-    ``_worker`` does. ``unused`` are the caller's ends of the two pipes."""
+    """In a forked child: send the outcome of ``fn(*args)`` over
+    ``replies_fd`` for each request ``args`` read from ``requests_fd``, until
+    the stop message or the end of the requests, and leave by ``os._exit``,
+    so no inherited buffer is flushed, no atexit handler runs and no code of
+    the caller runs on. ``unused`` are the caller's ends of the two pipes."""
     global _in_worker
     _in_worker = True
     status = 1
@@ -282,11 +180,11 @@ def _serve(fn: Callable[[T], R], requests_fd: int, replies_fd: int,
         os._exit(status)
 
 
-class Server(Generic[T, R]):
-    """A persistent forked worker that runs one function on each request
-    ``send`` passes it, one request at a time. ``result`` collects the
-    outcome of the request last sent; ``close`` stops and reaps the worker.
-    Call ``close`` before dropping the object."""
+class Server(Generic[R]):
+    """A forked worker that runs one function on each request ``send``
+    passes it, one request at a time. ``ready`` polls and ``result``
+    collects the outcome of the request last sent; ``close`` stops and
+    reaps the worker. Call ``close`` before dropping the object."""
 
     def __init__(self, pid: int, requests_fd: int, replies_fd: int):
         self._pid: int | None = pid
@@ -294,10 +192,10 @@ class Server(Generic[T, R]):
         self._replies = open(replies_fd, "rb")
         self._busy = False  # a request is sent and its outcome not yet read
 
-    def send(self, request: T) -> None:
-        """Pass ``request`` to the worker, which starts on it at once; a
-        worker that ``result`` found ended raises ``WorkerError``."""
-        data = pickle.dumps((request,), pickle.HIGHEST_PROTOCOL)
+    def send(self, *args) -> None:
+        """Pass ``args`` to the worker, which starts on the function of them
+        at once; a worker that ``result`` found ended raises ``WorkerError``."""
+        data = pickle.dumps(args, pickle.HIGHEST_PROTOCOL)
         if self._pid is None:
             raise WorkerError("worker process has ended")
         self._busy = True
@@ -306,20 +204,27 @@ class Server(Generic[T, R]):
         except BrokenPipeError:  # the worker has ended; ``result`` says how
             pass
 
+    def ready(self) -> bool:
+        """Whether ``result`` would return without waiting for the worker to
+        compute: it has begun to send its outcome, or has ended."""
+        return bool(select.select([self._replies], [], [], 0)[0])
+
     def result(self) -> R:
         """The return value of the function on the request last sent, once
         the worker has sent it.
 
         An exception of the function is raised again here with its type
         and message, and the worker goes on serving. A worker that ends
-        without sending the outcome raises ``WorkerError`` with its exit
-        status.
+        without sending the outcome is reaped and raises ``WorkerError``
+        with its exit status.
         """
         try:
-            value, exc = _receive(self._replies, self._pid)
-        except WorkerError:
-            self._pid = None  # reaped
-            raise
+            value, exc = pickle.load(self._replies)
+        except Exception as err:
+            status = os.waitpid(self._pid, 0)[1]
+            self._pid = None
+            raise WorkerError(f"worker process ended without its results "
+                              f"({_ended(status)})") from err
         self._busy = False
         if exc is not None:
             raise exc
@@ -349,7 +254,7 @@ class Server(Generic[T, R]):
             self._pid = None
 
 
-def serve(fn: Callable[[T], R]) -> Server[T, R] | None:
+def serve(fn: Callable[..., R]) -> Server[R] | None:
     """Fork a worker that runs ``fn`` on each request its ``Server`` sends;
     None, with nothing forked, on one CPU or inside a worker."""
     if _workers() <= 1:

@@ -27,7 +27,7 @@ from .model import (Batch, ModelConfig, ModelError, TransformerModel, build_batc
                     check_model_settings)
 from .objective import (loss_ratio, masked_discounted_loss, normalized_training_loss,
                         smoothed_nll)
-from .parallel import map_ordered, serve, shared_arrays, submit
+from .parallel import map_ordered, serve, shared_arrays
 from .rng import stream
 from .tensor import Graph, Tensor, backward, record
 
@@ -438,12 +438,11 @@ class Trainer:
             self._shard_worker.close()
         self._shard_worker = self._shared = None
 
-    def _serve_shard(self, request: tuple[int, Batch, int]):
-        """In the shard worker: the loss of shard 1 of step ``request`` =
-        (step, batch, current tokens), with its gradients written to the
-        shared buffer, and the names of the parameters that have one. The
-        parameters are the parent's, read from the shared buffer."""
-        step, batch, current_tokens = request
+    def _serve_shard(self, step: int, batch: Batch, current_tokens: int):
+        """In the shard worker: the loss of shard 1 ``batch`` of ``step``,
+        with its gradients written to the shared buffer, and the names of
+        the parameters that have one. The parameters are the parent's, read
+        from the shared buffer."""
         params, grads = self._shared
         for name, p in self.model.params.items():
             p.data = params[name]
@@ -470,7 +469,7 @@ class Trainer:
             params = self._shared[0]
             for name, p in self.model.params.items():
                 np.copyto(params[name], p.data)
-            worker.send((step, shards[1], current_tokens))
+            worker.send(step, shards[1], current_tokens)
         loss_val = self._shard_backward(shards[0], step, 0, current_tokens)
         if len(shards) > 1:
             grads = self._grads()
@@ -535,18 +534,19 @@ class Trainer:
     def train(self, resume: bool = False) -> TrainResult:
         """Train to the step cap, the epoch limit or an early stop.
 
-        Each interval's dev losses are computed by ``parallel.submit`` in a
-        forked worker while the next steps train; the loop polls it after
-        every step and applies its result as of the step it was started at.
-        A result that stops the run drops the steps trained past it. The
-        validations the loop would wait for anyway (at the step cap, at the
-        last batch of the last epoch and the final fallback) run here, over
-        every CPU. With one CPU each validation is applied before the next
-        step, as a plain loop would.
+        Each interval's dev losses are computed by a worker that
+        ``parallel.serve`` forks for that one request while the next steps
+        train; the loop polls it after every step, applies its result as of
+        the step it was started at and closes it. A result that stops the
+        run drops the steps trained past it. The validations the loop would
+        wait for anyway (at the step cap, at the last batch of the last
+        epoch and the final fallback), and every validation where ``serve``
+        forks no worker, run here over every CPU before the next step, as a
+        plain loop would.
 
-        For the duration of the loop a persistent forked worker
-        (``parallel.serve``) computes shard 1 of every step; it is stopped
-        and reaped before this returns or raises.
+        For the duration of the loop a second served worker computes shard
+        1 of every step. Every worker is stopped and reaped before this
+        returns or raises.
         """
         cfg = self.cfg
         log_path = self.run_dir / "log.csv"
@@ -589,7 +589,7 @@ class Trainer:
             rec.save(state_path)
 
         epoch, step, batch_idx = rec.epoch, rec.step, rec.batch_idx
-        pending = None  # (position, Pending) of the validation running beside training
+        pending = None  # (position, Server) of the validation running beside training
 
         def settle(wait: bool) -> bool:
             """Apply the pending validation if it is done, or with ``wait`` once it
@@ -597,9 +597,11 @@ class Trainer:
             stopping validation's step."""
             nonlocal pending
             if pending is not None and (wait or pending[1].ready()):
-                at, job = pending
+                at, worker = pending
+                losses = worker.result()
+                worker.close()
                 pending = None
-                apply(at, job.result())
+                apply(at, losses)
                 if rec.stopped and step > rec.step:  # drop the steps trained past it
                     self._restore(ckpt.load_checkpoint(self._checkpoint_path(rec.step))[0],
                                   rec.step)
@@ -623,10 +625,14 @@ class Trainer:
                     if step % cfg.val_interval == 0 and not settle(wait=True):
                         at = (epoch, step, batch_idx)
                         self._save_checkpoint(step)
-                        if hit_cap or (epoch + 1 == cfg.max_epochs and batch_idx == len(batches)):
-                            apply(at, self._validate())  # nothing left to train meanwhile
+                        last = hit_cap or (epoch + 1 == cfg.max_epochs
+                                           and batch_idx == len(batches))
+                        worker = None if last else serve(self._validate)
+                        if worker is None:  # nothing left to train meanwhile, or no CPU for it
+                            apply(at, self._validate())
                         else:
-                            pending = at, submit(self._validate)
+                            pending = at, worker
+                            worker.send()
                     if settle(wait=False) or hit_cap:
                         break
                 else:

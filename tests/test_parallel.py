@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import io
@@ -8,6 +9,7 @@ import pickle
 import shutil
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,88 +277,81 @@ def test_workers_flush_no_inherited_buffer(monkeypatch, tmp_path):
     assert (tmp_path / "log.txt").read_text() == "written once"
 
 
-def test_submitted_call_runs_in_a_worker_and_is_polled(monkeypatch):
+def test_served_worker_is_polled_with_ready(monkeypatch):
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     read_fd, write_fd = os.pipe()
+    # the worker waits for one byte from this process before it returns
+    server = parallel.serve(lambda: (os.read(read_fd, 1), os.getpid()))
     try:
-        # the worker waits for one byte from this process before it returns
-        job = parallel.submit(lambda: (os.read(read_fd, 1), os.getpid()))
-        assert not job.ready()
+        server.send()
+        assert not server.ready()
         os.write(write_fd, b"x")
         deadline = time.monotonic() + 30
-        while not job.ready() and time.monotonic() < deadline:
+        while not server.ready() and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert job.ready()
-        assert job.result()[0] == b"x" and job.result()[1] != os.getpid()
+        assert server.ready()
+        read, pid = server.result()
+        assert read == b"x" and pid != os.getpid()
     finally:
+        server.close()
         os.close(read_fd)
         os.close(write_fd)
 
 
-def test_submit_on_one_cpu_calls_at_once(monkeypatch):
-    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
-    job = parallel.submit(os.getpid)
-    assert job.ready() and job.result() == os.getpid()
-    with pytest.raises(KeyError, match="raised here"):
-        parallel.submit(lambda: {}["raised here"])
-
-
-def test_submitted_worker_error_keeps_its_type(monkeypatch):
-    class Custom(Exception):
-        def __init__(self, a, b):
-            super().__init__(f"{a} and {b}")
-
-    def fail(exc):
-        raise exc
-
-    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    with pytest.raises(KeyError, match="in the worker"):
-        parallel.submit(lambda: fail(KeyError("in the worker"))).result()
-    with pytest.raises(RuntimeError, match="Custom: one and two"):
-        parallel.submit(lambda: fail(Custom("one", "two"))).result()
-    with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
-        parallel.submit(lambda: (lambda: 0)).result()  # an unpicklable result
-
-
-def test_killed_submitted_worker_raises_a_named_error(monkeypatch):
-    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    job = parallel.submit(lambda: os.kill(os.getpid(), signal.SIGKILL))
-    with pytest.raises(parallel.WorkerError, match="killed by signal SIGKILL"):
-        job.result()
-
-
 def test_interrupted_wait_kills_and_reaps_the_worker(monkeypatch):
+    parent = os.getpid()
+
     def interrupt(signum, frame):
         raise KeyboardInterrupt
 
+    def sleep_in_child(x):
+        if os.getpid() != parent:
+            time.sleep(60)  # a worker the parent must not wait for
+        return x
+
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    job = parallel.submit(lambda: time.sleep(60))  # a worker the parent must not wait for
     previous = signal.signal(signal.SIGALRM, interrupt)
     start = time.monotonic()
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.2)
         with pytest.raises(KeyboardInterrupt):
-            job.result()
+            parallel.map_ordered(sleep_in_child, range(2))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def served_once(fn):
+    """``fn()`` computed by a served worker, which is closed after it."""
+    server = parallel.serve(fn)
+    try:
+        server.send()
+        return server.result()
+    finally:
+        server.close()
 
 
 def test_work_inside_a_worker_runs_in_the_worker(monkeypatch):
     def inner():
+        server = parallel.serve(abs)
+        if server is not None:  # in the calling process only
+            server.close()
         return (os.getpid(), parallel.map_ordered(lambda x: (x * x, os.getpid()), range(5)),
-                parallel.submit(os.getpid).result())
+                server is None)
 
     monkeypatch.setattr(parallel, "available_cpus", lambda: 3)
-    pid, mapped, submitted = parallel.submit(inner).result()
+    pid, mapped, served_nothing = served_once(inner)
     assert pid != os.getpid()
-    assert mapped == [(x * x, pid) for x in range(5)] and submitted == pid
+    assert mapped == [(x * x, pid) for x in range(5)] and served_nothing
     # the same in the workers of a map
     outer = parallel.map_ordered(lambda _: inner(), range(3))
     assert outer[0][0] == os.getpid() and len({pid for pid, _, _ in outer}) == 3
-    for pid, mapped, submitted in outer[1:]:
-        assert mapped == [(x * x, pid) for x in range(5)] and submitted == pid
+    assert not outer[0][2]
+    for pid, mapped, served_nothing in outer[1:]:
+        assert mapped == [(x * x, pid) for x in range(5)] and served_nothing
 
 
 def test_served_requests_run_in_one_worker_in_order(monkeypatch):
@@ -385,7 +380,7 @@ def test_serve_on_one_cpu_or_in_a_worker_forks_nothing(monkeypatch):
     monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
     assert parallel.serve(abs) is None
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    assert parallel.submit(lambda: parallel.serve(abs) is None).result()
+    assert served_once(lambda: parallel.serve(abs) is None)
 
 
 def test_served_error_keeps_its_type_and_the_worker_serves_on(monkeypatch):
@@ -398,7 +393,7 @@ def test_served_error_keeps_its_type_and_the_worker_serves_on(monkeypatch):
             raise KeyError("in the worker")
         if kind == "custom":
             raise Custom("one", "two")
-        return "served"
+        return (lambda: 0) if kind == "unpicklable" else "served"
 
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     server = parallel.serve(fail)
@@ -408,6 +403,9 @@ def test_served_error_keeps_its_type_and_the_worker_serves_on(monkeypatch):
             server.result()
         server.send("custom")
         with pytest.raises(RuntimeError, match="Custom: one and two"):
+            server.result()
+        server.send("unpicklable")
+        with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
             server.result()
         with pytest.raises((AttributeError, pickle.PicklingError), match="pickle"):
             server.send(lambda: 0)  # an unpicklable request is never sent
@@ -422,6 +420,10 @@ def test_killed_served_worker_raises_a_named_error(monkeypatch):
     server = parallel.serve(lambda sig: os.kill(os.getpid(), sig))
     try:
         server.send(signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not server.ready() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.ready()  # an ended worker is ready
         with pytest.raises(parallel.WorkerError, match="killed by signal SIGKILL"):
             server.result()
         with pytest.raises(parallel.WorkerError, match="has ended"):
@@ -447,6 +449,28 @@ def test_closing_a_busy_served_worker_kills_it(monkeypatch):
     server.send(60)  # a request the caller must not wait for
     server.close()
     assert time.monotonic() - start < 30
+
+
+def fork_sites(node, where):
+    """The enclosing (module, class, function) names of each ``os.fork`` in ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = where + (child.name,)
+        elif isinstance(child, ast.Attribute) and child.attr == "fork" and (
+                isinstance(child.value, ast.Name) and child.value.id == "os"):
+            yield where
+        elif isinstance(child, ast.ImportFrom) and any("fork" in a.name for a in child.names):
+            yield where
+        yield from fork_sites(child, inner)
+
+
+def test_serve_holds_the_only_fork():
+    sources = sorted(Path(parallel.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    sites = [site for path in sources
+             for site in fork_sites(ast.parse(path.read_text()), (path.stem,))]
+    assert sites == [("parallel", "serve")]
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +657,8 @@ def test_interrupted_training_leaves_no_worker(train_data, monkeypatch, trained_
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     with pytest.raises(KeyboardInterrupt):
         TR.Trainer(train_config(train_data, tmp_path / "run", max_steps=20)).train()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +704,8 @@ def test_training_leaves_no_shard_worker(train_data, monkeypatch, tmp_path, ends
     serve = parallel.serve
 
     def noting(fn):
-        served.append(serve(fn))
-        return served[-1]
+        served.append((fn, serve(fn)))
+        return served[-1][1]
 
     monkeypatch.setattr(TR, "serve", noting)
     config = train_config(train_data, tmp_path / "run", max_steps=6)
@@ -689,7 +715,9 @@ def test_training_leaves_no_shard_worker(train_data, monkeypatch, tmp_path, ends
         config.peak_lr, config.warmup = 1e9, 1
         with np.errstate(all="ignore"), pytest.raises(TR.TrainingDiverged):
             TR.Trainer(config).train()
-    assert len(served) == 1 and served[0] is not None
+    # the first worker is the shard worker; validations may serve more
+    fn, server = served[0]
+    assert fn.__func__ is TR.Trainer._serve_shard and server is not None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -697,7 +725,7 @@ def test_training_leaves_no_shard_worker(train_data, monkeypatch, tmp_path, ends
 def test_one_window_batch_sends_no_request(train_data, monkeypatch, tmp_path):
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     sent = []
-    monkeypatch.setattr(parallel.Server, "send", lambda self, request: sent.append(request))
+    monkeypatch.setattr(parallel.Server, "send", lambda self, *args: sent.append(args))
     trainer = TR.Trainer(train_config(train_data, tmp_path / "run"))
     window = trainer.train_windows[0]
     assert TR.split_shards([window]) == [[window], []]
