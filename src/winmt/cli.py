@@ -271,8 +271,12 @@ def cmd_evaluate(args) -> int:
     contrastive_path = data / f"contrastive_{args.split}.jsonl"
     if contrastive_path.exists():
         examples = corpus_mod.read_contrastive(contrastive_path)
-        doc_ids = {d.doc_id for d in docs}
-        examples = [e for e in examples if e.doc_id in doc_ids]
+        docs_by_id = {d.doc_id: d for d in docs}
+        examples = [e for e in examples if e.doc_id in docs_by_id]
+        try:
+            evl.check_example_windows(examples, docs_by_id)
+        except evl.EvalError as exc:
+            raise evl.EvalError(f"{contrastive_path}: {exc}") from None
     rows = evl.robustness_eval(model, docs, vocab, sizes or [model.config.window_size],
                                examples=examples, beam=args.beam, alpha=args.alpha)
 

@@ -17,7 +17,7 @@ from .parallel import map_ordered
 
 MAX_N = 4  # BLEU's highest n-gram order
 BATCH_CANDIDATES = 64  # candidate windows scored together by evaluate_contrastive
-BATCH_WINDOWS = 32  # windows decoded together by decode_current_sentences
+BATCH_WINDOWS = 32  # windows of one size decoded together by decode_current_sentences
 
 
 class EvalError(ValueError):
@@ -336,30 +336,64 @@ class RobustnessRow:
 
 
 def decode_current_sentences(model: TransformerModel, docs: Sequence[Document],
-                             vocab: Vocab, k: int, beam: int = 4,
-                             alpha: float = 0.6) -> tuple[list[list[str]], list[list[str]], int]:
-    """Decode documents at window size k and keep only current sentences.
+                             vocab: Vocab, sizes: Sequence[int], beam: int = 4,
+                             alpha: float = 0.6,
+                             ) -> list[tuple[list[list[str]], list[list[str]], int]]:
+    """Decode documents at each window size in ``sizes`` and keep only
+    current sentences.
 
-    Windows are decoded in chunks of ``BATCH_WINDOWS``, spread over the
-    CPUs by ``parallel.map_ordered``.
+    Each distinct window is decoded once over all sizes: window j holds
+    ``min(k-1, j)`` context sentences, so a window truncated at the
+    document start is the same window at every larger size. With n
+    sentences per document and sizes 2, 3, 4 that saves 5 of 3n decodes
+    per document (42 % at n = 4, 1.7 % at n = 100). Each size's windows
+    that no earlier size holds are cut into chunks of ``BATCH_WINDOWS``,
+    and all chunks are spread over the CPUs by one
+    ``parallel.map_ordered``; the first size's chunks are those of a
+    decode at that size alone.
 
-    Returns (hypothesis sentences, reference sentences, malformed count).
+    Returns one (hypothesis sentences, reference sentences, malformed
+    count) per size, in ``sizes`` order.
     """
-    windows = [w for d in docs for w in make_windows(d, k, vocab)]
-    refs = []
-    for d in docs:
-        refs.extend([list(t) for _, t in d.sentences])
-    decoded = map_ordered(lambda chunk: model.decode(chunk, beam=beam, alpha=alpha),
-                          [windows[lo:lo + BATCH_WINDOWS]
-                           for lo in range(0, len(windows), BATCH_WINDOWS)])
-    hyps: list[list[str]] = []
-    malformed = 0
-    for w, ids in zip(windows, (ids for chunk in decoded for ids in chunk)):
-        current, ok = extract_current(ids, expected_seps=w.size - 1)
-        if not ok:
-            malformed += 1
-        hyps.append(vocab.decode(current))
-    return hyps, refs, malformed
+    refs = [list(t) for d in docs for _, t in d.sentences]
+    per_size = [[w for d in docs for w in make_windows(d, k, vocab)] for k in sizes]
+    held: set[Window] = set()
+    chunks: list[list[Window]] = []
+    for windows in per_size:
+        new = [w for w in windows if w not in held]
+        held.update(windows)
+        chunks.extend(new[lo:lo + BATCH_WINDOWS] for lo in range(0, len(new), BATCH_WINDOWS))
+    decoded_chunks = map_ordered(lambda chunk: model.decode(chunk, beam=beam, alpha=alpha),
+                                 chunks)
+    decoded = {w: ids for chunk, out in zip(chunks, decoded_chunks)
+               for w, ids in zip(chunk, out)}
+    out = []
+    for windows in per_size:
+        hyps: list[list[str]] = []
+        malformed = 0
+        for w in windows:
+            current, ok = extract_current(decoded[w], expected_seps=w.size - 1)
+            if not ok:
+                malformed += 1
+            hyps.append(vocab.decode(current))
+        out.append((hyps, refs, malformed))
+    return out
+
+
+def check_example_windows(examples: Iterable[ContrastiveExample],
+                          docs: dict[str, Document]) -> None:
+    """Raise ``EvalError`` unless each example's source window and reference
+    target window are its document's sentences ending at sentence ``j``,
+    the sentences that ``rebuild_examples`` re-windows."""
+    for ex in examples:
+        size = len(ex.src_sentences)
+        lo = ex.j + 1 - size
+        pairs = docs[ex.doc_id].sentences[lo:ex.j + 1] if lo >= 0 else ()
+        if (tuple(s for s, _ in pairs) != ex.src_sentences
+                or tuple(t for _, t in pairs) != ex.candidates[0]):
+            raise EvalError(f"example {ex.example_id!r}: its windows are not the {size} "
+                            f"sentences of document {ex.doc_id!r} that end at "
+                            f"sentence {ex.j}")
 
 
 def robustness_eval(model: TransformerModel, docs: Sequence[Document], vocab: Vocab,
@@ -371,6 +405,10 @@ def robustness_eval(model: TransformerModel, docs: Sequence[Document], vocab: Vo
     Windows are rebuilt at every size; only the current sentence of each
     decoded window is scored, the context translation is discarded. Each
     row keeps the hypotheses and references its BLEU was computed from.
+    A window or rebuilt contrastive example that an earlier size already
+    holds is decoded or scored once and its result reused (see
+    ``decode_current_sentences``). The examples' windows must be their
+    documents' sentences ending at ``j`` (``check_example_windows``).
     """
     if min(sizes) < 1:
         raise EvalError(f"window sizes must be >= 1, got {sizes}")
@@ -379,16 +417,17 @@ def robustness_eval(model: TransformerModel, docs: Sequence[Document], vocab: Vo
         raise EvalError(f"window size {max(sizes)} may exceed model max length "
                         f"{model.config.max_len}")
     docs_by_id = {d.doc_id: d for d in docs}
+    decoded = decode_current_sentences(model, docs, vocab, sizes, beam=beam, alpha=alpha)
+    scored: dict[ContrastiveExample, ContrastiveResult] = {}
     rows = []
-    for size in sizes:
-        hyps, refs, malformed = decode_current_sentences(model, docs, vocab, size,
-                                                         beam=beam, alpha=alpha)
-        score = bleu(hyps, refs)
+    for size, (hyps, refs, malformed) in zip(sizes, decoded):
         accuracy = None
         if examples:
             rebuilt = rebuild_examples(examples, docs_by_id, size)
-            accuracy = overall_accuracy(evaluate_contrastive(model, rebuilt, vocab))
-        rows.append(RobustnessRow(size=size, bleu=score, accuracy=accuracy,
+            new = [ex for ex in rebuilt if ex not in scored]
+            scored.update(zip(new, evaluate_contrastive(model, new, vocab)))
+            accuracy = overall_accuracy([scored[ex] for ex in rebuilt])
+        rows.append(RobustnessRow(size=size, bleu=bleu(hyps, refs), accuracy=accuracy,
                                   malformed=malformed, n_windows=len(hyps),
                                   hyps=hyps, refs=refs))
     return rows

@@ -14,7 +14,7 @@ import pytest
 from winmt import checkpoint as ckpt
 from winmt import cli
 from winmt.cli import main
-from winmt.corpus import Vocab, read_corpus
+from winmt.corpus import Vocab, make_windows, read_corpus
 from winmt.evaluation import bleu, extract_current
 from winmt.model import TransformerModel
 from winmt.trainer import TrainConfig, read_log
@@ -158,7 +158,7 @@ class TestEvaluate:
         assert (run_dir / "hyps_test_k2.txt").exists()
         assert (run_dir / "refs_test.txt").exists()
 
-    def test_one_decode_per_size(self, run_dir, tmp_path, monkeypatch, one_worker):
+    def test_each_window_decoded_once(self, run_dir, tmp_path, monkeypatch, one_worker):
         calls = []
         original = TransformerModel.decode
 
@@ -174,27 +174,53 @@ class TestEvaluate:
         monkeypatch.setattr(TransformerModel, "decode", counting)
         report = tmp_path / "report"
         code = run_cli("evaluate", "--run", run_dir, "--data", data,
-                       "--split", "test", "--window-sizes", "2,3", "--beam", "2",
+                       "--split", "test", "--window-sizes", "2,3,4", "--beam", "2",
                        "--report-dir", report)
         assert code == 0
-        n_windows = sum(len(d.sentences) for d in read_corpus(data / "test.txt"))
+        docs = read_corpus(data / "test.txt")
+        n_windows = sum(len(d.sentences) for d in docs)
         assert n_windows > 32  # more than one decode batch per size
-        per_size = math.ceil(n_windows / 32)
-        assert len(calls) == 2 * per_size
         vocab = Vocab.load(run_dir / "vocab.json")
+        seen = [w for windows, _ in calls for w in windows]
+        decoded = {w: ids for windows, out in calls for w, ids in zip(windows, out)}
+        per_size = {k: [w for d in docs for w in make_windows(d, k, vocab)] for k in (2, 3, 4)}
+        # every distinct window once and none twice: a window that starts at
+        # the document start is the same window at every larger size
+        assert len(seen) == len(set(seen))
+        assert set(seen) == set().union(*per_size.values())
+        assert all(len(d.sentences) == 4 for d in docs) and len(seen) == 7 * len(docs)
         refs = [line.split() for line in (report / "refs_test.txt").read_text().splitlines()]
         rows = list(csv.DictReader((report / "robustness_test.csv").open()))
-        assert [r["size"] for r in rows] == ["2", "3"]
-        for i, r in enumerate(rows):
+        assert [r["size"] for r in rows] == ["2", "3", "4"]
+        for r in rows:
             hyps = [line.split() for line in
                     (report / f"hyps_test_k{r['size']}.txt").read_text().splitlines()]
             assert len(hyps) == len(refs) == int(r["n_windows"]) == n_windows
             assert float(r["bleu"]) == bleu(hyps, refs)
-            # the written hypotheses are the current sentences of that one decode
-            decoded = [vocab.decode(extract_current(ids, w.size - 1)[0])
-                       for windows, out in calls[i * per_size:(i + 1) * per_size]
-                       for w, ids in zip(windows, out)]
-            assert hyps == decoded
+            # the written hypotheses are the current sentences of those decodes
+            assert hyps == [vocab.decode(extract_current(decoded[w], w.size - 1)[0])
+                            for w in per_size[int(r["size"])]]
+
+    @pytest.mark.parametrize("shift", [1, 5])
+    def test_example_not_ending_at_its_sentence_rejected(self, run_dir, tmp_path, capsys,
+                                                         shift):
+        # shift 1 names the next sentence of the document, shift 5 one past its end
+        data = tmp_path / "data"
+        assert run_cli("gen-data", "--out", data, "--seed", "8", "--docs", "6",
+                       "--vocab-size", "32", "--split", "0/0/100") == 0
+        records = [json.loads(line) for line in
+                   (data / "contrastive_test.jsonl").read_text().splitlines()]
+        bad = next(r for r in records if r["j"] < 3)
+        bad["j"] += shift
+        (data / "contrastive_test.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records))
+        report = tmp_path / "report"
+        assert run_cli("evaluate", "--run", run_dir, "--data", data, "--beam", "1",
+                       "--window-sizes", "2,3", "--report-dir", report) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "EvalError"
+        assert "contrastive_test.jsonl" in err["message"] and repr(bad["id"]) in err["message"]
+        assert not report.exists()
 
     def test_vocab_digest_mismatch_rejected(self, data_dir, run_dir, tmp_path, capsys):
         # a checkpoint trained on different data has a different vocab digest

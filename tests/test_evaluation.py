@@ -297,7 +297,7 @@ class TestRobustnessEval:
         docs, examples, vocab, model = setup
         subset = docs[:4]
         rows = E.robustness_eval(model, subset, vocab, [2], beam=2)
-        hyps, refs, _ = E.decode_current_sentences(model, subset, vocab, 2, beam=2)
+        [(hyps, refs, _)] = E.decode_current_sentences(model, subset, vocab, [2], beam=2)
         assert rows[0].bleu == pytest.approx(E.bleu(hyps, refs))
         assert rows[0].n_windows == sum(len(d.sentences) for d in subset)
 
@@ -309,6 +309,29 @@ class TestRobustnessEval:
         rows = E.robustness_eval(model, sub_docs, vocab, [1, 3], examples=sub_examples,
                                  beam=1)
         assert all(r.accuracy is not None for r in rows)
+
+    def test_shared_windows_give_what_a_decode_per_size_gives(self, setup):
+        docs, examples, vocab, model = setup
+        sub_docs = docs[:12]  # 48 windows per size, two decode chunks
+        ids = {d.doc_id for d in sub_docs}
+        sub_examples = [e for e in examples if e.doc_id in ids]
+        sizes = [1, 2, 3, 4]
+        rows = E.robustness_eval(model, sub_docs, vocab, sizes, examples=sub_examples,
+                                 beam=2)
+        refs = [list(t) for d in sub_docs for _, t in d.sentences]
+        by_id = {d.doc_id: d for d in sub_docs}
+        for size, row in zip(sizes, rows):
+            windows = [w for d in sub_docs for w in C.make_windows(d, size, vocab)]
+            decoded = [out for lo in range(0, len(windows), E.BATCH_WINDOWS)
+                       for out in model.decode(windows[lo:lo + E.BATCH_WINDOWS], beam=2)]
+            current = [E.extract_current(out, w.size - 1) for w, out in zip(windows, decoded)]
+            hyps = [vocab.decode(toks) for toks, _ in current]
+            results = E.evaluate_contrastive(
+                model, C.rebuild_examples(sub_examples, by_id, size), vocab)
+            assert (row.size, row.hyps, row.refs, row.n_windows) == (size, hyps, refs, 48)
+            assert row.malformed == sum(not ok for _, ok in current)
+            assert row.bleu == E.bleu(hyps, refs)
+            assert row.accuracy == E.overall_accuracy(results)
 
     def test_oversized_window_rejected(self, setup):
         docs, _, vocab, _ = setup

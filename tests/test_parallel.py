@@ -91,9 +91,10 @@ def test_contrastive_scores_are_the_same_for_any_worker_count(setup, monkeypatch
 def test_decoded_sentences_are_the_same_for_any_worker_count(setup, monkeypatch):
     docs, _, vocab, model = setup
     assert sum(len(d.sentences) for d in docs) > 3 * E.BATCH_WINDOWS
-    runs = per_worker_count(monkeypatch,
-                            lambda: E.decode_current_sentences(model, docs, vocab, 2, beam=2))
-    assert len(set(runs)) == 1
+    # sizes 3 and 4 decode only the windows that no smaller size holds
+    runs = per_worker_count(monkeypatch, lambda: E.decode_current_sentences(
+        model, docs, vocab, (2, 3, 4), beam=2))
+    assert len(set(runs)) == 1 and len(runs[0]) == 3
 
 
 def test_window_losses_and_diagnosis_are_the_same_for_any_worker_count(setup, monkeypatch):

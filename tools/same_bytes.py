@@ -54,7 +54,7 @@ COMMANDS = [
                    "--val-interval 4 --max-steps 30 --peak-lr 0"),
     ("gen-slice", "gen-data --out {out}/slice --seed 1001 --docs 30 --split 0/0/100"),
     ("evaluate", "evaluate --run {fixture} --data {out}/slice --split test --limit 9 "
-                 "--window-sizes 2,3 --report-dir {out}/evaluate"),
+                 "--window-sizes 1,2,3,4 --report-dir {out}/evaluate"),
     ("contrastive-full", "contrastive --run {fixture} --data {out}/slice --split test "
                          "--mode full --report-dir {out}/contrastive-full"),
     ("contrastive-current", "contrastive --run {fixture} --data {out}/slice --split test "
