@@ -31,8 +31,8 @@ from . import evaluation as evl
 from . import stats as stats_mod
 from . import synth
 from .model import TransformerModel
-from .trainer import (DEFAULT_SWEEP, ConfigError, TrainConfig, cd_sweep,
-                      config_from_sources, diagnose, parse_config_text, read_log, train)
+from .trainer import (DEFAULT_SWEEP, ConfigError, TrainConfig, Trainer, cd_sweep,
+                      config_from_sources, diagnose, parse_config_text, read_log)
 
 SUMMARY_JSON = "summary.json"
 
@@ -161,10 +161,8 @@ def cmd_gen_data(args) -> int:
     except corpus_mod.CorpusError as exc:
         raise UsageError(f"bad --split {args.split!r}: {exc}") from None
     out_dir.mkdir(parents=True, exist_ok=True)
-    dev_ids = {d.doc_id for d in dev_docs}
-    test_ids = {d.doc_id for d in test_docs}
-    dev_examples = [e for e in examples if e.doc_id in dev_ids]
-    test_examples = [e for e in examples if e.doc_id in test_ids]
+    dev_examples = synth.split_examples(dev_docs, examples)
+    test_examples = synth.split_examples(test_docs, examples)
 
     outputs = []
     for name, payload in (("train.txt", train_docs), ("dev.txt", dev_docs),
@@ -224,16 +222,16 @@ def cmd_train(args) -> int:
     out_dir = Path(config.out_dir)
     if not args.resume:
         _require_empty(out_dir, args.force)
-    result = train(config, resume=args.resume)
+    trainer = Trainer(config)
+    result = trainer.train(resume=args.resume)
     data = Path(config.data_dir)
     _write_manifest(out_dir, "train", asdict(config), config.seed,
                     [data / "train.txt", data / "dev.txt"],
                     [result.averaged_checkpoint, result.best_checkpoint, result.log_path],
                     args.environment)
-    model = TransformerModel.load(result.averaged_checkpoint)
-    if model.config.position_scheme == "shifted" and model.config.shift_value is not None:
-        print(f"segment shift: {model.config.shift_value} "
-              f"({model.config.shift_strategy})")
+    model_config = trainer.model_config  # the header of every checkpoint of the run
+    if model_config.position_scheme == "shifted" and model_config.shift_value is not None:
+        print(f"segment shift: {model_config.shift_value} ({model_config.shift_strategy})")
     print(f"run dir: {result.run_dir}")
     print(f"best step: {result.best_step} (stopped_early={result.stopped_early})")
     print(f"averaged checkpoint: {result.averaged_checkpoint}")
@@ -265,18 +263,17 @@ def cmd_evaluate(args) -> int:
     model, vocab, ckpt_path, report_dir = _open_run(args)
     data = Path(args.data)
     docs = corpus_mod.read_corpus(data / f"{args.split}.txt")
-    if args.limit:
-        docs = docs[:args.limit]
-    examples = None
+    records = []
     contrastive_path = data / f"contrastive_{args.split}.jsonl"
     if contrastive_path.exists():
-        examples = corpus_mod.read_contrastive(contrastive_path)
-        docs_by_id = {d.doc_id: d for d in docs}
-        examples = [e for e in examples if e.doc_id in docs_by_id]
+        records = corpus_mod.read_contrastive(contrastive_path)
         try:
-            evl.check_example_windows(examples, docs_by_id)
+            evl.check_example_windows(records, {d.doc_id: d for d in docs})
         except evl.EvalError as exc:
             raise evl.EvalError(f"{contrastive_path}: {exc}") from None
+    docs = docs[:args.limit or None]
+    kept = {d.doc_id for d in docs}
+    examples = [e for e in records if e.doc_id in kept]
     rows = evl.robustness_eval(model, docs, vocab, sizes or [model.config.window_size],
                                examples=examples, beam=args.beam, alpha=args.alpha)
 
@@ -296,6 +293,7 @@ def cmd_evaluate(args) -> int:
         "beam": args.beam,
         "alpha": args.alpha,
         "rows": [{k: getattr(r, k) for k in evl.ROBUSTNESS_COLUMNS} for r in rows],
+        "records_left_out_by_limit": len(records) - len(examples),
     })
     for r in rows:
         acc = "" if r.accuracy is None else f" accuracy={r.accuracy:.2f}"

@@ -11,6 +11,7 @@ belongs to, each <S> counting towards the sentence it terminates and
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .checkpoint import write_atomic
 
 PAD, UNK, SEP, EOS = "<PAD>", "<UNK>", "<S>", "<E>"
 RESERVED = (PAD, UNK, SEP, EOS)
+_RESERVED_SET = frozenset(RESERVED)
 PAD_ID, UNK_ID, SEP_ID, EOS_ID = 0, 1, 2, 3
 
 
@@ -35,6 +37,15 @@ def tokenize(text: str) -> list[str]:
     return list(map(sys.intern, text.split()))
 
 
+def _reject_reserved(owner: str, sentences: Iterable[Sequence[str]]) -> None:
+    """Raise ``CorpusError`` naming ``owner`` if a sentence holds a reserved
+    token: only the windows made from sentences hold those."""
+    for sent in sentences:
+        if not _RESERVED_SET.isdisjoint(sent):
+            tok = next(tok for tok in sent if tok in RESERVED)
+            raise CorpusError(f"{owner} contains reserved token {tok!r}")
+
+
 @dataclass(frozen=True)
 class Document:
     """Ordered parallel sentences of one document."""
@@ -45,11 +56,8 @@ class Document:
     def __post_init__(self):
         if not self.sentences:
             raise CorpusError(f"document {self.doc_id!r} has no sentences")
-        for src, tgt in self.sentences:
-            for tok in (*src, *tgt):
-                if tok in RESERVED:
-                    raise CorpusError(
-                        f"document {self.doc_id!r} contains reserved token {tok!r}")
+        _reject_reserved(f"document {self.doc_id!r}",
+                         (side for pair in self.sentences for side in pair))
 
     @staticmethod
     def from_pairs(doc_id: str, pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> "Document":
@@ -60,9 +68,7 @@ class Vocab:
     """Token <-> id bijection with reserved ids 0..3 for <PAD>, <UNK>, <S>, <E>."""
 
     def __init__(self, tokens: Sequence[str]):
-        for tok in tokens:
-            if tok in RESERVED:
-                raise CorpusError(f"reserved token {tok!r} cannot be added to a vocab")
+        _reject_reserved("vocab", [tokens])
         self._tokens = list(RESERVED) + list(tokens)
         self._index = {tok: i for i, tok in enumerate(self._tokens)}
         if len(self._index) != len(self._tokens):
@@ -239,13 +245,19 @@ def _invalid_utf8(path) -> CorpusError:
     return CorpusError(f"{path}: invalid UTF-8")
 
 
+def document_id(index: int) -> str:
+    """The id of a file's document ``index``, counted from 0 in file order."""
+    return f"d{index:05d}"
+
+
 def read_corpus(path) -> list[Document]:
+    """The documents of a corpus file, with ``document_id`` ids."""
     docs: list[Document] = []
     pairs: list[tuple[list[str], list[str]]] = []
 
     def flush():
         if pairs:
-            docs.append(Document.from_pairs(f"d{len(docs):05d}", pairs))
+            docs.append(Document.from_pairs(document_id(len(docs)), pairs))
             pairs.clear()
 
     try:
@@ -277,7 +289,10 @@ class ContrastiveExample:
 
     Candidate 0 is the reference; candidates differ from it only within
     the current-sentence span. ``distance`` is the sentence distance from
-    the ambiguous item to its antecedent, 0 meaning intra-sentential.
+    the ambiguous item to its antecedent, 0 meaning intra-sentential. No
+    sentence may hold a reserved token, as in a ``Document``; whether the
+    windows are their document's sentences is checked where the documents
+    are at hand (``evaluation.check_example_windows``).
     """
 
     example_id: str
@@ -296,6 +311,8 @@ class ContrastiveExample:
             if len(cand) != len(ref) or cand[:-1] != ref[:-1]:
                 raise CorpusError(
                     f"example {self.example_id!r}: candidates differ outside the current sentence")
+        _reject_reserved(f"example {self.example_id!r}",
+                         itertools.chain(self.src_sentences, *self.candidates))
 
     def candidate_windows(self, vocab: Vocab) -> list[Window]:
         return [window_from_sentences(self.src_sentences, cand, vocab,

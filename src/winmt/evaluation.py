@@ -9,8 +9,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import (EOS_ID, PAD, SEP_ID, ContrastiveExample, Document,
-                     Vocab, Window, make_windows, rebuild_examples)
+from .corpus import (EOS_ID, SEP_ID, ContrastiveExample, Document, Vocab, Window,
+                     make_windows, rebuild_examples, window_pairs)
 from .model import AttentionRecord, TransformerModel
 from .parallel import map_ordered
 
@@ -38,18 +38,10 @@ class ContrastiveResult:
     scores: tuple[float, ...]
 
 
-def _check_candidates(example: ContrastiveExample) -> None:
-    for cand in example.candidates:
-        for sent in cand:
-            if PAD in sent:
-                raise EvalError(f"example {example.example_id!r}: candidate contains {PAD}")
-
-
 def _score_batch(model, examples, vocab, mode) -> list[ContrastiveResult]:
     windows: list[Window] = []
     spans: list[tuple[int, int]] = []
     for ex in examples:
-        _check_candidates(ex)
         cands = ex.candidate_windows(vocab)
         windows.extend(cands)
         spans.append((len(windows) - len(cands), len(windows)))
@@ -163,10 +155,7 @@ def aggregate(results: Sequence[ContrastiveResult], by: str = "distance") -> Acc
         label = str(r.distance) if by == "distance" else r.phenomenon
         buckets[label].append(r.correct)
     cats = {label: (100.0 * sum(v) / len(v), len(v)) for label, v in sorted(buckets.items())}
-    ctx = None
-    if by == "distance":
-        ctx = [label for label in cats if label != "0"]
-    return aggregate_from_stats(cats, context_requiring=ctx)
+    return aggregate_from_stats(cats)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +371,17 @@ def decode_current_sentences(model: TransformerModel, docs: Sequence[Document],
 
 def check_example_windows(examples: Iterable[ContrastiveExample],
                           docs: dict[str, Document]) -> None:
-    """Raise ``EvalError`` unless each example's source window and reference
-    target window are its document's sentences ending at sentence ``j``,
-    the sentences that ``rebuild_examples`` re-windows."""
+    """Raise ``EvalError`` unless each example names a document of ``docs``
+    and its source window and reference target window are that document's
+    ``corpus.window_pairs`` at ``j`` and the example's size, the window that
+    ``rebuild_examples`` re-windows. A window that the document start cuts
+    short, or a ``j`` past the document's end, does not match."""
     for ex in examples:
+        if ex.doc_id not in docs:
+            raise EvalError(f"example {ex.example_id!r} names document {ex.doc_id!r}, "
+                            f"which the split does not hold")
         size = len(ex.src_sentences)
-        lo = ex.j + 1 - size
-        pairs = docs[ex.doc_id].sentences[lo:ex.j + 1] if lo >= 0 else ()
+        pairs = window_pairs(docs[ex.doc_id], ex.j, size)
         if (tuple(s for s, _ in pairs) != ex.src_sentences
                 or tuple(t for _, t in pairs) != ex.candidates[0]):
             raise EvalError(f"example {ex.example_id!r}: its windows are not the {size} "

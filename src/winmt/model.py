@@ -117,6 +117,9 @@ class AttentionRecord:
 
 @dataclass
 class Batch:
+    """The padded (windows, length) arrays of a list of windows, and each
+    side's ``Grid``, computed once when the batch is made."""
+
     windows: list[Window]
     src: np.ndarray
     src_seg: np.ndarray
@@ -130,40 +133,30 @@ class Batch:
     current_mask: np.ndarray
     context_mask: np.ndarray
     shifts: np.ndarray  # resolved shift per window
-    # flat indices in the (windows, length) grids of the real tokens that
-    # own a state row, and (2, n) pairs of (duplicate cell, owner cell) for
-    # the real tokens that copy one; set once (see ``_shared_cells``)
-    src_rows: np.ndarray = field(init=False)
-    src_copies: np.ndarray = field(init=False)
-    tgt_rows: np.ndarray = field(init=False)
-    tgt_copies: np.ndarray = field(init=False)
+    # where the state rows of the source and the target tokens sit in the
+    # padded grids (see ``_shared_cells``)
+    src_grid: Grid = field(init=False)
+    tgt_grid: Grid = field(init=False)
 
     def __post_init__(self):
-        (self.src_rows, self.src_copies), (self.tgt_rows, self.tgt_copies) = _shared_cells(self)
+        self.src_grid, self.tgt_grid = _shared_cells(self)
 
     @property
     def size(self) -> int:
         return len(self.windows)
 
-    @property
-    def src_grid(self) -> "Grid":
-        return Grid(self.src_rows, self.src_copies, self.src.shape)
-
-    @property
-    def tgt_grid(self) -> "Grid":
-        return Grid(self.tgt_rows, self.tgt_copies, self.tgt_in.shape)
-
 
 class Grid(NamedTuple):
-    """Where the state rows of one side of a batch sit in its padded grid."""
+    """Where the state rows of one side of a batch sit in its padded grid:
+    the real tokens that own a state row, and the real tokens that copy one."""
 
     rows: np.ndarray  # flat cell of each state row
     copies: np.ndarray  # (2, n): duplicate cells and the owner cells they copy
     shape: tuple[int, int]  # (windows, length)
 
 
-def _shared_cells(batch: Batch) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(rows, copies) of the source and the target grid of ``batch``.
+def _shared_cells(batch: Batch) -> tuple[Grid, Grid]:
+    """The source and the target grid of ``batch``.
 
     A window owns its tokens unless an earlier window has the same source
     inputs (ids, segments, positions, padding); the first such window then
@@ -182,20 +175,19 @@ def _shared_cells(batch: Batch) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     for a in (batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos):
         same &= a[dup] == a[owner[dup]]
     tgt_copy = np.logical_and.accumulate(same, axis=1)
-    return tuple(_rows_and_copies(valid, dup, owner[dup], copy)
-                 for valid, copy in ((batch.src_valid, src_copy), (batch.tgt_valid, tgt_copy)))
+    return (_grid(batch.src_valid, dup, owner[dup], src_copy),
+            _grid(batch.tgt_valid, dup, owner[dup], tgt_copy))
 
 
-def _rows_and_copies(valid, dup, owner, copy) -> tuple[np.ndarray, np.ndarray]:
-    """Owner cells of the real tokens in ``valid`` and (duplicate, owner) cell
-    pairs, where ``copy`` marks the copied tokens of windows ``dup`` whose
-    owners are windows ``owner``."""
+def _grid(valid, dup, owner, copy) -> Grid:
+    """The grid of the real tokens in ``valid``, where ``copy`` marks the
+    copied tokens of windows ``dup`` whose owners are windows ``owner``."""
     length = valid.shape[1]
     win, pos = np.nonzero(copy)
     copies = np.stack([dup[win] * length + pos, owner[win] * length + pos])
     real = valid.reshape(-1) > 0
     real[copies[0]] = False
-    return np.flatnonzero(real), copies
+    return Grid(np.flatnonzero(real), copies, valid.shape)
 
 
 def resolve_window_shift(config: ModelConfig, window: Window) -> int:
@@ -448,7 +440,7 @@ class TransformerModel:
         grid = batch.src_grid
         key_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         x = self._embed(batch.src, batch.src_seg, batch.src_pos, "src_emb", fp,
-                        rows=batch.src_rows)
+                        rows=grid.rows)
         for i in range(cfg.layers):
             blk = f"enc{i}"
             h = layer_norm(x, p[f"{blk}.ln1.g"], p[f"{blk}.ln1.b"])
@@ -477,7 +469,7 @@ class TransformerModel:
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         tgt = batch.tgt_grid
         x = self._embed(batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos, "tgt_emb", fp,
-                        rows=batch.tgt_rows)
+                        rows=tgt.rows)
         log_probs = self._decoder(x, partial(self._kv, grid=tgt),
                                   lambda name, _: self._kv(name, enc, batch.src_grid),
                                   self_mask, cross_mask, tgt, fp)

@@ -103,19 +103,15 @@ def masked_discounted_loss(per_token: Tensor, current_mask: np.ndarray,
     )
 
 
-def normalized_training_loss(breakdown: LossBreakdown,
-                             current_tokens: int | None = None) -> Tensor:
+def normalized_training_loss(breakdown: LossBreakdown, current_tokens: int) -> Tensor:
     """Discounted total divided by the current token count.
 
     Normalizing by current tokens (not all tokens) keeps the effective
     step size on the current-sentence task independent of cd and of how
-    much context a batch happens to contain. When ``breakdown`` covers one
-    shard of a batch, ``current_tokens`` is the whole batch's count, so
-    that the shards' losses and gradients add up to the batch's; by
-    default it is the breakdown's own.
+    much context a batch happens to contain. ``current_tokens`` is the
+    whole batch's count, also when ``breakdown`` covers one shard of it,
+    so that the shards' losses and gradients add up to the batch's.
     """
-    if current_tokens is None:
-        current_tokens = breakdown.current_token_count
     if current_tokens == 0:
         raise ObjectiveError("no current tokens to normalize by")
     return mul_const(breakdown.discounted_total, 1.0 / current_tokens)

@@ -12,9 +12,10 @@ distractor that flips the realization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
-from .corpus import ContrastiveExample, CorpusError, Document, window_pairs
+from .corpus import ContrastiveExample, CorpusError, Document, document_id, window_pairs
 from .rng import stream
 
 AMB = "amb"
@@ -32,10 +33,6 @@ MIN_FILLERS, MAX_FILLERS = 3, 7  # filler tokens per sentence, inclusive
 class Inventory:
     fillers: tuple[str, ...]
     nouns: tuple[tuple[str, ...], tuple[str, ...]]  # class 0, class 1
-
-    @property
-    def tokens(self) -> list[str]:
-        return [AMB, *REALIZATIONS, *self.nouns[0], *self.nouns[1], *self.fillers]
 
 
 def token_inventory(vocab_size: int) -> Inventory:
@@ -78,7 +75,7 @@ def gen_synthetic(seed: int,
     examples: list[ContrastiveExample] = []
     for d in range(n_docs):
         rng = stream(seed, "synth-doc", d)
-        doc_id = f"d{d:05d}"
+        doc_id = document_id(d)
         pairs: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
         amb_sites: list[tuple[int, int]] = []  # (sentence index, antecedent distance)
         last_noun: tuple[int, int] | None = None  # (sentence index, class)
@@ -139,3 +136,12 @@ def _make_example(doc: Document, j: int, distance: int, k: int) -> ContrastiveEx
         phenomenon=PHENOMENON,
         distance=distance,
     )
+
+
+def split_examples(docs: Sequence[Document],
+                   examples: Iterable[ContrastiveExample]) -> list[ContrastiveExample]:
+    """The examples of ``docs``, one split of the generated documents, with
+    the ids that ``corpus.read_corpus`` gives ``docs`` written to one file."""
+    ids = {doc.doc_id: document_id(i) for i, doc in enumerate(docs)}
+    return [replace(ex, doc_id=ids[ex.doc_id], example_id=f"{ids[ex.doc_id]}:{ex.j}")
+            for ex in examples if ex.doc_id in ids]

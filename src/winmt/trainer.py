@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -234,22 +234,16 @@ def by_length(windows: Sequence[Window]) -> np.ndarray:
     return np.argsort([len(w.tgt_ids) for w in windows], kind="stable")
 
 
-# shards per training step, whatever the number of CPUs: the step runs
-# shard 0 in the calling process and shard 1 in the shard worker
-SHARDS = 2
-
-
 def split_shards(windows: Sequence[Window]) -> list[list[Window]]:
-    """The ``SHARDS`` shards of a training batch: its windows ordered by
-    (target length, position in the batch), cut where the running
-    target-token count first reaches each ``s / SHARDS`` of the batch's.
-    A shard may be empty, as the second of a one-window batch is."""
+    """The two shards of a training batch: its windows ordered by (target
+    length, position in the batch), cut after the window at which the
+    running target-token count first reaches half the batch's. The second
+    shard is empty when that window is the last, as in a one-window batch."""
     ordered = [windows[int(i)] for i in by_length(windows)]
     running = np.cumsum([len(w.tgt_ids) for w in ordered])
     total = int(running[-1]) if len(ordered) else 0
-    cuts = [0] + [int(np.searchsorted(SHARDS * running, s * total)) + 1
-                  for s in range(1, SHARDS)] + [len(ordered)]
-    return [ordered[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    cut = int(np.searchsorted(2 * running, total)) + 1
+    return [ordered[:cut], ordered[cut:]]
 
 
 @dataclass
@@ -422,7 +416,7 @@ class Trainer:
         backward(loss)
         return loss_val
 
-    def _grads(self) -> dict[str, np.ndarray | None]:
+    def _grads(self) -> dict[str, np.ndarray]:
         return {name: p.grad for name, p in self.model.params.items()}
 
     def _start_shard_worker(self) -> None:
@@ -438,31 +432,30 @@ class Trainer:
             self._shard_worker.close()
         self._shard_worker = self._shared = None
 
-    def _serve_shard(self, step: int, batch: Batch, current_tokens: int):
-        """In the shard worker: the loss of shard 1 ``batch`` of ``step``,
-        with its gradients written to the shared buffer, and the names of
-        the parameters that have one. The parameters are the parent's, read
-        from the shared buffer."""
+    def _serve_shard(self, step: int, batch: Batch, current_tokens: int) -> float:
+        """In the shard worker: the loss of shard 1 ``batch`` of ``step``, with
+        the gradient of every parameter written to the shared buffer. The
+        parameters are the parent's, read from the shared buffer."""
         params, grads = self._shared
         for name, p in self.model.params.items():
             p.data = params[name]
         loss_val = self._shard_backward(batch, step, 1, current_tokens)
-        present = [name for name, g in self._grads().items() if g is not None]
-        for name in present:
-            np.copyto(grads[name], self.model.params[name].grad, casting="no")
+        for name, p in self.model.params.items():
+            np.copyto(grads[name], p.grad, casting="no")
         self.model.zero_grad()
-        return loss_val, present
+        return loss_val
 
     def _train_step(self, batch_windows: list, step: int) -> float:
         """One update from the summed gradients of the batch's two shards.
 
-        Shard 1 runs in the shard worker while this process runs shard 0,
-        or here after shard 0 when there is no worker; either way each
-        gradient is shard 0's plus shard 1's, so the bytes are the same.
+        Every parameter gets a gradient from every non-empty shard, so each
+        gradient is shard 0's plus shard 1's, or shard 0's alone when shard
+        1 is empty. Shard 1 runs in the shard worker while this process runs
+        shard 0, or here after shard 0 when there is no worker; either way
+        the sums are the same bytes.
         """
         cfg = self.cfg
-        first, second = split_shards(batch_windows)
-        shards = [build_batch(ws, self.model_config) for ws in (first, second) if ws]
+        shards = [build_batch(ws, self.model_config) for ws in split_shards(batch_windows) if ws]
         current_tokens = sum(int(b.current_mask.sum()) for b in shards)
         worker = self._shard_worker if len(shards) > 1 else None
         if worker is not None:
@@ -474,16 +467,13 @@ class Trainer:
         if len(shards) > 1:
             grads = self._grads()
             if worker is not None:
-                second_loss, present = worker.result()
-                more = {name: self._shared[1][name] if name in present else None
-                        for name in grads}
+                loss_val += worker.result()
+                more = self._shared[1]
             else:
-                second_loss = self._shard_backward(shards[1], step, 1, current_tokens)
+                loss_val += self._shard_backward(shards[1], step, 1, current_tokens)
                 more = self._grads()
-            loss_val += second_loss
             for name, p in self.model.params.items():
-                a, b = grads[name], more[name]
-                p.grad = a if b is None else b.copy() if a is None else a + b
+                p.grad = grads[name] + more[name]
         lr = lr_at(step, cfg.hidden, cfg.warmup, self.cfg.scale())
         grad_norm = self.opt.grad_norm()
         if not (math.isfinite(loss_val) and math.isfinite(grad_norm)):
@@ -680,9 +670,7 @@ def cd_sweep(base: TrainConfig, cd_values: Sequence[float]) -> list[dict]:
     for cd in cd_values:
         row: dict = {"cd": cd}
         try:
-            cfg = config_from_sources(
-                {k: v for k, v in asdict(base).items()},
-                {"cd": cd, "out_dir": str(base_out / f"cd_{cd:g}")})
+            cfg = replace(base, cd=cd, out_dir=str(base_out / f"cd_{cd:g}"))
             result = train(cfg)
             model = TransformerModel.load(result.averaged_checkpoint)
             vocab = Vocab.load(result.run_dir / "vocab.json")

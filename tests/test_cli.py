@@ -13,9 +13,11 @@ import pytest
 
 from winmt import checkpoint as ckpt
 from winmt import cli
+from winmt import evaluation as evl
+from winmt import synth
 from winmt.cli import main
-from winmt.corpus import Vocab, make_windows, read_corpus
-from winmt.evaluation import bleu, extract_current
+from winmt.corpus import Vocab, make_windows, read_contrastive, read_corpus, split_documents
+from winmt.evaluation import bleu, check_example_windows, extract_current
 from winmt.model import TransformerModel
 from winmt.trainer import TrainConfig, read_log
 
@@ -42,6 +44,24 @@ def run_dir(tmp_path_factory, data_dir):
                    "--batch-tokens", "256", "--dropout", "0.1")
     assert code == 0
     return out
+
+
+@pytest.fixture
+def scored(monkeypatch):
+    """The results of every ``evaluation.evaluate_contrastive`` call, in order."""
+    results, evaluate = [], evl.evaluate_contrastive
+
+    def noting(*args, **kwargs):
+        out = evaluate(*args, **kwargs)
+        results.extend(out)
+        return out
+
+    monkeypatch.setattr(evl, "evaluate_contrastive", noting)
+    return results
+
+
+def last_error(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
 class TestGenData:
@@ -80,6 +100,18 @@ class TestGenData:
         assert count(out / "train.txt") == 80
         assert count(out / "dev.txt") == 10
         assert count(out / "test.txt") == 10
+
+    @pytest.mark.parametrize("split", ["dev", "test"])
+    def test_records_name_the_documents_of_their_split_file(self, data_dir, split):
+        docs = {d.doc_id: d for d in read_corpus(data_dir / f"{split}.txt")}
+        examples = read_contrastive(data_dir / f"contrastive_{split}.jsonl")
+        generated, all_examples = synth.gen_synthetic(7, n_docs=60, vocab_size=32)
+        split_docs = dict(zip(("train", "dev", "test"),
+                              split_documents(generated, (80, 10, 10))))[split]
+        ids = {d.doc_id for d in split_docs}
+        assert len(examples) == sum(e.doc_id in ids for e in all_examples) > 0
+        assert all(e.example_id == f"{e.doc_id}:{e.j}" for e in examples)
+        check_example_windows(examples, docs)
 
     def test_refuses_nonempty_without_force(self, data_dir):
         assert run_cli("gen-data", "--out", data_dir, "--seed", "7") == 1
@@ -222,6 +254,55 @@ class TestEvaluate:
         assert "contrastive_test.jsonl" in err["message"] and repr(bad["id"]) in err["message"]
         assert not report.exists()
 
+    @pytest.mark.parametrize("split", ["dev", "test"])
+    def test_every_record_of_the_split_is_scored_as_contrastive_scores_it(
+            self, data_dir, run_dir, tmp_path, scored, split):
+        # the run is trained at K=2, the window size gen-data writes records at
+        assert run_cli("contrastive", "--run", run_dir, "--data", data_dir, "--split", split,
+                       "--report-dir", tmp_path / "contrastive") == 0
+        rows = list(csv.DictReader(
+            (tmp_path / "contrastive" / f"contrastive_{split}_examples.csv").open()))
+        summary = json.loads((tmp_path / "contrastive" / f"contrastive_{split}.json").read_text())
+        del scored[:]
+        assert run_cli("evaluate", "--run", run_dir, "--data", data_dir, "--split", split,
+                       "--window-sizes", "2", "--beam", "1", "--report-dir", tmp_path) == 0
+        report = json.loads((tmp_path / f"evaluate_{split}.json").read_text())
+        assert len(rows) > 0 and report["records_left_out_by_limit"] == 0
+        assert (sorted((r.example_id, int(r.correct)) for r in scored)
+                == sorted((r["example_id"], int(r["correct"])) for r in rows))
+        assert report["rows"][0]["accuracy"] == summary["overall_accuracy"]
+
+    def test_record_of_a_document_the_split_lacks_rejected(self, data_dir, run_dir, tmp_path,
+                                                           capsys):
+        # the ids gen-data wrote when it counted documents across all splits
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        offset = sum(len(read_corpus(data / f"{name}.txt")) for name in ("train", "dev"))
+        path = data / "contrastive_test.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for r in records:
+            r["doc"] = f"d{int(r['doc'][1:]) + offset:05d}"
+            r["id"] = f"{r['doc']}:{r['j']}"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        report = tmp_path / "report"
+        assert run_cli("evaluate", "--run", run_dir, "--data", data, "--window-sizes", "2",
+                       "--beam", "1", "--report-dir", report) == 2
+        assert last_error(capsys) == {
+            "error": "EvalError",
+            "message": f"{path}: example {records[0]['id']!r} names document "
+                       f"{records[0]['doc']!r}, which the split does not hold"}
+        assert not report.exists()
+
+    def test_limit_leaves_out_the_records_of_the_documents_it_cuts(self, data_dir, run_dir,
+                                                                   tmp_path, scored):
+        assert run_cli("evaluate", "--run", run_dir, "--data", data_dir, "--limit", "2",
+                       "--window-sizes", "2", "--beam", "1", "--report-dir", tmp_path) == 0
+        records = read_contrastive(data_dir / "contrastive_test.jsonl")
+        kept = [e.example_id for e in records if e.doc_id in ("d00000", "d00001")]
+        assert kept and [r.example_id for r in scored] == kept
+        report = json.loads((tmp_path / "evaluate_test.json").read_text())
+        assert report["records_left_out_by_limit"] == len(records) - len(kept) > 0
+
     def test_vocab_digest_mismatch_rejected(self, data_dir, run_dir, tmp_path, capsys):
         # a checkpoint trained on different data has a different vocab digest
         other_data = tmp_path / "otherdata"
@@ -254,6 +335,30 @@ class TestContrastive:
             (run_dir / "contrastive_test_examples.csv").open()))
         overall = 100.0 * sum(int(r["correct"]) for r in per_example) / len(per_example)
         assert summary["overall_accuracy"] == pytest.approx(overall, abs=1e-9)
+
+
+    @pytest.mark.parametrize("token", ["<PAD>", "<UNK>", "<E>"])
+    @pytest.mark.parametrize("where", ["source", "candidate"])
+    def test_reserved_token_in_a_record_names_its_line(self, data_dir, run_dir, tmp_path,
+                                                       capsys, where, token):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = data / "contrastive_test.jsonl"
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        if where == "source":
+            rec["src"] = f"{token} {rec['src']}"
+        else:
+            rec["candidates"] = [f"{c} {token}" for c in rec["candidates"]]
+        lines[1] = json.dumps(rec)
+        path.write_text("".join(line + "\n" for line in lines))
+        report = tmp_path / "report"
+        assert run_cli("contrastive", "--run", run_dir, "--data", data,
+                       "--report-dir", report) == 2
+        assert last_error(capsys) == {
+            "error": "CorpusError",
+            "message": f"{path}:2: example {rec['id']!r} contains reserved token {token!r}"}
+        assert not report.exists()
 
 
 class TestDiagnose:

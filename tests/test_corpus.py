@@ -30,8 +30,8 @@ class TestVocab:
         assert vocab.encode(["nope"]) == [C.UNK_ID]
 
     def test_reserved_tokens_rejected(self):
-        with pytest.raises(C.CorpusError):
-            C.Vocab(["<S>"])
+        with pytest.raises(C.CorpusError, match="^vocab contains reserved token '<S>'$"):
+            C.Vocab(["a", "<S>"])
 
     def test_bijection(self, vocab):
         ids = vocab.encode(vocab.decode(range(len(vocab))))
@@ -258,6 +258,22 @@ class TestContrastiveIO:
         with pytest.raises(C.CorpusError) as err:
             C.read_contrastive(path)
         assert str(err.value).startswith(f"{path}:3: ") and message in str(err.value)
+
+    @pytest.mark.parametrize("token", [C.PAD, C.UNK, C.EOS])
+    @pytest.mark.parametrize("where", ["source", "candidate"])
+    def test_reserved_token_names_its_line(self, tmp_path, where, token):
+        path = tmp_path / "contrastive.jsonl"
+        C.write_contrastive(path, [self.example()] * 2)
+        first, second = path.read_text().splitlines()
+        rec = json.loads(second)
+        if where == "source":
+            rec["src"] = f"{token} {rec['src']}"
+        else:
+            rec["candidates"] = [f"{c} {token}" for c in rec["candidates"]]
+        path.write_text(f"{first}\n{json.dumps(rec)}\n")
+        with pytest.raises(C.CorpusError) as err:
+            C.read_contrastive(path)
+        assert str(err.value) == f"{path}:2: example 'd0:1' contains reserved token {token!r}"
 
     def test_line_that_is_not_json_or_utf8_names_itself(self, tmp_path):
         path = tmp_path / "contrastive.jsonl"

@@ -33,16 +33,6 @@ class TestScoreContrastive:
         [res] = E.evaluate_contrastive(model, [ex], vocab)
         assert res.chosen == 1 and not res.correct
 
-    def test_pad_in_candidate_rejected(self, setup):
-        _, _, vocab, model = setup
-        ex = C.ContrastiveExample(
-            example_id="t", doc_id="d", j=0,
-            src_sentences=(("w00",),),
-            candidates=((("<PAD>",),), (("w01",),)),
-            phenomenon="p", distance=0)
-        with pytest.raises(E.EvalError, match="<PAD>"):
-            E.evaluate_contrastive(model, [ex], vocab)
-
     def test_random_model_near_chance(self, setup):
         # untrained model over balanced 2-candidate examples: accuracy ~= 50%
         docs, examples, vocab, model = setup

@@ -182,7 +182,7 @@ def assert_gradients_match_finite_differences(model, batch, seed_label):
             lp, _ = model.forward(batch)
             per_tok = O.smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid)
             bd = O.masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask, 0.3)
-            return O.normalized_training_loss(bd)
+            return O.normalized_training_loss(bd, bd.current_token_count)
         finally:
             model.params[name] = saved
 
@@ -218,9 +218,10 @@ def candidate_windows(doc, vocab, k, j, variants):
 def unshared(batch):
     """``batch`` with every real token its own state row."""
     plain = copy.copy(batch)
-    plain.src_rows = np.flatnonzero(batch.src_valid.reshape(-1))
-    plain.tgt_rows = np.flatnonzero(batch.tgt_valid.reshape(-1))
-    plain.src_copies = plain.tgt_copies = np.zeros((2, 0), dtype=np.int64)
+    none = np.zeros((2, 0), dtype=np.int64)
+    plain.src_grid = M.Grid(np.flatnonzero(batch.src_valid.reshape(-1)), none, batch.src.shape)
+    plain.tgt_grid = M.Grid(np.flatnonzero(batch.tgt_valid.reshape(-1)), none,
+                            batch.tgt_in.shape)
     return plain
 
 
@@ -247,8 +248,8 @@ def test_shared_rows_are_bitwise_equal_to_own_rows(setup, k, scheme, strategy, v
         windows += C.make_windows(docs[10 + n], k, vocab)[-1:]
     batch = M.build_batch(windows, config)
     dups = len(windows) - len({w.src_ids for w in windows})
-    assert len(batch.src_rows) < (batch.src_valid > 0).sum() and dups == 6
-    assert batch.tgt_copies.shape[1] > 0
+    assert len(batch.src_grid.rows) < (batch.src_valid > 0).sum() and dups == 6
+    assert batch.tgt_grid.copies.shape[1] > 0
     lp, recs = model.forward(batch, capture=True)
     lp_ref, recs_ref = model.forward(unshared(batch), capture=True)
     np.testing.assert_array_equal(lp.data, lp_ref.data)
@@ -263,8 +264,8 @@ def test_shared_rows_gradients_match_finite_differences(setup):
     pair = candidate_windows(doc, vocab, 2, len(doc.sentences) - 1, [3, 1])
     other = next(w for w in windows if len(w.src_ids) != len(pair[0].src_ids))
     batch = M.build_batch([pair[0], other, pair[1]], model.config)
-    assert batch.src_copies.shape[1] == len(pair[0].src_ids)
-    assert 0 < batch.tgt_copies.shape[1] < len(pair[1].tgt_ids)
+    assert batch.src_grid.copies.shape[1] == len(pair[0].src_ids)
+    assert 0 < batch.tgt_grid.copies.shape[1] < len(pair[1].tgt_ids)
     assert_gradients_match_finite_differences(model, batch, "shared-gradcheck")
 
 
@@ -276,15 +277,16 @@ def test_two_candidate_examples_share_source_and_target_prefix(setup):
     windows = [w for ex in examples for w in ex.candidate_windows(vocab)]
     batch = M.build_batch(windows, model.config)
     real_src = int(batch.src_valid.sum())
-    assert len(batch.src_rows) * 2 == real_src
+    assert len(batch.src_grid.rows) * 2 == real_src
     shared = 0
     for ref, alt in zip(windows[::2], windows[1::2]):
         # decoder inputs are <E> + target[:-1]: they agree up to and
         # including the first position where the targets differ
         first = next(i for i, (a, b) in enumerate(zip(ref.tgt_ids, alt.tgt_ids)) if a != b)
         shared += first + 1
-    assert len(batch.tgt_rows) == int(batch.tgt_valid.sum()) - shared
-    np.testing.assert_array_equal(np.sort(np.concatenate([batch.tgt_rows, batch.tgt_copies[0]])),
+    assert len(batch.tgt_grid.rows) == int(batch.tgt_valid.sum()) - shared
+    tgt = batch.tgt_grid
+    np.testing.assert_array_equal(np.sort(np.concatenate([tgt.rows, tgt.copies[0]])),
                                   np.flatnonzero(batch.tgt_valid.reshape(-1)))
 
 
@@ -331,7 +333,7 @@ def test_gradients_reach_all_parameters(setup):
         lp, _ = model.forward(batch)
         per_tok = O.smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid)
         bd = O.masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask, 0.5)
-        loss = O.normalized_training_loss(bd)
+        loss = O.normalized_training_loss(bd, bd.current_token_count)
     backward(loss)
     missing = [name for name, p in model.params.items() if p.grad is None]
     assert not missing, f"no gradient for {missing}"
@@ -349,7 +351,7 @@ def test_training_step_records_each_attention_as_one_node(setup):
         lp, _ = model.forward(batch, train=True, step=1, seed=1)
         per_tok = O.smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid)
         bd = O.masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask, 0.5)
-        O.normalized_training_loss(bd)
+        O.normalized_training_loss(bd, bd.current_token_count)
     ops = [node.backward_fn.__qualname__.split(".")[0] for node in graph.nodes]
     assert len(ops) <= 149
     assert "transpose" not in ops
@@ -366,7 +368,8 @@ def test_training_tape_keeps_only_the_tensors_the_caller_holds(setup):
         lp, _ = model.forward(batch, train=True, step=1, seed=1)
         per_tok = O.smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid)
         loss = O.normalized_training_loss(
-            O.masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask, 0.5))
+            O.masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask, 0.5),
+            int(batch.current_mask.sum()))
     assert len(graph.nodes) == 149
     alive = {id(t) for t in (node.out() for node in graph.nodes) if t is not None}
     assert alive == {id(lp), id(per_tok), id(loss)}

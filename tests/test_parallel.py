@@ -138,27 +138,35 @@ def test_no_attention_record_leaves_a_mapped_batch(setup, monkeypatch):
     assert all(isinstance(v, (int, float, np.ndarray)) for v in values)
 
 
-def with_pad_in_last_chunk(examples):
+def with_overlong_candidate_last(examples, max_len):
+    """``examples`` with the last one's distractor made longer than
+    ``max_len`` tokens, which ``model.build_batch`` rejects when the last
+    chunk is scored; and the length of that distractor's target window."""
     bad = examples[-1]
-    pad = bad.candidates[1][:-1] + ((C.PAD,),)
-    return examples[:-1] + [dataclasses.replace(bad, candidates=(bad.candidates[0], pad))]
+    ref = bad.candidates[0]
+    overlong = ref[:-1] + (ref[-1] * (max_len // len(ref[-1]) + 1),)
+    examples = examples[:-1] + [dataclasses.replace(bad, candidates=(ref, overlong))]
+    length = sum(map(len, overlong)) + len(overlong)  # a <S> after each context sentence, <E>
+    assert length > max_len
+    return examples, length
 
 
 def test_worker_error_is_raised_again_in_the_parent(setup, monkeypatch, tmp_path):
     _, examples, vocab, model = setup
-    examples = with_pad_in_last_chunk(examples)
-    check = E._check_candidates
+    examples, length = with_overlong_candidate_last(examples, model.config.max_len)
+    build = M.build_batch
 
-    def noting_pid(example):
+    def noting_pid(windows, config):
         try:
-            check(example)
-        except E.EvalError:
+            return build(windows, config)
+        except M.ModelError:
             (tmp_path / "raised_in").write_text(str(os.getpid()))
             raise
 
-    monkeypatch.setattr(E, "_check_candidates", noting_pid)
+    monkeypatch.setattr(M, "build_batch", noting_pid)
     monkeypatch.setattr(parallel, "available_cpus", lambda: 64)  # one chunk per process
-    with pytest.raises(E.EvalError, match=rf"{examples[-1].example_id!r}: candidate contains"):
+    with pytest.raises(M.ModelError, match=f"sequence length {length} exceeds configured max "
+                                           f"{model.config.max_len}$"):
         E.evaluate_contrastive(model, examples, vocab)
     assert int((tmp_path / "raised_in").read_text()) != os.getpid()
 
@@ -176,7 +184,9 @@ def test_contrastive_command_error_is_the_same_for_any_worker_count(monkeypatch,
     path = tmp_path / "data" / "contrastive_test.jsonl"
     examples = C.read_contrastive(path)
     assert len(examples) * 2 > E.BATCH_CANDIDATES  # more than one chunk
-    C.write_contrastive(path, with_pad_in_last_chunk(examples))
+    max_len = TR.TrainConfig.max_len  # the run's
+    examples, length = with_overlong_candidate_last(examples, max_len)
+    C.write_contrastive(path, examples)
     capsys.readouterr()
     errors = []
     for n in (1, 64):
@@ -185,7 +195,8 @@ def test_contrastive_command_error_is_the_same_for_any_worker_count(monkeypatch,
                      str(tmp_path / "data"), "--report-dir", str(tmp_path / f"r{n}")]) == 2
         errors.append(json.loads(capsys.readouterr().err.strip().splitlines()[-1]))
     assert errors[0] == errors[1]
-    assert errors[0]["error"] == "EvalError" and C.PAD in errors[0]["message"]
+    assert errors[0] == {"error": "ModelError", "message": f"sequence length {length} "
+                                                           f"exceeds configured max {max_len}"}
 
 
 def test_first_failing_item_wins_as_in_the_loop(monkeypatch):
@@ -741,6 +752,22 @@ def test_one_window_batch_sends_no_request(train_data, monkeypatch, tmp_path):
     batch = M.build_batch([window], trainer.model_config)
     trainer._shard_backward(batch, 1, 0, int(batch.current_mask.sum()))
     assert all(np.array_equal(summed[name], p.grad)
+               for name, p in trainer.model.params.items())
+
+
+def test_served_shard_returns_its_loss_and_writes_every_gradient(train_data, tmp_path):
+    trainer = TR.Trainer(train_config(train_data, tmp_path / "run"))
+    params = {name: p.data for name, p in trainer.model.params.items()}
+    trainer._shared = parallel.shared_arrays(params), parallel.shared_arrays(params)
+    for name, a in trainer._shared[0].items():
+        np.copyto(a, params[name])
+    _, second = TR.split_shards(trainer._epoch_batches(0)[0])
+    batch = M.build_batch(second, trainer.model_config)
+    loss = trainer._serve_shard(1, batch, 100)
+    for name, p in trainer.model.params.items():
+        p.data = params[name]
+    assert loss == trainer._shard_backward(batch, 1, 1, 100)
+    assert all(np.array_equal(trainer._shared[1][name], p.grad)
                for name, p in trainer.model.params.items())
 
 

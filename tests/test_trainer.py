@@ -10,7 +10,7 @@ from winmt import corpus as C
 from winmt import synth
 from winmt import trainer as TR
 from winmt.checkpoint import load_checkpoint
-from winmt.model import TransformerModel
+from winmt.model import TransformerModel, build_batch
 from winmt.tensor import Tensor
 
 
@@ -19,15 +19,11 @@ def write_data(tmp_path, n_docs=60, seed=0):
     data.mkdir(exist_ok=True)
     docs, examples = synth.gen_synthetic(seed, n_docs=n_docs, vocab_size=32)
     train, dev, test = C.split_documents(docs, (80, 10, 10))
-    dev_ids = {d.doc_id for d in dev}
-    test_ids = {d.doc_id for d in test}
     C.write_corpus(data / "train.txt", train)
     C.write_corpus(data / "dev.txt", dev)
     C.write_corpus(data / "test.txt", test)
-    C.write_contrastive(data / "contrastive_dev.jsonl",
-                        [e for e in examples if e.doc_id in dev_ids])
-    C.write_contrastive(data / "contrastive_test.jsonl",
-                        [e for e in examples if e.doc_id in test_ids])
+    C.write_contrastive(data / "contrastive_dev.jsonl", synth.split_examples(dev, examples))
+    C.write_contrastive(data / "contrastive_test.jsonl", synth.split_examples(test, examples))
     return data
 
 
@@ -125,6 +121,30 @@ def test_pack_batches_respects_budget():
     batches = TR.pack_batches(windows, 12)
     assert all(sum(len(w.tgt_ids) for w in b) <= 12 for b in batches)
     assert sum(len(b) for b in batches) == 10
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    dict(position_scheme="shifted", segment_variant="learned", cd=0.0),
+    dict(position_scheme="shifted", shift_strategy="avg-sequence", segment_variant="sin",
+         k=3, layers=1),
+], ids=["default", "learned-segments-cd0", "sin-segments-avg-sequence-k3"])
+def test_every_shard_gives_every_parameter_a_gradient(tmp_path, settings):
+    """``Trainer._train_step`` sums the two shards' gradients parameter by
+    parameter, with no case for a parameter that a shard leaves without one."""
+    data = write_data(tmp_path)
+    trainer = TR.Trainer(TR.TrainConfig(data_dir=str(data), out_dir=str(tmp_path / "run"),
+                                        batch_tokens=256, **settings))
+    batches = trainer._epoch_batches(0)[:4] + [trainer.train_windows[:1]]
+    shards = [(step, [ws for ws in TR.split_shards(windows) if ws])
+              for step, windows in enumerate(batches, 1)]
+    assert sum(len(ws) == 1 for _, step_shards in shards for ws in step_shards) >= 1
+    for step, step_shards in shards:
+        built = [build_batch(ws, trainer.model_config) for ws in step_shards]
+        tokens = sum(int(b.current_mask.sum()) for b in built)
+        for shard, batch in enumerate(built):
+            trainer._shard_backward(batch, step, shard, tokens)
+            assert [name for name, p in trainer.model.params.items() if p.grad is None] == []
 
 
 def test_window_losses_match_per_window_loop():

@@ -52,6 +52,10 @@ COMMANDS = [
     # that ran on beside it is dropped
     ("train-stop", "train --data {out}/data --out {out}/train-stop --patience 1 "
                    "--val-interval 4 --max-steps 30 --peak-lr 0"),
+    # a split that does not start at the first generated document, with
+    # records of documents that --limit cuts
+    ("evaluate-split", "evaluate --run {fixture} --data {out}/data --split test --limit 20 "
+                       "--window-sizes 2 --report-dir {out}/evaluate-split"),
     ("gen-slice", "gen-data --out {out}/slice --seed 1001 --docs 30 --split 0/0/100"),
     ("evaluate", "evaluate --run {fixture} --data {out}/slice --split test --limit 9 "
                  "--window-sizes 1,2,3,4 --report-dir {out}/evaluate"),
