@@ -34,8 +34,6 @@ from .model import TransformerModel
 from .trainer import (DEFAULT_SWEEP, ConfigError, TrainConfig, Trainer, cd_sweep,
                       config_from_sources, diagnose, parse_config_text, read_log)
 
-SUMMARY_JSON = "summary.json"
-
 
 class UsageError(ValueError):
     pass

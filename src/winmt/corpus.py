@@ -254,10 +254,17 @@ def read_corpus(path) -> list[Document]:
     """The documents of a corpus file, with ``document_id`` ids."""
     docs: list[Document] = []
     pairs: list[tuple[list[str], list[str]]] = []
+    first = 0  # the line of pairs[0]: a document's lines are consecutive
 
     def flush():
         if pairs:
-            docs.append(Document.from_pairs(document_id(len(docs)), pairs))
+            doc_id = document_id(len(docs))
+            try:
+                docs.append(Document.from_pairs(doc_id, pairs))
+            except CorpusError:  # a reserved token: name the line that holds it
+                for lineno, pair in enumerate(pairs, first):
+                    _reject_reserved(f"{path}:{lineno}: document {doc_id!r}", pair)
+                raise
             pairs.clear()
 
     try:
@@ -269,6 +276,8 @@ def read_corpus(path) -> list[Document]:
                     continue
                 if " ||| " not in line:
                     raise CorpusError(f"{path}:{lineno}: expected 'source ||| target'")
+                if not pairs:
+                    first = lineno
                 src, tgt = line.split(" ||| ", 1)
                 pairs.append((tokenize(src), tokenize(tgt)))
     except UnicodeDecodeError:

@@ -2,13 +2,13 @@
 
 ``serve(fn)`` forks one worker and returns its ``Server``. The worker runs
 ``fn(*args)`` for each request ``send(*args)`` passes it, one at a time,
-and sends each outcome back pickled over a pipe; the caller polls it with
-``ready()``, collects it with ``result()`` and stops and reaps the worker
-with ``close()``. Requests go to the worker pickled over a second pipe.
-The function, and whatever it holds, reaches the worker through the fork
-and is never pickled. Large arrays that change between requests are better
-passed through ``shared_arrays``, memory that the caller and a worker
-forked after it both write.
+and sends each outcome back pickled over a pipe; the caller waits for it
+with ``result()`` and stops and reaps the worker with ``close()``.
+Requests go to the worker pickled over a second pipe. The function, and
+whatever it holds, reaches the worker through the fork and is never
+pickled. Large arrays that change between requests are better passed
+through ``shared_arrays``, memory that the caller and a worker forked
+after it both write.
 
 ``map_ordered(fn, items)`` deals the items round-robin over one process
 per CPU this process may run on: the calling process takes ``items[0::n]``
@@ -33,7 +33,6 @@ import functools
 import mmap
 import os
 import pickle
-import select
 import signal
 from typing import Callable, Generic, Sequence, TypeVar
 
@@ -182,9 +181,9 @@ def _serve(fn: Callable[..., R], requests_fd: int, replies_fd: int,
 
 class Server(Generic[R]):
     """A forked worker that runs one function on each request ``send``
-    passes it, one request at a time. ``ready`` polls and ``result``
-    collects the outcome of the request last sent; ``close`` stops and
-    reaps the worker. Call ``close`` before dropping the object."""
+    passes it, one request at a time. ``result`` waits for the outcome of
+    the request last sent; ``close`` stops and reaps the worker. Call
+    ``close`` before dropping the object."""
 
     def __init__(self, pid: int, requests_fd: int, replies_fd: int):
         self._pid: int | None = pid
@@ -203,11 +202,6 @@ class Server(Generic[R]):
             _write_all(self._requests, data)
         except BrokenPipeError:  # the worker has ended; ``result`` says how
             pass
-
-    def ready(self) -> bool:
-        """Whether ``result`` would return without waiting for the worker to
-        compute: it has begun to send its outcome, or has ended."""
-        return bool(select.select([self._replies], [], [], 0)[0])
 
     def result(self) -> R:
         """The return value of the function on the request last sent, once

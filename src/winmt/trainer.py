@@ -490,13 +490,6 @@ class Trainer:
         """Dev per-token current loss, per-token context loss, per-sentence ratio."""
         return loss_summary(self.model, self.dev_batches, self.cfg.label_smoothing)
 
-    def _restore(self, params: dict[str, np.ndarray], step: int) -> None:
-        """Take the parameters and optimizer state from the checkpoint tensors
-        ``params`` of ``step``."""
-        for name, p in self.model.params.items():
-            p.data = params[name].copy()
-        self.opt.load_state(params, t=step)
-
     def _checkpoint_path(self, step: int) -> Path:
         return self.run_dir / "checkpoints" / f"ckpt_{step:07d}.bin"
 
@@ -524,19 +517,10 @@ class Trainer:
     def train(self, resume: bool = False) -> TrainResult:
         """Train to the step cap, the epoch limit or an early stop.
 
-        Each interval's dev losses are computed by a worker that
-        ``parallel.serve`` forks for that one request while the next steps
-        train; the loop polls it after every step, applies its result as of
-        the step it was started at and closes it. A result that stops the
-        run drops the steps trained past it. The validations the loop would
-        wait for anyway (at the step cap, at the last batch of the last
-        epoch and the final fallback), and every validation where ``serve``
-        forks no worker, run here over every CPU before the next step, as a
-        plain loop would.
-
-        For the duration of the loop a second served worker computes shard
-        1 of every step. Every worker is stopped and reaped before this
-        returns or raises.
+        Every ``val_interval`` steps the loop writes a checkpoint and computes
+        the dev losses over every CPU before the next step. For the duration
+        of the loop a served worker computes shard 1 of every step. Every
+        worker is stopped and reaped before this returns or raises.
         """
         cfg = self.cfg
         log_path = self.run_dir / "log.csv"
@@ -554,7 +538,9 @@ class Trainer:
                 raise ConfigError(f"cannot resume {self.run_dir}: its model config differs "
                                   f"in {', '.join(differ)}")
             rec = Progress(**state)
-            self._restore(params, rec.step)
+            for name, p in self.model.params.items():
+                p.data = params[name].copy()
+            self.opt.load_state(params, t=rec.step)
         else:
             ckpt.write_atomic(log_path, (",".join(LOG_COLUMNS) + "\n").encode())
         self.vocab.save(self.run_dir / "vocab.json")
@@ -579,24 +565,6 @@ class Trainer:
             rec.save(state_path)
 
         epoch, step, batch_idx = rec.epoch, rec.step, rec.batch_idx
-        pending = None  # (position, Server) of the validation running beside training
-
-        def settle(wait: bool) -> bool:
-            """Apply the pending validation if it is done, or with ``wait`` once it
-            is; whether the run has stopped. A stop puts the model back to the
-            stopping validation's step."""
-            nonlocal pending
-            if pending is not None and (wait or pending[1].ready()):
-                at, worker = pending
-                losses = worker.result()
-                worker.close()
-                pending = None
-                apply(at, losses)
-                if rec.stopped and step > rec.step:  # drop the steps trained past it
-                    self._restore(ckpt.load_checkpoint(self._checkpoint_path(rec.step))[0],
-                                  rec.step)
-            return rec.stopped
-
         hit_cap = bool(cfg.max_steps) and step >= cfg.max_steps  # a resumed run may be done
         try:
             self._start_shard_worker()
@@ -605,33 +573,17 @@ class Trainer:
                 for batch in batches[batch_idx:]:
                     step += 1
                     batch_idx += 1
-                    try:
-                        self._train_step(batch, step)
-                    except TrainingDiverged:
-                        if settle(wait=True):  # the run stopped before this step
-                            break
-                        raise
+                    self._train_step(batch, step)
                     hit_cap = bool(cfg.max_steps) and step >= cfg.max_steps
-                    if step % cfg.val_interval == 0 and not settle(wait=True):
-                        at = (epoch, step, batch_idx)
+                    if step % cfg.val_interval == 0:
                         self._save_checkpoint(step)
-                        last = hit_cap or (epoch + 1 == cfg.max_epochs
-                                           and batch_idx == len(batches))
-                        worker = None if last else serve(self._validate)
-                        if worker is None:  # nothing left to train meanwhile, or no CPU for it
-                            apply(at, self._validate())
-                        else:
-                            pending = at, worker
-                            worker.send()
-                    if settle(wait=False) or hit_cap:
+                        apply((epoch, step, batch_idx), self._validate())
+                    if rec.stopped or hit_cap:
                         break
                 else:
                     epoch += 1
                     batch_idx = 0
-            settle(wait=True)
         finally:
-            if pending is not None:
-                pending[1].close()
             self._stop_shard_worker()
 
         if rec.best_step < 0:  # no validation happened: the final state is the best

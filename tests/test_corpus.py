@@ -202,6 +202,15 @@ class TestCorpusIO:
         with pytest.raises(C.CorpusError, match="expected"):
             C.read_corpus(path)
 
+    @pytest.mark.parametrize("line", ["a <PAD> ||| a b", "a b ||| <PAD> b"],
+                             ids=["source", "target"])
+    def test_reserved_token_names_its_line(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"a ||| b\n\nc ||| d\n{line}\n")
+        with pytest.raises(C.CorpusError) as err:
+            C.read_corpus(path)
+        assert str(err.value) == f"{path}:4: document 'd00001' contains reserved token '<PAD>'"
+
     def test_invalid_utf8_names_the_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes("a ||| b\n\nc \u00e9 ||| d\n".encode() + b"e \xff ||| f\n")

@@ -289,27 +289,6 @@ def test_workers_flush_no_inherited_buffer(monkeypatch, tmp_path):
     assert (tmp_path / "log.txt").read_text() == "written once"
 
 
-def test_served_worker_is_polled_with_ready(monkeypatch):
-    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    read_fd, write_fd = os.pipe()
-    # the worker waits for one byte from this process before it returns
-    server = parallel.serve(lambda: (os.read(read_fd, 1), os.getpid()))
-    try:
-        server.send()
-        assert not server.ready()
-        os.write(write_fd, b"x")
-        deadline = time.monotonic() + 30
-        while not server.ready() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert server.ready()
-        read, pid = server.result()
-        assert read == b"x" and pid != os.getpid()
-    finally:
-        server.close()
-        os.close(read_fd)
-        os.close(write_fd)
-
-
 def test_interrupted_wait_kills_and_reaps_the_worker(monkeypatch):
     parent = os.getpid()
 
@@ -432,12 +411,8 @@ def test_killed_served_worker_raises_a_named_error(monkeypatch):
     server = parallel.serve(lambda sig: os.kill(os.getpid(), sig))
     try:
         server.send(signal.SIGKILL)
-        deadline = time.monotonic() + 30
-        while not server.ready() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert server.ready()  # an ended worker is ready
         with pytest.raises(parallel.WorkerError, match="killed by signal SIGKILL"):
-            server.result()
+            server.result()  # waits for the worker to end
         with pytest.raises(parallel.WorkerError, match="has ended"):
             server.send(signal.SIGKILL)
     finally:
@@ -486,7 +461,7 @@ def test_serve_holds_the_only_fork():
 
 
 # ---------------------------------------------------------------------------
-# training: each interval's validation runs in a worker beside the next steps
+# training: each interval's validation runs over every CPU before the next step
 
 
 @pytest.fixture(scope="module")
@@ -515,20 +490,6 @@ def trained_steps(monkeypatch):
 
     monkeypatch.setattr(TR.Trainer, "_train_step", noting)
     return steps
-
-
-@pytest.fixture
-def slow_worker_validation(monkeypatch):
-    """A validation computed in a worker takes at least 0.2 s, so that the
-    steps after it train before its result is in."""
-    parent, validate = os.getpid(), TR.Trainer._validate
-
-    def slow_in_worker(self):
-        if os.getpid() != parent:
-            time.sleep(0.2)
-        return validate(self)
-
-    monkeypatch.setattr(TR.Trainer, "_validate", slow_in_worker)
 
 
 def run_files(run):
@@ -574,19 +535,16 @@ def test_capped_run_is_the_same_for_any_worker_count(train_data, monkeypatch, tr
         b"4", b"8", b"12"]
 
 
-@pytest.mark.usefixtures("slow_worker_validation")
-def test_early_stop_drops_the_steps_trained_past_it(train_data, monkeypatch, trained_steps,
-                                                   tmp_path):
+def test_early_stop_trains_no_step_past_it(train_data, monkeypatch, trained_steps, tmp_path):
     # with no learning every validation after the first is worse: a stop at step 6
     config = train_config(train_data, tmp_path / "run", patience=1, peak_lr=0.0,
                           val_interval=3, max_steps=40)
     files, last = train_per_worker_count(monkeypatch, trained_steps, tmp_path / "run",
                                          config)
     assert state(files)["stopped"] and state(files)["step"] == 6
-    assert last[0] == 6 and all(s > 6 for s in last[1:])
+    assert last == [6] * len(WORKERS)
 
 
-@pytest.mark.usefixtures("slow_worker_validation")
 def test_stop_at_an_epochs_last_batch_keeps_its_position(train_data, monkeypatch,
                                                          trained_steps, tmp_path):
     config = train_config(train_data, tmp_path / "run", patience=1, peak_lr=0.0,
@@ -598,10 +556,9 @@ def test_stop_at_an_epochs_last_batch_keeps_its_position(train_data, monkeypatch
                                          config)
     assert {k: state(files)[k] for k in ("stopped", "epoch", "batch_idx", "step")} == {
         "stopped": True, "epoch": 0, "batch_idx": per_epoch, "step": per_epoch}
-    assert last[0] == per_epoch and all(s > per_epoch for s in last[1:])
+    assert last == [per_epoch] * len(WORKERS)
 
 
-@pytest.mark.usefixtures("slow_worker_validation")
 @pytest.mark.parametrize("stops", [True, False])
 def test_divergence_past_a_pending_validation(train_data, monkeypatch, trained_steps,
                                              tmp_path, stops):
@@ -619,11 +576,11 @@ def test_divergence_past_a_pending_validation(train_data, monkeypatch, trained_s
     monkeypatch.setattr(TR.Trainer, "_train_step", diverging)
     config = train_config(train_data, tmp_path / "run", patience=1, peak_lr=0.0,
                           val_interval=3, max_steps=40)
-    if stops:  # the step diverges after the stop: the run ends as if it never ran
+    if stops:  # the stop at step 6 comes first: step 7 never trains
         files, last = train_per_worker_count(monkeypatch, trained_steps, tmp_path / "run",
                                              config)
         assert state(files)["stopped"] and state(files)["step"] == 6
-        assert last[0] == 6 and all(s == 7 for s in last[1:])
+        assert last == [6] * len(WORKERS)
         return
     logs = []
     for n in WORKERS:
@@ -661,7 +618,7 @@ def test_interrupted_training_leaves_no_worker(train_data, monkeypatch, trained_
     train_step = TR.Trainer._train_step
 
     def interrupted(self, batch, step):
-        if step == 6:  # the validation of step 5 is still running
+        if step == 6:  # right after the validation of step 5
             raise KeyboardInterrupt
         return train_step(self, batch, step)
 
@@ -727,8 +684,9 @@ def test_training_leaves_no_shard_worker(train_data, monkeypatch, tmp_path, ends
         config.peak_lr, config.warmup = 1e9, 1
         with np.errstate(all="ignore"), pytest.raises(TR.TrainingDiverged):
             TR.Trainer(config).train()
-    # the first worker is the shard worker; validations may serve more
-    fn, server = served[0]
+    # the shard worker is the only one the loop serves; each validation's map
+    # serves its own through parallel.serve
+    (fn, server), = served
     assert fn.__func__ is TR.Trainer._serve_shard and server is not None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -48,8 +48,8 @@ COMMANDS = [
     ("train-learned", "train --data {out}/data --out {out}/train-learned --cd 0.01 "
                       "--position-scheme shifted --shift-strategy avg-corpus "
                       "--segment-variant learned --layers 1 --max-steps 30 --val-interval 10"),
-    # no learning: the validation at step 8 stops the run, and training
-    # that ran on beside it is dropped
+    # no learning: the validation at step 8 stops the run, and no step
+    # after it trains
     ("train-stop", "train --data {out}/data --out {out}/train-stop --patience 1 "
                    "--val-interval 4 --max-steps 30 --peak-lr 0"),
     # a split that does not start at the first generated document, with
