@@ -10,6 +10,7 @@ belongs to, each <S> counting towards the sentence it terminates and
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -113,13 +114,15 @@ class Vocab:
         return Vocab(tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Window:
     """One sliding-window training/inference unit.
 
     ``size`` is the number of sentences actually included (truncated at
     document start). ``current_span`` is the half-open token range of the
-    current sentence in ``tgt_ids``, including the trailing <E>.
+    current sentence in ``tgt_ids``, including the trailing <E>. Windows
+    whose sentences have the same lengths share one ``src_seg``,
+    ``tgt_seg`` and ``current_span`` object (``_layout``).
     """
 
     doc_id: str
@@ -144,19 +147,33 @@ class Window:
         return counts
 
 
-def _concat_sentences(sentences: Sequence[Sequence[str]], vocab: Vocab) -> tuple[list[int], list[int]]:
+@functools.lru_cache(maxsize=4096)  # seed-7 windows need 54 entries at K=2, 1,432 at K=4
+def _layout(lengths: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """The segment tuple and the current span of a window side whose
+    sentences have ``lengths`` tokens: each sentence's tokens, and the <S>
+    or <E> that ends it, carry the sentence's index."""
+    seg = tuple(k for k, n in enumerate(lengths) for _ in range(n + 1))
+    return seg, (len(seg) - lengths[-1] - 1, len(seg))
+
+
+def _window_ids(sentences: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Encoded sentences, each followed by <S>, the last by <E> instead."""
     ids: list[int] = []
-    seg: list[int] = []
-    last = len(sentences) - 1
-    for k, sent in enumerate(sentences):
-        ids.extend(vocab.encode(sent))
-        seg.extend([k] * len(sent))
-        if k < last:
-            ids.append(SEP_ID)
-            seg.append(k)
-    ids.append(EOS_ID)
-    seg.append(last)
-    return ids, seg
+    for sent in sentences:
+        ids.extend(sent)
+        ids.append(SEP_ID)
+    ids[-1] = EOS_ID
+    return tuple(ids)
+
+
+def _window(src: Sequence[Sequence[int]], tgt: Sequence[Sequence[int]],
+            doc_id: str, j: int) -> Window:
+    """The window over the aligned encoded sentences ``src`` and ``tgt``."""
+    src_seg, _ = _layout(tuple(map(len, src)))
+    tgt_seg, current_span = _layout(tuple(map(len, tgt)))
+    return Window(doc_id=doc_id, j=j, size=len(src), src_ids=_window_ids(src),
+                  tgt_ids=_window_ids(tgt), src_seg=src_seg, tgt_seg=tgt_seg,
+                  current_span=current_span)
 
 
 def window_from_sentences(src_sentences: Sequence[Sequence[str]],
@@ -165,31 +182,32 @@ def window_from_sentences(src_sentences: Sequence[Sequence[str]],
     """Build a Window from explicit, already-aligned sentence lists."""
     if len(src_sentences) != len(tgt_sentences) or not src_sentences:
         raise CorpusError("source and target sides need the same, nonzero sentence count")
-    src_ids, src_seg = _concat_sentences(src_sentences, vocab)
-    tgt_ids, tgt_seg = _concat_sentences(tgt_sentences, vocab)
-    size = len(src_sentences)
-    current_start = next(i for i, k in enumerate(tgt_seg) if k == size - 1)
-    return Window(doc_id=doc_id, j=j, size=size,
-                  src_ids=tuple(src_ids), tgt_ids=tuple(tgt_ids),
-                  src_seg=tuple(src_seg), tgt_seg=tuple(tgt_seg),
-                  current_span=(current_start, len(tgt_ids)))
+    return _window([vocab.encode(s) for s in src_sentences],
+                   [vocab.encode(t) for t in tgt_sentences], doc_id, j)
+
+
+def _window_rows(j: int, k: int) -> slice:
+    """The sentences of the size-``k`` window ending at sentence ``j``:
+    sentence j and up to k-1 sentences before it."""
+    return slice(max(0, j - k + 1), j + 1)
 
 
 def window_pairs(doc: Document, j: int, k: int):
-    """The (source, target) pairs of the size-``k`` window ending at sentence ``j``:
-    sentence j and up to k-1 sentences before it."""
-    return doc.sentences[max(0, j - k + 1):j + 1]
+    """The (source, target) pairs of the size-``k`` window ending at sentence ``j``."""
+    return doc.sentences[_window_rows(j, k)]
 
 
 def make_windows(doc: Document, k: int, vocab: Vocab) -> list[Window]:
     """One window per sentence j, holding min(k-1, j) preceding context sentences."""
     if k < 1:
         raise CorpusError(f"window size must be >= 1, got {k}")
+    # each sentence is encoded once, for all the windows that hold it
+    src = [vocab.encode(s) for s, _ in doc.sentences]
+    tgt = [vocab.encode(t) for _, t in doc.sentences]
     windows = []
     for j in range(len(doc.sentences)):
-        chunk = window_pairs(doc, j, k)
-        windows.append(window_from_sentences([s for s, _ in chunk], [t for _, t in chunk],
-                                             vocab, doc_id=doc.doc_id, j=j))
+        rows = _window_rows(j, k)
+        windows.append(_window(src[rows], tgt[rows], doc.doc_id, j))
     return windows
 
 

@@ -646,11 +646,10 @@ class TransformerModel:
 
     @staticmethod
     def load(path, expect_vocab_digest: str | None = None) -> "TransformerModel":
-        params, config_dict = ckpt.load_checkpoint(path)
+        params, config_dict = ckpt.load_checkpoint(path, optimizer=False)
         config = ModelConfig(**config_dict)
         if expect_vocab_digest is not None and config.vocab_digest != expect_vocab_digest:
             raise ModelError(
                 "vocab digest mismatch between checkpoint and data: "
                 f"{config.vocab_digest[:12]} vs {expect_vocab_digest[:12]}")
-        tensors = {k: Tensor(v) for k, v in params.items() if not k.startswith("opt.")}
-        return TransformerModel(config, tensors)
+        return TransformerModel(config, {k: Tensor(v) for k, v in params.items()})

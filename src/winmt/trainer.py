@@ -366,17 +366,15 @@ class Trainer:
         (self.run_dir / "checkpoints").mkdir(exist_ok=True)
 
         data = Path(config.data_dir)
-        self.train_docs = read_corpus(data / "train.txt")
-        self.dev_docs = read_corpus(data / "dev.txt")
-        self.vocab = Vocab.from_documents(self.train_docs)
-        self.train_windows = [w for d in self.train_docs
-                              for w in make_windows(d, config.k, self.vocab)]
-        self.dev_windows = [w for d in self.dev_docs
-                            for w in make_windows(d, config.k, self.vocab)]
+        train_docs = read_corpus(data / "train.txt")
+        dev_docs = read_corpus(data / "dev.txt")
+        self.vocab = Vocab.from_documents(train_docs)
+        self.train_windows = [w for d in train_docs for w in make_windows(d, config.k, self.vocab)]
+        self.dev_windows = [w for d in dev_docs for w in make_windows(d, config.k, self.vocab)]
 
         shift_value = None
         if config.position_scheme == "shifted" and config.shift_strategy != "avg-sequence":
-            shift_value = compute_shift(config.shift_strategy, corpus=self.train_docs)
+            shift_value = compute_shift(config.shift_strategy, corpus=train_docs)
         shared = {f.name: getattr(config, f.name) for f in fields(ModelConfig)
                   if f.name in _FIELD_TYPES}
         self.model_config = ModelConfig(**(shared | dict(

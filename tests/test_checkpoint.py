@@ -1,5 +1,9 @@
 import ast
 import hashlib
+import json
+import struct
+import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +125,124 @@ def test_average_drops_optimizer_state(tmp_path):
     assert set(avg) == {"w"}
 
 
+def test_saved_bytes_follow_the_documented_layout(tmp_path, params):
+    config = {"hidden": 4, "vocab_size": 7}
+    path = tmp_path / "m.bin"
+    ckpt.save_checkpoint(path, params, config)
+    cfg = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    want = b"WMTCKPT\0" + struct.pack("<I", 1) + hashlib.sha256(cfg).digest()
+    want += struct.pack("<I", len(cfg)) + cfg + struct.pack("<I", len(params))
+    for name, arr in params.items():
+        code = {np.dtype("float32"): 1, np.dtype("float64"): 2}[arr.dtype]
+        want += struct.pack("<H", len(name)) + name.encode("utf-8")
+        want += struct.pack("<BB", code, arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
+        want += arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    assert path.read_bytes() == want
+
+
+def test_unsupported_dtype_in_last_record_keeps_old_file(tmp_path, params):
+    path = tmp_path / "m.bin"
+    ckpt.save_checkpoint(path, params, {"v": 1})
+    old = path.read_bytes()
+    bad = {**{k: v + 1 for k, v in params.items()}, "steps": np.arange(3)}
+    with pytest.raises(ckpt.CheckpointError, match="unsupported dtype int64 for parameter 'steps'"):
+        ckpt.save_checkpoint(path, bad, {"v": 2})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["m.bin"]
+
+
+def test_repeated_record_name_rejected(tmp_path, params):
+    path = tmp_path / "m.bin"
+    ckpt.save_checkpoint(path, {"w": params["w"]}, {})
+    blob = path.read_bytes()
+    header = 8 + 4 + 32 + 4 + len(ckpt.canonical_config({}))
+    # the count says two records, and the one record follows twice
+    path.write_bytes(blob[:header] + struct.pack("<I", 2) + blob[header + 4:] * 2)
+    with pytest.raises(ckpt.CheckpointError, match="parameter 'w' appears twice"):
+        ckpt.load_checkpoint(path)
+
+
+def test_file_shorter_than_its_stat_rejected(tmp_path, params, monkeypatch):
+    # a file cut after its size was read: the last array comes up short
+    path = tmp_path / "m.bin"
+    ckpt.save_checkpoint(path, params, {})
+    path.write_bytes(path.read_bytes()[:-4])
+    fstat = ckpt.os.fstat
+    monkeypatch.setattr(ckpt.os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + 4))
+    with pytest.raises(ckpt.CheckpointError, match="changed while it was read"):
+        ckpt.load_checkpoint(path)
+
+
+def test_load_without_optimizer_skips_opt_records(tmp_path, params):
+    path = tmp_path / "m.bin"
+    ckpt.save_checkpoint(path, {**params, "opt.m.w": params["w"] + 1}, {"v": 1})
+    loaded, cfg = ckpt.load_checkpoint(path, optimizer=False)
+    assert cfg == {"v": 1} and set(loaded) == set(params)
+    for name in params:
+        assert loaded[name].tobytes() == params[name].tobytes()
+
+
+def traced_peak(fn) -> int:
+    """Bytes ``fn()`` allocates at its peak above what was live when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_model_only_load_copy_no_payload(tmp_path):
+    path = tmp_path / "m.bin"
+    params = {"w": np.ones(4, dtype=np.float32), "opt.m.w": np.ones(1 << 20, dtype=np.float32)}
+    # a 4 MiB record: a copy of it, or of the file, would show
+    assert traced_peak(lambda: ckpt.save_checkpoint(path, params, {})) < 2 ** 20
+    assert traced_peak(lambda: ckpt.load_checkpoint(path, optimizer=False)) < 2 ** 20
+
+
+def test_average_of_optimizer_records_is_average_without_them(tmp_path, params):
+    with_opt, without = [], []
+    for i in range(3):
+        model = {k: v * (i + 1) for k, v in params.items()}
+        opt = {f"opt.{m}.{k}": v - i for m in ("m", "v") for k, v in params.items()}
+        with_opt.append(tmp_path / f"o{i}.bin")
+        ckpt.save_checkpoint(with_opt[-1], {**model, **opt}, {"v": 1})
+        without.append(tmp_path / f"n{i}.bin")
+        ckpt.save_checkpoint(without[-1], model, {"v": 1})
+    ckpt.average_checkpoints(with_opt, tmp_path / "avg_o.bin")
+    ckpt.average_checkpoints(without, tmp_path / "avg_n.bin")
+    assert (tmp_path / "avg_o.bin").read_bytes() == (tmp_path / "avg_n.bin").read_bytes()
+
+
+def test_average_rejects_truncated_optimizer_record(tmp_path, params):
+    paths = [tmp_path / "a.bin", tmp_path / "b.bin"]
+    for path in paths:
+        ckpt.save_checkpoint(path, {**params, "opt.m.w": params["w"]}, {"v": 1})
+    paths[1].write_bytes(paths[1].read_bytes()[:-4])  # a float32 short
+    with pytest.raises(ckpt.CheckpointError, match="b.bin: truncated"):
+        ckpt.average_checkpoints(paths, tmp_path / "avg.bin")
+    assert not (tmp_path / "avg.bin").exists()
+
+
+@pytest.mark.parametrize("second, config, differs", [
+    ({"w": np.ones(2, dtype=np.float32)}, {"v": 2}, "config"),
+    ({"w": np.ones(2, dtype=np.float32)}, {"v": 1}, "model records"),
+    ({"w": np.ones(3, dtype=np.float32), "b": np.ones(2, dtype=np.float32)}, {"v": 1},
+     "model records"),
+    ({"w": np.ones(2), "b": np.ones(2, dtype=np.float32)}, {"v": 1}, "model records"),
+])
+def test_average_rejects_checkpoints_unlike_the_first(tmp_path, second, config, differs):
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    ckpt.save_checkpoint(a, {"w": np.ones(2, dtype=np.float32),
+                             "b": np.ones(2, dtype=np.float32)}, {"v": 1})
+    ckpt.save_checkpoint(b, second, config)
+    with pytest.raises(ckpt.CheckpointError, match=f"b.bin: its {differs} differ"):
+        ckpt.average_checkpoints([a, b], tmp_path / "avg.bin")
+    assert not (tmp_path / "avg.bin").exists()
+
+
 def test_config_digest_is_order_insensitive():
     assert ckpt.canonical_config({"a": 1, "b": 2}) == ckpt.canonical_config({"b": 2, "a": 1})
 
@@ -130,8 +252,8 @@ def test_failed_write_keeps_old_file(tmp_path, params, monkeypatch, target):
     path = tmp_path / ("ckpt_avg.bin" if target == "average" else "m.bin")
     ckpt.save_checkpoint(path, params, {"v": 1})
     old = path.read_bytes()
-    other = tmp_path / "other.bin"
-    ckpt.save_checkpoint(other, {k: v + 1 for k, v in params.items()}, {"v": 2})
+    other = tmp_path / "other.bin"  # averageable with ``path``: the same config
+    ckpt.save_checkpoint(other, {k: v + 1 for k, v in params.items()}, {"v": 1})
 
     def boom(src, dst):
         raise OSError("disk full")

@@ -1,11 +1,14 @@
+import gc
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from winmt import corpus as C
+from winmt import synth
 from winmt.rng import stream
 
 
@@ -125,6 +128,47 @@ class TestMakeWindows:
             C.make_windows(doc_of([["t1"]]), 0, vocab)
 
 
+class TestWindowSharing:
+    def test_window_has_no_instance_dict(self, vocab):
+        w = C.make_windows(doc_of([["t1"], ["t2"]]), 2, vocab)[1]
+        assert not hasattr(w, "__dict__")
+
+    def test_same_lengths_share_segments_and_span(self, vocab):
+        a = C.make_windows(doc_of([["t1", "t2"], ["t3"]]), 2, vocab)[1]
+        b = C.window_from_sentences([["t4", "t5"], ["t6"]], [["t7", "t8"], ["t9"]], vocab)
+        assert a.src_ids != b.src_ids
+        assert a.src_seg is b.src_seg and a.tgt_seg is b.tgt_seg
+        assert a.current_span is b.current_span
+
+    def test_equals_and_hashes_like_window_from_fresh_tuples(self, vocab):
+        for w in C.make_windows(doc_of([["t1", "t2"], ["t3"], ["t4", "t5", "t6"]]), 2, vocab):
+            # as a caller outside winmt builds one, field by field from new tuples
+            new = lambda t: tuple(list(t))
+            fresh = C.Window(doc_id=w.doc_id, j=w.j, size=w.size, src_ids=new(w.src_ids),
+                             tgt_ids=new(w.tgt_ids), src_seg=new(w.src_seg),
+                             tgt_seg=new(w.tgt_seg), current_span=new(w.current_span))
+            assert fresh.tgt_seg is not w.tgt_seg
+            assert fresh == w and hash(fresh) == hash(w)
+
+    def test_traced_bytes_per_window(self):
+        # seed-7 synthetic documents at K=2: 469 bytes a window measured, the
+        # _layout cache filled from empty included; bounded with a margin of
+        # about 20 %. Per-window segment tuples held 755.
+        docs, _ = synth.gen_synthetic(7, n_docs=500)
+        vocab = C.Vocab.from_documents(docs)
+        C._layout.cache_clear()
+        gc.collect()  # empties the tuple free lists, whose reuse tracemalloc does not see
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            windows = [w for d in docs for w in C.make_windows(d, 2, vocab)]
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(windows) == 2000
+        assert held / len(windows) < 560
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_window_invariants_property(data):
@@ -143,8 +187,10 @@ def test_window_invariants_property(data):
             # seg is non-decreasing and increments exactly after each <S>
             for a, b, tok in zip(seg, seg[1:], ids):
                 assert b - a == (1 if tok == C.SEP_ID else 0)
+            assert seg[0] == 0
         start, end = w.current_span
         assert end > start
+        assert (start, end) == (w.tgt_seg.index(w.size - 1), len(w.tgt_ids))
 
 
 class TestComputeShift:

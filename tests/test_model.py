@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -37,6 +38,16 @@ def setup():
 def test_bad_model_settings_rejected(change, named):
     with pytest.raises(M.ModelError, match=named):
         M.ModelConfig(vocab_size=8, **change)
+
+
+def test_pickled_batch_round_trips_to_equal_windows(setup):
+    # the shard worker receives each training shard's Batch pickled
+    _, _, windows, model = setup
+    batch = M.build_batch(windows[:6], model.config)
+    back = pickle.loads(pickle.dumps(batch))
+    assert back.windows == batch.windows
+    assert [hash(w) for w in back.windows] == [hash(w) for w in batch.windows]
+    assert np.array_equal(back.tgt_in_seg, batch.tgt_in_seg)
 
 
 def test_log_prob_rows_sum_to_one(setup):
