@@ -14,6 +14,7 @@ import csv
 import ctypes
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -65,8 +66,22 @@ def _write_csv(path: Path, header, rows) -> None:
     ckpt.write_atomic(path, buf.getvalue().encode())
 
 
+_CHUNK_LINES = 4096  # lines per chunk that ``_write_lines`` writes
+
+
 def _write_lines(path: Path, lines) -> None:
-    ckpt.write_atomic(path, "".join(line + "\n" for line in lines).encode())
+    """Write each of ``lines`` and a newline, streamed to ``write_atomic`` a
+    chunk of lines at a time, so no whole-file string is built."""
+    lines = iter(lines)
+    chunks = iter(lambda: "".join(line + "\n" for line in
+                                  itertools.islice(lines, _CHUNK_LINES)).encode(), b"")
+    ckpt.write_atomic(path, chunks)
+
+
+def _float_lines(values: np.ndarray):
+    """``repr`` of each of ``values`` as a Python float, made a chunk at a time."""
+    for lo in range(0, len(values), _CHUNK_LINES):
+        yield from map(repr, values[lo:lo + _CHUNK_LINES].tolist())
 
 
 def _blas() -> dict | None:
@@ -358,7 +373,7 @@ def cmd_diagnose(args) -> int:
 
     report_dir.mkdir(parents=True, exist_ok=True)
     ent_path = report_dir / f"entropies_{args.split}.csv"
-    _write_lines(ent_path, map(repr, diag.entropy_rows.tolist()))
+    _write_lines(ent_path, _float_lines(diag.entropy_rows))
     _write_json(report_dir / f"diagnose_{args.split}.json", {
         "checkpoint": str(ckpt_path),
         "split": args.split,

@@ -19,6 +19,13 @@ the tape in exact reverse, dropping each node once it has run, and sums
 the gradients of the nodes in a slot per node. It sets ``grad`` on the
 leaves and on the outputs the caller still holds. Outside a recording
 context the same ops run as plain numpy.
+A recorded op may keep less than its inputs when it can make them again
+bit for bit in one elementwise pass. A recorded ``layer_norm`` output
+carries ``rebuild``, which applies the same ufuncs to the arrays of the
+layer norm's own tape entry (``xhat * gain + bias``); a ``linear`` over
+it keeps that rebuild instead of its input rows and runs it in backward.
+``relu`` keeps no mask and reads it off its output, which the next op
+keeps anyway.
 """
 
 from __future__ import annotations
@@ -123,7 +130,7 @@ def record(graph: Graph) -> Iterator[Graph]:
 class Tensor:
     """Dense tensor; ``grad`` is populated by backward()."""
 
-    __slots__ = ("data", "grad", "graph", "node_id", "__weakref__")
+    __slots__ = ("data", "grad", "graph", "node_id", "rebuild", "__weakref__")
 
     def __init__(self, data, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -133,6 +140,8 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.graph: Graph | None = None
         self.node_id: int | None = None
+        # makes ``data`` again, bit for bit, from arrays its tape entry keeps
+        self.rebuild: Callable[[], np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -266,10 +275,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     y = x2 @ w_data
     if biased:
         y += b.data
+    # an input that ``rebuild`` makes again is remade in backward, not kept
+    rebuild = x.rebuild
+    kept = x2 if rebuild is None else None
 
     def bw(g):
         g2 = np.ascontiguousarray(g).reshape(-1, n)
-        grads = (g2 @ w_data.T).reshape(x_shape), x2.T @ g2
+        rows = kept if rebuild is None else rebuild().reshape(-1, k)
+        grads = (g2 @ w_data.T).reshape(x_shape), rows.T @ g2
         return grads + (g2.sum(axis=0),) if biased else grads
 
     return _emit(y.reshape(*x_shape[:-1], n), (x, w, b) if biased else (x, w), bw)
@@ -403,8 +416,10 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _emit(np.maximum(a.data, 0), (a,), lambda g: (g * mask,))
+    # the mask is read off the output: ``y > 0`` exactly where ``a > 0``,
+    # NaN included, and the op that consumes ``y`` keeps it anyway
+    y = np.maximum(a.data, 0)
+    return _emit(y, (a,), lambda g: (g * (y > 0),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -452,7 +467,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = np.mean(centered * centered, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv
-    gain_data = gain.data
+    gain_data, bias_data = gain.data, bias.data
 
     def bw(g):
         ghat = g * gain_data
@@ -460,7 +475,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                     - xhat * np.mean(ghat * xhat, axis=-1, keepdims=True))
         return dx, (g * xhat).reshape(-1, dim).sum(axis=0), g.reshape(-1, dim).sum(axis=0)
 
-    return _emit(xhat * gain_data + bias.data, (x, gain, bias), bw)
+    out = _emit(xhat * gain_data + bias_data, (x, gain, bias), bw)
+    if out.graph is not None:
+        out.rebuild = lambda: xhat * gain_data + bias_data
+    return out
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

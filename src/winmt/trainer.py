@@ -203,10 +203,11 @@ class Adam:
         return out
 
     def load_state(self, tensors: dict[str, np.ndarray], t: int) -> None:
+        """Take the moments in ``tensors`` as they are, to update in place."""
         self.t = t
         for name in self.params:
-            self.m[name] = tensors[f"opt.m.{name}"].copy()
-            self.v[name] = tensors[f"opt.v.{name}"].copy()
+            self.m[name] = tensors[f"opt.m.{name}"]
+            self.v[name] = tensors[f"opt.v.{name}"]
 
 
 def pack_batches(windows: Sequence, batch_tokens: int,
@@ -387,7 +388,7 @@ class Trainer:
         self.dev_batches = pack_batches(self.dev_windows, config.batch_tokens,
                                         by_length(self.dev_windows))
         self._shard_worker = None  # computes shard 1 of each step while ``train`` runs
-        self._shared = None  # (parameters, shard-1 gradients) the worker shares
+        self._shard_grads = None  # shard 1's gradients, which the worker writes
 
     # ------------------------------------------------------------------
 
@@ -418,28 +419,31 @@ class Trainer:
         return {name: p.grad for name, p in self.model.params.items()}
 
     def _start_shard_worker(self) -> None:
-        """Fork the worker that runs shard 1 of each step, after the buffers
-        it shares with this process; no worker where ``parallel.serve``
-        forks none."""
-        params = {name: p.data for name, p in self.model.params.items()}
-        self._shared = shared_arrays(params), shared_arrays(params)
+        """Move every parameter into memory shared with the worker that runs
+        shard 1 of each step, then fork that worker after the buffers for
+        its gradients; no worker where ``parallel.serve`` forks none. The
+        parameters stay in the shared memory, where Adam updates them in
+        place, so the worker reads each step's parameters without a copy."""
+        params = self.model.params
+        shared = shared_arrays({name: p.data for name, p in params.items()})
+        for name, p in params.items():
+            np.copyto(shared[name], p.data)
+            p.data = shared[name]
+        self._shard_grads = shared_arrays(shared)
         self._shard_worker = serve(self._serve_shard)
 
     def _stop_shard_worker(self) -> None:
         if self._shard_worker is not None:
             self._shard_worker.close()
-        self._shard_worker = self._shared = None
+        self._shard_worker = self._shard_grads = None
 
     def _serve_shard(self, step: int, batch: Batch, current_tokens: int) -> float:
         """In the shard worker: the loss of shard 1 ``batch`` of ``step``, with
         the gradient of every parameter written to the shared buffer. The
-        parameters are the parent's, read from the shared buffer."""
-        params, grads = self._shared
-        for name, p in self.model.params.items():
-            p.data = params[name]
+        parameters are the parent's own arrays, in the memory they share."""
         loss_val = self._shard_backward(batch, step, 1, current_tokens)
         for name, p in self.model.params.items():
-            np.copyto(grads[name], p.grad, casting="no")
+            np.copyto(self._shard_grads[name], p.grad, casting="no")
         self.model.zero_grad()
         return loss_val
 
@@ -457,21 +461,21 @@ class Trainer:
         current_tokens = sum(int(b.current_mask.sum()) for b in shards)
         worker = self._shard_worker if len(shards) > 1 else None
         if worker is not None:
-            params = self._shared[0]
-            for name, p in self.model.params.items():
-                np.copyto(params[name], p.data)
             worker.send(step, shards[1], current_tokens)
         loss_val = self._shard_backward(shards[0], step, 0, current_tokens)
         if len(shards) > 1:
             grads = self._grads()
             if worker is not None:
                 loss_val += worker.result()
-                more = self._shared[1]
+                more = self._shard_grads
             else:
                 loss_val += self._shard_backward(shards[1], step, 1, current_tokens)
                 more = self._grads()
             for name, p in self.model.params.items():
-                p.grad = grads[name] + more[name]
+                # a shared buffer belongs to its parameter alone, unlike a
+                # gradient that backward may hand to several leaves
+                p.grad = np.add(grads[name], more[name],
+                                out=more[name] if worker is not None else None)
         lr = lr_at(step, cfg.hidden, cfg.warmup, self.cfg.scale())
         grad_norm = self.opt.grad_norm()
         if not (math.isfinite(loss_val) and math.isfinite(grad_norm)):
@@ -537,8 +541,9 @@ class Trainer:
                                   f"in {', '.join(differ)}")
             rec = Progress(**state)
             for name, p in self.model.params.items():
-                p.data = params[name].copy()
+                p.data = params[name]
             self.opt.load_state(params, t=rec.step)
+            del params  # the model and the optimizer own the loaded arrays
         else:
             ckpt.write_atomic(log_path, (",".join(LOG_COLUMNS) + "\n").encode())
         self.vocab.save(self.run_dir / "vocab.json")

@@ -5,6 +5,7 @@ import os
 import platform
 import re
 import shutil
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -721,6 +722,25 @@ def test_failed_report_write_keeps_earlier_report(data_dir, run_dir, tmp_path, m
                    "--report-dir", report) == 2
     assert "disk full" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in report.iterdir()} == before
+
+
+def test_float_lines_stream_the_joined_bytes(tmp_path):
+    """A million rows give the bytes of one whole-file join of their reprs,
+    written without a whole-file list or string."""
+    rows = np.random.default_rng(0).random(10 ** 6)
+    rows[:4] = [0.0, -0.0, 1e-300, np.inf]
+    want = "".join(repr(v) + "\n" for v in rows.tolist()).encode()
+    path = tmp_path / "entropies.csv"
+    tracemalloc.start()
+    try:
+        cli._write_lines(path, cli._float_lines(rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == want
+    assert peak < 2 ** 20  # the join alone is 19 MiB
+    cli._write_lines(path, iter(()))
+    assert path.read_bytes() == b""
 
 
 def test_every_command_sets_the_allocator_policy_once(run_dir, tmp_path, monkeypatch):

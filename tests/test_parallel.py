@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import mmap
 import os
 import pickle
 import shutil
@@ -715,28 +716,52 @@ def test_one_window_batch_sends_no_request(train_data, monkeypatch, tmp_path):
 
 def test_served_shard_returns_its_loss_and_writes_every_gradient(train_data, tmp_path):
     trainer = TR.Trainer(train_config(train_data, tmp_path / "run"))
-    params = {name: p.data for name, p in trainer.model.params.items()}
-    trainer._shared = parallel.shared_arrays(params), parallel.shared_arrays(params)
-    for name, a in trainer._shared[0].items():
-        np.copyto(a, params[name])
+    trainer._shard_grads = parallel.shared_arrays(
+        {name: p.data for name, p in trainer.model.params.items()})
     _, second = TR.split_shards(trainer._epoch_batches(0)[0])
     batch = M.build_batch(second, trainer.model_config)
     loss = trainer._serve_shard(1, batch, 100)
-    for name, p in trainer.model.params.items():
-        p.data = params[name]
     assert loss == trainer._shard_backward(batch, 1, 1, 100)
-    assert all(np.array_equal(trainer._shared[1][name], p.grad)
+    assert all(np.array_equal(trainer._shard_grads[name], p.grad)
                for name, p in trainer.model.params.items())
 
 
-def test_parameters_stay_private_to_the_parent(train_data, monkeypatch, tmp_path):
+def _mapping(a: np.ndarray):
+    """The buffer at the end of ``a``'s chain of bases."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+def test_parameters_are_the_shared_mapping(train_data, monkeypatch, tmp_path):
+    """The parent trains the parameters in the memory the shard worker reads,
+    kept there once: a step copies no parameter and moves none out of it."""
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     trainer = TR.Trainer(train_config(train_data, tmp_path / "run"))
+    before = {name: p.data.copy() for name, p in trainer.model.params.items()}
+    parent, copies = os.getpid(), []
+    copyto = np.copyto
+
+    def noting(dst, *args, **kwargs):
+        if os.getpid() == parent:
+            copies.append(dst)
+        return copyto(dst, *args, **kwargs)
+
     trainer._start_shard_worker()
     try:
-        trainer._train_step(trainer._epoch_batches(0)[0], 1)
-        shared = [a.base for arrays in trainer._shared for a in arrays.values()]
-        assert not any(p.data.base is not None and any(p.data.base is b for b in shared)
-                       for p in trainer.model.params.values())
+        arrays = {name: p.data for name, p in trainer.model.params.items()}
+        mapping = _mapping(next(iter(arrays.values())))
+        assert isinstance(mapping, mmap.mmap)
+        assert all(_mapping(a) is mapping for a in arrays.values())
+        assert all(_mapping(g) is not mapping for g in trainer._shard_grads.values())
+        assert all(np.array_equal(a, before[name]) for name, a in arrays.items())
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "copyto", noting)
+            for step, batch in enumerate(trainer._epoch_batches(0)[:2], 1):
+                trainer._train_step(batch, step)
+                assert all(p.data is arrays[name]
+                           for name, p in trainer.model.params.items())
+        assert copies == []
+        assert not all(np.array_equal(a, before[name]) for name, a in arrays.items())
     finally:
         trainer._stop_shard_worker()

@@ -194,6 +194,33 @@ class TestBackward:
         T.backward(loss)
         assert x.grad.tobytes() == np.full(1 << 17, 0.5 ** 16).tobytes()
 
+    def test_tape_keeps_no_layer_norm_output(self, monkeypatch):
+        """Each layer-norm output of a recorded training forward is freed
+        while its graph lives: the linears that read it keep its rebuild."""
+        from winmt import model as M
+        docs, _ = synth.gen_synthetic(0, n_docs=4, vocab_size=32)
+        vocab = C.Vocab.from_documents(docs)
+        windows = [w for d in docs for w in C.make_windows(d, 2, vocab)][:6]
+        model = M.TransformerModel(M.ModelConfig(vocab_size=len(vocab), layers=2, heads=2,
+                                                 hidden=16, ffn=32), seed=4)
+        outputs = []
+        layer_norm = M.layer_norm
+
+        def noting(*args):
+            out = layer_norm(*args)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(M, "layer_norm", noting)
+        with T.record(T.Graph()):
+            log_probs, _ = model.forward(M.build_batch(windows, model.config), train=True,
+                                         step=1, seed=1)
+            loss = T.reduce_sum(log_probs)
+        assert len(outputs) == 2 * 2 + 2 * 3 + 2  # per layer and the two final norms
+        assert all(ref() is None for ref in outputs)
+        T.backward(loss)
+        assert all(np.isfinite(p.grad).all() for p in model.params.values())
+
     def test_backward_frees_each_node_once_walked(self):
         x = scalar(np.ones(1 << 17))  # 1 MiB
         with T.record(T.Graph()):
@@ -228,6 +255,22 @@ class TestBackward:
         assert y.data.dtype == expected.dtype == dtype
         assert y.data.tobytes() == expected.tobytes()
         assert x.grad.tobytes() == (upstream * mask).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_gradient_equals_the_mask_form_bitwise(self, dtype):
+        """The gradient read off the output is ``g * (a > 0)``, on zeros of
+        either sign, NaN and infinities too."""
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-30, -1e-30, 2.5, -2.5]
+        a = np.resize(np.array(special, dtype=dtype), (4, 30))
+        upstream = np.resize(np.array(special[3:] + special[:3], dtype=dtype), (4, 30))
+        x = T.Tensor(a)
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN in both forms
+            with T.record(T.Graph()):
+                loss = T.reduce_sum(T.mul(T.relu(x), T.Tensor(upstream)))
+            T.backward(loss)
+            expected = upstream * (a > 0)
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == expected.tobytes()
 
     def test_mlp_matches_finite_differences(self):
         # random 2-layer MLP: loss = sum(relu(x @ w1 + b1) @ w2)
@@ -484,6 +527,43 @@ def test_fused_ops_equal_the_primitive_chain_bitwise(dtype, rate, x_shape):
     for fused, old in zip(*results):
         assert fused.dtype == old.dtype == dtype
         assert fused.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape", [(6, 8), (3, 2, 8)])
+def test_linear_over_a_rebuilt_layer_norm_equals_a_plain_input_bitwise(dtype, x_shape):
+    """Linears over a recorded layer-norm output keep the output's rebuild,
+    not its rows, and give the bytes of linears that keep the rows and of
+    linears over a plain input holding the same data. Two linears read the
+    output, as the q and k projections read one."""
+    rng = stream(len(x_shape), "rebuild", np.dtype(dtype).itemsize)
+    values = {"x": rng.normal(0, 1, x_shape), "g": rng.normal(1, 0.5, 8),
+              "b": rng.normal(0, 1, 8), "w": rng.normal(0, 1, (8, 8)),
+              "wb": rng.normal(0, 1, 8), "w2": rng.normal(0, 1, (8, 8))}
+    up = T.Tensor(rng.normal(0, 1, x_shape).astype(dtype))
+
+    def run(rebuilt: bool | None):
+        """Grads of the linears over the layer norm, over a plain input when None."""
+        ts = {name: T.Tensor(a.astype(dtype)) for name, a in values.items()}
+        if rebuilt is None:
+            h = T.Tensor(T.layer_norm(ts["x"], ts["g"], ts["b"]).data)
+        with T.record(T.Graph()):
+            if rebuilt is not None:
+                h = T.layer_norm(ts["x"], ts["g"], ts["b"])
+                assert h.rebuild().tobytes() == h.data.tobytes()
+                if not rebuilt:
+                    h.rebuild = None  # the linears keep the rows themselves
+            y = T.add(T.linear(h, ts["w"], ts["wb"]), T.linear(h, ts["w2"]))
+            loss = T.reduce_sum(T.mul(y, up))
+        T.backward(loss)
+        grads = [y.data, h.grad] + [ts[name].grad for name in ("w", "wb", "w2")]
+        return grads + ([] if rebuilt is None else [ts[name].grad for name in "xgb"])
+
+    rebuilt, kept, plain = run(True), run(False), run(None)
+    assert len(rebuilt) == len(kept) == len(plain) + 3
+    for got, want in zip(rebuilt + rebuilt[:5], kept + plain):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_attention_rejects_nonconforming_operands():

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,35 @@ class TestTraining:
         assert resumed.log_path.read_bytes() == full.log_path.read_bytes()
         assert resumed.averaged_checkpoint.read_bytes() == \
             full.averaged_checkpoint.read_bytes()
+
+    def test_resume_keeps_no_second_copy_of_its_checkpoint(self, tmp_path, monkeypatch):
+        data = write_data(tmp_path)
+        TR.train(tiny_config(data, tmp_path / "run", max_steps=5))
+        loaded = []
+        load, train_step = ckpt.load_checkpoint, TR.Trainer._train_step
+
+        def noting(*args, **kwargs):
+            params, config = load(*args, **kwargs)
+            loaded.extend(weakref.ref(a) for a in params.values())
+            return params, config
+
+        held = []
+
+        def first_step(self, batch, step):
+            if not held:
+                owned = [p.data for p in self.model.params.values()]
+                owned += [*self.opt.m.values(), *self.opt.v.values()]
+                alive = [a for a in (ref() for ref in loaded) if a is not None]
+                held.append([a for a in alive if not any(a is o for o in owned)])
+                # the Adam moments are the loaded arrays themselves
+                assert sum(any(a is m for a in alive) for m in self.opt.m.values()) \
+                    == len(self.opt.m)
+            return train_step(self, batch, step)
+
+        monkeypatch.setattr(ckpt, "load_checkpoint", noting)
+        monkeypatch.setattr(TR.Trainer, "_train_step", first_step)
+        TR.train(tiny_config(data, tmp_path / "run", max_steps=7), resume=True)
+        assert loaded and held == [[]]
 
     @pytest.mark.parametrize("data_seed,change,key", [(0, {"hidden": 32}, "hidden"),
                                                       (1, {}, "vocab_digest")])

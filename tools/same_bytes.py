@@ -67,6 +67,9 @@ COMMANDS = [
                  "--report-dir {out}/diagnose"),
     ("diagnose-k3", "diagnose --run {fixture} --data {out}/slice --split test --limit 70 "
                     "--k 3 --report-dir {out}/diagnose-k3"),
+    # every window of the slice, so the entropy file streams in several chunks
+    ("diagnose-all", "diagnose --run {fixture} --data {out}/slice --split test --limit 0 "
+                     "--report-dir {out}/diagnose-all"),
     ("diagnose-default", "diagnose --run {out}/train-default --data {out}/slice --split test "
                          "--limit 100 --report-dir {out}/diagnose-default"),
     # the significance tests, on files the commands above write
