@@ -15,8 +15,12 @@ import hashlib
 import itertools
 import json
 import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .checkpoint import write_atomic
 
@@ -89,14 +93,23 @@ class Vocab:
         return hashlib.sha256("\n".join(self._tokens).encode("utf-8")).hexdigest()
 
     @staticmethod
+    def from_sentences(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> "Vocab":
+        """Every token of the (source, target) sentence ``pairs``, the most
+        frequent first and tokens of equal count in string order."""
+        counts: Counter[str] = Counter()
+        for src, tgt in pairs:
+            counts.update(src)
+            counts.update(tgt)
+        return Vocab(sorted(counts, key=lambda t: (-counts[t], t)))
+
+    @staticmethod
     def from_documents(docs: Iterable[Document]) -> "Vocab":
-        counts: dict[str, int] = {}
-        for doc in docs:
-            for src, tgt in doc.sentences:
-                for tok in (*src, *tgt):
-                    counts[tok] = counts.get(tok, 0) + 1
-        ordered = sorted(counts, key=lambda t: (-counts[t], t))
-        return Vocab(ordered)
+        return Vocab.from_sentences(pair for doc in docs for pair in doc.sentences)
+
+    @staticmethod
+    def from_corpus_file(path) -> "Vocab":
+        """``from_documents(read_corpus(path))``, counted as the file is read."""
+        return Vocab.from_sentences(pair for pairs in _checked_pairs(path) for pair in pairs)
 
     def save(self, path) -> None:
         write_atomic(path, json.dumps(self._tokens[len(RESERVED):],
@@ -186,6 +199,11 @@ def window_from_sentences(src_sentences: Sequence[Sequence[str]],
                    [vocab.encode(t) for t in tgt_sentences], doc_id, j)
 
 
+def _check_window_size(k: int) -> None:
+    if k < 1:
+        raise CorpusError(f"window size must be >= 1, got {k}")
+
+
 def _window_rows(j: int, k: int) -> slice:
     """The sentences of the size-``k`` window ending at sentence ``j``:
     sentence j and up to k-1 sentences before it."""
@@ -199,8 +217,7 @@ def window_pairs(doc: Document, j: int, k: int):
 
 def make_windows(doc: Document, k: int, vocab: Vocab) -> list[Window]:
     """One window per sentence j, holding min(k-1, j) preceding context sentences."""
-    if k < 1:
-        raise CorpusError(f"window size must be >= 1, got {k}")
+    _check_window_size(k)
     # each sentence is encoded once, for all the windows that hold it
     src = [vocab.encode(s) for s, _ in doc.sentences]
     tgt = [vocab.encode(t) for _, t in doc.sentences]
@@ -215,13 +232,13 @@ def make_windows(doc: Document, k: int, vocab: Vocab) -> list[Window]:
 # segment-shift values
 
 
-def compute_shift(strategy: str, corpus: Sequence[Document] | None = None,
+def compute_shift(strategy: str, lengths: Sequence[int] | None = None,
                   window: Window | None = None) -> int:
     """Resolve a shift value: "fixed:<n>", "avg-corpus" or "avg-sequence".
 
-    avg-corpus is the rounded mean source-sentence token length over the
-    corpus; avg-sequence the rounded mean source-sentence length within the
-    given window. Separators and <E> never count.
+    avg-corpus is the rounded mean of ``lengths``, the token counts of the
+    corpus's source sentences; avg-sequence the rounded mean source-sentence
+    length within the given window. Separators and <E> never count.
     """
     if strategy.startswith("fixed:"):
         value = int(strategy.split(":", 1)[1])
@@ -229,9 +246,8 @@ def compute_shift(strategy: str, corpus: Sequence[Document] | None = None,
             raise CorpusError(f"fixed shift must be nonnegative, got {value}")
         return value
     if strategy == "avg-corpus":
-        if not corpus:
+        if not lengths:
             raise CorpusError("avg-corpus shift needs a nonempty corpus")
-        lengths = [len(src) for doc in corpus for src, _ in doc.sentences]
         return int(round(sum(lengths) / len(lengths)))
     if strategy == "avg-sequence":
         if window is None:
@@ -268,29 +284,23 @@ def document_id(index: int) -> str:
     return f"d{index:05d}"
 
 
-def read_corpus(path) -> list[Document]:
-    """The documents of a corpus file, with ``document_id`` ids."""
-    docs: list[Document] = []
+def _document_pairs(path) -> Iterator[tuple[int, list[tuple[list[str], list[str]]]]]:
+    """The line of each document's first pair and its (source, target)
+    token lists, document by document in file order. A line that is not
+    'source ||| target', invalid UTF-8 and a file with no document raise
+    ``CorpusError`` naming the file, and the line where there is one."""
     pairs: list[tuple[list[str], list[str]]] = []
     first = 0  # the line of pairs[0]: a document's lines are consecutive
-
-    def flush():
-        if pairs:
-            doc_id = document_id(len(docs))
-            try:
-                docs.append(Document.from_pairs(doc_id, pairs))
-            except CorpusError:  # a reserved token: name the line that holds it
-                for lineno, pair in enumerate(pairs, first):
-                    _reject_reserved(f"{path}:{lineno}: document {doc_id!r}", pair)
-                raise
-            pairs.clear()
-
+    n_docs = 0
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
+            # the blank line after the file ends its last document
+            for lineno, line in enumerate(itertools.chain(fh, [""]), 1):
                 line = line.rstrip("\n")
                 if not line.strip():
-                    flush()
+                    if pairs:
+                        yield first, pairs
+                        pairs, n_docs = [], n_docs + 1
                     continue
                 if " ||| " not in line:
                     raise CorpusError(f"{path}:{lineno}: expected 'source ||| target'")
@@ -300,10 +310,132 @@ def read_corpus(path) -> list[Document]:
                 pairs.append((tokenize(src), tokenize(tgt)))
     except UnicodeDecodeError:
         raise _invalid_utf8(path) from None
-    flush()
-    if not docs:
+    if not n_docs:
         raise CorpusError(f"{path}: empty corpus")
+
+
+def _reject_reserved_lines(path, d: int, first: int, pairs) -> None:
+    """Raise ``CorpusError`` naming the line and document ``d`` if one of its
+    ``pairs``, the first of them on line ``first`` of ``path``, holds a reserved token."""
+    for at, pair in enumerate(pairs, first):
+        if not all(map(_RESERVED_SET.isdisjoint, pair)):
+            _reject_reserved(f"{path}:{at}: document {document_id(d)!r}", pair)
+
+
+def _checked_pairs(path) -> Iterator[list[tuple[list[str], list[str]]]]:
+    """The (source, target) token lists of each document of a corpus file,
+    which raise every error ``read_corpus`` raises, with its message."""
+    for d, (first, pairs) in enumerate(_document_pairs(path)):
+        _reject_reserved_lines(path, d, first, pairs)
+        yield pairs
+
+
+def read_corpus(path) -> list[Document]:
+    """The documents of a corpus file, with ``document_id`` ids."""
+    docs: list[Document] = []
+    for d, (first, pairs) in enumerate(_document_pairs(path)):
+        try:
+            docs.append(Document.from_pairs(document_id(d), pairs))
+        except CorpusError:  # a reserved token: name the line that holds it
+            _reject_reserved_lines(path, d, first, pairs)
+            raise
     return docs
+
+
+def _offsets(counts: array) -> np.ndarray:
+    """Where each of the runs of ``counts`` items starts, and where the last ends."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(counts, dtype=np.int32), out=out[1:])
+    return out
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``starts[0]`` to ``stops[0] - 1``, then ``starts[1]`` to ``stops[1] - 1``, and so on."""
+    counts = stops - starts
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def _cut(items: list, counts: list[int]) -> list[list]:
+    """``items`` cut into consecutive runs of ``counts[0]``, ``counts[1]``, ... items."""
+    ends = list(itertools.accumulate(counts))
+    return [items[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _sentences(ids: np.ndarray, offsets: np.ndarray, first: np.ndarray,
+               stop: np.ndarray) -> list[list[list[int]]]:
+    """For each i, sentences ``first[i]`` to ``stop[i] - 1`` of ``ids`` (cut
+    at ``offsets``) as lists of ints, gathered with one index."""
+    rows = _ranges(first, stop)
+    lo, hi = offsets[rows], offsets[rows + 1]
+    return _cut(_cut(ids[_ranges(lo, hi)].tolist(), (hi - lo).tolist()),
+                (stop - first).tolist())
+
+
+@dataclass(frozen=True)
+class EncodedCorpus:
+    """A corpus file's sentences as int32 token ids, with no ``Document``.
+
+    Sentence s is ``src[src_offsets[s]:src_offsets[s + 1]]`` on the source
+    side, likewise on the target side, and document d holds sentences
+    ``doc_starts[d]`` to ``doc_starts[d + 1] - 1``. Window i of size k is the
+    window ``make_windows`` makes for sentence i at k; the windows of a
+    corpus are numbered through all its documents, in file order.
+    """
+
+    src: np.ndarray
+    tgt: np.ndarray
+    src_offsets: np.ndarray
+    tgt_offsets: np.ndarray
+    doc_starts: np.ndarray
+
+    @staticmethod
+    def read(path, vocab: Vocab) -> "EncodedCorpus":
+        """The sentences of a corpus file encoded by ``vocab``; a file that
+        ``read_corpus`` rejects raises its error."""
+        src, tgt, src_lengths, tgt_lengths, doc_sizes = (array("i") for _ in range(5))
+        for pairs in _checked_pairs(path):
+            doc_sizes.append(len(pairs))
+            for s, t in pairs:
+                src.extend(vocab.encode(s))
+                tgt.extend(vocab.encode(t))
+                src_lengths.append(len(s))
+                tgt_lengths.append(len(t))
+        return EncodedCorpus(np.frombuffer(src, dtype=np.int32),
+                             np.frombuffer(tgt, dtype=np.int32),
+                             _offsets(src_lengths), _offsets(tgt_lengths), _offsets(doc_sizes))
+
+    def __len__(self) -> int:
+        return len(self.src_offsets) - 1
+
+    def source_lengths(self) -> list[int]:
+        """The token count of each source sentence."""
+        return np.diff(self.src_offsets).tolist()
+
+    def _window_rows(self, last: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The document and the first sentence of each size-``k`` window
+        ending at sentence ``last``, as ``_window_rows`` gives them."""
+        _check_window_size(k)
+        docs = np.searchsorted(self.doc_starts, last, side="right") - 1
+        return docs, np.maximum(last - k + 1, self.doc_starts[docs])
+
+    def target_lengths(self, k: int) -> list[int]:
+        """``len(tgt_ids)`` of each window of size ``k``: its sentences'
+        tokens, and the <S> or <E> that ends each sentence."""
+        last = np.arange(len(self))
+        _, first = self._window_rows(last, k)
+        return (self.tgt_offsets[last + 1] - self.tgt_offsets[first]
+                + (last - first + 1)).tolist()
+
+    def windows(self, indices: Sequence[int], k: int) -> list[Window]:
+        """Windows ``indices`` of size ``k``, built by ``_window`` as in ``make_windows``."""
+        last = np.asarray(indices, dtype=np.int64)
+        docs, first = self._window_rows(last, k)
+        src = _sentences(self.src, self.src_offsets, first, last + 1)
+        tgt = _sentences(self.tgt, self.tgt_offsets, first, last + 1)
+        j = (last - self.doc_starts[docs]).tolist()
+        return [_window(s, t, document_id(d), at)
+                for s, t, d, at in zip(src, tgt, docs.tolist(), j)]
 
 
 # ---------------------------------------------------------------------------

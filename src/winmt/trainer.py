@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import checkpoint as ckpt
-from .corpus import (Document, Vocab, Window, compute_shift, make_windows,
+from .corpus import (Document, EncodedCorpus, Vocab, Window, compute_shift, make_windows,
                      read_contrastive, read_corpus)
 from .evaluation import (EvalError, attention_entropy_rows, current_attention_mass_rows,
                          evaluate_contrastive, overall_accuracy)
@@ -210,29 +210,35 @@ class Adam:
             self.v[name] = tensors[f"opt.v.{name}"]
 
 
-def pack_batches(windows: Sequence, batch_tokens: int,
-                 order: np.ndarray | None = None) -> list[list]:
-    """Greedy packing by target-token budget; at least one window per batch."""
-    idx = np.arange(len(windows)) if order is None else order
+def pack_batches(items: Sequence, batch_tokens: int, order: np.ndarray | None = None,
+                 lengths: Sequence[int] | None = None) -> list[list]:
+    """Greedy packing by target-token budget; at least one item per batch.
+
+    ``items`` are taken in ``order`` (their own by default), and a batch is
+    closed when the next item's target tokens would exceed ``batch_tokens``.
+    Item i has ``lengths[i]`` target tokens, ``len(items[i].tgt_ids)`` when
+    ``lengths`` is None.
+    """
+    if lengths is None:
+        lengths = [len(w.tgt_ids) for w in items]
     batches: list[list] = []
     cur: list = []
     used = 0
-    for i in idx:
-        w = windows[int(i)]
-        n = len(w.tgt_ids)
+    for i in range(len(items)) if order is None else order.tolist():
+        n = lengths[i]
         if cur and used + n > batch_tokens:
             batches.append(cur)
             cur, used = [], 0
-        cur.append(w)
+        cur.append(items[i])
         used += n
     if cur:
         batches.append(cur)
     return batches
 
 
-def by_length(windows: Sequence[Window]) -> np.ndarray:
-    """Indices of ``windows`` ordered by (target length, index)."""
-    return np.argsort([len(w.tgt_ids) for w in windows], kind="stable")
+def by_length(lengths: Sequence[int]) -> np.ndarray:
+    """Indices of ``lengths`` ordered by (length, index)."""
+    return np.argsort(lengths, kind="stable")
 
 
 def split_shards(windows: Sequence[Window]) -> list[list[Window]]:
@@ -240,7 +246,7 @@ def split_shards(windows: Sequence[Window]) -> list[list[Window]]:
     length, position in the batch), cut after the window at which the
     running target-token count first reaches half the batch's. The second
     shard is empty when that window is the last, as in a one-window batch."""
-    ordered = [windows[int(i)] for i in by_length(windows)]
+    ordered = [windows[i] for i in by_length([len(w.tgt_ids) for w in windows]).tolist()]
     running = np.cumsum([len(w.tgt_ids) for w in ordered])
     total = int(running[-1]) if len(ordered) else 0
     cut = int(np.searchsorted(2 * running, total)) + 1
@@ -286,12 +292,13 @@ def window_losses(model: TransformerModel, batches: Sequence[Sequence[Window]], 
     return _joined(map_ordered(lambda ws: _batch_losses(model, ws, eps)[0], batches))
 
 
-def _summary(losses, batches) -> tuple[float, float, float]:
-    """``loss_summary`` from the ``window_losses`` columns of ``batches``."""
+def _summary(losses, contexts: Sequence[int]) -> tuple[float, float, float]:
+    """``loss_summary`` from the ``window_losses`` columns of some windows
+    and the number of context sentences of each."""
     cur, ctx, cur_tok, ctx_tok = losses
     return (sum(cur) / max(1, sum(cur_tok)),
             sum(ctx) / sum(ctx_tok) if sum(ctx_tok) else math.nan,
-            loss_ratio(cur, ctx, [w.size - 1 for ws in batches for w in ws]))
+            loss_ratio(cur, ctx, contexts))
 
 
 def loss_summary(model: TransformerModel, batches: Sequence[Sequence[Window]],
@@ -300,7 +307,7 @@ def loss_summary(model: TransformerModel, batches: Sequence[Sequence[Window]],
     of the windows in ``batches``. The context loss is NaN when no window has
     a context token.
     """
-    return _summary(window_losses(model, batches, eps), batches)
+    return _summary(window_losses(model, batches, eps), [w.size - 1 for ws in batches for w in ws])
 
 
 class Diagnosis(NamedTuple):
@@ -334,7 +341,7 @@ def diagnose(model: TransformerModel, docs: Sequence[Document], vocab: Vocab, k:
 
     losses, rows, masses = zip(*map_ordered(reduced, batches))
     rows = np.concatenate(rows)
-    return Diagnosis(len(windows), *_summary(_joined(losses), batches),
+    return Diagnosis(len(windows), *_summary(_joined(losses), [w.size - 1 for w in windows]),
                      float(np.concatenate(masses).mean()), float(rows.mean()), rows)
 
 
@@ -366,16 +373,17 @@ class Trainer:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         (self.run_dir / "checkpoints").mkdir(exist_ok=True)
 
+        # the splits stay token ids; each batch's windows are built when it runs
         data = Path(config.data_dir)
-        train_docs = read_corpus(data / "train.txt")
-        dev_docs = read_corpus(data / "dev.txt")
-        self.vocab = Vocab.from_documents(train_docs)
-        self.train_windows = [w for d in train_docs for w in make_windows(d, config.k, self.vocab)]
-        self.dev_windows = [w for d in dev_docs for w in make_windows(d, config.k, self.vocab)]
+        self.vocab = Vocab.from_corpus_file(data / "train.txt")
+        self.train_corpus = EncodedCorpus.read(data / "train.txt", self.vocab)
+        self.dev_corpus = EncodedCorpus.read(data / "dev.txt", self.vocab)
+        self._train_lengths = self.train_corpus.target_lengths(config.k)
 
         shift_value = None
         if config.position_scheme == "shifted" and config.shift_strategy != "avg-sequence":
-            shift_value = compute_shift(config.shift_strategy, corpus=train_docs)
+            shift_value = compute_shift(config.shift_strategy,
+                                        lengths=self.train_corpus.source_lengths())
         shared = {f.name: getattr(config, f.name) for f in fields(ModelConfig)
                   if f.name in _FIELD_TYPES}
         self.model_config = ModelConfig(**(shared | dict(
@@ -384,17 +392,20 @@ class Trainer:
             shift_value=shift_value)))
         self.model = TransformerModel(self.model_config, seed=config.seed)
         self.opt = Adam(self.model.params)
-        # length-sorted, so a dev batch holds little padding
-        self.dev_batches = pack_batches(self.dev_windows, config.batch_tokens,
-                                        by_length(self.dev_windows))
+        # the dev windows' indices, length-sorted so a dev batch holds little padding
+        dev_lengths = self.dev_corpus.target_lengths(config.k)
+        self.dev_batches = pack_batches(range(len(self.dev_corpus)), config.batch_tokens,
+                                        by_length(dev_lengths), dev_lengths)
         self._shard_worker = None  # computes shard 1 of each step while ``train`` runs
         self._shard_grads = None  # shard 1's gradients, which the worker writes
 
     # ------------------------------------------------------------------
 
-    def _epoch_batches(self, epoch: int) -> list[list]:
-        order = stream(self.cfg.seed, "shuffle", epoch).permutation(len(self.train_windows))
-        return pack_batches(self.train_windows, self.cfg.batch_tokens, order)
+    def _epoch_batches(self, epoch: int) -> list[list[int]]:
+        """The training windows' indices of each batch of ``epoch``, in its shuffled order."""
+        n = len(self.train_corpus)
+        order = stream(self.cfg.seed, "shuffle", epoch).permutation(n)
+        return pack_batches(range(n), self.cfg.batch_tokens, order, self._train_lengths)
 
     def _shard_backward(self, batch: Batch, step: int, shard: int,
                         current_tokens: int) -> float:
@@ -447,8 +458,9 @@ class Trainer:
         self.model.zero_grad()
         return loss_val
 
-    def _train_step(self, batch_windows: list, step: int) -> float:
-        """One update from the summed gradients of the batch's two shards.
+    def _train_step(self, batch: list[int], step: int) -> float:
+        """One update from the summed gradients of the two shards of the
+        training windows ``batch``.
 
         Every parameter gets a gradient from every non-empty shard, so each
         gradient is shard 0's plus shard 1's, or shard 0's alone when shard
@@ -457,7 +469,8 @@ class Trainer:
         the sums are the same bytes.
         """
         cfg = self.cfg
-        shards = [build_batch(ws, self.model_config) for ws in split_shards(batch_windows) if ws]
+        windows = self.train_corpus.windows(batch, cfg.k)
+        shards = [build_batch(ws, self.model_config) for ws in split_shards(windows) if ws]
         current_tokens = sum(int(b.current_mask.sum()) for b in shards)
         worker = self._shard_worker if len(shards) > 1 else None
         if worker is not None:
@@ -489,8 +502,18 @@ class Trainer:
         return loss_val
 
     def _validate(self) -> tuple[float, float, float]:
-        """Dev per-token current loss, per-token context loss, per-sentence ratio."""
-        return loss_summary(self.model, self.dev_batches, self.cfg.label_smoothing)
+        """Dev per-token current loss, per-token context loss, per-sentence ratio.
+
+        Each dev batch's windows are built in the process that computes its
+        losses, so the building is spread over the CPUs too."""
+        corpus, k, eps = self.dev_corpus, self.cfg.k, self.cfg.label_smoothing
+
+        def losses(batch: list[int]):
+            windows = corpus.windows(batch, k)
+            return _batch_losses(self.model, windows, eps)[0], [w.size - 1 for w in windows]
+
+        columns, contexts = zip(*map_ordered(losses, self.dev_batches))
+        return _summary(_joined(columns), [n for batch in contexts for n in batch])
 
     def _checkpoint_path(self, step: int) -> Path:
         return self.run_dir / "checkpoints" / f"ckpt_{step:07d}.bin"

@@ -6,8 +6,8 @@ identities, full-model gradients against finite differences (of single
 windows and of a training step's two shards), positional properties, the
 significance tests and bitwise training determinism.
 Criterion 3's gradient oracle takes most of its time, about half a
-minute on a desktop CPU. No test trains a model to convergence, so the
-trained-model criteria 5-7 are not here.
+minute of CPU on a desktop, spread over every CPU. No test trains a
+model to convergence, so the trained-model criteria 5-7 are not here.
 """
 
 import json
@@ -28,6 +28,7 @@ from winmt.evaluation import (aggregate_from_stats, attention_entropy,
                               evaluate_contrastive)
 from winmt.model import ModelConfig, TransformerModel, build_batch
 from winmt.objective import masked_discounted_loss, partition_masks, smoothed_nll
+from winmt.parallel import map_ordered
 from winmt.positions import sinusoidal_pe
 from winmt.rng import stream
 from winmt.stats import approx_randomization, mcnemar
@@ -126,9 +127,14 @@ def test_criterion_3_full_model_gradients():
                          ffn=64, dropout=0.0, dtype="float64")
     model = TransformerModel(config, seed=13)
     rng = stream(0, "acc3")
-    worst = 0.0
-    checked = 0
-    for w in windows[:20]:
+    # every coordinate is drawn first, window by window as the checks go,
+    # so that the windows can be checked on every CPU
+    checks = [(w, {name: rng.choice(p.data.size, size=min(3, p.data.size),
+                                    replace=False).tolist()
+                   for name, p in model.params.items()}) for w in windows[:20]]
+
+    def window_error(check) -> float:
+        w, coords = check
         batch = build_batch([w], config)
 
         def loss_with(name, x):
@@ -143,16 +149,12 @@ def test_criterion_3_full_model_gradients():
             finally:
                 model.params[name] = saved
 
-        for name in model.params:
-            p = model.params[name]
-            n_coords = min(3, p.data.size)
-            coords = rng.choice(p.data.size, size=n_coords, replace=False)
-            err = finite_diff_check(lambda x, _n=name: loss_with(_n, x),
-                                    p, h=1e-5, coords=[int(c) for c in coords])
-            worst = max(worst, err)
-            checked += n_coords
-        if worst > 1e-4:
-            break
+        return max(finite_diff_check(lambda x, _n=name: loss_with(_n, x),
+                                     model.params[name], h=1e-5, coords=coords[name])
+                   for name in model.params)
+
+    worst = max(map_ordered(window_error, checks))
+    checked = sum(len(c) for _, coords in checks for c in coords.values())
     report("criterion 3: full-model gradient check", worst < 1e-4,
            f"max rel err {worst:.2e} over {checked} coordinates, 20 windows")
 
@@ -166,11 +168,11 @@ def test_criterion_3_sharded_step_gradients(tmp_path):
     trainer = Trainer(TrainConfig(data_dir=str(tmp_path), out_dir=str(tmp_path / "run"),
                                   layers=2, heads=2, hidden=32, ffn=64, dropout=0.0,
                                   dtype="float64", cd=0.3))
-    windows = trainer.train_windows[:6]
+    windows = trainer.train_corpus.windows(range(6), trainer.cfg.k)
     first, second = split_shards(windows)
     assert first and second
     trainer.opt.step = lambda lr: None  # keep the parameters the gradients are taken at
-    trainer._train_step(windows, 1)
+    trainer._train_step(list(range(6)), 1)
     batch = build_batch(windows, trainer.model_config)
     params = trainer.model.params
 

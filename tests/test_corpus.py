@@ -198,8 +198,7 @@ class TestComputeShift:
         assert C.compute_shift("fixed:100") == 100
 
     def test_avg_corpus(self):
-        docs = [doc_of([["a"] * 6, ["b"] * 10])]
-        assert C.compute_shift("avg-corpus", corpus=docs) == 8
+        assert C.compute_shift("avg-corpus", lengths=[6, 10]) == 8
 
     def test_avg_sequence(self):
         vocab = C.Vocab(["a"])
@@ -216,7 +215,7 @@ class TestComputeShift:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(C.CorpusError):
-            C.compute_shift("avg-corpus", corpus=[])
+            C.compute_shift("avg-corpus", lengths=[])
 
     def test_negative_fixed_rejected(self):
         with pytest.raises(C.CorpusError):
@@ -268,6 +267,54 @@ class TestCorpusIO:
         path.write_text("\n\n")
         with pytest.raises(C.CorpusError, match="empty"):
             C.read_corpus(path)
+
+
+class TestEncodedCorpus:
+    @pytest.fixture
+    def corpus_file(self, tmp_path):
+        """Documents of 1 to 5 sentences, so that some are shorter than each K."""
+        docs, _ = synth.gen_synthetic(3, n_docs=12, vocab_size=24)
+        docs = [C.Document.from_pairs(d.doc_id, d.sentences[:1 + i % 5])
+                for i, d in enumerate(docs)]
+        path = tmp_path / "train.txt"
+        C.write_corpus(path, docs)
+        return path
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_windows_are_make_windows_windows(self, corpus_file, k):
+        docs = C.read_corpus(corpus_file)
+        vocab = C.Vocab.from_documents(docs[:6])  # tokens of later documents map to <UNK>
+        encoded = C.EncodedCorpus.read(corpus_file, vocab)
+        want = [w for d in docs for w in C.make_windows(d, k, vocab)]
+        assert len(encoded) == len(want)
+        assert encoded.windows(range(len(encoded)), k) == want
+        assert encoded.target_lengths(k) == [len(w.tgt_ids) for w in want]
+        picked = [5, 0, len(want) - 1, 5]
+        assert encoded.windows(picked, k) == [want[i] for i in picked]
+        assert encoded.src.dtype == encoded.tgt.dtype == np.int32
+        for bad_size in (encoded.target_lengths, lambda k: encoded.windows([0], k)):
+            with pytest.raises(C.CorpusError, match="window size must be >= 1, got 0"):
+                bad_size(0)
+
+    def test_source_lengths_and_vocab_are_those_of_the_documents(self, corpus_file):
+        docs = C.read_corpus(corpus_file)
+        vocab = C.Vocab.from_corpus_file(corpus_file)
+        assert vocab.digest == C.Vocab.from_documents(docs).digest
+        assert C.EncodedCorpus.read(corpus_file, vocab).source_lengths() == [
+            len(src) for d in docs for src, _ in d.sentences]
+
+    @pytest.mark.parametrize("text", [
+        b"a ||| b\n\nno separator\n", b"a ||| b\n\nc ||| d\na <PAD> ||| b\n",
+        b"a ||| b\n\nc \xff ||| d\n", b"\n\n"], ids=["format", "reserved", "utf8", "empty"])
+    def test_a_bad_file_raises_the_error_of_read_corpus(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text)
+        with pytest.raises(C.CorpusError) as want:
+            C.read_corpus(path)
+        for read in (C.Vocab.from_corpus_file, lambda p: C.EncodedCorpus.read(p, C.Vocab([]))):
+            with pytest.raises(C.CorpusError) as got:
+                read(path)
+            assert str(got.value) == str(want.value)
 
 
 class TestContrastiveIO:

@@ -698,12 +698,12 @@ def test_one_window_batch_sends_no_request(train_data, monkeypatch, tmp_path):
     sent = []
     monkeypatch.setattr(parallel.Server, "send", lambda self, *args: sent.append(args))
     trainer = TR.Trainer(train_config(train_data, tmp_path / "run"))
-    window = trainer.train_windows[0]
+    window, = trainer.train_corpus.windows([0], trainer.cfg.k)
     assert TR.split_shards([window]) == [[window], []]
     trainer.opt.step = lambda lr: None  # keep the gradients to compare
     trainer._start_shard_worker()
     try:
-        trainer._train_step([window], 1)
+        trainer._train_step([0], 1)
     finally:
         trainer._stop_shard_worker()
     assert sent == []
@@ -718,7 +718,8 @@ def test_served_shard_returns_its_loss_and_writes_every_gradient(train_data, tmp
     trainer = TR.Trainer(train_config(train_data, tmp_path / "run"))
     trainer._shard_grads = parallel.shared_arrays(
         {name: p.data for name, p in trainer.model.params.items()})
-    _, second = TR.split_shards(trainer._epoch_batches(0)[0])
+    _, second = TR.split_shards(trainer.train_corpus.windows(trainer._epoch_batches(0)[0],
+                                                            trainer.cfg.k))
     batch = M.build_batch(second, trainer.model_config)
     loss = trainer._serve_shard(1, batch, 100)
     assert loss == trainer._shard_backward(batch, 1, 1, 100)

@@ -360,7 +360,7 @@ def test_trainer_passes_the_train_flag_the_benchmark_tracer_splits_on(tmp_path, 
         return forward(self, *args, **kwargs)
 
     monkeypatch.setattr(TransformerModel, "forward", spy)
-    trainer._train_step(trainer.train_windows[:4], 1)  # one forward per shard
+    trainer._train_step([0, 1, 2, 3], 1)  # one forward per shard
     assert [(kwargs.get("train"), kwargs.get("shard")) for kwargs in calls] == [
         (True, 0), (True, 1)]
     calls.clear()

@@ -1,6 +1,9 @@
+import gc
 import json
 import math
+import types
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from winmt import synth
 from winmt import trainer as TR
 from winmt.checkpoint import load_checkpoint
 from winmt.model import TransformerModel, build_batch
+from winmt.rng import stream
 from winmt.tensor import Tensor
 
 
@@ -136,9 +140,10 @@ def test_every_shard_gives_every_parameter_a_gradient(tmp_path, settings):
     data = write_data(tmp_path)
     trainer = TR.Trainer(TR.TrainConfig(data_dir=str(data), out_dir=str(tmp_path / "run"),
                                         batch_tokens=256, **settings))
-    batches = trainer._epoch_batches(0)[:4] + [trainer.train_windows[:1]]
-    shards = [(step, [ws for ws in TR.split_shards(windows) if ws])
-              for step, windows in enumerate(batches, 1)]
+    batches = trainer._epoch_batches(0)[:4] + [[0]]
+    shards = [(step, [ws for ws in TR.split_shards(trainer.train_corpus.windows(b, trainer.cfg.k))
+                      if ws])
+              for step, b in enumerate(batches, 1)]
     assert sum(len(ws) == 1 for _, step_shards in shards for ws in step_shards) >= 1
     for step, step_shards in shards:
         built = [build_batch(ws, trainer.model_config) for ws in step_shards]
@@ -208,6 +213,66 @@ def test_diagnose_reduces_like_the_records_of_every_chunk_at_once():
     assert got.attention_mass == E.current_attention_mass(records)
     with pytest.raises(E.EvalError, match="no windows"):
         TR.diagnose(model, [], vocab, 3, 0.1, 0)
+
+
+class TestTrainingSplits:
+    """The trainer keeps each split as token ids and builds a batch's windows
+    when the batch runs, the windows ``make_windows`` builds."""
+
+    def test_batches_are_the_window_batches_of_every_epoch(self, tmp_path):
+        data = write_data(tmp_path)
+        cfg = tiny_config(data, tmp_path / "run", k=3)
+        trainer = TR.Trainer(cfg)
+        vocab = C.Vocab.from_documents(C.read_corpus(data / "train.txt"))
+        train, dev = ([w for d in C.read_corpus(data / f"{split}.txt")
+                       for w in C.make_windows(d, 3, vocab)] for split in ("train", "dev"))
+        for epoch in range(3):
+            order = stream(cfg.seed, "shuffle", epoch).permutation(len(train))
+            assert [trainer.train_corpus.windows(b, 3) for b in trainer._epoch_batches(epoch)] \
+                == TR.pack_batches(train, cfg.batch_tokens, order)
+        dev_order = TR.by_length([len(w.tgt_ids) for w in dev])
+        assert [trainer.dev_corpus.windows(b, 3) for b in trainer.dev_batches] \
+            == TR.pack_batches(dev, cfg.batch_tokens, dev_order)
+
+    def test_no_document_or_window_outlives_init(self, tmp_path):
+        trainer = TR.Trainer(tiny_config(write_data(tmp_path), tmp_path / "run"))
+        seen, todo, found = set(), [trainer], []
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, (C.Document, C.Window)):
+                found.append(obj)
+            todo.extend(gc.get_referents(obj))
+        assert len(seen) > 100 and found == []
+
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    @pytest.mark.parametrize("line", ["no separator", "a <E> ||| b"], ids=["format", "reserved"])
+    def test_a_bad_split_raises_the_error_of_read_corpus(self, tmp_path, split, line):
+        data = write_data(tmp_path)
+        path = data / f"{split}.txt"
+        path.write_text(path.read_text() + f"\n{line}\n")
+        with pytest.raises(C.CorpusError) as want:
+            C.read_corpus(path)
+        with pytest.raises(C.CorpusError) as got:
+            TR.Trainer(tiny_config(data, tmp_path / "run"))
+        assert str(got.value) == str(want.value)
+
+    def test_resume_across_an_epoch_reproduces_uninterrupted_run(self, tmp_path):
+        data = write_data(tmp_path)
+        cfg = tiny_config(data, tmp_path / "full", k=3, val_interval=4, max_epochs=3)
+        per_epoch = len(TR.Trainer(cfg)._epoch_batches(0))
+        cap = per_epoch + 6
+        cfg.max_steps = cap
+        full = TR.train(cfg)
+        TR.train(replace(cfg, out_dir=str(tmp_path / "half"), max_steps=per_epoch - 3))
+        resumed = TR.train(replace(cfg, out_dir=str(tmp_path / "half")), resume=True)
+        state = json.loads((tmp_path / "half" / "trainer_state.json").read_text())
+        assert state["epoch"] == 1 and state["step"] == cap - cap % 4
+        assert resumed.log_path.read_bytes() == full.log_path.read_bytes()
+        assert resumed.averaged_checkpoint.read_bytes() == \
+            full.averaged_checkpoint.read_bytes()
 
 
 class TestTraining:
@@ -407,8 +472,8 @@ class TestTraining:
                           position_scheme="shifted", shift_strategy="avg-corpus")
         result = TR.train(cfg)
         model = TransformerModel.load(result.averaged_checkpoint)
-        docs = C.read_corpus(data / "train.txt")
-        assert model.config.shift_value == C.compute_shift("avg-corpus", corpus=docs)
+        lengths = [len(src) for d in C.read_corpus(data / "train.txt") for src, _ in d.sentences]
+        assert model.config.shift_value == C.compute_shift("avg-corpus", lengths=lengths)
 
 
 def test_cd_sweep_degenerate_single_value(tmp_path):
