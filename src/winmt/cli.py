@@ -267,6 +267,9 @@ def cmd_sweep(args) -> int:
     for row in rows:
         print(row)
     print(f"sweep table: {table}")
+    failed = [f"{row['cd']:g}" for row in rows if "error" in row]
+    if failed:
+        raise RuntimeError(f"sweep failed at cd {', '.join(failed)}; see {table}")
     return 0
 
 
@@ -357,7 +360,7 @@ def cmd_contrastive(args) -> int:
 def cmd_diagnose(args) -> int:
     model, vocab, ckpt_path, report_dir = _open_run(args)
     run_dir = Path(args.run)
-    docs = corpus_mod.read_corpus(Path(args.data) / f"{args.split}.txt")
+    corpus = corpus_mod.EncodedCorpus.read(Path(args.data) / f"{args.split}.txt", vocab)
     k = args.k if args.k else model.config.window_size
     # score with the run's own label smoothing, so the losses compare with
     # log.csv; no other key of config.txt is read, so the runs of versions
@@ -365,7 +368,7 @@ def cmd_diagnose(args) -> int:
     config_path = run_dir / "config.txt"
     run_config = parse_config_text(config_path.read_text()) if config_path.exists() else {}
     smoothing = float(run_config.get("label_smoothing", TrainConfig.label_smoothing))
-    diag = diagnose(model, docs, vocab, k, smoothing, args.limit)
+    diag = diagnose(model, corpus, k, smoothing, args.limit)
 
     log_path = run_dir / "log.csv"
     series = read_log(log_path) if log_path.exists() else []

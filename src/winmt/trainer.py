@@ -9,7 +9,6 @@ single-threaded mode, and can be resumed from the last checkpoint.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -19,8 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import checkpoint as ckpt
-from .corpus import (Document, EncodedCorpus, Vocab, Window, compute_shift, make_windows,
-                     read_contrastive, read_corpus)
+from .corpus import EncodedCorpus, Vocab, Window, compute_shift, read_contrastive
 from .evaluation import (EvalError, attention_entropy_rows, current_attention_mass_rows,
                          evaluate_contrastive, overall_accuracy)
 from .model import (Batch, ModelConfig, ModelError, TransformerModel, build_batch,
@@ -263,51 +261,41 @@ class TrainResult:
     stopped_early: bool
 
 
-def _batch_losses(model: TransformerModel, windows: Sequence[Window], eps: float,
-                  capture: bool = False):
-    """The ``window_losses`` columns of one batch, and the attention records
-    of its forward pass (none without ``capture``)."""
-    batch = build_batch(windows, model.config)
-    log_probs, records = model.forward(batch, capture=capture)
-    per_tok = smoothed_nll(log_probs, batch.tgt_out, eps, batch.tgt_valid).data
-    cur_mask, ctx_mask = batch.current_mask, batch.context_mask
-    return ((per_tok * cur_mask).sum(axis=1).tolist(),
-            (per_tok * ctx_mask).sum(axis=1).tolist(),
-            cur_mask.sum(axis=1).astype(int).tolist(),
-            ctx_mask.sum(axis=1).astype(int).tolist()), records
+def span_losses(model: TransformerModel, corpus: EncodedCorpus, k: int,
+                batches: Sequence[Sequence[int]], eps: float, capture: bool = False
+                ) -> tuple[tuple[float, float, float], tuple[np.ndarray, np.ndarray] | None]:
+    """Label-smoothed losses of the size-``k`` windows of ``corpus`` whose
+    indices ``batches`` hold, over their current and context spans.
 
-
-def _joined(per_batch) -> tuple[list, ...]:
-    """Per-batch column tuples joined column by column, in batch order."""
-    return tuple([v for columns in per_batch for v in columns[i]] for i in range(4))
-
-
-def window_losses(model: TransformerModel, batches: Sequence[Sequence[Window]], eps: float):
-    """Label-smoothed loss sums over each window's current and context spans.
-
-    Returns the lists (current, context, current tokens, context tokens),
-    one entry per window in the order of ``batches``. The batches are spread
-    over the CPUs by ``parallel.map_ordered``.
+    Returns the per-token current loss, the per-token context loss (NaN
+    when no window has a context token) and ``objective.loss_ratio``; and,
+    with ``capture``, the attention entropy rows and current-mass rows of
+    every batch joined in batch order (else None). The batches are dealt
+    over the CPUs by ``parallel.map_ordered``. Each batch's windows are
+    built and forwarded once in the process that computes its rows, and
+    only the rows leave it: no window and no attention record does.
     """
-    return _joined(map_ordered(lambda ws: _batch_losses(model, ws, eps)[0], batches))
+    def batch_rows(indices: Sequence[int]):
+        windows = corpus.windows(indices, k)
+        batch = build_batch(windows, model.config)
+        log_probs, records = model.forward(batch, capture=capture)
+        per_tok = smoothed_nll(log_probs, batch.tgt_out, eps, batch.tgt_valid).data
+        cur_mask, ctx_mask = batch.current_mask, batch.context_mask
+        rows = ((per_tok * cur_mask).sum(axis=1).tolist(),
+                (per_tok * ctx_mask).sum(axis=1).tolist(),
+                [w.size - 1 for w in windows], int(cur_mask.sum()), int(ctx_mask.sum()))
+        if capture:
+            rows += (attention_entropy_rows(records), current_attention_mass_rows(records))
+        return rows
 
-
-def _summary(losses, contexts: Sequence[int]) -> tuple[float, float, float]:
-    """``loss_summary`` from the ``window_losses`` columns of some windows
-    and the number of context sentences of each."""
-    cur, ctx, cur_tok, ctx_tok = losses
-    return (sum(cur) / max(1, sum(cur_tok)),
-            sum(ctx) / sum(ctx_tok) if sum(ctx_tok) else math.nan,
-            loss_ratio(cur, ctx, contexts))
-
-
-def loss_summary(model: TransformerModel, batches: Sequence[Sequence[Window]],
-                 eps: float) -> tuple[float, float, float]:
-    """Per-token current loss, per-token context loss and ``objective.loss_ratio``
-    of the windows in ``batches``. The context loss is NaN when no window has
-    a context token.
-    """
-    return _summary(window_losses(model, batches, eps), [w.size - 1 for ws in batches for w in ws])
+    per_batch = map_ordered(batch_rows, batches)
+    cur, ctx, contexts = ([v for rows in per_batch for v in rows[i]] for i in range(3))
+    cur_tok, ctx_tok = (sum(rows[i] for rows in per_batch) for i in (3, 4))
+    losses = (sum(cur) / max(1, cur_tok), sum(ctx) / ctx_tok if ctx_tok else math.nan,
+              loss_ratio(cur, ctx, contexts))
+    if not capture:
+        return losses, None
+    return losses, tuple(np.concatenate([rows[i] for rows in per_batch]) for i in (5, 6))
 
 
 class Diagnosis(NamedTuple):
@@ -320,29 +308,19 @@ class Diagnosis(NamedTuple):
     entropy_rows: np.ndarray
 
 
-def diagnose(model: TransformerModel, docs: Sequence[Document], vocab: Vocab, k: int,
-             eps: float, limit: int | None) -> Diagnosis:
+def diagnose(model: TransformerModel, corpus: EncodedCorpus, k: int, eps: float,
+             limit: int | None) -> Diagnosis:
     """Losses and attention diagnostics of the first ``limit`` windows (all
-    when None or 0) of ``docs`` at window size ``k``, forwarded in chunks of
-    32: ``loss_summary``, the mean current-sentence attention mass and the
-    per-query attention entropies with their mean. Each chunk reduces its
-    own attention records, so none leaves the process that captured it.
+    when None or 0) of ``corpus`` at window size ``k``, forwarded in chunks
+    of 32: ``span_losses``, the mean current-sentence attention mass and
+    the per-query attention entropies with their mean.
     """
-    # windows are made document by document, only up to the limit
-    windows = list(itertools.islice((w for d in docs for w in make_windows(d, k, vocab)),
-                                    limit or None))
-    if not windows:
+    n = min(limit, len(corpus)) if limit else len(corpus)
+    if not n:
         raise EvalError("no windows to diagnose")
-    batches = [windows[lo:lo + 32] for lo in range(0, len(windows), 32)]
-
-    def reduced(ws):
-        losses, records = _batch_losses(model, ws, eps, capture=True)
-        return losses, attention_entropy_rows(records), current_attention_mass_rows(records)
-
-    losses, rows, masses = zip(*map_ordered(reduced, batches))
-    rows = np.concatenate(rows)
-    return Diagnosis(len(windows), *_summary(_joined(losses), [w.size - 1 for w in windows]),
-                     float(np.concatenate(masses).mean()), float(rows.mean()), rows)
+    batches = [range(lo, min(lo + 32, n)) for lo in range(0, n, 32)]
+    losses, (rows, masses) = span_losses(model, corpus, k, batches, eps, capture=True)
+    return Diagnosis(n, *losses, float(masses.mean()), float(rows.mean()), rows)
 
 
 def _float_repr(x: float) -> str:
@@ -502,18 +480,9 @@ class Trainer:
         return loss_val
 
     def _validate(self) -> tuple[float, float, float]:
-        """Dev per-token current loss, per-token context loss, per-sentence ratio.
-
-        Each dev batch's windows are built in the process that computes its
-        losses, so the building is spread over the CPUs too."""
-        corpus, k, eps = self.dev_corpus, self.cfg.k, self.cfg.label_smoothing
-
-        def losses(batch: list[int]):
-            windows = corpus.windows(batch, k)
-            return _batch_losses(self.model, windows, eps)[0], [w.size - 1 for w in windows]
-
-        columns, contexts = zip(*map_ordered(losses, self.dev_batches))
-        return _summary(_joined(columns), [n for batch in contexts for n in batch])
+        """Dev per-token current loss, per-token context loss, per-sentence ratio."""
+        return span_losses(self.model, self.dev_corpus, self.cfg.k, self.dev_batches,
+                           self.cfg.label_smoothing)[0]
 
     def _checkpoint_path(self, step: int) -> Path:
         return self.run_dir / "checkpoints" / f"ckpt_{step:07d}.bin"
@@ -639,11 +608,13 @@ def cd_sweep(base: TrainConfig, cd_values: Sequence[float]) -> list[dict]:
 
     Emits, per cd: best dev current-loss, overall dev contrastive accuracy
     and mean attention mass on the current sentence over the first
-    ``DIAG_WINDOWS`` dev windows. Failures are recorded per run and the
-    sweep continues.
+    ``DIAG_WINDOWS`` dev windows. ``contrastive_dev.jsonl`` is read before
+    any training, so a missing or bad file raises at once. A run that
+    fails is recorded with its error and the sweep continues.
     """
     base_out = Path(base.out_dir)
     data = Path(base.data_dir)
+    dev_examples = read_contrastive(data / "contrastive_dev.jsonl")
     rows: list[dict] = []
     for cd in cd_values:
         row: dict = {"cd": cd}
@@ -652,9 +623,8 @@ def cd_sweep(base: TrainConfig, cd_values: Sequence[float]) -> list[dict]:
             result = train(cfg)
             model = TransformerModel.load(result.averaged_checkpoint)
             vocab = Vocab.load(result.run_dir / "vocab.json")
-            dev_examples = read_contrastive(data / "contrastive_dev.jsonl")
             results = evaluate_contrastive(model, dev_examples, vocab)
-            diag = diagnose(model, read_corpus(data / "dev.txt"), vocab, cfg.k,
+            diag = diagnose(model, EncodedCorpus.read(data / "dev.txt", vocab), cfg.k,
                             cfg.label_smoothing, DIAG_WINDOWS)
             row.update({
                 "best_dev_current_loss": min(r["current_loss"] for r in read_log(result.log_path)),

@@ -17,7 +17,8 @@ from winmt import cli
 from winmt import evaluation as evl
 from winmt import synth
 from winmt.cli import main
-from winmt.corpus import Vocab, make_windows, read_contrastive, read_corpus, split_documents
+from winmt.corpus import (EncodedCorpus, Vocab, make_windows, read_contrastive, read_corpus,
+                          split_documents)
 from winmt.evaluation import bleu, check_example_windows, extract_current
 from winmt.model import TransformerModel
 from winmt.trainer import TrainConfig, read_log
@@ -374,9 +375,9 @@ class TestDiagnose:
         assert (run_dir / "entropies_dev.csv").exists()
 
     def test_loss_ratio_is_objective_loss_ratio(self, data_dir, run_dir, tmp_path):
-        from winmt.corpus import make_windows
-        from winmt.objective import loss_ratio
-        from winmt.trainer import window_losses
+        # the reference builds its windows from the documents, in chunks of 32
+        from winmt.model import build_batch
+        from winmt.objective import loss_ratio, smoothed_nll
         assert run_cli("diagnose", "--run", run_dir, "--data", data_dir, "--split", "dev",
                        "--limit", "40", "--report-dir", tmp_path) == 0
         summary = json.loads((tmp_path / "diagnose_dev.json").read_text())
@@ -384,8 +385,13 @@ class TestDiagnose:
         vocab = Vocab.load(run_dir / "vocab.json")
         windows = [w for d in read_corpus(data_dir / "dev.txt")
                    for w in make_windows(d, model.config.window_size, vocab)][:40]
-        batches = [windows[lo:lo + 32] for lo in range(0, len(windows), 32)]
-        cur, ctx, _, _ = window_losses(model, batches, 0.1)
+        cur, ctx = [], []
+        for lo in range(0, len(windows), 32):
+            batch = build_batch(windows[lo:lo + 32], model.config)
+            per_tok = smoothed_nll(model.forward(batch)[0], batch.tgt_out, 0.1,
+                                   batch.tgt_valid).data
+            cur += (per_tok * batch.current_mask).sum(axis=1).tolist()
+            ctx += (per_tok * batch.context_mask).sum(axis=1).tolist()
         assert summary["loss_ratio"] == loss_ratio(cur, ctx, [w.size - 1 for w in windows])
         # at K=1 no window has context, so the ratio is undefined
         assert run_cli("diagnose", "--run", run_dir, "--data", data_dir, "--split", "dev",
@@ -423,11 +429,11 @@ class TestDiagnose:
         summary = json.loads((old / "diagnose_dev.json").read_text())
         model = TransformerModel.load(old / "ckpt_avg.bin")
         vocab = Vocab.load(old / "vocab.json")
-        docs = read_corpus(data_dir / "dev.txt")
-        diag = diagnose(model, docs, vocab, model.config.window_size, 0.2, 40)
+        corpus = EncodedCorpus.read(data_dir / "dev.txt", vocab)
+        diag = diagnose(model, corpus, model.config.window_size, 0.2, 40)
         assert (summary["dev_current_loss"], summary["dev_context_loss"],
                 summary["loss_ratio"]) == (diag.current_loss, diag.context_loss, diag.ratio)
-        default = diagnose(model, docs, vocab, model.config.window_size, 0.1, 40)
+        default = diagnose(model, corpus, model.config.window_size, 0.1, 40)
         assert summary["dev_current_loss"] != default.current_loss
 
 
@@ -599,6 +605,42 @@ class TestSweep:
         model = TransformerModel.load(Path(rows[0]["run_dir"]) / "ckpt_avg.bin")
         assert model.config.position_scheme == "shifted"
         assert model.config.shift_value == 7
+
+    def test_failed_point_exits_2_after_writing_the_table(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        with np.errstate(all="ignore"):
+            code = run_cli("sweep", "--data", data_dir, "--out", out,
+                           "--cd-values", "1,0.5", "--seed", "2", "--hidden", "16",
+                           "--layers", "1", "--heads", "2", "--ffn", "32",
+                           "--max-steps", "4", "--val-interval", "2", "--batch-tokens", "256",
+                           "--peak-lr", "1e9", "--warmup", "1")
+        assert code == 2
+        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        assert [row["cd"] for row in rows] == ["1.0", "0.5"]
+        assert all(row["error"].startswith("TrainingDiverged: ") for row in rows)
+        assert (out / "manifest.json").exists()
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "RuntimeError",
+                       "message": f"sweep failed at cd 1, 0.5; see {out / 'sweep.csv'}"}
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_bad_contrastive_file_fails_before_any_training(self, data_dir, tmp_path, capsys,
+                                                            damage):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = data / "contrastive_dev.jsonl"
+        if damage == "missing":
+            path.unlink()
+        else:
+            path.write_text(path.read_text() + "{not json\n")
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--data", data, "--out", out, "--cd-values", "1,0.5",
+                       "--hidden", "16", "--layers", "1", "--heads", "2", "--ffn", "32",
+                       "--max-steps", "2", "--val-interval", "2", "--batch-tokens", "256")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert str(path) in err["message"]
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -662,6 +663,28 @@ def test_shifted_and_segment_variants_forward(setup):
         greedy = model.decode(subset, beam=1, alpha=0.0)
         assert greedy == [greedy_reference(model, w) for w in subset]
         assert any(C.SEP_ID in h[:-1] for h in greedy)
+
+
+@pytest.mark.parametrize("variant", ["none", "sin", "learned"])
+def test_embedding_is_the_closed_form_sum(variant):
+    # hidden 4: sin and cos at frequencies 1 and 10000 ** (-2 / 4) = 1 / 100, interleaved
+    def sin_cos(positions):
+        return np.array([[math.sin(t), math.cos(t), math.sin(t / 100), math.cos(t / 100)]
+                         for t in positions])
+
+    config = M.ModelConfig(vocab_size=8, layers=1, heads=2, hidden=4, ffn=8, dropout=0.0,
+                           max_window=3, segment_variant=variant, dtype="float64")
+    model = M.TransformerModel(config, seed=5)
+    ids = np.array([[5, 6, 7, 4, 5, 6]])
+    seg = np.array([[0, 1, 2, 3, 4, 4]])  # more sentences than max_window
+    pos = np.array([[0, 1, 2, 3, 7, 12]])
+    got = model._embed(ids, seg, pos, "src_emb", M.EVAL).data.reshape(6, 4)
+    want = model.params["src_emb"].data[ids[0]] * 2.0 + sin_cos(pos[0])  # sqrt(hidden) = 2
+    if variant == "sin":
+        want += sin_cos(seg[0])
+    elif variant == "learned":  # segments past the table share its last row
+        want += model.params["seg_table"].data[[0, 1, 2, 2, 2, 2]]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_shift_changes_positions_in_batch(setup):

@@ -98,16 +98,28 @@ def test_decoded_sentences_are_the_same_for_any_worker_count(setup, monkeypatch)
     assert len(set(runs)) == 1 and len(runs[0]) == 3
 
 
-def test_window_losses_and_diagnosis_are_the_same_for_any_worker_count(setup, monkeypatch):
-    docs, _, vocab, model = setup
-    windows = [w for d in docs for w in C.make_windows(d, 2, vocab)]
-    batches = [windows[lo:lo + 16] for lo in range(0, len(windows), 16)]
-    runs = per_worker_count(monkeypatch, lambda: TR.window_losses(model, batches, 0.1))
-    assert len(set(runs)) == 1 and len(runs[0][0]) == len(windows)
+@pytest.fixture(scope="module")
+def dev_corpus(setup, tmp_path_factory):
+    """The documents of ``setup`` written and read back as an ``EncodedCorpus``."""
+    docs, _, vocab, _ = setup
+    path = tmp_path_factory.mktemp("corpus") / "dev.txt"
+    C.write_corpus(path, docs)
+    return C.EncodedCorpus.read(path, vocab)
+
+
+def test_window_losses_and_diagnosis_are_the_same_for_any_worker_count(setup, dev_corpus,
+                                                                       monkeypatch):
+    _, _, _, model = setup
+    n = len(dev_corpus)
+    batches = [range(lo, min(lo + 16, n)) for lo in range(0, n, 16)]
+    runs = per_worker_count(monkeypatch, lambda: TR.span_losses(model, dev_corpus, 2, batches,
+                                                                0.1, capture=True))
+    assert len(set(runs)) == 1
     # diagnose maps 4 chunks of 32 windows; its entropy rows, masses and losses
-    runs = per_worker_count(monkeypatch, lambda: TR.diagnose(model, docs, vocab, 2, 0.1, 0))
+    runs = per_worker_count(monkeypatch, lambda: TR.diagnose(model, dev_corpus, 2, 0.1, 0))
     assert len(set(runs)) == 1
     # one row per (head, query) of the one layer's three kinds of attention
+    windows = dev_corpus.windows(range(n), 2)
     queries = sum(len(w.src_ids) + 2 * len(w.tgt_ids) for w in windows)
     assert runs[0][0] == len(windows) and runs[0][-1][1] == (model.config.heads * queries,)
 
@@ -121,8 +133,8 @@ def leaves(x):
         yield x
 
 
-def test_no_attention_record_leaves_a_mapped_batch(setup, monkeypatch):
-    docs, _, vocab, model = setup
+def test_no_attention_record_leaves_a_mapped_batch(setup, dev_corpus, monkeypatch):
+    model = setup[3]
     results = []
 
     def spy(fn, items):
@@ -132,7 +144,7 @@ def test_no_attention_record_leaves_a_mapped_batch(setup, monkeypatch):
 
     monkeypatch.setattr(TR, "map_ordered", spy)
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    TR.diagnose(model, docs, vocab, 2, 0.1, 0)
+    TR.diagnose(model, dev_corpus, 2, 0.1, 0)
     assert len(results) == 4
     values = list(leaves(results))
     assert not any(isinstance(v, M.AttentionRecord) for v in values)

@@ -153,52 +153,78 @@ def test_every_shard_gives_every_parameter_a_gradient(tmp_path, settings):
             assert [name for name, p in trainer.model.params.items() if p.grad is None] == []
 
 
-def test_window_losses_match_per_window_loop():
+def encoded(tmp_path, docs, vocab):
+    """``docs`` written to a corpus file and read back as an ``EncodedCorpus``."""
+    path = tmp_path / "corpus.txt"
+    C.write_corpus(path, docs)
+    return C.EncodedCorpus.read(path, vocab)
+
+
+def test_window_losses_match_per_window_loop(tmp_path):
     # the reference sums each window's row on its own, as a per-window loop
     from winmt.model import ModelConfig, build_batch
-    from winmt.objective import smoothed_nll
+    from winmt.objective import loss_ratio, smoothed_nll
     docs, _ = synth.gen_synthetic(0, n_docs=8, vocab_size=32)
     vocab = C.Vocab.from_documents(docs)
-    windows = [w for d in docs for w in C.make_windows(d, 3, vocab)]
+    corpus = encoded(tmp_path, docs, vocab)
     model = TransformerModel(ModelConfig(vocab_size=len(vocab), layers=1, heads=2,
                                          hidden=16, ffn=32), seed=4)
-    batches = TR.pack_batches(windows, 200)
-    got = TR.window_losses(model, batches, 0.1)
-    want = ([], [], [], [])
-    for ws in batches:
+    batches = TR.pack_batches(range(len(corpus)), 200, lengths=corpus.target_lengths(3))
+    assert len(batches) > 1
+    got = TR.span_losses(model, corpus, 3, batches, 0.1)
+    cur, ctx, cur_tok, ctx_tok, contexts = [], [], [], [], []
+    for indices in batches:
+        ws = corpus.windows(indices, 3)
         batch = build_batch(ws, model.config)
         lp, _ = model.forward(batch)
         per_tok = smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid).data
-        for i in range(len(ws)):
-            want[0].append(float((per_tok[i] * batch.current_mask[i]).sum()))
-            want[1].append(float((per_tok[i] * batch.context_mask[i]).sum()))
-            want[2].append(int(batch.current_mask[i].sum()))
-            want[3].append(int(batch.context_mask[i].sum()))
-    assert got == want
+        for i, w in enumerate(ws):
+            cur.append(float((per_tok[i] * batch.current_mask[i]).sum()))
+            ctx.append(float((per_tok[i] * batch.context_mask[i]).sum()))
+            cur_tok.append(int(batch.current_mask[i].sum()))
+            ctx_tok.append(int(batch.context_mask[i].sum()))
+            contexts.append(w.size - 1)
+    want = (sum(cur) / sum(cur_tok), sum(ctx) / sum(ctx_tok), loss_ratio(cur, ctx, contexts))
+    assert got[1] is None
+    assert [x.hex() for x in got[0]] == [x.hex() for x in want]
 
 
-def test_diagnose_forwards_the_first_limit_windows():
+def test_diagnose_forwards_the_first_limit_windows(tmp_path, monkeypatch):
+    from winmt import parallel
     from winmt.model import ModelConfig
     docs, _ = synth.gen_synthetic(0, n_docs=8, vocab_size=32)
     vocab = C.Vocab.from_documents(docs)
-    windows = [w for d in docs for w in C.make_windows(d, 2, vocab)]
+    corpus = encoded(tmp_path, docs, vocab)
     model = TransformerModel(ModelConfig(vocab_size=len(vocab), layers=1, heads=2,
                                          hidden=16, ffn=32), seed=4)
     limit = len(docs[0].sentences) + 3  # ends inside the second document
-    got = TR.diagnose(model, docs, vocab, 2, 0.1, limit)
-    want = TR.loss_summary(model, [windows[:limit]], 0.1)
+    got = TR.diagnose(model, corpus, 2, 0.1, limit)
+    want = TR.span_losses(model, corpus, 2, [range(limit)], 0.1)[0]
     assert got.n_windows == limit and got[1:4] == want
-    for everything in (0, None):
-        assert TR.diagnose(model, docs, vocab, 2, 0.1, everything).n_windows == len(windows)
+    # every batch in this process, so that each forwarded window is seen
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+    forwarded = []
+
+    def spy(windows, config):
+        forwarded.extend((w.doc_id, w.j) for w in windows)
+        return build_batch(windows, config)
+
+    monkeypatch.setattr(TR, "build_batch", spy)
+    every = [(w.doc_id, w.j) for w in corpus.windows(range(len(corpus)), 2)]
+    for everything in (0, None, len(corpus), len(corpus) + 40):
+        forwarded.clear()
+        assert TR.diagnose(model, corpus, 2, 0.1, everything).n_windows == len(corpus)
+        assert forwarded == every
 
 
-def test_diagnose_reduces_like_the_records_of_every_chunk_at_once():
+def test_diagnose_reduces_like_the_records_of_every_chunk_at_once(tmp_path):
     # each chunk reduces its own records; the result is that of all records at once
     from winmt import evaluation as E
     from winmt.model import ModelConfig, build_batch
     docs, _ = synth.gen_synthetic(0, n_docs=20, vocab_size=32)
     vocab = C.Vocab.from_documents(docs)
-    windows = [w for d in docs for w in C.make_windows(d, 3, vocab)]
+    corpus = encoded(tmp_path, docs, vocab)
+    windows = corpus.windows(range(len(corpus)), 3)
     assert len(windows) > 2 * 32
     model = TransformerModel(ModelConfig(vocab_size=len(vocab), layers=2, heads=2,
                                          hidden=16, ffn=32), seed=4)
@@ -207,12 +233,15 @@ def test_diagnose_reduces_like_the_records_of_every_chunk_at_once():
         records += model.forward(build_batch(windows[lo:lo + 32], model.config),
                                  capture=True)[1]
     assert {r.kind for r in records} == {"enc-self", "dec-self", "cross"}
-    got = TR.diagnose(model, docs, vocab, 3, 0.1, 0)
+    got = TR.diagnose(model, corpus, 3, 0.1, 0)
     assert got.entropy_rows.tobytes() == E.attention_entropy_rows(records).tobytes()
     assert got.attention_entropy == E.attention_entropy(records)
     assert got.attention_mass == E.current_attention_mass(records)
+    no_sentences = C.EncodedCorpus(np.zeros(0, np.int32), np.zeros(0, np.int32),
+                                   *(np.zeros(1, np.int64) for _ in range(3)))
+    assert len(no_sentences) == 0
     with pytest.raises(E.EvalError, match="no windows"):
-        TR.diagnose(model, [], vocab, 3, 0.1, 0)
+        TR.diagnose(model, no_sentences, 3, 0.1, 0)
 
 
 class TestTrainingSplits:

@@ -36,6 +36,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # the first word names the file the command's standard output goes to
 COMMANDS = [
     ("gen-data", "gen-data --out {out}/data --seed 7"),
+    # two discounts, each trained, scored on the contrastive dev set and diagnosed
+    ("sweep", "sweep --data {out}/data --out {out}/sweep --cd-values 1,0.01 "
+              "--max-steps 10 --val-interval 5"),
     ("train-default", "train --data {out}/data --out {out}/train-default "
                       "--max-steps 30 --val-interval 10"),
     ("train-shifted", "train --data {out}/data --out {out}/train-shifted --cd 0.01 "
