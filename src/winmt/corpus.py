@@ -189,12 +189,16 @@ def _window(src: Sequence[Sequence[int]], tgt: Sequence[Sequence[int]],
                   current_span=current_span)
 
 
+def _check_aligned(src_sentences: Sequence, tgt_sentences: Sequence) -> None:
+    if len(src_sentences) != len(tgt_sentences) or not src_sentences:
+        raise CorpusError("source and target sides need the same, nonzero sentence count")
+
+
 def window_from_sentences(src_sentences: Sequence[Sequence[str]],
                           tgt_sentences: Sequence[Sequence[str]],
                           vocab: Vocab, doc_id: str = "", j: int = 0) -> Window:
     """Build a Window from explicit, already-aligned sentence lists."""
-    if len(src_sentences) != len(tgt_sentences) or not src_sentences:
-        raise CorpusError("source and target sides need the same, nonzero sentence count")
+    _check_aligned(src_sentences, tgt_sentences)
     return _window([vocab.encode(s) for s in src_sentences],
                    [vocab.encode(t) for t in tgt_sentences], doc_id, j)
 
@@ -474,8 +478,12 @@ class ContrastiveExample:
                          itertools.chain(self.src_sentences, *self.candidates))
 
     def candidate_windows(self, vocab: Vocab) -> list[Window]:
-        return [window_from_sentences(self.src_sentences, cand, vocab,
-                                      doc_id=self.doc_id, j=self.j)
+        """One window per candidate, as ``window_from_sentences`` makes it. The
+        source and the shared context are encoded once for all of them."""
+        _check_aligned(self.src_sentences, self.candidates[0])
+        src = [vocab.encode(s) for s in self.src_sentences]
+        context = [vocab.encode(t) for t in self.candidates[0][:-1]]
+        return [_window(src, context + [vocab.encode(cand[-1])], self.doc_id, self.j)
                 for cand in self.candidates]
 
 

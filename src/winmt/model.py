@@ -36,9 +36,8 @@ from .objective import partition_masks
 from .positions import (SCHEMES, SEGMENT_VARIANTS, init_segment_table, shift_positions,
                         sinusoidal_pe)
 from .rng import stream
-from .tensor import (Tensor, add, add_const, attention, copy_rows, dropout, embedding,
-                     layer_norm, linear, log_softmax, mul_const, relu, reshape,
-                     scatter_rows, take_rows)
+from .tensor import (Tensor, add, add_const, attention, dropout, embedding, layer_norm,
+                     linear, log_softmax, mul_const, relu, reshape, scatter_rows, take_rows)
 
 NEG_INF = -np.inf
 DTYPES = ("float32", "float64")
@@ -268,9 +267,7 @@ def _to_grid(x: Tensor, grid: Grid | None) -> Tensor:
     if grid is None:
         return x
     b, t = grid.shape
-    x = scatter_rows(x, grid.rows, b * t)
-    if grid.copies.shape[1]:
-        x = copy_rows(x, grid.copies[0], grid.copies[1])
+    x = scatter_rows(x, grid.rows, b * t, grid.copies)
     return reshape(x, (b, t) + x.shape[1:])
 
 

@@ -3,12 +3,12 @@
 The primitive set is exactly what a small encoder-decoder transformer
 needs: matmul, broadcasting elementwise ops, softmax / log-softmax,
 layer normalization, embedding lookup, inverted dropout, reductions and
-row gather/scatter between token rows and a padded grid, and a row copy
-inside a grid. Two fused ops cover the transformer's hot paths, each one
-tape node with a hand-written backward: ``linear`` (an affine map over
-stacked rows in one GEMM) and ``attention`` (scaled, masked, softmaxed
-and dropped-out scores applied to values, over hidden-width rows that
-the op splits into heads and merges back).
+row gather/scatter between token rows and a padded grid. Two fused ops
+cover the transformer's hot paths, each one tape node with a hand-written
+backward: ``linear`` (an affine map over stacked rows in one GEMM) and
+``attention`` (scaled, masked, softmaxed and dropped-out scores applied
+to values, over hidden-width rows that the op splits into heads and
+merges back).
 Ops recorded while a Graph is active build a tape in forward order. A
 node keeps three things: its op's backward function, which holds exactly
 the arrays that backward reads; a weak reference to its output; and its
@@ -19,13 +19,18 @@ the tape in exact reverse, dropping each node once it has run, and sums
 the gradients of the nodes in a slot per node. It sets ``grad`` on the
 leaves and on the outputs the caller still holds. Outside a recording
 context the same ops run as plain numpy.
-A recorded op may keep less than its inputs when it can make them again
-bit for bit in one elementwise pass. A recorded ``layer_norm`` output
-carries ``rebuild``, which applies the same ufuncs to the arrays of the
-layer norm's own tape entry (``xhat * gain + bias``); a ``linear`` over
-it keeps that rebuild instead of its input rows and runs it in backward.
-``relu`` keeps no mask and reads it off its output, which the next op
-keeps anyway.
+A recorded op keeps less than its inputs when backward can make them
+again bit for bit (recomputation, as in Chen et al. 2016). A recorded
+``layer_norm`` output carries ``rebuild``, which applies the same ufuncs
+to the arrays of the layer norm's own tape entry. A recorded ``linear``,
+``relu``, ``reshape``, ``take_rows`` or ``scatter_rows`` output whose
+input carries a rebuild carries one too: the same GEMM, ufunc or index
+applied to the rebuilt input. ``attention`` keeps the rebuilds of q, k
+and v, not their padded grids, and its output carries a rebuild made
+from its kept probabilities and the rebuilt values. ``linear`` and
+``attention`` run those rebuilds in backward instead of keeping their
+inputs, and ``relu`` keeps only its boolean mask; so an FFN's hidden
+rows are made once more, for the second linear's backward.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ __all__ = [
     "gather_last",
     "take_rows",
     "scatter_rows",
-    "copy_rows",
 ]
 
 
@@ -173,6 +177,22 @@ def _emit(data: np.ndarray, parents: tuple, backward_fn: Callable) -> Tensor:
     return out
 
 
+def _kept(t: Tensor, data: np.ndarray) -> Callable[[], np.ndarray]:
+    """What a backward calls for the data of its input ``t``: ``t``'s
+    rebuild, or else a function returning ``data``, which it then keeps."""
+    rebuild = t.rebuild
+    return rebuild if rebuild is not None else lambda: data
+
+
+def _passed_on(out: Tensor, x: Tensor, fn: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """``out``, which is ``fn(x.data)``. A recorded ``out`` whose input ``x``
+    carries a rebuild carries one too: ``fn`` over ``x``'s rebuilt data."""
+    source = x.rebuild
+    if source is not None and out.graph is not None:
+        out.rebuild = lambda: fn(source())
+    return out
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     extra = grad.ndim - len(shape)
     if extra:
@@ -271,21 +291,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                                    f"{b.shape if biased else 'no'} bias to {x.shape}")
     k, n = w.shape
     x_shape, w_data = x.shape, w.data
+    b_data = b.data if biased else None
+
+    def project(x_data):
+        y = np.ascontiguousarray(x_data).reshape(-1, k) @ w_data
+        if biased:
+            y += b_data
+        return y.reshape(*x_shape[:-1], n)
+
     x2 = np.ascontiguousarray(x.data).reshape(-1, k)
-    y = x2 @ w_data
-    if biased:
-        y += b.data
     # an input that ``rebuild`` makes again is remade in backward, not kept
-    rebuild = x.rebuild
-    kept = x2 if rebuild is None else None
+    rows = _kept(x, x2)
 
     def bw(g):
         g2 = np.ascontiguousarray(g).reshape(-1, n)
-        rows = kept if rebuild is None else rebuild().reshape(-1, k)
-        grads = (g2 @ w_data.T).reshape(x_shape), rows.T @ g2
+        grads = (g2 @ w_data.T).reshape(x_shape), rows().reshape(-1, k).T @ g2
         return grads + (g2.sum(axis=0),) if biased else grads
 
-    return _emit(y.reshape(*x_shape[:-1], n), (x, w, b) if biased else (x, w), bw)
+    out = _emit(project(x2), (x, w, b) if biased else (x, w), bw)
+    return _passed_on(out, x, project)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask_add, p: float,
@@ -313,40 +337,62 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask_add, p: float,
     # (groups, rows, hidden) viewed as (groups, heads, rows, dh), and back
     split = lambda a: a.reshape(groups, -1, heads, dh).transpose(0, 2, 1, 3)
     merge = lambda a, shape: a.transpose(0, 2, 1, 3).reshape(shape)
-    q_data, k_data, v_data = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / math.sqrt(dh)
     # in place, but in the order and with the operands of the separate ops
     # (matmul, mul_const, add_const, softmax, dropout), so the bytes match
-    probs = q_data @ np.swapaxes(k_data, -1, -2)
+    probs = split(q.data) @ np.swapaxes(split(k.data), -1, -2)
     probs *= scale
     try:
         np.add(probs, mask_add, out=probs)
     except ValueError:
         raise ShapeError("attention", f"mask {np.shape(mask_add)} does not broadcast to "
                                       f"scores {probs.shape}") from None
-    probs -= np.max(probs, axis=-1, keepdims=True)
+    probs -= _row_max(probs)
     np.exp(probs, out=probs)
     probs /= np.sum(probs, axis=-1, keepdims=True)
     keep = _keep_mask(probs.shape, p, rng) if p else None
     keep_scale = probs.dtype.type(1.0 / (1.0 - p))
     # made again by the backward, bit for bit, rather than kept for it
     dropped = lambda: probs if keep is None else probs * keep * keep_scale
+    q_rows, k_rows, v_rows = _kept(q, q.data), _kept(k, k.data), _kept(v, v.data)
+    apply = lambda v_data: merge(dropped() @ split(v_data), q_shape)
 
     def bw(g):
         g = split(g)
         gv = np.swapaxes(dropped(), -1, -2) @ g
-        gs = g @ np.swapaxes(v_data, -1, -2)
+        gs = g @ np.swapaxes(split(v_rows()), -1, -2)
         if keep is not None:
             gs *= keep
             gs *= keep_scale
         gs -= np.sum(gs * probs, axis=-1, keepdims=True)
         gs *= probs
         gs *= scale
-        gq = gs @ k_data
-        gk = np.swapaxes(np.swapaxes(q_data, -1, -2) @ gs, -1, -2)
+        gq = gs @ split(k_rows())
+        gk = np.swapaxes(np.swapaxes(split(q_rows()), -1, -2) @ gs, -1, -2)
         return merge(gq, q_shape), merge(gk, k_shape), merge(gv, k_shape)
 
-    return _emit(merge(dropped() @ v_data, q_shape), (q, k, v), bw), probs
+    out = _emit(apply(v.data), (q, k, v), bw)
+    if out.graph is not None:
+        out.rebuild = lambda: apply(v_rows())
+    return out, probs
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``np.max(a, axis=-1, keepdims=True)``, bit for bit up to the sign of a
+    zero maximum, which no ``np.exp(a - max)`` shows. Over many short rows it
+    is a loop of ``np.maximum`` over the columns, which spares numpy's
+    reduction its per-row overhead."""
+    n = a.shape[-1]
+    if a.size < 16 * n * n:  # fewer than 16 rows per column: one reduction is faster
+        return np.max(a, axis=-1, keepdims=True)
+    out = a[..., :1].copy()
+    for j in range(1, n):
+        np.maximum(out, a[..., j:j + 1], out=out)
+    nan = np.isnan(out[..., 0])
+    if nan.any():
+        # which NaN a row's maximum is depends on numpy's vector code
+        out[nan] = np.max(a[nan], axis=-1, keepdims=True)
+    return out
 
 
 def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
@@ -405,7 +451,8 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         data = a.data.reshape(shape)
     except ValueError:
         raise ShapeError("reshape", f"cannot reshape {old} to {tuple(shape)}") from None
-    return _emit(data, (a,), lambda g: (g.reshape(old),))
+    out = _emit(data, (a,), lambda g: (g.reshape(old),))
+    return _passed_on(out, a, lambda d: d.reshape(shape))
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -416,10 +463,11 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # the mask is read off the output: ``y > 0`` exactly where ``a > 0``,
-    # NaN included, and the op that consumes ``y`` keeps it anyway
-    y = np.maximum(a.data, 0)
-    return _emit(y, (a,), lambda g: (g * (y > 0),))
+    # a recorded relu keeps its boolean mask, a quarter of a float32 output,
+    # and the op that consumes the output keeps the output's rebuild
+    mask = a.data > 0 if _active is not None else None
+    out = _emit(np.maximum(a.data, 0), (a,), lambda g: (g * mask,))
+    return _passed_on(out, a, lambda d: np.maximum(d, 0))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -462,12 +510,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     for name, t in (("gain", gain), ("bias", bias)):
         if t.shape != (dim,):
             raise ShapeError("layer_norm", f"{name} shape {t.shape} != ({dim},)")
-    mean = np.mean(x.data, axis=-1, keepdims=True)
+    # np.mean's own arithmetic: a sum, then a division by the count as an intp
+    mean = np.add.reduce(x.data, axis=-1, keepdims=True)
+    np.true_divide(mean, np.intp(dim), out=mean, casting="unsafe")
     centered = x.data - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True)
+    np.true_divide(var, np.intp(dim), out=var, casting="unsafe")
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv
+    xhat = np.multiply(centered, inv, out=centered)
     gain_data, bias_data = gain.data, bias.data
+
+    def affine():
+        y = np.multiply(xhat, gain_data)
+        y += bias_data
+        return y
 
     def bw(g):
         ghat = g * gain_data
@@ -475,9 +531,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                     - xhat * np.mean(ghat * xhat, axis=-1, keepdims=True))
         return dx, (g * xhat).reshape(-1, dim).sum(axis=0), g.reshape(-1, dim).sum(axis=0)
 
-    out = _emit(xhat * gain_data + bias_data, (x, gain, bias), bw)
+    out = _emit(affine(), (x, gain, bias), bw)
     if out.graph is not None:
-        out.rebuild = lambda: xhat * gain_data + bias_data
+        out.rebuild = affine
     return out
 
 
@@ -576,38 +632,35 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         gx[idx] = g
         return (gx,)
 
-    return _emit(x.data[idx], (x,), bw)
+    return _passed_on(_emit(x.data[idx], (x,), bw), x, lambda d: d[idx])
 
 
-def scatter_rows(x: Tensor, idx: np.ndarray, n: int) -> Tensor:
+def scatter_rows(x: Tensor, idx: np.ndarray, n: int, copies=None) -> Tensor:
     """``n`` zero rows with row ``idx[i]`` set to ``x[i]``, the inverse of
-    ``take_rows``. The indices must be distinct."""
+    ``take_rows``; then, for each pair of ``copies`` (duplicate rows, owner
+    rows), the duplicate row set to its owner row. The ``idx`` rows and the
+    duplicate rows must all be distinct, and each owner an ``idx`` row; an
+    owner may have several duplicates. The gradient of each duplicate row
+    is added into its owner's row."""
     idx = _row_index("scatter_rows", idx, n)
     if len(idx) != x.shape[0]:
         raise ShapeError("scatter_rows", f"{len(idx)} indices for {x.shape[0]} rows")
-    out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
-    out[idx] = x.data
-    return _emit(out, (x,), lambda g: (g[idx],))
-
-
-def copy_rows(x: Tensor, dst: np.ndarray, src: np.ndarray) -> Tensor:
-    """``x`` with row ``dst[i]`` replaced by row ``src[i]``. The ``dst`` rows
-    must be distinct and none of them a ``src`` row; a ``src`` row may feed
-    several ``dst`` rows. The gradient of each ``dst`` row is added into its
-    ``src`` row, and the ``dst`` rows of ``x`` get exactly zero gradient."""
-    n = x.shape[0]
-    dst = _row_index("copy_rows", dst, n)
-    src = _row_index("copy_rows", src, n)
+    dst, src = (idx[:0], idx[:0]) if copies is None else (
+        _row_index("scatter_rows", rows, n) for rows in copies)
     if len(dst) != len(src):
-        raise ShapeError("copy_rows", f"{len(dst)} destination rows for {len(src)} sources")
-    source = np.arange(n)
-    source[dst] = src
-    out = np.take(x.data, source, axis=0)
+        raise ShapeError("scatter_rows", f"{len(dst)} duplicate rows for {len(src)} owners")
+
+    def place(data):
+        out = np.zeros((n,) + data.shape[1:], dtype=data.dtype)
+        out[idx] = data
+        if len(dst):
+            out[dst] = out[src]
+        return out
 
     def bw(g):
-        gx = g.copy()
-        gx[dst] = 0
-        np.add.at(gx, src, g[dst])
-        return (gx,)
+        if len(dst):
+            g = g.copy()
+            np.add.at(g, src, g[dst])
+        return (g[idx],)
 
-    return _emit(out, (x,), bw)
+    return _passed_on(_emit(place(x.data), (x,), bw), x, place)

@@ -417,6 +417,29 @@ class TestContrastiveIO:
         assert rebuilt.candidates[1][-1] == ("c", "amb_b")
         assert rebuilt.candidates[1][:-1] == rebuilt.candidates[0][:-1]
 
+    @pytest.mark.parametrize("sentences", [1, 2, 4])
+    def test_candidate_windows_are_those_of_window_from_sentences(self, sentences):
+        vocab = C.Vocab(["a", "b", "c", "amb_a", "amb_b"])  # "amb", "amb_c" unknown
+        context = tuple(("a", "b", "c")[:i + 1] for i in range(sentences - 1))
+        ex = C.ContrastiveExample(
+            example_id="d0:3", doc_id="d0", j=3,
+            src_sentences=context + (("c", "amb"),),
+            candidates=tuple(context + ((tok, "b"),) for tok in ("amb_a", "amb_b", "amb_c")),
+            phenomenon="agreement", distance=1)
+        assert ex.candidate_windows(vocab) == [
+            C.window_from_sentences(ex.src_sentences, cand, vocab, doc_id="d0", j=3)
+            for cand in ex.candidates]
+
+    def test_candidate_windows_keep_the_sentence_count_error(self, vocab):
+        ex = C.ContrastiveExample(
+            example_id="x", doc_id="d", j=1, src_sentences=(("t1",),),
+            candidates=((("t1",), ("t2",)), (("t1",), ("t3",))), phenomenon="p", distance=0)
+        with pytest.raises(C.CorpusError) as want:
+            C.window_from_sentences(ex.src_sentences, ex.candidates[0], vocab)
+        with pytest.raises(C.CorpusError) as got:
+            ex.candidate_windows(vocab)
+        assert str(got.value) == str(want.value)
+
 
 def test_split_documents():
     docs = [doc_of([[f"t{i}"]]) for i in range(100)]

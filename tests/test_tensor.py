@@ -195,31 +195,66 @@ class TestBackward:
         assert x.grad.tobytes() == np.full(1 << 17, 0.5 ** 16).tobytes()
 
     def test_tape_keeps_no_layer_norm_output(self, monkeypatch):
-        """Each layer-norm output of a recorded training forward is freed
-        while its graph lives: the linears that read it keep its rebuild."""
+        """Each layer-norm output, padded q/k/v grid, attention output (merged
+        and as rows) and ReLU output of a recorded training forward is freed
+        while its graph lives: the ops that read them keep their rebuilds."""
         from winmt import model as M
         docs, _ = synth.gen_synthetic(0, n_docs=4, vocab_size=32)
         vocab = C.Vocab.from_documents(docs)
         windows = [w for d in docs for w in C.make_windows(d, 2, vocab)][:6]
         model = M.TransformerModel(M.ModelConfig(vocab_size=len(vocab), layers=2, heads=2,
                                                  hidden=16, ffn=32), seed=4)
-        outputs = []
-        layer_norm = M.layer_norm
+        freed = {"layer_norm": [], "grid": [], "attention": [], "take_rows": [], "relu": []}
 
-        def noting(*args):
-            out = layer_norm(*args)
-            outputs.append(weakref.ref(out.data))
-            return out
+        def noting(name, op):
+            def run(*args):
+                out = op(*args)
+                if name == "attention":
+                    freed["grid"] += [weakref.ref(_root(t.data)) for t in args[:3]]
+                freed[name].append(weakref.ref(_root(out[0].data if name == "attention"
+                                                     else out.data)))
+                return out
+            monkeypatch.setattr(M, name, run)
 
-        monkeypatch.setattr(M, "layer_norm", noting)
+        for name in freed.keys() - {"grid"}:
+            noting(name, getattr(M, name))
         with T.record(T.Graph()):
             log_probs, _ = model.forward(M.build_batch(windows, model.config), train=True,
                                          step=1, seed=1)
             loss = T.reduce_sum(log_probs)
-        assert len(outputs) == 2 * 2 + 2 * 3 + 2  # per layer and the two final norms
-        assert all(ref() is None for ref in outputs)
+        counts = {name: len(refs) for name, refs in freed.items()}
+        # per layer and the two final norms; 2 encoder and 4 decoder attentions
+        assert counts == {"layer_norm": 2 * 2 + 2 * 3 + 2, "grid": 3 * 6, "attention": 6,
+                          "take_rows": 6, "relu": 4}
+        for name, refs in freed.items():
+            assert all(ref() is None for ref in refs), name
         T.backward(loss)
         assert all(np.isfinite(p.grad).all() for p in model.params.values())
+
+    def test_tape_of_a_training_forward_stays_under_its_bound(self):
+        """Traced bytes that a recorded training forward leaves live, over a
+        fixed batch of the default model: its tape and the log-probabilities."""
+        from winmt import model as M
+        docs, _ = synth.gen_synthetic(3, n_docs=12, vocab_size=64)
+        vocab = C.Vocab.from_documents(docs)
+        windows = [w for d in docs for w in C.make_windows(d, 2, vocab)][:48]
+        model = M.TransformerModel(M.ModelConfig(vocab_size=len(vocab)), seed=2)
+        batch = M.build_batch(windows, model.config)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with T.record(T.Graph()):
+                log_probs, _ = model.forward(batch, train=True, step=1, seed=1)
+                loss = T.reduce_sum(log_probs)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # 7.6 MB: the rows of 12 layer norms (3.6 MB), attention probabilities
+        # and masks (2.1 MB), the boolean masks of dropout and ReLU (1.5 MB) and
+        # the log-probabilities; 19.5 MB with the q/k/v grids, the attention
+        # outputs and the ReLU outputs kept
+        assert held < 9 * 2 ** 20
+        T.backward(loss)
 
     def test_backward_frees_each_node_once_walked(self):
         x = scalar(np.ones(1 << 17))  # 1 MiB
@@ -313,7 +348,7 @@ class TestFiniteDiffCheck:
 ORACLE_OPS = [
     "matmul", "linear", "attention", "add", "sub", "mul", "relu", "softmax", "log_softmax",
     "layer_norm", "reshape", "transpose", "reduce_sum", "gather_last", "embedding",
-    "mul_const", "add_const", "dropout", "take_rows", "scatter_rows", "copy_rows",
+    "mul_const", "add_const", "dropout", "take_rows", "scatter_rows",
 ]
 # the names in tensor.__all__ that are not differentiable ops
 NOT_OPS = {"GraphError", "ShapeError", "Graph", "Tensor", "record", "backward"}
@@ -368,7 +403,7 @@ def test_trainer_passes_the_train_flag_the_benchmark_tracer_splits_on(tmp_path, 
     assert calls and not any("train" in kwargs for kwargs in calls)
 
 
-@pytest.mark.parametrize("op_name", ORACLE_OPS)
+@pytest.mark.parametrize("op_name", ORACLE_OPS + ["scatter_rows_with_copies"])
 def test_primitive_gradients_over_100_seeds(op_name):
     """Every differentiable primitive matches central finite differences."""
     for seed in range(100):
@@ -462,13 +497,14 @@ def test_primitive_gradients_over_100_seeds(op_name):
             w = T.Tensor(rng.normal(0, 1, (5, 4)))
             f = lambda x: T.reduce_sum(T.mul(T.scatter_rows(x, idx, 5), w))
             x0 = rng.normal(0, 1, (3, 4))
-        elif op_name == "copy_rows":
-            rows = rng.permutation(5)
-            dst = rows[:2]
-            src = rows[[2, 2]] if seed % 2 else rows[2:4]  # odd seeds: one source, two copies
-            w = T.Tensor(rng.normal(0, 1, (5, 4)))
-            f = lambda x: T.reduce_sum(T.mul(T.copy_rows(x, dst, src), w))
-            x0 = rng.normal(0, 1, (5, 4))
+        elif op_name == "scatter_rows_with_copies":
+            rows = rng.permutation(7)
+            idx, dst = rows[:3], rows[3:5]
+            # odd seeds: one owner, two duplicates
+            copies = np.stack([dst, idx[[0, 0]] if seed % 2 else idx[:2]])
+            w = T.Tensor(rng.normal(0, 1, (7, 4)))
+            f = lambda x: T.reduce_sum(T.mul(T.scatter_rows(x, idx, 7, copies), w))
+            x0 = rng.normal(0, 1, (3, 4))
         elif op_name == "mul_const":
             c = rng.normal(0, 1, (2, 3))
             f = lambda x: T.reduce_sum(T.mul_const(x, c))
@@ -566,6 +602,107 @@ def test_linear_over_a_rebuilt_layer_norm_equals_a_plain_input_bitwise(dtype, x_
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_model_gradients_through_rebuilds_equal_kept_arrays_bitwise(monkeypatch, dtype):
+    """A training forward and backward give the same bytes whether the ops
+    keep their input arrays or the rebuilds of layer norms, linears, grid
+    placement, attention and ReLU: dropout on, over a batch with shared
+    source and target rows."""
+    from winmt import model as M
+    docs, examples = synth.gen_synthetic(1, n_docs=12, vocab_size=32)
+    vocab = C.Vocab.from_documents(docs)
+    windows = [w for d in docs[:3] for w in C.make_windows(d, 2, vocab)][:8]
+    windows += [w for ex in examples[:3] for w in ex.candidate_windows(vocab)]
+    model = M.TransformerModel(M.ModelConfig(vocab_size=len(vocab), layers=2, heads=2,
+                                             hidden=16, ffn=32, dropout=0.3, dtype=dtype),
+                               seed=5)
+    batch = M.build_batch(windows, model.config)
+    assert batch.src_grid.copies.shape[1] and batch.tgt_grid.copies.shape[1]
+
+    def run():
+        model.zero_grad()
+        with T.record(T.Graph()):
+            log_probs, _ = model.forward(batch, train=True, step=3, seed=2)
+            loss = T.reduce_sum(T.mul_const(log_probs, -1.0))
+        T.backward(loss)
+        return [log_probs.data] + [p.grad for p in model.params.values()]
+
+    rebuilt = run()
+    for name in ("layer_norm", "attention", "relu"):
+        def kept(*args, op=getattr(M, name)):
+            out = op(*args)
+            (out[0] if isinstance(out, tuple) else out).rebuild = None
+            return out
+        monkeypatch.setattr(M, name, kept)
+    for got, want in zip(rebuilt, run(), strict=True):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(41, 4, 16, 16), (128, 4, 1, 10), (3, 2, 5, 7),
+                                   (128, 4, 1, 40), (6, 1, 1, 3)])
+def test_row_max_shifts_like_np_max_bitwise(dtype, shape):
+    """The softmax shift ``exp(a - max)`` and every maximum but the sign of a
+    zero one are those of ``np.max``, with masked keys (-inf), NaN of either
+    sign and zeros of either sign, on the shapes of a training shard, a
+    small grid and decoding."""
+    special = np.array([0.0, -0.0, np.nan, -np.nan, -np.inf, np.inf, 1.5, -2.5, 1e-30],
+                       dtype=dtype)
+    rng = stream(len(shape), "row-max", np.dtype(dtype).itemsize)
+    a = rng.choice(special, size=shape).astype(dtype)
+    a[..., -1] = -np.inf  # a masked key
+    a[0, ..., :-1] = rng.choice(special[:2], size=a[0, ..., :-1].shape)  # rows of zeros
+    got, want = T._row_max(a), np.max(a, axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        assert np.exp(a - got).tobytes() == np.exp(a - want).tobytes()
+    got[got == 0] = want[want == 0] = 0.0
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [4, 12, 128])
+def test_layer_norm_forward_equals_the_mean_formula_bitwise(dtype, hidden):
+    rng = stream(hidden, "ln-forward", np.dtype(dtype).itemsize)
+    x, gain, bias = (rng.normal(m, 3.0, shape).astype(dtype)
+                     for m, shape in ((5.0, (3, 7, hidden)), (1.0, hidden), (0.0, hidden)))
+    mean = np.mean(x, axis=-1, keepdims=True)
+    centered = x - mean
+    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    want = centered * (1.0 / np.sqrt(var + T.LN_EPS)) * gain + bias
+    with T.record(T.Graph()):
+        out = T.layer_norm(T.Tensor(x), T.Tensor(gain), T.Tensor(bias))
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == want.tobytes() == out.rebuild().tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_rows_with_copies_equals_scatter_then_row_copy_bitwise(dtype):
+    """The grid and the gradients of placing rows with duplicates in one op
+    are those of a scatter, then a copy of each owner row into its
+    duplicates whose backward adds the duplicates' gradients with
+    ``np.add.at``; here many duplicates share an owner, so the order shows."""
+    rng = stream(0, "scatter-copies", np.dtype(dtype).itemsize)
+    cells = rng.permutation(40)
+    idx, dst = cells[:12], cells[12:36]
+    src = idx[rng.integers(0, 3, len(dst))]  # three owners, eight duplicates each
+    x = T.Tensor(rng.normal(0, 1, (12, 5)).astype(dtype))
+    up = rng.normal(0, 1e3, (40, 5)).astype(dtype)
+    with T.record(T.Graph()):
+        grid = T.scatter_rows(x, idx, 40, np.stack([dst, src]))
+        loss = T.reduce_sum(T.mul(grid, T.Tensor(up)))
+    T.backward(loss)
+    want = np.zeros((40, 5), dtype)
+    want[idx] = x.data
+    want = np.take(want, np.where(np.isin(np.arange(40), dst), 0, np.arange(40)), axis=0)
+    want[dst] = want[src]
+    g = up.copy()
+    g[dst] = 0
+    np.add.at(g, src, up[dst])
+    assert grid.data.tobytes() == want.tobytes()
+    assert x.grad.tobytes() == g[idx].tobytes()
+
+
 def test_attention_rejects_nonconforming_operands():
     q, k = T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((2, 5, 4)))
     with pytest.raises(T.ShapeError, match="attention"):
@@ -581,6 +718,13 @@ def test_attention_rejects_nonconforming_operands():
         T.linear(q, T.Tensor(np.zeros((4, 2))), T.Tensor(np.zeros(4)))
     with pytest.raises(T.ShapeError, match="linear"):
         T.linear(q, T.Tensor(np.zeros((3, 2))))
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory of ``a``, which may be a view of it."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
 
 def _closure_arrays(fn, seen=None) -> list[np.ndarray]:
@@ -661,10 +805,10 @@ def test_row_ops_reject_bad_indices():
         T.scatter_rows(x, np.array([0, 1]), 4)  # one index per row of x
     with pytest.raises(T.ShapeError, match="scatter_rows"):
         T.scatter_rows(x, np.array([0, 1, 4]), 4)
-    with pytest.raises(T.ShapeError, match="copy_rows"):
-        T.copy_rows(x, np.array([0, 1]), np.array([2]))
-    with pytest.raises(T.ShapeError, match="copy_rows"):
-        T.copy_rows(x, np.array([0]), np.array([3]))
+    with pytest.raises(T.ShapeError, match="scatter_rows"):  # two duplicates, one owner
+        T.scatter_rows(x, np.array([0, 1, 2]), 5, (np.array([3, 4]), np.array([2])))
+    with pytest.raises(T.ShapeError, match="scatter_rows"):
+        T.scatter_rows(x, np.array([0, 1, 2]), 5, np.array([[3], [5]]))
 
 
 def test_dropout_inverted_scaling_and_grad():
