@@ -194,15 +194,6 @@ def _check_aligned(src_sentences: Sequence, tgt_sentences: Sequence) -> None:
         raise CorpusError("source and target sides need the same, nonzero sentence count")
 
 
-def window_from_sentences(src_sentences: Sequence[Sequence[str]],
-                          tgt_sentences: Sequence[Sequence[str]],
-                          vocab: Vocab, doc_id: str = "", j: int = 0) -> Window:
-    """Build a Window from explicit, already-aligned sentence lists."""
-    _check_aligned(src_sentences, tgt_sentences)
-    return _window([vocab.encode(s) for s in src_sentences],
-                   [vocab.encode(t) for t in tgt_sentences], doc_id, j)
-
-
 def _check_window_size(k: int) -> None:
     if k < 1:
         raise CorpusError(f"window size must be >= 1, got {k}")
@@ -478,8 +469,9 @@ class ContrastiveExample:
                          itertools.chain(self.src_sentences, *self.candidates))
 
     def candidate_windows(self, vocab: Vocab) -> list[Window]:
-        """One window per candidate, as ``window_from_sentences`` makes it. The
-        source and the shared context are encoded once for all of them."""
+        """One window per candidate: the example's source sentences aligned
+        with the candidate's target sentences. The source and the shared
+        context are encoded once for all of them."""
         _check_aligned(self.src_sentences, self.candidates[0])
         src = [vocab.encode(s) for s in self.src_sentences]
         context = [vocab.encode(t) for t in self.candidates[0][:-1]]

@@ -1,17 +1,18 @@
-"""Contrastive scoring, accuracy aggregation, BLEU and attention diagnostics."""
+"""The teacher-forced pass, contrastive scoring, accuracy, BLEU and attention diagnostics."""
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .corpus import (EOS_ID, SEP_ID, ContrastiveExample, Document, Vocab, Window,
                      make_windows, rebuild_examples, window_pairs)
-from .model import AttentionRecord, TransformerModel
+from .model import AttentionRecord, TransformerModel, build_batch
+from .objective import smoothed_nll
 from .parallel import map_ordered
 
 
@@ -25,7 +26,39 @@ class EvalError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# contrastive scoring
+# the teacher-forced pass and contrastive scoring
+
+
+PassRows = namedtuple("PassRows", ["full", "current", "context", "contexts", "current_tokens",
+                                   "context_tokens", "entropies", "masses"])
+
+
+def teacher_forced(model: TransformerModel, batches: Sequence, windows_of: Callable,
+                   eps: float, capture: bool = False) -> PassRows:
+    """The rows of every batch's windows, joined in batch order: per window,
+    the ``objective.smoothed_nll`` sums at ``eps`` over the whole target, the
+    current span and the context, and the context sentence count; the
+    current and context token counts; and with ``capture`` (else None) the
+    per-query attention entropies and current masses. The process of
+    ``parallel.map_ordered`` that computes a batch makes its windows with
+    ``windows_of(batch)``, builds and forwards them once; only rows leave it."""
+    def rows(item) -> tuple:
+        windows = windows_of(item)
+        batch = build_batch(windows, model.config)
+        log_probs, records = model.forward(batch, capture=capture)
+        per_tok = smoothed_nll(log_probs, batch.tgt_out, eps, batch.tgt_valid).data
+        cur, ctx = batch.current_mask, batch.context_mask
+        out = tuple((per_tok * m).sum(axis=1).tolist() for m in (batch.tgt_valid, cur, ctx))
+        out += ([w.size - 1 for w in windows], int(cur.sum()), int(ctx.sum()))
+        if capture:
+            out += (attention_entropy_rows(records), current_attention_mass_rows(records))
+        return out
+
+    per_batch = map_ordered(rows, batches)
+    return PassRows(*([v for r in per_batch for v in r[i]] for i in range(4)),
+                    *(sum(r[i] for r in per_batch) for i in (4, 5)),
+                    *(np.concatenate([r[i] for r in per_batch]) if capture else None
+                      for i in (6, 7)))
 
 
 @dataclass(frozen=True)
@@ -38,37 +71,19 @@ class ContrastiveResult:
     scores: tuple[float, ...]
 
 
-def _score_batch(model, examples, vocab, mode) -> list[ContrastiveResult]:
-    windows: list[Window] = []
-    spans: list[tuple[int, int]] = []
-    for ex in examples:
-        cands = ex.candidate_windows(vocab)
-        windows.extend(cands)
-        spans.append((len(windows) - len(cands), len(windows)))
-    scores = model.score_windows(windows, mode=mode)
-    results = []
-    for ex, (lo, hi) in zip(examples, spans):
-        ex_scores = scores[lo:hi]
-        best = float(ex_scores.max())
-        chosen = max(i for i, s in enumerate(ex_scores) if s == best)
-        results.append(ContrastiveResult(
-            example_id=ex.example_id, chosen=chosen, correct=chosen == 0,
-            phenomenon=ex.phenomenon, distance=ex.distance,
-            scores=tuple(float(s) for s in ex_scores)))
-    return results
-
-
 def evaluate_contrastive(model: TransformerModel, examples: Sequence[ContrastiveExample],
                          vocab: Vocab, mode: str = "full") -> list[ContrastiveResult]:
     """Score each example; ties go to the highest-index tied candidate.
 
     Candidates are ranked by teacher-forced log-probability of the full
-    target window ("full") or of the current span only ("current"). The
-    pessimistic tie-break means a model that cannot separate reference
-    from distractor scores 0, not 50%. Examples are scored together in
-    chunks of about ``BATCH_CANDIDATES`` candidate windows, spread over the
-    CPUs by ``parallel.map_ordered``.
+    target window ("full") or of the current span only ("current"): the
+    negated loss sum of ``teacher_forced`` at epsilon 0. The pessimistic
+    tie-break means a model that cannot separate reference from
+    distractor scores 0, not 50%. Examples are scored together in chunks
+    of about ``BATCH_CANDIDATES`` candidate windows, one batch each.
     """
+    if mode not in ("full", "current"):
+        raise EvalError(f"unknown scoring mode {mode!r}")
     chunks: list[list[ContrastiveExample]] = []
     pending = 0
     for ex in examples:
@@ -77,8 +92,19 @@ def evaluate_contrastive(model: TransformerModel, examples: Sequence[Contrastive
             pending = 0
         chunks[-1].append(ex)
         pending += len(ex.candidates)
-    scored = map_ordered(lambda chunk: _score_batch(model, chunk, vocab, mode), chunks)
-    return [r for results in scored for r in results]
+    scores = -np.array(getattr(teacher_forced(
+        model, chunks, lambda chunk: [w for ex in chunk for w in ex.candidate_windows(vocab)],
+        0.0), mode))
+    ends = np.cumsum([len(ex.candidates) for ex in examples], dtype=np.int64)
+    results = []
+    for ex, ex_scores in zip(examples, np.split(scores, ends[:-1])):
+        best = float(ex_scores.max())
+        chosen = max(i for i, s in enumerate(ex_scores) if s == best)
+        results.append(ContrastiveResult(
+            example_id=ex.example_id, chosen=chosen, correct=chosen == 0,
+            phenomenon=ex.phenomenon, distance=ex.distance,
+            scores=tuple(float(s) for s in ex_scores)))
+    return results
 
 
 def overall_accuracy(results: Sequence[ContrastiveResult]) -> float:

@@ -498,18 +498,13 @@ class TransformerModel:
     # scoring and decoding
 
     def score_windows(self, windows: Sequence[Window], mode: str = "full") -> np.ndarray:
-        """Teacher-forced total log-probability per window.
-
-        mode "full" sums over the whole target window, "current" over the
-        current-sentence span only.
-        """
+        """Teacher-forced total log-probability per window over the whole target
+        ("full") or the current span only ("current"), the windows forming one
+        batch: the negated loss sums of ``evaluation.teacher_forced`` at epsilon 0."""
+        from .evaluation import teacher_forced  # evaluation imports this module
         if mode not in ("full", "current"):
             raise ModelError(f"unknown scoring mode {mode!r}")
-        batch = build_batch(windows, self.config)
-        log_probs, _ = self.forward(batch)
-        token_lp = np.take_along_axis(log_probs.data, batch.tgt_out[..., None], axis=-1)[..., 0]
-        mask = batch.current_mask if mode == "current" else batch.tgt_valid
-        return (token_lp * mask).sum(axis=-1)
+        return -np.array(getattr(teacher_forced(self, [windows], list, 0.0), mode))
 
     def decode(self, windows: Sequence[Window], beam: int = 4, alpha: float = 0.6,
                max_len: int | None = None) -> list[list[int]]:

@@ -19,13 +19,12 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .corpus import EncodedCorpus, Vocab, Window, compute_shift, read_contrastive
-from .evaluation import (EvalError, attention_entropy_rows, current_attention_mass_rows,
-                         evaluate_contrastive, overall_accuracy)
+from .evaluation import EvalError, evaluate_contrastive, overall_accuracy, teacher_forced
 from .model import (Batch, ModelConfig, ModelError, TransformerModel, build_batch,
                     check_model_settings)
 from .objective import (loss_ratio, masked_discounted_loss, normalized_training_loss,
                         smoothed_nll)
-from .parallel import map_ordered, serve, shared_arrays
+from .parallel import serve, shared_arrays
 from .rng import stream
 from .tensor import Graph, Tensor, backward, record
 
@@ -265,37 +264,16 @@ def span_losses(model: TransformerModel, corpus: EncodedCorpus, k: int,
                 batches: Sequence[Sequence[int]], eps: float, capture: bool = False
                 ) -> tuple[tuple[float, float, float], tuple[np.ndarray, np.ndarray] | None]:
     """Label-smoothed losses of the size-``k`` windows of ``corpus`` whose
-    indices ``batches`` hold, over their current and context spans.
-
-    Returns the per-token current loss, the per-token context loss (NaN
-    when no window has a context token) and ``objective.loss_ratio``; and,
-    with ``capture``, the attention entropy rows and current-mass rows of
-    every batch joined in batch order (else None). The batches are dealt
-    over the CPUs by ``parallel.map_ordered``. Each batch's windows are
-    built and forwarded once in the process that computes its rows, and
-    only the rows leave it: no window and no attention record does.
+    indices ``batches`` hold, from ``evaluation.teacher_forced``: the
+    per-token current loss, the per-token context loss (NaN when no window
+    has a context token) and ``objective.loss_ratio``; and, with
+    ``capture``, the attention entropy rows and current-mass rows (else None).
     """
-    def batch_rows(indices: Sequence[int]):
-        windows = corpus.windows(indices, k)
-        batch = build_batch(windows, model.config)
-        log_probs, records = model.forward(batch, capture=capture)
-        per_tok = smoothed_nll(log_probs, batch.tgt_out, eps, batch.tgt_valid).data
-        cur_mask, ctx_mask = batch.current_mask, batch.context_mask
-        rows = ((per_tok * cur_mask).sum(axis=1).tolist(),
-                (per_tok * ctx_mask).sum(axis=1).tolist(),
-                [w.size - 1 for w in windows], int(cur_mask.sum()), int(ctx_mask.sum()))
-        if capture:
-            rows += (attention_entropy_rows(records), current_attention_mass_rows(records))
-        return rows
-
-    per_batch = map_ordered(batch_rows, batches)
-    cur, ctx, contexts = ([v for rows in per_batch for v in rows[i]] for i in range(3))
-    cur_tok, ctx_tok = (sum(rows[i] for rows in per_batch) for i in (3, 4))
-    losses = (sum(cur) / max(1, cur_tok), sum(ctx) / ctx_tok if ctx_tok else math.nan,
-              loss_ratio(cur, ctx, contexts))
-    if not capture:
-        return losses, None
-    return losses, tuple(np.concatenate([rows[i] for rows in per_batch]) for i in (5, 6))
+    rows = teacher_forced(model, batches, lambda idx: corpus.windows(idx, k), eps, capture)
+    losses = (sum(rows.current) / max(1, rows.current_tokens),
+              sum(rows.context) / rows.context_tokens if rows.context_tokens else math.nan,
+              loss_ratio(rows.current, rows.context, rows.contexts))
+    return losses, (rows.entropies, rows.masses) if capture else None
 
 
 class Diagnosis(NamedTuple):

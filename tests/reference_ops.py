@@ -2,9 +2,12 @@
 
 Each one is independent of the code it checks: ``concat_loss`` reads only
 a window's target length, never its current span; ``shifted_positions``
-validates one sequence's segment indices before shifting; and
-``finite_diff_check`` compares analytic gradients with central finite
-differences, the gradient oracle of the tensor and model tests.
+validates one sequence's segment indices before shifting;
+``contrastive_scores`` sums the log-probabilities of a plain forward,
+never the pass's losses; and ``finite_diff_check`` compares analytic
+gradients with central finite differences, the gradient oracle of the
+tensor and model tests. ``window_from_sentences`` is the tests' builder
+of a window over chosen sentences.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from winmt import corpus as C
 from winmt.corpus import Window
+from winmt.model import build_batch
 from winmt.positions import PositionError, shift_positions
 from winmt.tensor import Graph, Tensor, backward, mul_const, record, reduce_sum
 
@@ -27,6 +32,35 @@ def concat_loss(per_token: Tensor, window: Window) -> Tensor:
     mask = np.zeros(per_token.shape[-1], dtype=per_token.data.dtype)
     mask[:len(window.tgt_ids)] = 1.0
     return reduce_sum(mul_const(per_token, mask))
+
+
+def window_from_sentences(src_sentences: Sequence[Sequence[str]],
+                          tgt_sentences: Sequence[Sequence[str]],
+                          vocab: C.Vocab, doc_id: str = "", j: int = 0) -> Window:
+    """A window over explicit, already-aligned sentence lists, laid out as
+    ``corpus`` lays out every window."""
+    C._check_aligned(src_sentences, tgt_sentences)
+    return C._window([vocab.encode(s) for s in src_sentences],
+                     [vocab.encode(t) for t in tgt_sentences], doc_id, j)
+
+
+def contrastive_scores(model, chunks, vocab: C.Vocab, mode: str) -> list[float]:
+    """Each candidate's teacher-forced log-probability, over its whole target
+    window (mode "full") or its current span ("current"), in order.
+
+    Each chunk of examples is one batch and one plain ``model.forward``;
+    the log-probability of each target token is picked with
+    ``np.take_along_axis`` and summed under the mode's mask.
+    """
+    scores = []
+    for chunk in chunks:
+        batch = build_batch([w for ex in chunk for w in ex.candidate_windows(vocab)],
+                            model.config)
+        log_probs, _ = model.forward(batch)
+        token_lp = np.take_along_axis(log_probs.data, batch.tgt_out[..., None], -1)[..., 0]
+        mask = batch.current_mask if mode == "current" else batch.tgt_valid
+        scores.extend((token_lp * mask).sum(axis=-1).tolist())
+    return scores
 
 
 def shifted_positions(seg, shift: int) -> np.ndarray:

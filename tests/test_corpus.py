@@ -11,6 +11,8 @@ from winmt import corpus as C
 from winmt import synth
 from winmt.rng import stream
 
+import reference_ops as R
+
 
 @pytest.fixture
 def vocab():
@@ -135,7 +137,7 @@ class TestWindowSharing:
 
     def test_same_lengths_share_segments_and_span(self, vocab):
         a = C.make_windows(doc_of([["t1", "t2"], ["t3"]]), 2, vocab)[1]
-        b = C.window_from_sentences([["t4", "t5"], ["t6"]], [["t7", "t8"], ["t9"]], vocab)
+        b = R.window_from_sentences([["t4", "t5"], ["t6"]], [["t7", "t8"], ["t9"]], vocab)
         assert a.src_ids != b.src_ids
         assert a.src_seg is b.src_seg and a.tgt_seg is b.tgt_seg
         assert a.current_span is b.current_span
@@ -203,14 +205,14 @@ class TestComputeShift:
     def test_avg_sequence(self):
         vocab = C.Vocab(["a"])
         sents = [["a"] * 3, ["a"] * 5, ["a"] * 4, ["a"] * 4]
-        w = C.window_from_sentences(sents, sents, vocab)
+        w = R.window_from_sentences(sents, sents, vocab)
         # mean length 4.0 -> 4
         assert C.compute_shift("avg-sequence", window=w) == 4
 
     def test_separators_not_counted(self):
         vocab = C.Vocab(["a"])
         sents = [["a", "a"], ["a", "a"]]
-        w = C.window_from_sentences(sents, sents, vocab)
+        w = R.window_from_sentences(sents, sents, vocab)
         assert C.compute_shift("avg-sequence", window=w) == 2
 
     def test_empty_corpus_rejected(self):
@@ -427,7 +429,7 @@ class TestContrastiveIO:
             candidates=tuple(context + ((tok, "b"),) for tok in ("amb_a", "amb_b", "amb_c")),
             phenomenon="agreement", distance=1)
         assert ex.candidate_windows(vocab) == [
-            C.window_from_sentences(ex.src_sentences, cand, vocab, doc_id="d0", j=3)
+            R.window_from_sentences(ex.src_sentences, cand, vocab, doc_id="d0", j=3)
             for cand in ex.candidates]
 
     def test_candidate_windows_keep_the_sentence_count_error(self, vocab):
@@ -435,7 +437,7 @@ class TestContrastiveIO:
             example_id="x", doc_id="d", j=1, src_sentences=(("t1",),),
             candidates=((("t1",), ("t2",)), (("t1",), ("t3",))), phenomenon="p", distance=0)
         with pytest.raises(C.CorpusError) as want:
-            C.window_from_sentences(ex.src_sentences, ex.candidates[0], vocab)
+            R.window_from_sentences(ex.src_sentences, ex.candidates[0], vocab)
         with pytest.raises(C.CorpusError) as got:
             ex.candidate_windows(vocab)
         assert str(got.value) == str(want.value)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -10,6 +11,8 @@ from winmt import evaluation as E
 from winmt import model as M
 from winmt import synth
 from winmt.rng import stream
+
+import reference_ops as R
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +67,64 @@ class TestScoreContrastive:
         for a, b in zip(batched, single):
             assert a.chosen == b.chosen
             np.testing.assert_allclose(a.scores, b.scores, atol=1e-9)
+
+
+def chunked(examples, size):
+    """``examples`` in the chunks that ``evaluate_contrastive`` scores as one
+    batch each when ``BATCH_CANDIDATES`` is ``size``: a chunk takes examples
+    until it holds at least ``size`` candidates."""
+    chunks = []
+    for ex in examples:
+        if not chunks or sum(len(e.candidates) for e in chunks[-1]) >= size:
+            chunks.append([])
+        chunks[-1].append(ex)
+    return chunks
+
+
+class TestTeacherForcedScores:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("mode", ["full", "current"])
+    def test_scores_equal_a_plain_forward_bitwise(self, setup, monkeypatch, mode, dtype):
+        _, examples, vocab, model = setup
+        model = M.TransformerModel(dataclasses.replace(model.config, dtype=dtype), seed=5)
+        monkeypatch.setattr(E, "BATCH_CANDIDATES", 9)
+        examples = examples[:40]
+        chunks = chunked(examples, 9)
+        batches = [M.build_batch([w for ex in c for w in ex.candidate_windows(vocab)],
+                                 model.config) for c in chunks]
+        # padded targets, and candidates sharing source and target rows
+        assert len(chunks) > 3
+        assert all((b.tgt_valid == 0).any() for b in batches)
+        assert all(b.src_grid.copies.size and b.tgt_grid.copies.size for b in batches)
+        want = [float.hex(s) for s in R.contrastive_scores(model, chunks, vocab, mode)]
+        got = E.evaluate_contrastive(model, examples, vocab, mode)
+        assert [float.hex(s) for r in got for s in r.scores] == want
+        assert len(want) == sum(len(ex.candidates) for ex in examples)
+        # score_windows scores its windows as one batch
+        windows = [w for ex in chunks[1] for w in ex.candidate_windows(vocab)]
+        lo = sum(len(ex.candidates) for ex in chunks[0])
+        assert [float.hex(s) for s in model.score_windows(windows, mode)] == \
+            want[lo:lo + len(windows)]
+
+    def test_one_build_and_one_forward_per_chunk(self, setup, one_worker, counted_passes):
+        _, examples, vocab, model = setup
+        chunks = chunked(examples, E.BATCH_CANDIDATES)
+        assert len(chunks) > 1
+        built, forwarded = counted_passes
+        for mode in ("full", "current"):
+            built.clear()
+            forwarded.clear()
+            E.evaluate_contrastive(model, examples, vocab, mode)
+            assert [b.size for b in built] == [sum(len(ex.candidates) for ex in c)
+                                               for c in chunks]
+            assert [id(b) for b in forwarded] == [id(b) for b in built]
+
+    def test_unknown_mode_is_rejected(self, setup):
+        _, examples, vocab, model = setup
+        with pytest.raises(E.EvalError, match="unknown scoring mode 'context'"):
+            E.evaluate_contrastive(model, examples[:2], vocab, mode="context")
+        with pytest.raises(M.ModelError, match="unknown scoring mode 'context'"):
+            model.score_windows(examples[0].candidate_windows(vocab), mode="context")
 
 
 class TestAggregate:

@@ -13,7 +13,7 @@ from winmt import synth
 from winmt.rng import stream
 from winmt.tensor import Graph, Tensor, backward, record
 
-from reference_ops import finite_diff_check
+from reference_ops import finite_diff_check, window_from_sentences
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +223,7 @@ def candidate_windows(doc, vocab, k, j, variants):
     src, tgt = [s for s, _ in chunk], [t for _, t in chunk]
     cur = tgt[-1]
     forms = [cur, cur[:-1], cur + cur[:1], cur[1:2] + cur[:1] + cur[2:]]
-    return [C.window_from_sentences(src, tgt[:-1] + [forms[v]], vocab, doc.doc_id, j)
+    return [window_from_sentences(src, tgt[:-1] + [forms[v]], vocab, doc.doc_id, j)
             for v in variants]
 
 

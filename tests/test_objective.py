@@ -6,7 +6,7 @@ import pytest
 
 from winmt import objective as O
 from winmt import tensor as T
-from winmt.corpus import EOS_ID, SEP_ID, Vocab, window_from_sentences
+from winmt.corpus import EOS_ID, SEP_ID, Vocab
 from winmt.rng import stream
 
 import reference_ops as R
@@ -22,7 +22,7 @@ def vocab():
 
 
 def two_sentence_window(vocab):
-    return window_from_sentences([["t0", "t1"], ["t2"]], [["t0", "t1"], ["t2"]], vocab)
+    return R.window_from_sentences([["t0", "t1"], ["t2"]], [["t0", "t1"], ["t2"]], vocab)
 
 
 def discounted(losses, window, cd):
@@ -73,9 +73,9 @@ class TestSmoothedNll:
 class TestPartitionMasks:
     def test_k1_window_next_to_padded_k3_window(self, vocab):
         long_sentence = [f"t{i}" for i in range(6)]
-        k1 = window_from_sentences([long_sentence], [long_sentence], vocab)
+        k1 = R.window_from_sentences([long_sentence], [long_sentence], vocab)
         sents = [["t0"], ["t1"], ["t2"]]
-        k3 = window_from_sentences(sents, sents, vocab)
+        k3 = R.window_from_sentences(sents, sents, vocab)
         current, context = O.partition_masks([k1, k3])
         #                      t0 t1 t2 t3 t4 t5 <E>
         np.testing.assert_array_equal(current[0], [1, 1, 1, 1, 1, 1, 1])
@@ -98,7 +98,7 @@ class TestPartitionMasks:
 
 class TestConcatLoss:
     def test_k1_window_equals_current_only(self, vocab):
-        w = window_from_sentences([["t0", "t1"]], [["t0", "t1"]], vocab)
+        w = R.window_from_sentences([["t0", "t1"]], [["t0", "t1"]], vocab)
         losses = T.Tensor(np.array([0.5, 0.25, 0.125]))
         total = R.concat_loss(losses, w)
         bd = discounted(losses, w, cd=1.0)
@@ -114,7 +114,7 @@ class TestConcatLoss:
 
     def test_tiny_hand_case_matches_manual_sum(self, vocab):
         # 3-token K=1 window with hand-set probabilities for each position
-        w = window_from_sentences([["t0", "t1"]], [["t0", "t1"]], vocab)
+        w = R.window_from_sentences([["t0", "t1"]], [["t0", "t1"]], vocab)
         probs = [0.5, 0.25, 0.8]  # p(correct token) at the 3 target positions
         per_tok = [-math.log(p) for p in probs]
         manual = sum(per_tok)
@@ -179,7 +179,7 @@ class TestContextDiscountedLoss:
 class TestLossRatio:
     def test_symmetric_case_is_one(self, vocab):
         # identical per-token losses and equal sentence lengths
-        w = window_from_sentences([["t0", "t1"], ["t2", "t3"]],
+        w = R.window_from_sentences([["t0", "t1"], ["t2", "t3"]],
                                   [["t0", "t1"], ["t2", "t3"]], vocab)
         losses = T.Tensor(np.ones(len(w.tgt_ids)))
         bd = discounted(losses, w, cd=1.0)

@@ -142,7 +142,7 @@ def test_no_attention_record_leaves_a_mapped_batch(setup, dev_corpus, monkeypatc
         results.extend(out)
         return out
 
-    monkeypatch.setattr(TR, "map_ordered", spy)
+    monkeypatch.setattr(E, "map_ordered", spy)
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     TR.diagnose(model, dev_corpus, 2, 0.1, 0)
     assert len(results) == 4
@@ -176,7 +176,7 @@ def test_worker_error_is_raised_again_in_the_parent(setup, monkeypatch, tmp_path
             (tmp_path / "raised_in").write_text(str(os.getpid()))
             raise
 
-    monkeypatch.setattr(M, "build_batch", noting_pid)
+    monkeypatch.setattr(E, "build_batch", noting_pid)
     monkeypatch.setattr(parallel, "available_cpus", lambda: 64)  # one chunk per process
     with pytest.raises(M.ModelError, match=f"sequence length {length} exceeds configured max "
                                            f"{model.config.max_len}$"):

@@ -190,6 +190,7 @@ def test_window_losses_match_per_window_loop(tmp_path):
 
 
 def test_diagnose_forwards_the_first_limit_windows(tmp_path, monkeypatch):
+    from winmt import evaluation as E
     from winmt import parallel
     from winmt.model import ModelConfig
     docs, _ = synth.gen_synthetic(0, n_docs=8, vocab_size=32)
@@ -209,12 +210,37 @@ def test_diagnose_forwards_the_first_limit_windows(tmp_path, monkeypatch):
         forwarded.extend((w.doc_id, w.j) for w in windows)
         return build_batch(windows, config)
 
-    monkeypatch.setattr(TR, "build_batch", spy)
+    monkeypatch.setattr(E, "build_batch", spy)
     every = [(w.doc_id, w.j) for w in corpus.windows(range(len(corpus)), 2)]
     for everything in (0, None, len(corpus), len(corpus) + 40):
         forwarded.clear()
         assert TR.diagnose(model, corpus, 2, 0.1, everything).n_windows == len(corpus)
         assert forwarded == every
+
+
+def test_span_losses_and_diagnose_build_and_forward_each_batch_once(tmp_path, one_worker,
+                                                                   counted_passes):
+    from winmt.model import ModelConfig
+    docs, _ = synth.gen_synthetic(0, n_docs=20, vocab_size=32)
+    vocab = C.Vocab.from_documents(docs)
+    corpus = encoded(tmp_path, docs, vocab)
+    n = len(corpus)
+    assert n > 2 * 32 and n % 32
+    model = TransformerModel(ModelConfig(vocab_size=len(vocab), layers=1, heads=2,
+                                         hidden=16, ffn=32), seed=4)
+    built, forwarded = counted_passes
+    batches = [range(lo, min(lo + 10, n)) for lo in range(0, n, 10)]
+    for capture in (False, True):
+        built.clear()
+        forwarded.clear()
+        TR.span_losses(model, corpus, 2, batches, 0.1, capture=capture)
+        assert [b.size for b in built] == [len(b) for b in batches]
+        assert [id(b) for b in forwarded] == [id(b) for b in built]
+    built.clear()
+    forwarded.clear()
+    TR.diagnose(model, corpus, 2, 0.1, 0)
+    assert [b.size for b in built] == [min(32, n - lo) for lo in range(0, n, 32)]
+    assert [id(b) for b in forwarded] == [id(b) for b in built]
 
 
 def test_diagnose_reduces_like_the_records_of_every_chunk_at_once(tmp_path):

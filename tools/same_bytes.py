@@ -51,6 +51,10 @@ COMMANDS = [
     ("train-learned", "train --data {out}/data --out {out}/train-learned --cd 0.01 "
                       "--position-scheme shifted --shift-strategy avg-corpus "
                       "--segment-variant learned --layers 1 --max-steps 30 --val-interval 10"),
+    # per-window shifts (avg-sequence) with sinusoidal segment embeddings
+    ("train-avg-sequence", "train --data {out}/data --out {out}/train-avg-sequence "
+                           "--position-scheme shifted --shift-strategy avg-sequence "
+                           "--segment-variant sin --layers 1 --max-steps 10 --val-interval 5"),
     # no learning: the validation at step 8 stops the run, and no step
     # after it trains
     ("train-stop", "train --data {out}/data --out {out}/train-stop --patience 1 "
@@ -75,6 +79,13 @@ COMMANDS = [
                      "--report-dir {out}/diagnose-all"),
     ("diagnose-default", "diagnose --run {out}/train-default --data {out}/slice --split test "
                          "--limit 100 --report-dir {out}/diagnose-default"),
+    # the avg-sequence run scored and diagnosed on the slice
+    ("contrastive-avg-sequence", "contrastive --run {out}/train-avg-sequence "
+                                 "--data {out}/slice --split test --mode current "
+                                 "--report-dir {out}/contrastive-avg-sequence"),
+    ("diagnose-avg-sequence", "diagnose --run {out}/train-avg-sequence --data {out}/slice "
+                              "--split test --limit 100 "
+                              "--report-dir {out}/diagnose-avg-sequence"),
     # the significance tests, on files the commands above write
     ("stats-mcnemar", "stats --test mcnemar "
                       "--a {out}/contrastive-full/contrastive_test_examples.csv "
