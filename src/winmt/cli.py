@@ -291,7 +291,8 @@ def cmd_evaluate(args) -> int:
     kept = {d.doc_id for d in docs}
     examples = [e for e in records if e.doc_id in kept]
     rows = evl.robustness_eval(model, docs, vocab, sizes or [model.config.window_size],
-                               examples=examples, beam=args.beam, alpha=args.alpha)
+                               examples=examples, beam=args.beam, alpha=args.alpha,
+                               target_context=args.target_context)
 
     report_dir.mkdir(parents=True, exist_ok=True)
     table = report_dir / f"robustness_{args.split}.csv"
@@ -308,6 +309,7 @@ def cmd_evaluate(args) -> int:
         "split": args.split,
         "beam": args.beam,
         "alpha": args.alpha,
+        "target_context": args.target_context,
         "rows": [{k: getattr(r, k) for k in evl.ROBUSTNESS_COLUMNS} for r in rows],
         "records_left_out_by_limit": len(records) - len(examples),
     })
@@ -501,6 +503,17 @@ def _count(minimum: int):
     return count
 
 
+def _finite(text: str) -> float:
+    """The argparse type of a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_run_flags(parser, split: str, limit: int | None, help: str) -> None:
     """The flags of the commands that read a trained run and write reports."""
     parser.add_argument("--run", required=True)
@@ -543,7 +556,10 @@ def build_parser() -> _Parser:
     _add_run_flags(e, "test", None, "cap the number of documents")
     e.add_argument("--window-sizes", help="comma-separated, e.g. 2,3,4")
     e.add_argument("--beam", type=_count(1), default=4)
-    e.add_argument("--alpha", type=float, default=0.6)
+    e.add_argument("--alpha", type=_finite, default=0.6)
+    e.add_argument("--target-context", choices=evl.TARGET_CONTEXTS, default="own",
+                   help="own: decode each current sentence after the model's own "
+                        "translations of its context sentences; free: decode whole windows")
     e.set_defaults(func=cmd_evaluate)
 
     c = sub.add_parser("contrastive", help="accuracy on a contrastive set")

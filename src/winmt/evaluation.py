@@ -350,49 +350,78 @@ class RobustnessRow:
     refs: list[list[str]] = field(repr=False)
 
 
+TARGET_CONTEXTS = ("own", "free")
+
+
 def decode_current_sentences(model: TransformerModel, docs: Sequence[Document],
                              vocab: Vocab, sizes: Sequence[int], beam: int = 4,
-                             alpha: float = 0.6,
+                             alpha: float = 0.6, target_context: str = "own",
                              ) -> list[tuple[list[list[str]], list[list[str]], int]]:
     """Decode documents at each window size in ``sizes`` and keep only
     current sentences.
 
+    With ``target_context`` "free", each window is decoded whole and its
+    last segment kept; a window with the wrong number of <S> is malformed.
+    With "own" (chained decoding), each window generates its current
+    sentence only, after a forced target prefix: the model's own
+    current-sentence outputs for its context sentences at the same size,
+    each followed by <S> (``TransformerModel.decode`` with ``prefixes``).
+    Sentence positions are decoded in order, each position batched across
+    documents and sizes; no window is malformed.
+
     Each distinct window is decoded once over all sizes: window j holds
     ``min(k-1, j)`` context sentences, so a window truncated at the
-    document start is the same window at every larger size. With n
-    sentences per document and sizes 2, 3, 4 that saves 5 of 3n decodes
-    per document (42 % at n = 4, 1.7 % at n = 100). Each size's windows
-    that no earlier size holds are cut into chunks of ``BATCH_WINDOWS``,
-    and all chunks are spread over the CPUs by one
-    ``parallel.map_ordered``; the first size's chunks are those of a
-    decode at that size alone.
+    document start is the same window at every larger size, with the same
+    own prefix. With n sentences per document and sizes 2, 3, 4 that saves
+    5 of 3n decodes per document (42 % at n = 4, 1.7 % at n = 100). The
+    windows of one size that no earlier size holds are cut into chunks of
+    ``BATCH_WINDOWS``, and the chunks of one pass are spread over the CPUs
+    by one ``parallel.map_ordered``: one pass over every window in "free",
+    one pass per sentence position in "own".
 
     Returns one (hypothesis sentences, reference sentences, malformed
     count) per size, in ``sizes`` order.
     """
+    if target_context not in TARGET_CONTEXTS:
+        raise EvalError(f"unknown target context {target_context!r}")
     refs = [list(t) for d in docs for _, t in d.sentences]
-    per_size = [[w for d in docs for w in make_windows(d, k, vocab)] for k in sizes]
-    held: set[Window] = set()
+    per_size = [[make_windows(d, k, vocab) for d in docs] for k in sizes]  # by document
+    flat = [[w for wins in per_doc for w in wins] for per_doc in per_size]
+    if target_context == "free":
+        found = _decode_pass(model, flat, beam, alpha)
+        decoded = {w: extract_current(ids, expected_seps=w.size - 1) for w, ids in found.items()}
+    else:
+        decoded = {}
+        for j in range(max((len(d.sentences) for d in docs), default=0)):
+            position = [[wins[j] for wins in per_doc if j < len(wins)] for per_doc in per_size]
+            prefix = {wins[j]: tuple(tok for ctx in wins[j + 1 - wins[j].size:j]
+                                     for tok in (*decoded[ctx][0], SEP_ID))
+                      for per_doc in per_size for wins in per_doc if j < len(wins)}
+            found = _decode_pass(model, position, beam, alpha, prefix.get, held=decoded)
+            decoded.update((w, extract_current(ids, expected_seps=0)) for w, ids in found.items())
+    return [([vocab.decode(decoded[w][0]) for w in windows], refs,
+             sum(not decoded[w][1] for w in windows)) for windows in flat]
+
+
+def _decode_pass(model, per_size, beam, alpha, prefix_of=None,
+                 held=()) -> dict[Window, list[int]]:
+    """The decoded ids of each distinct window of ``per_size`` that ``held``
+    does not hold, in one ``map_ordered`` over chunks of ``BATCH_WINDOWS``
+    windows of one size; ``prefix_of(window)`` is the window's forced
+    prefix, and without it each window is decoded whole."""
+    seen = set(held)
     chunks: list[list[Window]] = []
     for windows in per_size:
-        new = [w for w in windows if w not in held]
-        held.update(windows)
+        new = [w for w in windows if w not in seen]
+        seen.update(windows)
         chunks.extend(new[lo:lo + BATCH_WINDOWS] for lo in range(0, len(new), BATCH_WINDOWS))
-    decoded_chunks = map_ordered(lambda chunk: model.decode(chunk, beam=beam, alpha=alpha),
-                                 chunks)
-    decoded = {w: ids for chunk, out in zip(chunks, decoded_chunks)
-               for w, ids in zip(chunk, out)}
-    out = []
-    for windows in per_size:
-        hyps: list[list[str]] = []
-        malformed = 0
-        for w in windows:
-            current, ok = extract_current(decoded[w], expected_seps=w.size - 1)
-            if not ok:
-                malformed += 1
-            hyps.append(vocab.decode(current))
-        out.append((hyps, refs, malformed))
-    return out
+
+    def run(chunk):
+        prefixes = None if prefix_of is None else [prefix_of(w) for w in chunk]
+        return model.decode(chunk, beam=beam, alpha=alpha, prefixes=prefixes)
+
+    return {w: ids for chunk, out in zip(chunks, map_ordered(run, chunks))
+            for w, ids in zip(chunk, out)}
 
 
 def check_example_windows(examples: Iterable[ContrastiveExample],
@@ -418,12 +447,14 @@ def check_example_windows(examples: Iterable[ContrastiveExample],
 def robustness_eval(model: TransformerModel, docs: Sequence[Document], vocab: Vocab,
                     sizes: Sequence[int],
                     examples: Sequence[ContrastiveExample] | None = None,
-                    beam: int = 4, alpha: float = 0.6) -> list[RobustnessRow]:
+                    beam: int = 4, alpha: float = 0.6,
+                    target_context: str = "own") -> list[RobustnessRow]:
     """BLEU (and contrastive accuracy) re-evaluated at each window size.
 
     Windows are rebuilt at every size; only the current sentence of each
-    decoded window is scored, the context translation is discarded. Each
-    row keeps the hypotheses and references its BLEU was computed from.
+    window is scored, decoded after the ``target_context`` of
+    ``decode_current_sentences``. Each row keeps the hypotheses and
+    references its BLEU was computed from.
     A window or rebuilt contrastive example that an earlier size already
     holds is decoded or scored once and its result reused (see
     ``decode_current_sentences``). The examples' windows must be their
@@ -436,7 +467,8 @@ def robustness_eval(model: TransformerModel, docs: Sequence[Document], vocab: Vo
         raise EvalError(f"window size {max(sizes)} may exceed model max length "
                         f"{model.config.max_len}")
     docs_by_id = {d.doc_id: d for d in docs}
-    decoded = decode_current_sentences(model, docs, vocab, sizes, beam=beam, alpha=alpha)
+    decoded = decode_current_sentences(model, docs, vocab, sizes, beam=beam, alpha=alpha,
+                                       target_context=target_context)
     scored: dict[ContrastiveExample, ContrastiveResult] = {}
     rows = []
     for size, (hyps, refs, malformed) in zip(sizes, decoded):

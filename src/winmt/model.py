@@ -41,7 +41,7 @@ from .tensor import (Tensor, add, add_const, attention, dropout, embedding, laye
 
 NEG_INF = -np.inf
 DTYPES = ("float32", "float64")
-CACHE_STEPS = 32  # first capacity of decode's self-attention caches; it doubles when reached
+CACHE_STEPS = 8  # first step capacity of decode's self-attention caches; doubles when full
 
 
 class ModelError(ValueError):
@@ -294,6 +294,99 @@ def _keep_rows(cache: np.ndarray, rows: np.ndarray, filled: int, limit: int) -> 
     return grown
 
 
+class _RowCaches:
+    """Decode's self-attention keys and values, one row per hypothesis: a
+    (rows, capacity, hidden) array per layer and kind, made with np.empty.
+    The rows in use come first and only the steps written so far are read.
+    The capacity starts at ``CACHE_STEPS`` steps (at most ``limit``) and
+    doubles when reached (``_keep_rows``)."""
+
+    def __init__(self, names, rows: int, limit: int, hidden: int, dtype):
+        shape = (rows, min(limit, CACHE_STEPS), hidden)
+        self.arrays = {name: [np.empty(shape, dtype), np.empty(shape, dtype)] for name in names}
+        self.limit = limit
+
+    def attend(self, name, new, t):
+        """Write step ``t``'s (keys, values) rows ``new``; the keys and values
+        to attend to, one group per row."""
+        m = len(new[0])
+        for cache, rows in zip(self.arrays[name], new):
+            cache[:m, t] = rows
+        return tuple(Tensor(cache[:m, :t + 1]) for cache in self.arrays[name])
+
+    def mask(self, t):
+        return 0.0
+
+    def keep(self, rows, t) -> None:
+        """Keep the rows ``rows`` after step ``t``, in that order."""
+        for pair in self.arrays.values():
+            pair[:] = [_keep_rows(c, rows, t + 1, self.limit) for c in pair]
+
+
+class _WindowCaches:
+    """Decode's self-attention keys and values after forced prefixes, one
+    group per window: a (windows, lead + beam * capacity, hidden) array per
+    layer and kind. The first ``lead`` slots hold the window's prefix
+    (right-aligned, from ``TransformerModel._force``), which its `beam`
+    rows share; each generated step then adds one slot per row. A row
+    attends to the prefix and to its own slots only (``mask``), and the
+    window's rows attend together. The generated capacity starts at
+    ``CACHE_STEPS`` steps (at most ``limit``) and doubles when reached."""
+
+    def __init__(self, forced: dict, used: np.ndarray, beam: int, limit: int, dtype):
+        """``forced``: each layer's prefix (keys, values), emptied as it is
+        copied; ``used``: the slots each window's prefix fills."""
+        b, lead, hidden = next(iter(forced.values()))[0].shape
+        self.beam, self.lead, self.limit = beam, lead, limit
+        steps = min(limit, CACHE_STEPS)
+        self.arrays = {}
+        for name in list(forced):
+            self.arrays[name] = [np.empty((b, lead + beam * steps, hidden), dtype) for _ in "kv"]
+            for cache, part in zip(self.arrays[name], forced.pop(name)):
+                cache[:, :lead] = part
+        # row r of a window reads the prefix after its padding and slot r of each step
+        own = np.where(np.eye(beam, dtype=bool), 0.0, NEG_INF)
+        self._mask = np.concatenate(
+            [np.repeat(_key_mask(np.arange(lead) >= lead - used[:, None], dtype)[:, None],
+                       beam, axis=1),
+             np.broadcast_to(np.tile(own, limit).astype(dtype), (b, beam, beam * limit))],
+            axis=2)[:, None]
+
+    def attend(self, name, new, t):
+        """Write step ``t``'s (keys, values) rows ``new``, window by window;
+        the keys and values to attend to, one group per window."""
+        n = len(new[0]) // self.beam
+        lo = self.lead + (t - 1) * self.beam
+        for cache, rows in zip(self.arrays[name], new):
+            cache[:n, lo:lo + self.beam] = rows.reshape(n, self.beam, -1)
+        return tuple(Tensor(cache[:n, :lo + self.beam]) for cache in self.arrays[name])
+
+    def mask(self, t):
+        return self._mask[..., :self.lead + t * self.beam]
+
+    def keep(self, rows, t) -> None:
+        """Keep the rows ``rows`` after step ``t``, in that order: whole
+        windows, each row taking the slots of the row it continues."""
+        beam, lead = self.beam, self.lead
+        win = rows[::beam] // beam
+        if not np.array_equal(win, np.arange(len(self._mask))):
+            self._mask = self._mask[win]
+        # the slot that each filled slot of a kept window is taken from
+        steps = lead + np.arange(t)[:, None] * beam + (rows % beam).reshape(-1, 1, beam)
+        take = np.concatenate([np.broadcast_to(np.arange(lead), (len(win), lead)),
+                               steps.reshape(len(win), -1)], axis=1)
+        filled = take.shape[1]
+        moved = (win != np.arange(len(win))).any() or (take != np.arange(filled)).any()
+        for pair in self.arrays.values():
+            for i, cache in enumerate(pair):
+                if moved:
+                    cache[:len(win), :filled] = cache[win[:, None], take]
+                if filled + beam > cache.shape[1]:
+                    grown = lead + beam * min(2 * t, self.limit)
+                    pair[i] = np.empty((len(win), grown) + cache.shape[2:], cache.dtype)
+                    pair[i][:, :filled] = cache[:len(win), :filled]
+
+
 def _top_candidates(scores: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the ``k`` largest entries in each row of ``scores``,
     best first; among equal entries the lower index comes first. The same as
@@ -507,20 +600,52 @@ class TransformerModel:
         return -np.array(getattr(teacher_forced(self, [windows], list, 0.0), mode))
 
     def decode(self, windows: Sequence[Window], beam: int = 4, alpha: float = 0.6,
-               max_len: int | None = None) -> list[list[int]]:
+               max_len: int | None = None,
+               prefixes: Sequence[Sequence[int]] | None = None) -> list[list[int]]:
         """Batched beam search; returns generated token ids (with <E> when emitted).
 
-        Hypotheses are ranked by log-prob / lp(n) with lp(n) = ((5+n)/6)^alpha.
-        Generation stops at <E> or max-len. A window keeps a count of its
-        finished hypotheses and the best of them (the earliest on ties). It
-        leaves the batch once it holds `beam` finished hypotheses or reaches
-        its length cap, so every step runs on the rows of windows still
-        searching only.
+        Hypotheses are ranked by the log-prob of their n generated tokens over
+        lp(n) = ((5+n)/6)^alpha. Generation stops at <E> or at the window's
+        length cap: 2 * len(src_ids) + 8 tokens, at most ``max_len`` and the
+        model's ``max_len``.
+
+        With ``prefixes``, window i's target starts with the forced tokens
+        ``prefixes[i]`` (its context translations, each followed by <S>), and
+        only its current sentence is generated: <S> is masked like <pad>, and
+        the cap is 2 * c + 8 tokens, c the current source sentence's token
+        count with its <E>, at most ``max_len``, and at most the model's
+        ``max_len`` less the prefix length, which must leave one token. The
+        prefixes run through the decoder once, one row per window
+        (``_force``); their self-attention keys and values are kept once per
+        window, which its `beam` rows share (``_WindowCaches``), and the
+        search goes on from the positions and segments that follow the
+        prefix.
+
+        A window keeps a count of its finished hypotheses and the best of
+        them (the earliest on ties). It leaves the batch once it holds
+        `beam` finished hypotheses, reaches its length cap, or none of its
+        live rows can beat its best. A row's log-prob only falls as it
+        grows, so after step t no later finish of a live row scores above
+        max(cum) / max(lp(t+2), lp(cap)); at or below the best, the result
+        is settled. Every step runs on the rows of windows still searching
+        only.
         """
         if beam < 1:
             raise ModelError(f"beam must be >= 1, got {beam}")
+        if not math.isfinite(alpha):
+            raise ModelError(f"alpha must be finite, got {alpha}")
         cfg = self.config
-        caps = np.array([min(cfg.max_len, 2 * len(w.src_ids) + 8) for w in windows])
+        b = len(windows)
+        if prefixes is None:
+            starts = np.zeros(b, dtype=np.int64)
+            caps = np.array([min(cfg.max_len, 2 * len(w.src_ids) + 8) for w in windows])
+        else:
+            starts = np.array([len(p) for p in prefixes], dtype=np.int64)
+            caps = np.array([min(cfg.max_len - n, 2 * w.src_seg.count(w.current_index) + 8)
+                             for w, n in zip(windows, starts)])
+            if caps.min() < 1:
+                raise ModelError(f"a forced prefix of {starts.max()} tokens leaves no room "
+                                 f"under max length {cfg.max_len}")
         if max_len is not None:
             if max_len < 1:
                 raise ModelError(f"max-len must be >= 1, got {max_len}")
@@ -529,7 +654,6 @@ class TransformerModel:
 
         batch = build_batch(windows, cfg)
         enc = self.encode(batch)
-        b = len(windows)
 
         # every per-row array holds `beam` rows per window still searching;
         # the cross keys/values and the source mask hold one row per window
@@ -537,23 +661,27 @@ class TransformerModel:
                  for i in range(cfg.layers)}
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         shifts = np.repeat(batch.shifts, beam)
-        # each cache holds the rows in use first and the steps written first;
-        # np.empty, as only that part is read
-        shape = (b * beam, min(t_cap, CACHE_STEPS), cfg.hidden)
-        caches = {f"dec{i}.self": [np.empty(shape, cfg.np_dtype), np.empty(shape, cfg.np_dtype)]
-                  for i in range(cfg.layers)}
-
-        def self_kv(name, h):
-            # this step's keys/values go into the cache; attend to its filled prefix
-            m = len(h.data)
-            for cache, new in zip(caches[name], self._kv(name, h)):
-                cache[:m, t] = new.data[:, 0]
-            return tuple(Tensor(cache[:m, :t + 1]) for cache in caches[name])
-
-        live = np.arange(b)  # the window behind each group of `beam` rows
         tokens = np.full((b * beam, t_cap + 1), PAD_ID, dtype=np.int64)
         tokens[:, 0] = EOS_ID  # the start token
         segs = np.zeros(b * beam, dtype=np.int64)
+        banned = [PAD_ID]  # padding is never a valid continuation
+        names = [f"dec{i}.self" for i in range(cfg.layers)]
+        if prefixes is None:
+            first, caches = None, _RowCaches(names, b * beam, t_cap, cfg.hidden, cfg.np_dtype)
+        else:
+            banned.append(SEP_ID)
+            # a prefix's last token is the first input of the search
+            tokens[:, 0] = np.repeat([p[-1] if len(p) else EOS_ID for p in prefixes], beam)
+            segs = np.repeat([list(p[:-1]).count(SEP_ID) for p in prefixes], beam)
+            first, forced = self._force(prefixes, batch, cross, cross_mask)
+            caches = _WindowCaches(forced, starts + 1, beam, t_cap, cfg.np_dtype)
+        starts = np.repeat(starts, beam)
+
+        def self_kv(name, h):
+            # this step's keys/values go into the cache; attend to what it holds
+            return caches.attend(name, [a.data[:, 0] for a in self._kv(name, h)], t)
+
+        live = np.arange(b)  # the window behind each group of `beam` rows
         cum = np.full(b * beam, NEG_INF)  # -inf marks a dead row
         cum[::beam] = 0.0
         # per window: how many hypotheses finished, and the best one's
@@ -561,15 +689,19 @@ class TransformerModel:
         n_done = np.zeros(b, dtype=np.int64)
         best = np.full(b, NEG_INF)
         best_ids = np.full((b, t_cap), PAD_ID, dtype=np.int64)
+        lp = lambda n: ((5.0 + n) / 6.0) ** alpha
 
         for t in range(t_cap):
             n = live.size
-            seg_col = segs[:, None]
-            pos = shift_positions(t, seg_col, shifts[:, None])
-            x = self._embed(tokens[:, t:t + 1], seg_col, pos, "tgt_emb", EVAL)
-            logp = self._decoder(x, self_kv, lambda name, _: cross[name], 0.0,
-                                 cross_mask).data[:, 0]
-            logp[:, PAD_ID] = NEG_INF  # padding is never a valid continuation
+            if t == 0 and first is not None:
+                logp = np.repeat(first, beam, axis=0)  # each window's one live row
+            else:
+                seg_col = segs[:, None]
+                pos = shift_positions((starts + t)[:, None], seg_col, shifts[:, None])
+                x = self._embed(tokens[:, t:t + 1], seg_col, pos, "tgt_emb", EVAL)
+                logp = self._decoder(x, self_kv, lambda name, _: cross[name], caches.mask(t),
+                                     cross_mask).data[:, 0]
+            logp[:, banned] = NEG_INF
             cand = (cum[:, None] + logp).reshape(n, beam * cfg.vocab_size)
 
             # the (n, 2·beam) ranked candidates; the first -inf one ends a list
@@ -600,7 +732,7 @@ class TransformerModel:
 
             # <E> finishes, then cap finishes, each in rank order: the first
             # best of this step replaces the window's best if strictly better
-            norm = score / ((5.0 + (t + 1)) / 6.0) ** alpha
+            norm = score / lp(t + 1)
             fin = np.stack([eos, cont & capped[:, None]], axis=1)
             fin = np.where(fin, norm[:, None], NEG_INF).reshape(n, -1)
             row = np.flatnonzero(fin.max(axis=1) > best[live])
@@ -609,6 +741,9 @@ class TransformerModel:
             best[w] = norm[row, pick]
             best_ids[w, :t] = tokens[src[row, pick], 1:t + 1]
             best_ids[w, t] = tok[row, pick]
+            # a window whose live rows cannot beat its best stops as well
+            bound = cum.reshape(n, beam).max(axis=1) / np.maximum(lp(t + 2), lp(caps[live]))
+            stop |= bound <= best[live]
 
             tokens = tokens[reorder]
             tokens[filled, t + 1] = tok[cont]
@@ -623,15 +758,56 @@ class TransformerModel:
             if not keep.all():
                 kept = np.flatnonzero(np.repeat(keep, beam))
                 live = live[keep]
-                tokens, segs, cum, shifts = tokens[kept], segs[kept], cum[kept], shifts[kept]
+                tokens, segs, cum = tokens[kept], segs[kept], cum[kept]
+                shifts, starts = shifts[kept], starts[kept]
                 cross_mask = cross_mask[keep]
                 cross = {name: (Tensor(k.data[keep]), Tensor(v.data[keep]))
                          for name, (k, v) in cross.items()}
                 gather = reorder[kept]
-            for cache in caches.values():
-                cache[:] = [_keep_rows(c, gather, t + 1, t_cap) for c in cache]
+            caches.keep(gather, t)
 
         return [ids[ids != PAD_ID].tolist() or [EOS_ID] for ids in best_ids]
+
+    def _force(self, prefixes, batch, cross, cross_mask):
+        """One teacher-forced pass over the decoder inputs <E>, p_0, ..., p_{n-1}
+        of each forced prefix p, one row per window, with the segments and
+        shifted positions that a window target gives them.
+
+        Returns the log-probs of each window's first generated token,
+        (windows, vocab), and each decoder layer's self-attention keys and
+        values, (windows, width, hidden) each for the most inputs of a
+        window, right-aligned: a window's inputs fill its last slots, and
+        the slots before them hold zeros.
+        """
+        cfg = self.config
+        b = len(prefixes)
+        n = np.array([len(p) for p in prefixes]) + 1  # each window's inputs
+        width = int(n.max())
+        ids = np.full((b, width), PAD_ID, dtype=np.int64)
+        seg = np.zeros((b, width), dtype=np.int64)
+        for i, p in enumerate(prefixes):
+            ids[i, :n[i]] = (EOS_ID, *p)
+            seg[i, 1:n[i]] = np.cumsum(ids[i, :n[i] - 1] == SEP_ID)
+        valid = np.arange(width) < n[:, None]
+        pos = shift_positions(np.arange(width), seg, batch.shifts[:, None])
+        grid = Grid(np.flatnonzero(valid), np.empty((2, 0), np.int64), valid.shape)
+        win, col = np.divmod(grid.rows, width)
+        right = (win, width - n[win] + col)  # each input's slot, right-aligned
+        forced = {}
+
+        def self_kv(name, h):
+            k, v = self._kv(name, h)
+            forced[name] = [np.zeros((b, width, cfg.hidden), cfg.np_dtype) for _ in "kv"]
+            for part, new in zip(forced[name], (k, v)):
+                part[right] = new.data
+            return _to_grid(k, grid), _to_grid(v, grid)
+
+        causal = _key_mask(np.tril(np.ones((width, width))), cfg.np_dtype)
+        self_mask = causal[None, None] + _key_mask(valid[:, None, None, :], cfg.np_dtype)
+        x = self._embed(ids, seg, pos, "tgt_emb", EVAL, rows=grid.rows)
+        log_probs = self._decoder(x, self_kv, lambda name, _: cross[name], self_mask,
+                                  cross_mask, grid)
+        return log_probs.data[np.arange(b), n - 1], forced
 
     # ------------------------------------------------------------------
     # persistence

@@ -17,8 +17,8 @@ from winmt import cli
 from winmt import evaluation as evl
 from winmt import synth
 from winmt.cli import main
-from winmt.corpus import (EncodedCorpus, Vocab, make_windows, read_contrastive, read_corpus,
-                          split_documents)
+from winmt.corpus import (EOS_ID, SEP_ID, EncodedCorpus, Vocab, make_windows,
+                          read_contrastive, read_corpus, split_documents)
 from winmt.evaluation import bleu, check_example_windows, extract_current
 from winmt.model import TransformerModel
 from winmt.trainer import TrainConfig, read_log
@@ -192,13 +192,15 @@ class TestEvaluate:
         assert (run_dir / "hyps_test_k2.txt").exists()
         assert (run_dir / "refs_test.txt").exists()
 
-    def test_each_window_decoded_once(self, run_dir, tmp_path, monkeypatch, one_worker):
+    @pytest.mark.parametrize("target_context", ["free", "own"])
+    def test_each_window_decoded_once(self, run_dir, tmp_path, monkeypatch, one_worker,
+                                      target_context):
         calls = []
         original = TransformerModel.decode
 
         def counting(self, windows, *args, **kwargs):
             decoded = original(self, windows, *args, **kwargs)
-            calls.append((windows, decoded))
+            calls.append((windows, kwargs.get("prefixes"), decoded))
             return decoded
 
         # a test split of more than one decode batch, in the run's vocabulary
@@ -209,20 +211,38 @@ class TestEvaluate:
         report = tmp_path / "report"
         code = run_cli("evaluate", "--run", run_dir, "--data", data,
                        "--split", "test", "--window-sizes", "2,3,4", "--beam", "2",
-                       "--report-dir", report)
+                       "--target-context", target_context, "--report-dir", report)
         assert code == 0
         docs = read_corpus(data / "test.txt")
         n_windows = sum(len(d.sentences) for d in docs)
         assert n_windows > 32  # more than one decode batch per size
         vocab = Vocab.load(run_dir / "vocab.json")
-        seen = [w for windows, _ in calls for w in windows]
-        decoded = {w: ids for windows, out in calls for w, ids in zip(windows, out)}
+        seen = [w for windows, _, _ in calls for w in windows]
+        decoded = {w: ids for windows, _, out in calls for w, ids in zip(windows, out)}
         per_size = {k: [w for d in docs for w in make_windows(d, k, vocab)] for k in (2, 3, 4)}
         # every distinct window once and none twice: a window that starts at
         # the document start is the same window at every larger size
         assert len(seen) == len(set(seen))
         assert set(seen) == set().union(*per_size.values())
         assert all(len(d.sentences) == 4 for d in docs) and len(seen) == 7 * len(docs)
+        if target_context == "free":
+            current = {w: extract_current(ids, w.size - 1)[0] for w, ids in decoded.items()}
+            assert all(prefixes is None for _, prefixes, _ in calls)
+        else:
+            # one decode pass per sentence position; each window after the
+            # current sentences decoded for its context windows at its size
+            current = {w: ids[:-1] if ids[-1] == EOS_ID else ids for w, ids in decoded.items()}
+            prefix = {w: p for windows, prefixes, _ in calls for w, p in zip(windows, prefixes)}
+            for k in (2, 3, 4):
+                for d in docs:
+                    wins = make_windows(d, k, vocab)
+                    for j, w in enumerate(wins):
+                        want = [t for ctx in wins[j + 1 - w.size:j]
+                                for t in current[ctx] + [SEP_ID]]
+                        assert list(prefix[w]) == want
+            assert all(len({(w.j, w.size) for w in windows}) == 1 for windows, _, _ in calls)
+            assert [(windows[0].j, len(windows)) for windows, _, _ in calls] == [
+                (0, 12), (1, 12), (2, 12), (2, 12), (3, 12), (3, 12), (3, 12)]
         refs = [line.split() for line in (report / "refs_test.txt").read_text().splitlines()]
         rows = list(csv.DictReader((report / "robustness_test.csv").open()))
         assert [r["size"] for r in rows] == ["2", "3", "4"]
@@ -232,8 +252,20 @@ class TestEvaluate:
             assert len(hyps) == len(refs) == int(r["n_windows"]) == n_windows
             assert float(r["bleu"]) == bleu(hyps, refs)
             # the written hypotheses are the current sentences of those decodes
-            assert hyps == [vocab.decode(extract_current(decoded[w], w.size - 1)[0])
-                            for w in per_size[int(r["size"])]]
+            assert hyps == [vocab.decode(current[w]) for w in per_size[int(r["size"])]]
+            assert target_context == "free" or r["malformed"] == "0"
+        report_json = json.loads((report / "evaluate_test.json").read_text())
+        assert report_json["target_context"] == target_context
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_is_a_usage_error(self, run_dir, data_dir, tmp_path, capsys,
+                                               alpha):
+        report = tmp_path / "report"
+        assert run_cli("evaluate", "--run", run_dir, "--data", data_dir, "--limit", "3",
+                       "--window-sizes", "2", f"--alpha={alpha}", "--report-dir", report) == 1
+        err = last_error(capsys)
+        assert err["error"] == "UsageError" and "--alpha" in err["message"]
+        assert not report.exists()
 
     @pytest.mark.parametrize("shift", [1, 5])
     def test_example_not_ending_at_its_sentence_rejected(self, run_dir, tmp_path, capsys,

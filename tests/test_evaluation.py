@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from winmt import corpus as C
 from winmt import evaluation as E
 from winmt import model as M
+from winmt import parallel
 from winmt import synth
 from winmt.rng import stream
+from winmt.tensor import Tensor
 
 import reference_ops as R
 
@@ -343,6 +345,20 @@ class TestExtraction:
         assert cur == [7] and not ok
 
 
+@pytest.fixture(scope="module")
+def chained(setup):
+    """A copy of the ``setup`` model biased towards <E>, so that windows
+    finish at different steps, five documents, window sizes, and the
+    ``reference_ops.chained_reference`` hypotheses per size at beams 1 and 3."""
+    docs, _, vocab, base = setup
+    params = {k: Tensor(v.data.copy()) for k, v in base.params.items()}
+    params["out&bias"].data[C.EOS_ID] += 1.0
+    model = M.TransformerModel(base.config, params)
+    docs, sizes = docs[:5], [1, 2, 3]
+    return model, docs, vocab, sizes, {beam: R.chained_reference(model, docs, vocab, sizes,
+                                                                 beam, 0.6) for beam in (1, 3)}
+
+
 class TestRobustnessEval:
     def test_size_equal_training_k_matches_standard_eval(self, setup):
         docs, examples, vocab, model = setup
@@ -368,7 +384,7 @@ class TestRobustnessEval:
         sub_examples = [e for e in examples if e.doc_id in ids]
         sizes = [1, 2, 3, 4]
         rows = E.robustness_eval(model, sub_docs, vocab, sizes, examples=sub_examples,
-                                 beam=2)
+                                 beam=2, target_context="free")
         refs = [list(t) for d in sub_docs for _, t in d.sentences]
         by_id = {d.doc_id: d for d in sub_docs}
         for size, row in zip(sizes, rows):
@@ -383,6 +399,23 @@ class TestRobustnessEval:
             assert row.malformed == sum(not ok for _, ok in current)
             assert row.bleu == E.bleu(hyps, refs)
             assert row.accuracy == E.overall_accuracy(results)
+
+    @pytest.mark.parametrize("beam", [1, 3])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_own_context_equals_the_chained_reference(self, chained, monkeypatch, beam, cpus):
+        model, docs, vocab, sizes, want = chained
+        # chunks of 3 windows mix prefix lengths
+        monkeypatch.setattr(E, "BATCH_WINDOWS", 3)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+        rows = E.robustness_eval(model, docs, vocab, sizes, beam=beam)
+        assert [r.hyps for r in rows] == want[beam]
+        assert [r.malformed for r in rows] == [0] * len(sizes)
+        assert [r.bleu for r in rows] == [E.bleu(h, rows[0].refs) for h in want[beam]]
+
+    def test_unknown_target_context_rejected(self, setup):
+        docs, _, vocab, model = setup
+        with pytest.raises(E.EvalError, match="gold"):
+            E.decode_current_sentences(model, docs[:1], vocab, [2], target_context="gold")
 
     def test_oversized_window_rejected(self, setup):
         docs, _, vocab, _ = setup

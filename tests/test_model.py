@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from winmt import synth
 from winmt.rng import stream
 from winmt.tensor import Graph, Tensor, backward, record
 
-from reference_ops import finite_diff_check, window_from_sentences
+from reference_ops import (beam_reference, finite_diff_check, full_prefix_logits,
+                           window_from_sentences)
 
 
 @pytest.fixture(scope="module")
@@ -477,34 +479,81 @@ class TestBeamSearch:
     @pytest.mark.parametrize("max_len", [None, 3])
     def test_decode_equals_beam_reference(self, setup, variant, beam, max_len):
         docs, vocab, windows, model = setup
-        subset = [windows[3], C.make_windows(docs[1], 1, vocab)[1],
-                  C.make_windows(docs[1], 2, vocab)[2]]
-        if variant == "eos-biased":
-            model = eos_biased(model)
-        elif variant == "two-word":
-            # ids 4 and 5 are the only words: the first step ranks 5 finite
-            # candidates (all but <pad>) in 10 places and fills at most 4 rows
-            model = M.TransformerModel(M.ModelConfig(
-                vocab_size=6, layers=2, heads=2, hidden=32, ffn=64, dropout=0.0,
-                dtype="float64"), seed=2)
-            two = lambda ids: tuple(i if i < 4 else 4 + i % 2 for i in ids)
-            subset = [dataclasses.replace(w, src_ids=two(w.src_ids), tgt_ids=two(w.tgt_ids))
-                      for w in subset]
+        model, subset = reference_case(model, variant, [
+            windows[3], C.make_windows(docs[1], 1, vocab)[1], C.make_windows(docs[1], 2, vocab)[2]])
         # a strong length reward lets longer hypotheses beat earlier ones, so
         # the stop at `beam` finished ones and the cap rule show in the result
         got = model.decode(subset, beam=beam, alpha=1.5, max_len=max_len)
         assert got == [beam_reference(model, w, beam, 1.5, max_len) for w in subset]
 
+    @pytest.mark.parametrize("variant,beam", REFERENCE_CASES)
+    @pytest.mark.parametrize("max_len", [None, 3])
+    def test_gold_prefix_decode_equals_beam_reference(self, setup, variant, beam, max_len):
+        # windows of sizes 1 to 4 in one batch, each after its reference
+        # context translation: forced prefixes of different lengths, and none
+        docs, vocab, _, model = setup
+        model, subset = reference_case(model, variant, [
+            C.make_windows(docs[2], k, vocab)[j] for k, j in ((3, 3), (1, 1), (4, 3), (2, 1))])
+        prefixes = [w.tgt_ids[:w.current_span[0]] for w in subset]
+        assert min(map(len, prefixes)) == 0 and len(set(map(len, prefixes))) == 4
+        got = model.decode(subset, beam=beam, alpha=1.5, max_len=max_len, prefixes=prefixes)
+        assert got == [beam_reference(model, w, beam, 1.5, max_len, prefix=p)
+                       for w, p in zip(subset, prefixes)]
+
     def test_cache_growth_keeps_decode_equal_to_its_references(self, setup, monkeypatch):
         # from a capacity of one step the self-attention caches double at
         # steps 1, 2, 4, ... up to the length cap, also while windows leave
-        # the batch; at the default capacity only searches of more than 32
-        # steps grow, and none under max_len 3
+        # the batch and after forced prefixes
         monkeypatch.setattr(M, "CACHE_STEPS", 1)
         for max_len in (None, 3):
             self.test_batched_decode_matches_single_as_windows_finish(setup, max_len)
             for variant, beam in REFERENCE_CASES:
                 self.test_decode_equals_beam_reference(setup, variant, beam, max_len)
+                self.test_gold_prefix_decode_equals_beam_reference(setup, variant, beam,
+                                                                   max_len)
+
+    def test_window_stops_once_no_live_row_can_beat_its_best(self, setup, monkeypatch):
+        # with a bias towards <E>, a short hypothesis can finish with a score
+        # that no live row can reach any more: the search of its window ends
+        # before `beam` hypotheses finish, and still gives the reference's result
+        _, _, windows, base = setup
+        model = eos_biased(base)
+        steps = []
+        top = M._top_candidates  # called once per search step
+        monkeypatch.setattr(M, "_top_candidates",
+                            lambda scores, k: steps.append(len(scores)) or top(scores, k))
+        early = 0
+        for w in windows[:10]:
+            steps.clear()
+            finished = []
+            assert model.decode([w], beam=4, alpha=0.6)[0] == beam_reference(
+                model, w, 4, 0.6, None, finished_by_step=finished)
+            if len(steps) < len(finished):
+                assert finished[len(steps) - 1] < 4 and len(steps) < 2 * len(w.src_ids) + 8
+                early += 1
+        assert early >= 3
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, setup, alpha):
+        _, _, windows, model = setup
+        with pytest.raises(M.ModelError, match="alpha"):
+            model.decode([windows[0]], beam=2, alpha=alpha)
+
+
+def reference_case(model, variant, windows):
+    """The model and windows of a ``REFERENCE_CASES`` variant."""
+    if variant == "eos-biased":
+        return eos_biased(model), windows
+    if variant == "two-word":
+        # ids 4 and 5 are the only words: the first step ranks 5 finite
+        # candidates (all but <pad>) in 10 places and fills at most 4 rows
+        model = M.TransformerModel(M.ModelConfig(
+            vocab_size=6, layers=2, heads=2, hidden=32, ffn=64, dropout=0.0,
+            dtype="float64"), seed=2)
+        two = lambda ids: tuple(i if i < 4 else 4 + i % 2 for i in ids)
+        windows = [dataclasses.replace(w, src_ids=two(w.src_ids), tgt_ids=two(w.tgt_ids))
+                   for w in windows]
+    return model, windows
 
 
 def eos_biased(model):
@@ -534,44 +583,6 @@ def greedy_reference(model, window):
     return out
 
 
-def beam_reference(model, window, beam, alpha, max_len):
-    """Beam search for one window by a full re-forward of every hypothesis
-    each step; oracle for ``decode``. Candidates rank best first, ties by
-    (row, token); <E> finishes from the first ``beam`` ranks only while fewer
-    than ``beam`` hypotheses have finished; the others fill the rows in rank
-    order. The window stops at ``beam`` finished ones, or at its length cap
-    after finishing its live rows. The best normalized score wins, the
-    earliest finished on ties, and ``[<E>]`` when none finished."""
-    cap = min(model.config.max_len, 2 * len(window.src_ids) + 8, max_len or np.inf)
-    rows = [(0.0, [C.EOS_ID], [0])]  # (cumulative log-prob, tokens from start, segments)
-    finished = []
-    for t in range(cap):
-        lp = ((5.0 + (t + 1)) / 6.0) ** alpha
-        cands = []
-        for cum, tokens, segs in rows:
-            logp = full_prefix_logits(model, window, tokens, segs)
-            logp[C.PAD_ID] = -np.inf
-            cands += [(cum + logp[tok], tokens, segs, tok) for tok in range(len(logp))]
-        cands.sort(key=lambda c: -c[0])  # stable: equal scores keep (row, token) order
-        rows = []
-        for rank, (score, tokens, segs, tok) in enumerate(cands[:2 * beam]):
-            if score == -np.inf:
-                break
-            if tok == C.EOS_ID:
-                if rank < beam and len(finished) < beam:
-                    finished.append((score / lp, tokens[1:] + [tok]))
-            elif len(rows) < beam:
-                seg = segs[-1] + (1 if tokens[-1] == C.SEP_ID else 0)
-                rows.append((score, tokens + [tok], segs + [seg]))
-        if len(finished) >= beam:
-            break
-        if t + 1 == cap:
-            finished += [(score / lp, tokens[1:]) for score, tokens, _ in rows]
-        if not rows:
-            break
-    return max(finished, key=lambda h: h[0])[1] if finished else [C.EOS_ID]
-
-
 def greedy_reference_score(model, window):
     cfg = model.config
     tokens = [C.EOS_ID]
@@ -588,28 +599,6 @@ def greedy_reference_score(model, window):
         segs.append(segs[-1] + (1 if tokens[-1] == C.SEP_ID else 0))
         tokens.append(tok)
     return total
-
-
-def full_prefix_logits(model, window, tokens, segs):
-    """Log-probs for the next token after `tokens` via the batched forward."""
-    cfg = model.config
-    batch = M.build_batch([window], cfg)
-    t = len(tokens)
-    batch_tgt = np.array(tokens, dtype=np.int64)[None, :]
-    seg_arr = np.array(segs, dtype=np.int64)[None, :]
-    shifts = batch.shifts
-    hacked = M.Batch(
-        windows=batch.windows,
-        src=batch.src, src_seg=batch.src_seg, src_pos=batch.src_pos,
-        src_valid=batch.src_valid,
-        tgt_in=batch_tgt, tgt_in_seg=seg_arr,
-        tgt_in_pos=np.arange(t)[None, :] + seg_arr * shifts[:, None],
-        tgt_out=np.zeros((1, t), dtype=np.int64),
-        tgt_valid=np.ones((1, t)),
-        current_mask=np.zeros((1, t)), context_mask=np.zeros((1, t)),
-        shifts=shifts)
-    lp, _ = model.forward(hacked)
-    return lp.data[0, -1]
 
 
 def teacher_forced_logprob(model, src_window, hyp_ids):
@@ -663,6 +652,48 @@ def test_shifted_and_segment_variants_forward(setup):
         greedy = model.decode(subset, beam=1, alpha=0.0)
         assert greedy == [greedy_reference(model, w) for w in subset]
         assert any(C.SEP_ID in h[:-1] for h in greedy)
+
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
+
+
+def test_forcing_free_greedy_context_gives_its_current_sentence():
+    # the benchmark's trained model on windows that free greedy decoding
+    # translates well formed: greedy decoding after its own context
+    # translation, forced, gives the same current sentence, as the prefix
+    # fills the caches, positions and segments that free decoding reaches
+    vocab = C.Vocab.load(FIXTURE / "vocab.json")
+    model = M.TransformerModel.load(FIXTURE / "ckpt_avg.bin", vocab.digest)
+    docs, _ = synth.gen_synthetic(1013, n_docs=12)
+    windows = [w for d in docs for k in (2, 3) for w in C.make_windows(d, k, vocab)[1:]]
+    free = model.decode(windows, beam=1, alpha=0.0)
+    well = [(w, ids) for w, ids in zip(windows, free)
+            if ids[-1] == C.EOS_ID and ids.count(C.SEP_ID) == w.size - 1]
+    assert len(well) >= 15
+    prefixes = [ids[:len(ids) - ids[::-1].index(C.SEP_ID)] for _, ids in well]
+    got = model.decode([w for w, _ in well], beam=1, alpha=0.0, prefixes=prefixes)
+    assert got == [ids[len(p):] for (_, ids), p in zip(well, prefixes)]
+
+
+@pytest.mark.parametrize("scheme, strategy, variant", [
+    ("shifted", "fixed:10", "learned"),
+    ("shifted", "avg-sequence", "sin"),
+])
+def test_gold_prefix_decode_with_shifts_and_segments_equals_beam_reference(
+        setup, scheme, strategy, variant):
+    docs, vocab, _, _ = setup
+    config = M.ModelConfig(vocab_size=len(vocab), layers=1, heads=2, hidden=16, ffn=32,
+                           dropout=0.0, dtype="float64", position_scheme=scheme,
+                           shift_strategy=strategy,
+                           shift_value=10 if strategy.startswith("fixed") else None,
+                           segment_variant=variant)
+    model = M.TransformerModel(config, seed=2)
+    model.params["out&bias"].data[C.EOS_ID] += 1.0
+    windows = [C.make_windows(docs[3], k, vocab)[j] for k, j in ((4, 3), (2, 2), (3, 2))]
+    prefixes = [w.tgt_ids[:w.current_span[0]] for w in windows]
+    got = model.decode(windows, beam=2, alpha=0.6, prefixes=prefixes)
+    assert got == [beam_reference(model, w, 2, 0.6, None, prefix=p)
+                   for w, p in zip(windows, prefixes)]
 
 
 @pytest.mark.parametrize("variant", ["none", "sin", "learned"])

@@ -89,12 +89,14 @@ def test_contrastive_scores_are_the_same_for_any_worker_count(setup, monkeypatch
     assert len(set(runs)) == 1
 
 
-def test_decoded_sentences_are_the_same_for_any_worker_count(setup, monkeypatch):
+@pytest.mark.parametrize("target_context", E.TARGET_CONTEXTS)
+def test_decoded_sentences_are_the_same_for_any_worker_count(setup, monkeypatch,
+                                                            target_context):
     docs, _, vocab, model = setup
     assert sum(len(d.sentences) for d in docs) > 3 * E.BATCH_WINDOWS
     # sizes 3 and 4 decode only the windows that no smaller size holds
     runs = per_worker_count(monkeypatch, lambda: E.decode_current_sentences(
-        model, docs, vocab, (2, 3, 4), beam=2))
+        model, docs, vocab, (2, 3, 4), beam=2, target_context=target_context))
     assert len(set(runs)) == 1 and len(runs[0]) == 3
 
 

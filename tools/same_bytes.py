@@ -63,9 +63,16 @@ COMMANDS = [
     # records of documents that --limit cuts
     ("evaluate-split", "evaluate --run {fixture} --data {out}/data --split test --limit 20 "
                        "--window-sizes 2 --report-dir {out}/evaluate-split"),
+    ("evaluate-split-free", "evaluate --run {fixture} --data {out}/data --split test "
+                            "--limit 20 --window-sizes 2 --target-context free "
+                            "--report-dir {out}/evaluate-split-free"),
     ("gen-slice", "gen-data --out {out}/slice --seed 1001 --docs 30 --split 0/0/100"),
     ("evaluate", "evaluate --run {fixture} --data {out}/slice --split test --limit 9 "
                  "--window-sizes 1,2,3,4 --report-dir {out}/evaluate"),
+    # the same slice decoded whole-window, after no target context
+    ("evaluate-free", "evaluate --run {fixture} --data {out}/slice --split test --limit 9 "
+                      "--window-sizes 1,2,3,4 --target-context free "
+                      "--report-dir {out}/evaluate-free"),
     ("contrastive-full", "contrastive --run {fixture} --data {out}/slice --split test "
                          "--mode full --report-dir {out}/contrastive-full"),
     ("contrastive-current", "contrastive --run {fixture} --data {out}/slice --split test "
@@ -92,6 +99,9 @@ COMMANDS = [
                       "--b {out}/contrastive-current/contrastive_test_examples.csv"),
     ("stats-ar-bleu", "stats --test ar-bleu --a {out}/evaluate/hyps_test_k2.txt "
                       "--b {out}/evaluate/hyps_test_k3.txt --refs {out}/evaluate/refs_test.txt"),
+    ("stats-ar-bleu-free", "stats --test ar-bleu --a {out}/evaluate-free/hyps_test_k2.txt "
+                           "--b {out}/evaluate-free/hyps_test_k3.txt "
+                           "--refs {out}/evaluate-free/refs_test.txt"),
     ("stats-ar", "stats --test ar --a {out}/diagnose/entropies_test.csv "
                  "--b {out}/diagnose-default/entropies_test.csv"),
 ]
