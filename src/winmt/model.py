@@ -41,7 +41,7 @@ from .tensor import (Tensor, add, add_const, attention, dropout, embedding, laye
 
 NEG_INF = -np.inf
 DTYPES = ("float32", "float64")
-CACHE_STEPS = 8  # first step capacity of decode's self-attention caches; doubles when full
+CACHE_STEPS = 8  # first step capacity of decode's self-attention caches per row; doubles when full
 
 
 class ModelError(ValueError):
@@ -276,66 +276,21 @@ def _key_mask(valid: np.ndarray, dtype) -> np.ndarray:
     return np.where(valid > 0, 0.0, NEG_INF).astype(dtype)
 
 
-def _keep_rows(cache: np.ndarray, rows: np.ndarray, filled: int, limit: int) -> np.ndarray:
-    """A (rows, capacity, hidden) self-attention cache of a beam search whose
-    first rows hold rows ``rows`` of ``cache``, over the ``filled`` steps
-    written so far, with room for the next step.
-
-    The rows are gathered in place, and not at all when they stay where
-    they are. A full cache is made again twice as long (at most ``limit``
-    steps) and for the rows still in use only.
-    """
-    if not np.array_equal(rows, np.arange(len(rows))):
-        cache[:len(rows), :filled] = cache[rows, :filled]
-    if filled < cache.shape[1]:
-        return cache
-    grown = np.empty((len(rows), min(2 * filled, limit)) + cache.shape[2:], cache.dtype)
-    grown[:, :filled] = cache[:len(rows)]
-    return grown
-
-
-class _RowCaches:
-    """Decode's self-attention keys and values, one row per hypothesis: a
-    (rows, capacity, hidden) array per layer and kind, made with np.empty.
-    The rows in use come first and only the steps written so far are read.
-    The capacity starts at ``CACHE_STEPS`` steps (at most ``limit``) and
-    doubles when reached (``_keep_rows``)."""
-
-    def __init__(self, names, rows: int, limit: int, hidden: int, dtype):
-        shape = (rows, min(limit, CACHE_STEPS), hidden)
-        self.arrays = {name: [np.empty(shape, dtype), np.empty(shape, dtype)] for name in names}
-        self.limit = limit
-
-    def attend(self, name, new, t):
-        """Write step ``t``'s (keys, values) rows ``new``; the keys and values
-        to attend to, one group per row."""
-        m = len(new[0])
-        for cache, rows in zip(self.arrays[name], new):
-            cache[:m, t] = rows
-        return tuple(Tensor(cache[:m, :t + 1]) for cache in self.arrays[name])
-
-    def mask(self, t):
-        return 0.0
-
-    def keep(self, rows, t) -> None:
-        """Keep the rows ``rows`` after step ``t``, in that order."""
-        for pair in self.arrays.values():
-            pair[:] = [_keep_rows(c, rows, t + 1, self.limit) for c in pair]
-
-
 class _WindowCaches:
-    """Decode's self-attention keys and values after forced prefixes, one
-    group per window: a (windows, lead + beam * capacity, hidden) array per
-    layer and kind. The first ``lead`` slots hold the window's prefix
-    (right-aligned, from ``TransformerModel._force``), which its `beam`
-    rows share; each generated step then adds one slot per row. A row
-    attends to the prefix and to its own slots only (``mask``), and the
-    window's rows attend together. The generated capacity starts at
-    ``CACHE_STEPS`` steps (at most ``limit``) and doubles when reached."""
+    """Decode's self-attention keys and values, one group per window: a
+    (windows, lead + beam * capacity, hidden) array per layer and kind,
+    made with np.empty. The first ``lead`` slots hold the window's forced
+    inputs, <E> and its prefix (right-aligned, from
+    ``TransformerModel._force``), which its `beam` rows share; each
+    generated step then adds one slot per row. A row attends to the forced
+    inputs and to its own slots only (``mask``), and the window's rows
+    attend together. The generated capacity starts at ``CACHE_STEPS``
+    steps (at most ``limit``) and doubles when reached."""
 
     def __init__(self, forced: dict, used: np.ndarray, beam: int, limit: int, dtype):
-        """``forced``: each layer's prefix (keys, values), emptied as it is
-        copied; ``used``: the slots each window's prefix fills."""
+        """``forced``: each layer's (keys, values) of the forced inputs,
+        emptied as it is copied; ``used``: the slots each window's forced
+        inputs fill."""
         b, lead, hidden = next(iter(forced.values()))[0].shape
         self.beam, self.lead, self.limit = beam, lead, limit
         steps = min(limit, CACHE_STEPS)
@@ -344,7 +299,8 @@ class _WindowCaches:
             self.arrays[name] = [np.empty((b, lead + beam * steps, hidden), dtype) for _ in "kv"]
             for cache, part in zip(self.arrays[name], forced.pop(name)):
                 cache[:, :lead] = part
-        # row r of a window reads the prefix after its padding and slot r of each step
+        # row r of a window reads its forced inputs after their padding and
+        # slot r of each step
         own = np.where(np.eye(beam, dtype=bool), 0.0, NEG_INF)
         self._mask = np.concatenate(
             [np.repeat(_key_mask(np.arange(lead) >= lead - used[:, None], dtype)[:, None],
@@ -614,9 +570,12 @@ class TransformerModel:
         only its current sentence is generated: <S> is masked like <pad>, and
         the cap is 2 * c + 8 tokens, c the current source sentence's token
         count with its <E>, at most ``max_len``, and at most the model's
-        ``max_len`` less the prefix length, which must leave one token. The
-        prefixes run through the decoder once, one row per window
-        (``_force``); their self-attention keys and values are kept once per
+        ``max_len`` less the prefix length, which must leave one token.
+        Without, every prefix is empty.
+
+        <E> and the prefixes run through the decoder once, one row per
+        window (``_force``); the last position gives the first step's
+        log-probs, their self-attention keys and values are kept once per
         window, which its `beam` rows share (``_WindowCaches``), and the
         search goes on from the positions and segments that follow the
         prefix.
@@ -636,16 +595,19 @@ class TransformerModel:
             raise ModelError(f"alpha must be finite, got {alpha}")
         cfg = self.config
         b = len(windows)
+        banned = [PAD_ID]  # padding is never a valid continuation
         if prefixes is None:
-            starts = np.zeros(b, dtype=np.int64)
+            # a whole window is searched after an empty prefix
+            prefixes = [()] * b
             caps = np.array([min(cfg.max_len, 2 * len(w.src_ids) + 8) for w in windows])
         else:
-            starts = np.array([len(p) for p in prefixes], dtype=np.int64)
-            caps = np.array([min(cfg.max_len - n, 2 * w.src_seg.count(w.current_index) + 8)
-                             for w, n in zip(windows, starts)])
+            banned.append(SEP_ID)  # only the current sentence is generated
+            caps = np.array([min(cfg.max_len - len(p), 2 * w.src_seg.count(w.current_index) + 8)
+                             for w, p in zip(windows, prefixes)])
             if caps.min() < 1:
-                raise ModelError(f"a forced prefix of {starts.max()} tokens leaves no room "
-                                 f"under max length {cfg.max_len}")
+                raise ModelError(f"a forced prefix of {max(map(len, prefixes))} tokens leaves "
+                                 f"no room under max length {cfg.max_len}")
+        starts = np.array([len(p) for p in prefixes], dtype=np.int64)
         if max_len is not None:
             if max_len < 1:
                 raise ModelError(f"max-len must be >= 1, got {max_len}")
@@ -662,19 +624,12 @@ class TransformerModel:
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
         shifts = np.repeat(batch.shifts, beam)
         tokens = np.full((b * beam, t_cap + 1), PAD_ID, dtype=np.int64)
-        tokens[:, 0] = EOS_ID  # the start token
-        segs = np.zeros(b * beam, dtype=np.int64)
-        banned = [PAD_ID]  # padding is never a valid continuation
-        names = [f"dec{i}.self" for i in range(cfg.layers)]
-        if prefixes is None:
-            first, caches = None, _RowCaches(names, b * beam, t_cap, cfg.hidden, cfg.np_dtype)
-        else:
-            banned.append(SEP_ID)
-            # a prefix's last token is the first input of the search
-            tokens[:, 0] = np.repeat([p[-1] if len(p) else EOS_ID for p in prefixes], beam)
-            segs = np.repeat([list(p[:-1]).count(SEP_ID) for p in prefixes], beam)
-            first, forced = self._force(prefixes, batch, cross, cross_mask)
-            caches = _WindowCaches(forced, starts + 1, beam, t_cap, cfg.np_dtype)
+        # a prefix's last token (<E>, the start token, before an empty one)
+        # is the first input of the search
+        tokens[:, 0] = np.repeat([p[-1] if len(p) else EOS_ID for p in prefixes], beam)
+        segs = np.repeat([list(p[:-1]).count(SEP_ID) for p in prefixes], beam)
+        first, forced = self._force(prefixes, batch, cross, cross_mask)
+        caches = _WindowCaches(forced, starts + 1, beam, t_cap, cfg.np_dtype)
         starts = np.repeat(starts, beam)
 
         def self_kv(name, h):
@@ -693,7 +648,7 @@ class TransformerModel:
 
         for t in range(t_cap):
             n = live.size
-            if t == 0 and first is not None:
+            if t == 0:
                 logp = np.repeat(first, beam, axis=0)  # each window's one live row
             else:
                 seg_col = segs[:, None]
@@ -770,8 +725,9 @@ class TransformerModel:
 
     def _force(self, prefixes, batch, cross, cross_mask):
         """One teacher-forced pass over the decoder inputs <E>, p_0, ..., p_{n-1}
-        of each forced prefix p, one row per window, with the segments and
-        shifted positions that a window target gives them.
+        of each forced prefix p (<E> alone when p is empty), one row per
+        window, with the segments and shifted positions that a window target
+        gives them.
 
         Returns the log-probs of each window's first generated token,
         (windows, vocab), and each decoder layer's self-attention keys and

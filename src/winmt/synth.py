@@ -64,9 +64,14 @@ def gen_synthetic(seed: int,
     drawn from its own counter-derived stream, so output does not depend
     on generation order.
     """
-    if not 0.0 <= inter_sentential_rate <= 1.0:
-        raise CorpusError(
-            f"inter-sentential rate must be in [0, 1], got {inter_sentential_rate}")
+    for name, rate in (("inter-sentential", inter_sentential_rate), ("ambiguity", amb_rate),
+                       ("noun", noun_rate)):
+        if not 0.0 <= rate <= 1.0:  # NaN fails too
+            raise CorpusError(f"{name} rate must be in [0, 1], got {rate}")
+    if n_docs < 1:
+        raise CorpusError(f"need >= 1 document, got {n_docs}")
+    if window_size < 1:
+        raise CorpusError(f"window size must be >= 1, got {window_size}")
     if sentences_per_doc < 2:
         raise CorpusError(f"need >= 2 sentences per document, got {sentences_per_doc}")
     inv = token_inventory(vocab_size)

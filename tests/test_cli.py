@@ -125,6 +125,22 @@ class TestGenData:
         assert run_cli("gen-data", "--out", out, "--seed", "1", "--docs", "10",
                        "--vocab-size", "32", "--force") == 0
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--docs", "0", "document"),
+        ("--docs", "-3", "document"),
+        ("--amb-rate", "2", "ambiguity rate"),
+        ("--noun-rate", "-1", "noun rate"),
+        ("--window-size", "0", "window size"),
+        ("--amb-rate", "nan", "ambiguity rate"),
+    ])
+    def test_bad_value_is_rejected_before_any_file(self, flag, value, named, tmp_path,
+                                                   capsys):
+        out = tmp_path / "out"
+        assert run_cli("gen-data", "--out", out, flag, value) == 2
+        err = last_error(capsys)
+        assert err["error"] == "CorpusError" and named in err["message"]
+        assert not out.exists()
+
 
 class TestTrain:
     def test_run_dir_contents(self, data_dir, run_dir):

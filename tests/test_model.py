@@ -392,8 +392,8 @@ def test_training_tape_keeps_only_the_tensors_the_caller_holds(setup):
 
 
 # (model variant, beam) of the beam_reference comparisons
-REFERENCE_CASES = [("setup", 2), ("setup", 4), ("eos-biased", 2), ("eos-biased", 4),
-                   ("two-word", 5)]
+REFERENCE_CASES = [("setup", 1), ("setup", 2), ("setup", 4), ("eos-biased", 2),
+                   ("eos-biased", 4), ("two-word", 5)]
 
 
 class TestBeamSearch:
@@ -716,6 +716,61 @@ def test_embedding_is_the_closed_form_sum(variant):
     elif variant == "learned":  # segments past the table share its last row
         want += model.params["seg_table"].data[[0, 1, 2, 2, 2, 2]]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_decoder_is_the_pre_norm_layer_written_out(setup):
+    # one decoder layer in plain numpy over the encoder's rows: causal
+    # self-attention, cross-attention and FFN, each read through its own
+    # layer norm and added back, one head at a time at scale 1/sqrt(dh);
+    # then the final norm, the output projection and the log-softmax
+    docs, vocab, _, _ = setup
+    d, heads = 16, 2
+    dh = d // heads
+    config = M.ModelConfig(vocab_size=len(vocab), layers=1, heads=heads, hidden=d, ffn=32,
+                           dropout=0.0, dtype="float64")
+    model = M.TransformerModel(config, seed=3)
+    p = {name: t.data for name, t in model.params.items()}
+    rng = stream(0, "decoder-wiring")
+    for norm_name in ("dec0.ln1", "dec0.ln2", "dec0.ln3"):  # three different norms
+        p[f"{norm_name}.g"][:] = rng.uniform(0.5, 1.5, d)
+        p[f"{norm_name}.b"][:] = rng.normal(0.0, 0.5, d)
+    window = C.make_windows(docs[0], 2, vocab)[1]
+    assert window.size == 2
+    batch = M.build_batch([window], config)
+    memory = model.encode(batch).data  # one row per source token
+    # the embedding sum that test_embedding_is_the_closed_form_sum pins
+    x = model._embed(batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos, "tgt_emb",
+                     M.EVAL).data[0]
+
+    def norm(rows, name):
+        centered = rows - rows.mean(axis=-1, keepdims=True)
+        var = (centered ** 2).mean(axis=-1, keepdims=True)
+        return centered / np.sqrt(var + 1e-5) * p[f"{name}.g"] + p[f"{name}.b"]
+
+    def attend(name, queries, keys, causal):
+        q = queries @ p[f"{name}.q"] + p[f"{name}.q&bias"]
+        k = keys @ p[f"{name}.k"]
+        v = keys @ p[f"{name}.v"] + p[f"{name}.v&bias"]
+        out = []
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = q[:, cols] @ k[:, cols].T / math.sqrt(dh)
+            if causal:
+                scores[np.triu_indices_from(scores, 1)] = -np.inf
+            weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            out.append(weights / weights.sum(axis=-1, keepdims=True) @ v[:, cols])
+        return np.concatenate(out, axis=1) @ p[f"{name}.o"] + p[f"{name}.o&bias"]
+
+    h = norm(x, "dec0.ln1")
+    x = x + attend("dec0.self", h, h, causal=True)
+    x = x + attend("dec0.cross", norm(x, "dec0.ln2"), memory, causal=False)
+    inner = np.maximum(norm(x, "dec0.ln3") @ p["dec0.ffn.w1"] + p["dec0.ffn.w1&bias"], 0.0)
+    x = x + inner @ p["dec0.ffn.w2"] + p["dec0.ffn.w2&bias"]
+    logits = norm(x, "dec_ln") @ p["out"] + p["out&bias"]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    want = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    got, _ = model.forward(batch)
+    np.testing.assert_allclose(got.data[0], want, rtol=1e-10, atol=0)
 
 
 def test_shift_changes_positions_in_batch(setup):

@@ -73,6 +73,10 @@ COMMANDS = [
     ("evaluate-free", "evaluate --run {fixture} --data {out}/slice --split test --limit 9 "
                       "--window-sizes 1,2,3,4 --target-context free "
                       "--report-dir {out}/evaluate-free"),
+    # the same, greedy: the decode that perfbench's greedy check runs
+    ("evaluate-free-greedy", "evaluate --run {fixture} --data {out}/slice --split test "
+                             "--limit 9 --window-sizes 1,2,3,4 --target-context free "
+                             "--beam 1 --report-dir {out}/evaluate-free-greedy"),
     ("contrastive-full", "contrastive --run {fixture} --data {out}/slice --split test "
                          "--mode full --report-dir {out}/contrastive-full"),
     ("contrastive-current", "contrastive --run {fixture} --data {out}/slice --split test "
