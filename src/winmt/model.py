@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -236,6 +237,14 @@ def build_batch(windows: Sequence[Window], config: ModelConfig) -> Batch:
                  current_mask=current, context_mask=context, shifts=shifts)
 
 
+def _forced(window: Window, prefix: Sequence[int]) -> Window:
+    """``window`` with the target ``prefix`` and <E>: an empty current
+    sentence after the forced ``prefix``, each token in its sentence."""
+    seg = accumulate(prefix, lambda k, tok: k + (tok == SEP_ID), initial=0)
+    return replace(window, tgt_ids=(*prefix, EOS_ID), tgt_seg=tuple(seg),
+                   current_span=(len(prefix), len(prefix) + 1))
+
+
 class ForwardPass(NamedTuple):
     """What one forward pass reads besides its inputs: the dropout rate (0
     outside training), drawn per site from a stream of ``seed`` at ``step``
@@ -280,25 +289,28 @@ class _WindowCaches:
     """Decode's self-attention keys and values, one group per window: a
     (windows, lead + beam * capacity, hidden) array per layer and kind,
     made with np.empty. The first ``lead`` slots hold the window's forced
-    inputs, <E> and its prefix (right-aligned, from
-    ``TransformerModel._force``), which its `beam` rows share; each
-    generated step then adds one slot per row. A row attends to the forced
-    inputs and to its own slots only (``mask``), and the window's rows
-    attend together. The generated capacity starts at ``CACHE_STEPS``
-    steps (at most ``limit``) and doubles when reached."""
+    inputs, <E> and its prefix, right-aligned (the slots before them hold
+    zeros), which its `beam` rows share; each generated step then adds one
+    slot per row. A row attends to the forced inputs and to its own slots
+    only (``mask``), and the window's rows attend together. The generated
+    capacity starts at ``CACHE_STEPS`` steps (at most ``limit``) and
+    doubles when reached."""
 
     def __init__(self, forced: dict, used: np.ndarray, beam: int, limit: int, dtype):
-        """``forced``: each layer's (keys, values) of the forced inputs,
-        emptied as it is copied; ``used``: the slots each window's forced
-        inputs fill."""
+        """``forced``: each layer's (keys, values) of the forced inputs in
+        their zero-padded (windows, lead, hidden) grid, emptied as it is
+        copied; ``used``: the inputs of each window."""
         b, lead, hidden = next(iter(forced.values()))[0].shape
         self.beam, self.lead, self.limit = beam, lead, limit
         steps = min(limit, CACHE_STEPS)
+        # slot j of a window reads grid cell j + used, modulo lead: its
+        # inputs move to its last slots, and its padding before them
+        right = ((np.arange(lead) + used[:, None]) % lead)[:, :, None]
         self.arrays = {}
         for name in list(forced):
             self.arrays[name] = [np.empty((b, lead + beam * steps, hidden), dtype) for _ in "kv"]
             for cache, part in zip(self.arrays[name], forced.pop(name)):
-                cache[:, :lead] = part
+                cache[:, :lead] = np.take_along_axis(part.data, right, axis=1)
         # row r of a window reads its forced inputs after their padding and
         # slot r of each step
         own = np.where(np.eye(beam, dtype=bool), 0.0, NEG_INF)
@@ -509,22 +521,29 @@ class TransformerModel:
         fp = ForwardPass(cfg.dropout if train else 0.0, step, seed, shard,
                          records if capture else None, batch)
         enc = self.encode(batch, fp)
+        log_probs = self._target(batch, partial(self._kv, grid=batch.tgt_grid),
+                                 lambda name, _: self._kv(name, enc, batch.src_grid), fp)
+        return log_probs, records
+
+    def _target(self, batch: Batch, self_kv, cross_kv, fp=EVAL) -> Tensor:
+        """The teacher-forced decoder over the target inputs of ``batch``: log-probs
+        over its padded (windows, length) grid. ``self_kv`` and ``cross_kv``
+        give each layer's self- and cross-attention keys and values (see
+        ``_attention``); ``forward`` computes both, ``decode`` keeps the first
+        and reuses the second."""
+        cfg = self.config
         t = batch.tgt_in.shape[1]
         causal = _key_mask(np.tril(np.ones((t, t))), cfg.np_dtype)[None, None, :, :]
         self_mask = causal + _key_mask(batch.tgt_valid[:, None, None, :], cfg.np_dtype)
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
-        tgt = batch.tgt_grid
         x = self._embed(batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos, "tgt_emb", fp,
-                        rows=tgt.rows)
-        log_probs = self._decoder(x, partial(self._kv, grid=tgt),
-                                  lambda name, _: self._kv(name, enc, batch.src_grid),
-                                  self_mask, cross_mask, tgt, fp)
-        return log_probs, records
+                        rows=batch.tgt_grid.rows)
+        return self._decoder(x, self_kv, cross_kv, self_mask, cross_mask, batch.tgt_grid, fp)
 
     def _decoder(self, x, self_kv, cross_kv, self_mask, cross_mask, grid=None, fp=EVAL) -> Tensor:
         """Decoder layers, final norm and output log-softmax over embedded targets ``x``.
 
-        ``forward`` runs them over the state rows of whole teacher-forced
+        ``_target`` runs them over the state rows of whole teacher-forced
         targets, placed in ``grid``; the logits are put in that grid before
         the log-softmax. ``decode`` runs them on one step per
         hypothesis row, with key/value providers that read its caches.
@@ -573,12 +592,14 @@ class TransformerModel:
         ``max_len`` less the prefix length, which must leave one token.
         Without, every prefix is empty.
 
-        <E> and the prefixes run through the decoder once, one row per
-        window (``_force``); the last position gives the first step's
-        log-probs, their self-attention keys and values are kept once per
-        window, which its `beam` rows share (``_WindowCaches``), and the
-        search goes on from the positions and segments that follow the
-        prefix.
+        Window i with its target cut to ``prefixes[i]`` and <E> (``_forced``)
+        is one window of a batch (``build_batch``), whose teacher-forced
+        decoder inputs are <E> and the prefix; they run through the decoder
+        once (``_target``). Their last position gives the first step's
+        log-probs and its input and segment the search's first, their
+        self-attention keys and values are kept once per window, which its
+        `beam` rows share (``_WindowCaches``), and the search goes on from
+        the positions that follow the prefix.
 
         A window keeps a count of its finished hypotheses and the best of
         them (the earliest on ties). It leaves the batch once it holds
@@ -614,7 +635,7 @@ class TransformerModel:
             caps = np.minimum(caps, max_len)
         t_cap = int(caps.max())
 
-        batch = build_batch(windows, cfg)
+        batch = build_batch([_forced(w, p) for w, p in zip(windows, prefixes)], cfg)
         enc = self.encode(batch)
 
         # every per-row array holds `beam` rows per window still searching;
@@ -622,14 +643,21 @@ class TransformerModel:
         cross = {f"dec{i}.cross": self._kv(f"dec{i}.cross", enc, batch.src_grid)
                  for i in range(cfg.layers)}
         cross_mask = _key_mask(batch.src_valid[:, None, None, :], cfg.np_dtype)
+        forced = {}
+
+        def keep_kv(name, h):
+            forced[name] = self._kv(name, h, batch.tgt_grid)
+            return forced[name]
+
+        last = (np.arange(b), starts)  # each window's last forced input
+        first = self._target(batch, keep_kv, lambda name, _: cross[name]).data[last]
+        caches = _WindowCaches(forced, starts + 1, beam, t_cap, cfg.np_dtype)
         shifts = np.repeat(batch.shifts, beam)
         tokens = np.full((b * beam, t_cap + 1), PAD_ID, dtype=np.int64)
-        # a prefix's last token (<E>, the start token, before an empty one)
-        # is the first input of the search
-        tokens[:, 0] = np.repeat([p[-1] if len(p) else EOS_ID for p in prefixes], beam)
-        segs = np.repeat([list(p[:-1]).count(SEP_ID) for p in prefixes], beam)
-        first, forced = self._force(prefixes, batch, cross, cross_mask)
-        caches = _WindowCaches(forced, starts + 1, beam, t_cap, cfg.np_dtype)
+        # the last forced input (<E>, the start token, before an empty
+        # prefix) is the first input of the search
+        tokens[:, 0] = np.repeat(batch.tgt_in[last], beam)
+        segs = np.repeat(batch.tgt_in_seg[last], beam)
         starts = np.repeat(starts, beam)
 
         def self_kv(name, h):
@@ -722,48 +750,6 @@ class TransformerModel:
             caches.keep(gather, t)
 
         return [ids[ids != PAD_ID].tolist() or [EOS_ID] for ids in best_ids]
-
-    def _force(self, prefixes, batch, cross, cross_mask):
-        """One teacher-forced pass over the decoder inputs <E>, p_0, ..., p_{n-1}
-        of each forced prefix p (<E> alone when p is empty), one row per
-        window, with the segments and shifted positions that a window target
-        gives them.
-
-        Returns the log-probs of each window's first generated token,
-        (windows, vocab), and each decoder layer's self-attention keys and
-        values, (windows, width, hidden) each for the most inputs of a
-        window, right-aligned: a window's inputs fill its last slots, and
-        the slots before them hold zeros.
-        """
-        cfg = self.config
-        b = len(prefixes)
-        n = np.array([len(p) for p in prefixes]) + 1  # each window's inputs
-        width = int(n.max())
-        ids = np.full((b, width), PAD_ID, dtype=np.int64)
-        seg = np.zeros((b, width), dtype=np.int64)
-        for i, p in enumerate(prefixes):
-            ids[i, :n[i]] = (EOS_ID, *p)
-            seg[i, 1:n[i]] = np.cumsum(ids[i, :n[i] - 1] == SEP_ID)
-        valid = np.arange(width) < n[:, None]
-        pos = shift_positions(np.arange(width), seg, batch.shifts[:, None])
-        grid = Grid(np.flatnonzero(valid), np.empty((2, 0), np.int64), valid.shape)
-        win, col = np.divmod(grid.rows, width)
-        right = (win, width - n[win] + col)  # each input's slot, right-aligned
-        forced = {}
-
-        def self_kv(name, h):
-            k, v = self._kv(name, h)
-            forced[name] = [np.zeros((b, width, cfg.hidden), cfg.np_dtype) for _ in "kv"]
-            for part, new in zip(forced[name], (k, v)):
-                part[right] = new.data
-            return _to_grid(k, grid), _to_grid(v, grid)
-
-        causal = _key_mask(np.tril(np.ones((width, width))), cfg.np_dtype)
-        self_mask = causal[None, None] + _key_mask(valid[:, None, None, :], cfg.np_dtype)
-        x = self._embed(ids, seg, pos, "tgt_emb", EVAL, rows=grid.rows)
-        log_probs = self._decoder(x, self_kv, lambda name, _: cross[name], self_mask,
-                                  cross_mask, grid)
-        return log_probs.data[np.arange(b), n - 1], forced
 
     # ------------------------------------------------------------------
     # persistence

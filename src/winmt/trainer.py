@@ -87,14 +87,19 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.warmup < 1:
-            raise ConfigError(f"warmup must be >= 1, got {self.warmup}")
-        if self.batch_tokens < 1:
-            raise ConfigError(f"batch_tokens must be >= 1, got {self.batch_tokens}")
+        for key in ("patience", "warmup", "batch_tokens", "k", "val_interval", "ckpt_avg",
+                    "max_len"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("max_steps", "max_epochs"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if not 0.0 <= self.cd <= 1.0:
             raise ConfigError(f"cd must be in [0, 1], got {self.cd}")
+        if not 0.0 <= self.label_smoothing < 1.0:
+            raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
+        if not (math.isfinite(self.peak_lr) and self.peak_lr >= 0.0):
+            raise ConfigError(f"peak_lr must be finite and >= 0, got {self.peak_lr}")
         try:
             check_model_settings(self)
         except ModelError as exc:
@@ -564,7 +569,7 @@ class Trainer:
             apply((epoch, step, batch_idx), self._validate())
 
         by_distance = sorted(rec.saved, key=lambda s: (abs(s - rec.best_step), s))
-        to_average = sorted(by_distance[:max(1, cfg.ckpt_avg)])
+        to_average = sorted(by_distance[:cfg.ckpt_avg])
         avg_path = self.run_dir / "ckpt_avg.bin"
         ckpt.average_checkpoints([self._checkpoint_path(s) for s in to_average], avg_path)
         return TrainResult(run_dir=self.run_dir, best_step=rec.best_step,

@@ -702,7 +702,17 @@ def test_unknown_position_scheme_is_config_error(command, data_dir, tmp_path, ca
                          (["--position-scheme", "shifted", "--shift-strategy", "bogus"], "bogus"),
                          (["--shift-strategy", "fixed:-1"], "fixed:-1"),
                          (["--hidden", "9", "--heads", "3"], "even"),
-                         (["--hidden", "130", "--heads", "4"], "divisible")):
+                         (["--hidden", "130", "--heads", "4"], "divisible"),
+                         (["--val-interval", "0"], "val_interval must be >= 1"),
+                         (["--val-interval", "-5"], "val_interval must be >= 1"),
+                         (["--max-steps", "-1"], "max_steps must be >= 0"),
+                         (["--max-epochs", "-1"], "max_epochs must be >= 0"),
+                         (["--ckpt-avg", "-2"], "ckpt_avg must be >= 1"),
+                         (["--peak-lr", "-1"], "peak_lr must be finite and >= 0"),
+                         (["--peak-lr", "nan"], "peak_lr must be finite and >= 0"),
+                         (["--label-smoothing", "1"], "label_smoothing must be in [0, 1)"),
+                         (["--k", "0"], "k must be >= 1"),
+                         (["--max-len", "0"], "max_len must be >= 1")):
         out = tmp_path / "x"
         code = run_cli(command, "--data", data_dir, "--out", out, *flags)
         assert code == 1, flags

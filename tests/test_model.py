@@ -500,6 +500,25 @@ class TestBeamSearch:
         assert got == [beam_reference(model, w, beam, 1.5, max_len, prefix=p)
                        for w, p in zip(subset, prefixes)]
 
+    @pytest.mark.parametrize("beam", [1, 4])
+    @pytest.mark.parametrize("gold", [False, True])
+    def test_duplicate_windows_decode_as_each_alone(self, setup, monkeypatch, beam, gold):
+        # a window that comes twice in one batch copies its forced target
+        # rows from its first copy, and each decodes as it does alone
+        docs, vocab, _, model = setup
+        w0, w1, w2 = (C.make_windows(docs[2], k, vocab)[j] for k, j in ((3, 3), (2, 1), (1, 2)))
+        subset = [w0, w1, w0, w2, w1]
+        prefixes = [w.tgt_ids[:w.current_span[0]] for w in subset] if gold else None
+        batches = []
+        build = M.build_batch
+        monkeypatch.setattr(M, "build_batch",
+                            lambda ws, cfg: batches.append(build(ws, cfg)) or batches[-1])
+        got = model.decode(subset, beam=beam, alpha=0.6, prefixes=prefixes)
+        assert batches[0].tgt_grid.copies.size
+        assert got == [model.decode([w], beam=beam, alpha=0.6,
+                                    prefixes=prefixes and [prefixes[i]])[0]
+                       for i, w in enumerate(subset)]
+
     def test_cache_growth_keeps_decode_equal_to_its_references(self, setup, monkeypatch):
         # from a capacity of one step the self-attention caches double at
         # steps 1, 2, 4, ... up to the length cap, also while windows leave
@@ -718,55 +737,92 @@ def test_embedding_is_the_closed_form_sum(variant):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def _norm(p, name, rows):
+    centered = rows - rows.mean(axis=-1, keepdims=True)
+    var = (centered ** 2).mean(axis=-1, keepdims=True)
+    return centered / np.sqrt(var + 1e-5) * p[f"{name}.g"] + p[f"{name}.b"]
+
+
+def _attend(p, heads, name, queries, keys, causal):
+    # one head at a time at scale 1/sqrt(dh), over every key given
+    dh = queries.shape[1] // heads
+    q = queries @ p[f"{name}.q"] + p[f"{name}.q&bias"]
+    k = keys @ p[f"{name}.k"]
+    v = keys @ p[f"{name}.v"] + p[f"{name}.v&bias"]
+    out = []
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[:, cols] @ k[:, cols].T / math.sqrt(dh)
+        if causal:
+            scores[np.triu_indices_from(scores, 1)] = -np.inf
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out.append(weights / weights.sum(axis=-1, keepdims=True) @ v[:, cols])
+    return np.concatenate(out, axis=1) @ p[f"{name}.o"] + p[f"{name}.o&bias"]
+
+
+def _ffn(p, name, rows):
+    inner = np.maximum(rows @ p[f"{name}.w1"] + p[f"{name}.w1&bias"], 0.0)
+    return inner @ p[f"{name}.w2"] + p[f"{name}.w2&bias"]
+
+
+def _written_out_model(vocab, heads, norms, seed, site):
+    """A float64, one-layer, dropout-0 model and its parameter arrays, with
+    the layer norms ``norms`` all made different from a stream of ``site``."""
+    config = M.ModelConfig(vocab_size=len(vocab), layers=1, heads=heads, hidden=16, ffn=32,
+                           dropout=0.0, dtype="float64")
+    model = M.TransformerModel(config, seed=seed)
+    p = {name: t.data for name, t in model.params.items()}
+    rng = stream(0, site)
+    for norm_name in norms:
+        p[f"{norm_name}.g"][:] = rng.uniform(0.5, 1.5, config.hidden)
+        p[f"{norm_name}.b"][:] = rng.normal(0.0, 0.5, config.hidden)
+    return model, p
+
+
+def test_encoder_is_the_pre_norm_layer_written_out(setup):
+    # one encoder layer in plain numpy, window by window: self-attention
+    # over the window's own tokens and FFN, each read through its own layer
+    # norm and added back; then the final norm
+    docs, vocab, _, _ = setup
+    heads = 2
+    model, p = _written_out_model(vocab, heads, ("enc0.ln1", "enc0.ln2", "enc_ln"), seed=4,
+                                  site="encoder-wiring")
+    windows = [C.make_windows(docs[0], 2, vocab)[1], C.make_windows(docs[1], 3, vocab)[2]]
+    assert len(windows[0].src_ids) != len(windows[1].src_ids)
+    batch = M.build_batch(windows, model.config)
+    # the embedding sum that test_embedding_is_the_closed_form_sum pins
+    embedded = model._embed(batch.src, batch.src_seg, batch.src_pos, "src_emb", M.EVAL).data
+    want = []
+    for i, w in enumerate(windows):
+        x = embedded[i, :len(w.src_ids)]
+        h = _norm(p, "enc0.ln1", x)
+        x = x + _attend(p, heads, "enc0.self", h, h, causal=False)
+        x = x + _ffn(p, "enc0.ffn", _norm(p, "enc0.ln2", x))
+        want.append(_norm(p, "enc_ln", x))
+    np.testing.assert_allclose(model.encode(batch).data, np.concatenate(want), rtol=1e-10,
+                               atol=0)
+
+
 def test_decoder_is_the_pre_norm_layer_written_out(setup):
     # one decoder layer in plain numpy over the encoder's rows: causal
     # self-attention, cross-attention and FFN, each read through its own
-    # layer norm and added back, one head at a time at scale 1/sqrt(dh);
-    # then the final norm, the output projection and the log-softmax
+    # layer norm and added back; then the final norm, the output projection
+    # and the log-softmax
     docs, vocab, _, _ = setup
-    d, heads = 16, 2
-    dh = d // heads
-    config = M.ModelConfig(vocab_size=len(vocab), layers=1, heads=heads, hidden=d, ffn=32,
-                           dropout=0.0, dtype="float64")
-    model = M.TransformerModel(config, seed=3)
-    p = {name: t.data for name, t in model.params.items()}
-    rng = stream(0, "decoder-wiring")
-    for norm_name in ("dec0.ln1", "dec0.ln2", "dec0.ln3"):  # three different norms
-        p[f"{norm_name}.g"][:] = rng.uniform(0.5, 1.5, d)
-        p[f"{norm_name}.b"][:] = rng.normal(0.0, 0.5, d)
+    heads = 2
+    model, p = _written_out_model(vocab, heads, ("dec0.ln1", "dec0.ln2", "dec0.ln3"), seed=3,
+                                  site="decoder-wiring")
     window = C.make_windows(docs[0], 2, vocab)[1]
     assert window.size == 2
-    batch = M.build_batch([window], config)
+    batch = M.build_batch([window], model.config)
     memory = model.encode(batch).data  # one row per source token
-    # the embedding sum that test_embedding_is_the_closed_form_sum pins
     x = model._embed(batch.tgt_in, batch.tgt_in_seg, batch.tgt_in_pos, "tgt_emb",
                      M.EVAL).data[0]
-
-    def norm(rows, name):
-        centered = rows - rows.mean(axis=-1, keepdims=True)
-        var = (centered ** 2).mean(axis=-1, keepdims=True)
-        return centered / np.sqrt(var + 1e-5) * p[f"{name}.g"] + p[f"{name}.b"]
-
-    def attend(name, queries, keys, causal):
-        q = queries @ p[f"{name}.q"] + p[f"{name}.q&bias"]
-        k = keys @ p[f"{name}.k"]
-        v = keys @ p[f"{name}.v"] + p[f"{name}.v&bias"]
-        out = []
-        for h in range(heads):
-            cols = slice(h * dh, (h + 1) * dh)
-            scores = q[:, cols] @ k[:, cols].T / math.sqrt(dh)
-            if causal:
-                scores[np.triu_indices_from(scores, 1)] = -np.inf
-            weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            out.append(weights / weights.sum(axis=-1, keepdims=True) @ v[:, cols])
-        return np.concatenate(out, axis=1) @ p[f"{name}.o"] + p[f"{name}.o&bias"]
-
-    h = norm(x, "dec0.ln1")
-    x = x + attend("dec0.self", h, h, causal=True)
-    x = x + attend("dec0.cross", norm(x, "dec0.ln2"), memory, causal=False)
-    inner = np.maximum(norm(x, "dec0.ln3") @ p["dec0.ffn.w1"] + p["dec0.ffn.w1&bias"], 0.0)
-    x = x + inner @ p["dec0.ffn.w2"] + p["dec0.ffn.w2&bias"]
-    logits = norm(x, "dec_ln") @ p["out"] + p["out&bias"]
+    h = _norm(p, "dec0.ln1", x)
+    x = x + _attend(p, heads, "dec0.self", h, h, causal=True)
+    x = x + _attend(p, heads, "dec0.cross", _norm(p, "dec0.ln2", x), memory, causal=False)
+    x = x + _ffn(p, "dec0.ffn", _norm(p, "dec0.ln3", x))
+    logits = _norm(p, "dec_ln", x) @ p["out"] + p["out&bias"]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     want = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     got, _ = model.forward(batch)

@@ -97,6 +97,15 @@ COMMANDS = [
     ("diagnose-avg-sequence", "diagnose --run {out}/train-avg-sequence --data {out}/slice "
                               "--split test --limit 100 "
                               "--report-dir {out}/diagnose-avg-sequence"),
+    # decoding after forced prefixes with per-window shifts and sinusoidal
+    # segments, and with learned segments; at the default alpha the learned
+    # run ends every hypothesis at once, so a length reward keeps some going
+    ("evaluate-avg-sequence", "evaluate --run {out}/train-avg-sequence --data {out}/slice "
+                              "--split test --limit 9 --window-sizes 1,2,3,4 "
+                              "--report-dir {out}/evaluate-avg-sequence"),
+    ("evaluate-learned", "evaluate --run {out}/train-learned --data {out}/slice --split test "
+                         "--limit 9 --window-sizes 1,2,3,4 --alpha 3 "
+                         "--report-dir {out}/evaluate-learned"),
     # the significance tests, on files the commands above write
     ("stats-mcnemar", "stats --test mcnemar "
                       "--a {out}/contrastive-full/contrastive_test_examples.csv "
