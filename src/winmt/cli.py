@@ -20,7 +20,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +255,8 @@ def cmd_sweep(args) -> int:
     config = _train_config_from_args(args)
     values = (_parse_list("--cd-values", args.cd_values, float) if args.cd_values
               else list(DEFAULT_SWEEP))
+    for cd in values:  # each point's config check, before anything is written
+        replace(config, cd=cd)
     out_dir = Path(config.out_dir)
     _require_empty(out_dir, args.force)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -309,32 +309,21 @@ def _document_pairs(path) -> Iterator[tuple[int, list[tuple[list[str], list[str]
         raise CorpusError(f"{path}: empty corpus")
 
 
-def _reject_reserved_lines(path, d: int, first: int, pairs) -> None:
-    """Raise ``CorpusError`` naming the line and document ``d`` if one of its
-    ``pairs``, the first of them on line ``first`` of ``path``, holds a reserved token."""
-    for at, pair in enumerate(pairs, first):
-        if not all(map(_RESERVED_SET.isdisjoint, pair)):
-            _reject_reserved(f"{path}:{at}: document {document_id(d)!r}", pair)
-
-
 def _checked_pairs(path) -> Iterator[list[tuple[list[str], list[str]]]]:
     """The (source, target) token lists of each document of a corpus file,
-    which raise every error ``read_corpus`` raises, with its message."""
+    as ``_document_pairs`` reads them; a pair that holds a reserved token
+    raises ``CorpusError`` naming its line and its document."""
     for d, (first, pairs) in enumerate(_document_pairs(path)):
-        _reject_reserved_lines(path, d, first, pairs)
+        for at, pair in enumerate(pairs, first):
+            if not all(map(_RESERVED_SET.isdisjoint, pair)):
+                _reject_reserved(f"{path}:{at}: document {document_id(d)!r}", pair)
         yield pairs
 
 
 def read_corpus(path) -> list[Document]:
     """The documents of a corpus file, with ``document_id`` ids."""
-    docs: list[Document] = []
-    for d, (first, pairs) in enumerate(_document_pairs(path)):
-        try:
-            docs.append(Document.from_pairs(document_id(d), pairs))
-        except CorpusError:  # a reserved token: name the line that holds it
-            _reject_reserved_lines(path, d, first, pairs)
-            raise
-    return docs
+    return [Document.from_pairs(document_id(d), pairs)
+            for d, pairs in enumerate(_checked_pairs(path))]
 
 
 def _offsets(counts: array) -> np.ndarray:
@@ -568,23 +557,16 @@ def rebuild_examples(examples: Iterable[ContrastiveExample],
                      docs: dict[str, Document], k: int) -> list[ContrastiveExample]:
     """Re-window contrastive examples at a different window size.
 
-    The substitution that turns the reference current sentence into each
-    distractor is re-applied to the document's own sentence j, so candidate
-    minimal pairs survive the re-windowing.
+    The reference is the document's target window at size ``k``, and each
+    distractor keeps its own current sentence after that window's context,
+    so candidate minimal pairs survive the re-windowing.
     """
     rebuilt = []
     for ex in examples:
         chunk = window_pairs(docs[ex.doc_id], ex.j, k)
         src_sents = tuple(s for s, _ in chunk)
         ref_tgt = tuple(t for _, t in chunk)
-        old_ref_cur = ex.candidates[0][-1]
-        candidates = [ref_tgt]
-        for cand in ex.candidates[1:]:
-            cur = list(ref_tgt[-1])
-            for i, (a, b) in enumerate(zip(old_ref_cur, cand[-1])):
-                if a != b:
-                    cur[i] = b
-            candidates.append(ref_tgt[:-1] + (tuple(cur),))
+        candidates = [ref_tgt] + [ref_tgt[:-1] + (cand[-1],) for cand in ex.candidates[1:]]
         rebuilt.append(ContrastiveExample(
             example_id=ex.example_id, doc_id=ex.doc_id, j=ex.j,
             src_sentences=src_sents, candidates=tuple(candidates),

@@ -397,19 +397,18 @@ def decode_current_sentences(model: TransformerModel, docs: Sequence[Document],
             prefix = {wins[j]: tuple(tok for ctx in wins[j + 1 - wins[j].size:j]
                                      for tok in (*decoded[ctx][0], SEP_ID))
                       for per_doc in per_size for wins in per_doc if j < len(wins)}
-            found = _decode_pass(model, position, beam, alpha, prefix.get, held=decoded)
+            found = _decode_pass(model, position, beam, alpha, prefix.get)
             decoded.update((w, extract_current(ids, expected_seps=0)) for w, ids in found.items())
     return [([vocab.decode(decoded[w][0]) for w in windows], refs,
              sum(not decoded[w][1] for w in windows)) for windows in flat]
 
 
-def _decode_pass(model, per_size, beam, alpha, prefix_of=None,
-                 held=()) -> dict[Window, list[int]]:
-    """The decoded ids of each distinct window of ``per_size`` that ``held``
-    does not hold, in one ``map_ordered`` over chunks of ``BATCH_WINDOWS``
-    windows of one size; ``prefix_of(window)`` is the window's forced
-    prefix, and without it each window is decoded whole."""
-    seen = set(held)
+def _decode_pass(model, per_size, beam, alpha, prefix_of=None) -> dict[Window, list[int]]:
+    """The decoded ids of each distinct window of ``per_size``, in one
+    ``map_ordered`` over chunks of ``BATCH_WINDOWS`` windows of one size;
+    ``prefix_of(window)`` is the window's forced prefix, and without it
+    each window is decoded whole."""
+    seen: set[Window] = set()
     chunks: list[list[Window]] = []
     for windows in per_size:
         new = [w for w in windows if w not in seen]

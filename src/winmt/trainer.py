@@ -352,13 +352,21 @@ class Trainer:
             max_window=max(config.max_window, config.k), vocab_digest=self.vocab.digest,
             shift_value=shift_value)))
         self.model = TransformerModel(self.model_config, seed=config.seed)
-        self.opt = Adam(self.model.params)
+        # the parameters live in memory shared with the shard worker, where
+        # Adam updates them in place, so the worker reads each step's
+        # parameters without a copy; shard 1's gradients get a second mapping
+        params = self.model.params
+        arrays = shared_arrays({name: p.data for name, p in params.items()})
+        for name, p in params.items():
+            np.copyto(arrays[name], p.data)
+            p.data = arrays[name]
+        self._shard_grads = shared_arrays(arrays)
+        self.opt = Adam(params)
         # the dev windows' indices, length-sorted so a dev batch holds little padding
         dev_lengths = self.dev_corpus.target_lengths(config.k)
         self.dev_batches = pack_batches(range(len(self.dev_corpus)), config.batch_tokens,
                                         by_length(dev_lengths), dev_lengths)
         self._shard_worker = None  # computes shard 1 of each step while ``train`` runs
-        self._shard_grads = None  # shard 1's gradients, which the worker writes
 
     # ------------------------------------------------------------------
 
@@ -387,32 +395,17 @@ class Trainer:
         backward(loss)
         return loss_val
 
-    def _grads(self) -> dict[str, np.ndarray]:
-        return {name: p.grad for name, p in self.model.params.items()}
-
-    def _start_shard_worker(self) -> None:
-        """Move every parameter into memory shared with the worker that runs
-        shard 1 of each step, then fork that worker after the buffers for
-        its gradients; no worker where ``parallel.serve`` forks none. The
-        parameters stay in the shared memory, where Adam updates them in
-        place, so the worker reads each step's parameters without a copy."""
-        params = self.model.params
-        shared = shared_arrays({name: p.data for name, p in params.items()})
-        for name, p in params.items():
-            np.copyto(shared[name], p.data)
-            p.data = shared[name]
-        self._shard_grads = shared_arrays(shared)
-        self._shard_worker = serve(self._serve_shard)
-
     def _stop_shard_worker(self) -> None:
         if self._shard_worker is not None:
             self._shard_worker.close()
-        self._shard_worker = self._shard_grads = None
+        self._shard_worker = None
 
     def _serve_shard(self, step: int, batch: Batch, current_tokens: int) -> float:
-        """In the shard worker: the loss of shard 1 ``batch`` of ``step``, with
-        the gradient of every parameter written to the shared buffer. The
-        parameters are the parent's own arrays, in the memory they share."""
+        """The loss of shard 1 ``batch`` of ``step``, with the gradient of
+        every parameter written to the shared buffer ``_shard_grads``. It
+        runs in the shard worker, whose parameters are the parent's own
+        arrays in the memory they share, or in this process when there is
+        no worker."""
         loss_val = self._shard_backward(batch, step, 1, current_tokens)
         for name, p in self.model.params.items():
             np.copyto(self._shard_grads[name], p.grad, casting="no")
@@ -425,9 +418,10 @@ class Trainer:
 
         Every parameter gets a gradient from every non-empty shard, so each
         gradient is shard 0's plus shard 1's, or shard 0's alone when shard
-        1 is empty. Shard 1 runs in the shard worker while this process runs
-        shard 0, or here after shard 0 when there is no worker; either way
-        the sums are the same bytes.
+        1 is empty. Shard 1 runs through ``_serve_shard``, in the shard
+        worker while this process runs shard 0, or here after shard 0 when
+        there is no worker; either way its gradients are in ``_shard_grads``
+        and the sums are the same bytes.
         """
         cfg = self.cfg
         windows = self.train_corpus.windows(batch, cfg.k)
@@ -438,18 +432,14 @@ class Trainer:
             worker.send(step, shards[1], current_tokens)
         loss_val = self._shard_backward(shards[0], step, 0, current_tokens)
         if len(shards) > 1:
-            grads = self._grads()
-            if worker is not None:
-                loss_val += worker.result()
-                more = self._shard_grads
-            else:
-                loss_val += self._shard_backward(shards[1], step, 1, current_tokens)
-                more = self._grads()
+            grads = {name: p.grad for name, p in self.model.params.items()}
+            loss_val += (worker.result() if worker is not None
+                         else self._serve_shard(step, shards[1], current_tokens))
             for name, p in self.model.params.items():
                 # a shared buffer belongs to its parameter alone, unlike a
                 # gradient that backward may hand to several leaves
-                p.grad = np.add(grads[name], more[name],
-                                out=more[name] if worker is not None else None)
+                more = self._shard_grads[name]
+                p.grad = np.add(grads[name], more, out=more)
         lr = lr_at(step, cfg.hidden, cfg.warmup, self.cfg.scale())
         grad_norm = self.opt.grad_norm()
         if not (math.isfinite(loss_val) and math.isfinite(grad_norm)):
@@ -516,9 +506,9 @@ class Trainer:
                                   f"in {', '.join(differ)}")
             rec = Progress(**state)
             for name, p in self.model.params.items():
-                p.data = params[name]
+                np.copyto(p.data, params[name])  # the worker reads this memory
             self.opt.load_state(params, t=rec.step)
-            del params  # the model and the optimizer own the loaded arrays
+            del params  # the optimizer owns the loaded moments
         else:
             ckpt.write_atomic(log_path, (",".join(LOG_COLUMNS) + "\n").encode())
         self.vocab.save(self.run_dir / "vocab.json")
@@ -545,7 +535,7 @@ class Trainer:
         epoch, step, batch_idx = rec.epoch, rec.step, rec.batch_idx
         hit_cap = bool(cfg.max_steps) and step >= cfg.max_steps  # a resumed run may be done
         try:
-            self._start_shard_worker()
+            self._shard_worker = serve(self._serve_shard)
             while not (rec.stopped or hit_cap) and epoch < cfg.max_epochs:
                 batches = self._epoch_batches(epoch)
                 for batch in batches[batch_idx:]:

@@ -712,7 +712,11 @@ def test_unknown_position_scheme_is_config_error(command, data_dir, tmp_path, ca
                          (["--peak-lr", "nan"], "peak_lr must be finite and >= 0"),
                          (["--label-smoothing", "1"], "label_smoothing must be in [0, 1)"),
                          (["--k", "0"], "k must be >= 1"),
-                         (["--max-len", "0"], "max_len must be >= 1")):
+                         (["--max-len", "0"], "max_len must be >= 1"),
+                         *([(["--cd-values", "2,nan"], "cd must be in [0, 1], got 2.0"),
+                            (["--cd-values=-1"], "cd must be in [0, 1], got -1.0"),
+                            (["--cd-values", "1,nan"], "cd must be in [0, 1], got nan")]
+                           if command == "sweep" else [])):
         out = tmp_path / "x"
         code = run_cli(command, "--data", data_dir, "--out", out, *flags)
         assert code == 1, flags

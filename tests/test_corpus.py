@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from winmt import corpus as C
+from winmt import evaluation as E
 from winmt import synth
 from winmt.rng import stream
 
@@ -418,6 +419,20 @@ class TestContrastiveIO:
         assert rebuilt.candidates[0][-1] == ("c", "amb_a")
         assert rebuilt.candidates[1][-1] == ("c", "amb_b")
         assert rebuilt.candidates[1][:-1] == rebuilt.candidates[0][:-1]
+        # a distractor whose current sentence has another length keeps it whole
+        doc = C.Document.from_pairs("d1", [(["x1"], ["x1"]), (["a"], ["A"]), (["b"], ["B"]),
+                                           (["c", "amb", "d"], ["C", "amb_a", "D"])])
+        context = (("A",), ("B",))
+        distractors = (("C", "x"), ("C", "amb_b", "D", "E"))
+        ex = C.ContrastiveExample(
+            example_id="d1:3", doc_id="d1", j=3, src_sentences=(("a",), ("b",), ("c", "amb", "d")),
+            candidates=tuple(context + (cur,) for cur in (("C", "amb_a", "D"), *distractors)),
+            phenomenon="agreement", distance=1)
+        E.check_example_windows([ex], {"d1": doc})
+        for k, context in ((3, context), (4, (("x1",), *context))):
+            rebuilt = C.rebuild_examples([ex], {"d1": doc}, k)[0]
+            assert rebuilt.candidates == tuple(context + (cur,) for cur in (
+                ("C", "amb_a", "D"), *distractors))
 
     @pytest.mark.parametrize("sentences", [1, 2, 4])
     def test_candidate_windows_are_those_of_window_from_sentences(self, sentences):

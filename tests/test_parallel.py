@@ -715,7 +715,7 @@ def test_one_window_batch_sends_no_request(train_data, monkeypatch, tmp_path):
     window, = trainer.train_corpus.windows([0], trainer.cfg.k)
     assert TR.split_shards([window]) == [[window], []]
     trainer.opt.step = lambda lr: None  # keep the gradients to compare
-    trainer._start_shard_worker()
+    trainer._shard_worker = parallel.serve(trainer._serve_shard)
     try:
         trainer._train_step([0], 1)
     finally:
@@ -730,8 +730,6 @@ def test_one_window_batch_sends_no_request(train_data, monkeypatch, tmp_path):
 
 def test_served_shard_returns_its_loss_and_writes_every_gradient(train_data, tmp_path):
     trainer = TR.Trainer(train_config(train_data, tmp_path / "run"))
-    trainer._shard_grads = parallel.shared_arrays(
-        {name: p.data for name, p in trainer.model.params.items()})
     _, second = TR.split_shards(trainer.train_corpus.windows(trainer._epoch_batches(0)[0],
                                                             trainer.cfg.k))
     batch = M.build_batch(second, trainer.model_config)
@@ -748,35 +746,75 @@ def _mapping(a: np.ndarray):
     return a.obj if isinstance(a, memoryview) else a
 
 
-def test_parameters_are_the_shared_mapping(train_data, monkeypatch, tmp_path):
-    """The parent trains the parameters in the memory the shard worker reads,
-    kept there once: a step copies no parameter and moves none out of it."""
-    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_parameters_are_the_shared_mapping(train_data, monkeypatch, tmp_path, cpus):
+    """The trainer moves the parameters once, when it is built, into the
+    memory the shard worker reads, and trains them there: a step copies no
+    parameter and moves none out of it. Shard 1 runs through
+    ``_serve_shard`` at any CPU count, and each summed gradient is left in
+    shard 1's buffer of its parameter."""
+    monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
     trainer = TR.Trainer(train_config(train_data, tmp_path / "run"))
-    before = {name: p.data.copy() for name, p in trainer.model.params.items()}
-    parent, copies = os.getpid(), []
-    copyto = np.copyto
+    arrays = {name: p.data for name, p in trainer.model.params.items()}
+    mapping = _mapping(next(iter(arrays.values())))
+    assert isinstance(mapping, mmap.mmap)
+    assert all(_mapping(a) is mapping for a in arrays.values())
+    grads = trainer._shard_grads
+    assert all(_mapping(g) is not mapping for g in grads.values())
+    built = M.TransformerModel(trainer.model_config, seed=trainer.cfg.seed).params
+    assert all(np.array_equal(a, built[name].data) for name, a in arrays.items())
+    parent, copies, served = os.getpid(), [], []
+    copyto, serve_shard = np.copyto, TR.Trainer._serve_shard
 
     def noting(dst, *args, **kwargs):
         if os.getpid() == parent:
             copies.append(dst)
         return copyto(dst, *args, **kwargs)
 
-    trainer._start_shard_worker()
+    def serving(self, *args):
+        """Shard 1 computed here: shard 0's gradients and shard 1's buffer."""
+        if os.getpid() != parent:
+            return serve_shard(self, *args)
+        shard0 = {name: p.grad.copy() for name, p in self.model.params.items()}
+        loss = serve_shard(self, *args)
+        served.append((shard0, {name: g.copy() for name, g in grads.items()}))
+        return loss
+
+    monkeypatch.setattr(TR.Trainer, "_serve_shard", serving)
+    trainer._shard_worker = parallel.serve(trainer._serve_shard)
     try:
-        arrays = {name: p.data for name, p in trainer.model.params.items()}
-        mapping = _mapping(next(iter(arrays.values())))
-        assert isinstance(mapping, mmap.mmap)
-        assert all(_mapping(a) is mapping for a in arrays.values())
-        assert all(_mapping(g) is not mapping for g in trainer._shard_grads.values())
-        assert all(np.array_equal(a, before[name]) for name, a in arrays.items())
         with monkeypatch.context() as patch:
             patch.setattr(np, "copyto", noting)
             for step, batch in enumerate(trainer._epoch_batches(0)[:2], 1):
                 trainer._train_step(batch, step)
-                assert all(p.data is arrays[name]
+                assert all(p.data is arrays[name] and p.grad is grads[name]
                            for name, p in trainer.model.params.items())
-        assert copies == []
-        assert not all(np.array_equal(a, before[name]) for name, a in arrays.items())
+                if cpus == 1:
+                    shard0, shard1 = served[-1]
+                    assert all(np.array_equal(p.grad, shard0[name] + shard1[name])
+                               for name, p in trainer.model.params.items())
+        # at one CPU the only copies are shard 1's gradients into their buffers
+        assert [id(d) for d in copies] == [id(g) for _ in served for g in grads.values()]
+        assert len(served) == (2 if cpus == 1 else 0)
+        assert not all(np.array_equal(a, built[name].data) for name, a in arrays.items())
     finally:
         trainer._stop_shard_worker()
+
+
+def test_resumed_parameters_stay_the_shared_mapping(train_data, monkeypatch, tmp_path):
+    """A resumed run copies the checkpoint's parameters into the shared
+    memory the shard worker reads, so it trains them to the same bytes at
+    one CPU and at two."""
+    config = train_config(train_data, tmp_path / "run", max_steps=5)
+    TR.Trainer(config).train()
+    saved = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+        run = tmp_path / f"cpus{cpus}"
+        shutil.copytree(tmp_path / "run", run)
+        trainer = TR.Trainer(dataclasses.replace(config, out_dir=str(run), max_steps=10))
+        arrays = {name: p.data for name, p in trainer.model.params.items()}
+        trainer.train(resume=True)
+        assert all(p.data is arrays[name] for name, p in trainer.model.params.items())
+        saved[cpus] = trainer._checkpoint_path(10).read_bytes()
+    assert saved[1] == saved[2]
