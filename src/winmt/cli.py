@@ -407,6 +407,9 @@ def _read_correct_column(flag: str, path: Path) -> dict[str, bool]:
                 raise UsageError(f"{flag} {path} has no {column!r} column")
         correct = {}
         for row in reader:
+            if row["example_id"] in correct:
+                raise UsageError(f"{flag} {path} line {reader.line_num} repeats example id "
+                                 f"{row['example_id']!r}")
             try:
                 correct[row["example_id"]] = bool(int(row["correct"]))
             except (TypeError, ValueError):  # a missing field reads None

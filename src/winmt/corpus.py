@@ -528,8 +528,9 @@ def _schema_problem(rec) -> str | None:
 
 def read_contrastive(path) -> list[ContrastiveExample]:
     """The examples of a contrastive JSONL file. A line that is not a valid
-    record raises ``CorpusError`` naming ``path:line``."""
-    examples = []
+    record, or repeats an earlier record's id, raises ``CorpusError``
+    naming ``path:line``."""
+    examples, id_lines = [], {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -546,6 +547,9 @@ def read_contrastive(path) -> list[ContrastiveExample]:
                         src_sentences=_parse_window_text(rec["src"]),
                         candidates=tuple(_parse_window_text(c) for c in rec["candidates"]),
                         phenomenon=rec["phenomenon"], distance=rec["distance"]))
+                    if id_lines.setdefault(rec["id"], lineno) != lineno:
+                        raise CorpusError(f"example id {rec['id']!r} repeats line "
+                                          f"{id_lines[rec['id']]}")
                 except (CorpusError, json.JSONDecodeError) as exc:
                     raise CorpusError(f"{path}:{lineno}: {exc}") from None
     except UnicodeDecodeError:

@@ -192,21 +192,13 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-@dataclass(frozen=True)
-class BleuStats:
-    """Sufficient statistics of one sentence pair for corpus BLEU."""
-
-    matches: tuple[int, ...]
-    totals: tuple[int, ...]
-    hyp_len: int
-    ref_len: int
-
-
 def _as_tokens(x) -> list[str]:
     return x.split() if isinstance(x, str) else list(x)
 
 
-def bleu_stats(hypothesis, reference) -> BleuStats:
+def bleu_stats(hypothesis, reference) -> tuple[int, ...]:
+    """Sufficient statistics of one sentence pair for corpus BLEU: MAX_N n-gram
+    matches, MAX_N n-gram totals, hypothesis and reference length."""
     hyp, ref = _as_tokens(hypothesis), _as_tokens(reference)
     if not ref:
         raise EvalError("empty reference sentence")
@@ -216,24 +208,17 @@ def bleu_stats(hypothesis, reference) -> BleuStats:
         ref_counts = _ngrams(ref, n)
         matches.append(sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()))
         totals.append(max(0, len(hyp) - n + 1))
-    return BleuStats(tuple(matches), tuple(totals), len(hyp), len(ref))
+    return (*matches, *totals, len(hyp), len(ref))
 
 
-def bleu_rows(stats: Sequence[BleuStats]) -> np.ndarray:
-    """One int64 row per sentence: MAX_N n-gram matches, MAX_N n-gram totals,
-    hypothesis and reference length; their sum is what ``bleu_from_row`` scores."""
-    return np.array([s.matches[:MAX_N] + s.totals[:MAX_N] + (s.hyp_len, s.ref_len)
-                     for s in stats], dtype=np.int64)
-
-
-def bleu_from_stats(stats: Sequence[BleuStats]) -> float:
+def bleu_from_stats(stats: Sequence[tuple[int, ...]]) -> float:
     if not stats:
         raise EvalError("empty corpus")
-    return bleu_from_row(bleu_rows(stats).sum(axis=0).tolist())
+    return bleu_from_row(np.array(stats, dtype=np.int64).sum(axis=0).tolist())
 
 
 def bleu_from_row(row: Sequence[int]) -> float:
-    """Corpus BLEU from corpus sums in the layout of ``bleu_rows``."""
+    """Corpus BLEU from corpus sums in the layout of ``bleu_stats``."""
     matches, totals, hyp_len, ref_len = row[:MAX_N], row[MAX_N:2 * MAX_N], row[-2], row[-1]
     if hyp_len == 0:
         return 0.0

@@ -51,8 +51,12 @@ class ModelError(ValueError):
 
 def check_model_settings(cfg) -> None:
     """Raise ModelError naming the first invalid model setting of ``cfg``, a
-    ModelConfig or any object with its ``heads``, ``hidden``, ``dropout``,
-    ``position_scheme``, ``shift_strategy``, ``segment_variant`` and ``dtype``."""
+    ModelConfig or any object with its ``layers``, ``heads``, ``hidden``, ``ffn``,
+    ``dropout``, ``position_scheme``, ``shift_strategy``, ``segment_variant`` and
+    ``dtype``."""
+    for key in ("layers", "ffn"):
+        if getattr(cfg, key) < 1:
+            raise ModelError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     if cfg.heads < 1 or cfg.hidden % cfg.heads:
         raise ModelError(f"hidden {cfg.hidden} not divisible by heads {cfg.heads}")
     if cfg.hidden < 2 or cfg.hidden % 2:
@@ -140,10 +144,6 @@ class Batch:
 
     def __post_init__(self):
         self.src_grid, self.tgt_grid = _shared_cells(self)
-
-    @property
-    def size(self) -> int:
-        return len(self.windows)
 
 
 class Grid(NamedTuple):

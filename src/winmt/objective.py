@@ -59,9 +59,6 @@ class LossBreakdown:
     current_loss: Tensor
     context_loss: Tensor
     discounted_total: Tensor
-    current_token_count: int
-    context_token_count: int
-    cd: float
 
 
 def partition_masks(windows: Sequence[Window]) -> tuple[np.ndarray, np.ndarray]:
@@ -93,14 +90,7 @@ def masked_discounted_loss(per_token: Tensor, current_mask: np.ndarray,
     current = reduce_sum(mul_const(per_token, current_mask))
     context = reduce_sum(mul_const(per_token, context_mask))
     total = add(mul_const(context, cd), current)
-    return LossBreakdown(
-        current_loss=current,
-        context_loss=context,
-        discounted_total=total,
-        current_token_count=int(round(float(current_mask.sum()))),
-        context_token_count=int(round(float(context_mask.sum()))),
-        cd=cd,
-    )
+    return LossBreakdown(current_loss=current, context_loss=context, discounted_total=total)
 
 
 def normalized_training_loss(breakdown: LossBreakdown, current_tokens: int) -> Tensor:

@@ -89,16 +89,16 @@ def approx_randomization(scores_a: Sequence, scores_b: Sequence, permutations: i
 def paired_bleu_randomization(stats_a, stats_b, permutations: int, seed: int) -> float:
     """Approximate randomization where the aggregate statistic is corpus BLEU.
 
-    ``stats_a``/``stats_b`` are aligned per-sentence BleuStats, and each
+    ``stats_a``/``stats_b`` are aligned per-sentence ``bleu_stats``, and each
     permutation swaps whole sentences; its corpus sums are formed in
     integers from the summed statistics and the sentences it swaps."""
-    from .evaluation import bleu_from_row, bleu_rows
+    from .evaluation import bleu_from_row
 
     if len(stats_a) != len(stats_b):
         raise StatsError("per-sentence statistics must be aligned")
     if not stats_a:
         raise StatsError("empty corpus")
-    a, b = bleu_rows(stats_a), bleu_rows(stats_b)
+    a, b = np.array(stats_a, dtype=np.int64), np.array(stats_b, dtype=np.int64)
     sum_a, sum_b, swap = a.sum(axis=0), b.sum(axis=0), b - a
 
     def statistics(flip):

@@ -331,8 +331,6 @@ class Trainer:
     def __init__(self, config: TrainConfig):
         self.cfg = config
         self.run_dir = Path(config.out_dir)
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        (self.run_dir / "checkpoints").mkdir(exist_ok=True)
 
         # the splits stay token ids; each batch's windows are built when it runs
         data = Path(config.data_dir)
@@ -367,6 +365,8 @@ class Trainer:
         self.dev_batches = pack_batches(range(len(self.dev_corpus)), config.batch_tokens,
                                         by_length(dev_lengths), dev_lengths)
         self._shard_worker = None  # computes shard 1 of each step while ``train`` runs
+        # made last, so that inputs which fail to read leave no run directory behind
+        (self.run_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
 

@@ -192,6 +192,19 @@ class TestTrain:
         assert code == 0
         assert "segment shift:" in capsys.readouterr().out
 
+    def test_unreadable_data_leaves_no_run_dir(self, data_dir, tmp_path, capsys):
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        (bad / "train.txt").write_text("")
+        out = tmp_path / "run"
+        small = ["--hidden", "16", "--ffn", "32", "--heads", "2", "--layers", "1",
+                 "--max-steps", "2", "--val-interval", "2", "--batch-tokens", "256"]
+        assert run_cli("train", "--data", bad, "--out", out, *small) == 2
+        assert last_error(capsys)["error"] == "CorpusError"
+        assert not out.exists()
+        # so the rerun on good data needs no --force
+        assert run_cli("train", "--data", data_dir, "--out", out, *small) == 0
+
     def test_missing_dirs_is_usage_error(self):
         assert run_cli("train", "--seed", "1") == 1
 
@@ -410,6 +423,21 @@ class TestContrastive:
             "message": f"{path}:2: example {rec['id']!r} contains reserved token {token!r}"}
         assert not report.exists()
 
+    def test_repeated_example_id_names_its_line(self, data_dir, run_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        path = data / "contrastive_test.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(line + "\n" for line in lines + lines[:1]))
+        report = tmp_path / "report"
+        assert run_cli("contrastive", "--run", run_dir, "--data", data,
+                       "--report-dir", report) == 2
+        example_id = json.loads(lines[0])["id"]
+        assert last_error(capsys) == {
+            "error": "CorpusError",
+            "message": f"{path}:{len(lines) + 1}: example id {example_id!r} repeats line 1"}
+        assert not report.exists()
+
 
 class TestDiagnose:
     def test_diagnostics_emitted(self, data_dir, run_dir):
@@ -606,6 +634,18 @@ class TestStats:
         assert err["error"] == "UsageError"
         assert err["message"] == f"--b {b} line 3 has no integer 'correct' value: {value}"
 
+    def test_mcnemar_repeated_example_id_is_usage_error(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("example_id,correct\na,1\nb,0\na,0\n")
+        b.write_text("example_id,correct\na,1\nb,1\n")
+        assert run_cli("stats", "--test", "mcnemar", "--a", a, "--b", b) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err == {"error": "UsageError",
+                       "message": f"--a {a} line 4 repeats example id 'a'"}
+
     def test_ar_bleu_empty_reference_line_is_usage_error(self, tmp_path, capsys):
         hyps = tmp_path / "h.txt"
         refs = tmp_path / "r.txt"
@@ -703,6 +743,8 @@ def test_unknown_position_scheme_is_config_error(command, data_dir, tmp_path, ca
                          (["--shift-strategy", "fixed:-1"], "fixed:-1"),
                          (["--hidden", "9", "--heads", "3"], "even"),
                          (["--hidden", "130", "--heads", "4"], "divisible"),
+                         (["--layers", "-1"], "layers must be >= 1, got -1"),
+                         (["--ffn", "0"], "ffn must be >= 1, got 0"),
                          (["--val-interval", "0"], "val_interval must be >= 1"),
                          (["--val-interval", "-5"], "val_interval must be >= 1"),
                          (["--max-steps", "-1"], "max_steps must be >= 0"),

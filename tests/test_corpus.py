@@ -2,6 +2,7 @@ import gc
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,7 +338,7 @@ class TestContrastiveIO:
 
     def test_equal_tokens_are_one_object(self, tmp_path):
         path = tmp_path / "contrastive.jsonl"
-        C.write_contrastive(path, [self.example()] * 2)
+        C.write_contrastive(path, [self.example(), replace(self.example(), example_id="d0:2")])
         first, second = C.read_contrastive(path)
         assert first.src_sentences[1][1] is second.src_sentences[1][1]
         assert first.candidates[0][1][1] is second.candidates[0][1][1]
@@ -351,6 +352,7 @@ class TestContrastiveIO:
         ({"candidates": ["a b <S> c amb_a"] * 3}, "expected exactly 2 candidates"),
         ({"candidates": ["a b <S> c amb_a", 5]}, "candidates must be strings"),
         ({"candidates": ["a b <S> c amb_a", "z <S> c amb_b"]}, "outside the current"),
+        ({}, "example id 'd0:1' repeats line 1"),  # a valid record, but the same id
     ])
     def test_record_that_breaks_the_schema_names_its_line(self, tmp_path, change, message):
         path = tmp_path / "contrastive.jsonl"

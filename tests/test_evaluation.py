@@ -117,7 +117,7 @@ class TestTeacherForcedScores:
             built.clear()
             forwarded.clear()
             E.evaluate_contrastive(model, examples, vocab, mode)
-            assert [b.size for b in built] == [sum(len(ex.candidates) for ex in c)
+            assert [len(b.windows) for b in built] == [sum(len(ex.candidates) for ex in c)
                                                for c in chunks]
             assert [id(b) for b in forwarded] == [id(b) for b in built]
 

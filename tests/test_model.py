@@ -37,6 +37,8 @@ def setup():
     (dict(dtype="float16"), "float16"),
     (dict(shift_strategy="fixed:x"), "fixed:x"),
     (dict(shift_strategy="avg"), "avg"),
+    (dict(layers=-1), "layers must be >= 1, got -1"),
+    (dict(ffn=0), "ffn must be >= 1, got 0"),
 ])
 def test_bad_model_settings_rejected(change, named):
     with pytest.raises(M.ModelError, match=named):
@@ -196,7 +198,7 @@ def assert_gradients_match_finite_differences(model, batch, seed_label):
             lp, _ = model.forward(batch)
             per_tok = O.smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid)
             bd = O.masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask, 0.3)
-            return O.normalized_training_loss(bd, bd.current_token_count)
+            return O.normalized_training_loss(bd, int(batch.current_mask.sum()))
         finally:
             model.params[name] = saved
 
@@ -347,7 +349,7 @@ def test_gradients_reach_all_parameters(setup):
         lp, _ = model.forward(batch)
         per_tok = O.smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid)
         bd = O.masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask, 0.5)
-        loss = O.normalized_training_loss(bd, bd.current_token_count)
+        loss = O.normalized_training_loss(bd, int(batch.current_mask.sum()))
     backward(loss)
     missing = [name for name, p in model.params.items() if p.grad is None]
     assert not missing, f"no gradient for {missing}"
@@ -365,7 +367,7 @@ def test_training_step_records_each_attention_as_one_node(setup):
         lp, _ = model.forward(batch, train=True, step=1, seed=1)
         per_tok = O.smoothed_nll(lp, batch.tgt_out, 0.1, batch.tgt_valid)
         bd = O.masked_discounted_loss(per_tok, batch.current_mask, batch.context_mask, 0.5)
-        O.normalized_training_loss(bd, bd.current_token_count)
+        O.normalized_training_loss(bd, int(batch.current_mask.sum()))
     ops = [node.backward_fn.__qualname__.split(".")[0] for node in graph.nodes]
     assert len(ops) <= 149
     assert "transpose" not in ops

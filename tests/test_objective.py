@@ -103,7 +103,7 @@ class TestConcatLoss:
         total = R.concat_loss(losses, w)
         bd = discounted(losses, w, cd=1.0)
         assert total.item() == pytest.approx(bd.current_loss.item())
-        assert bd.context_token_count == 0
+        assert bd.context_loss.item() == 0.0
 
     def test_equals_context_plus_current(self, vocab):
         w = two_sentence_window(vocab)
@@ -140,10 +140,10 @@ class TestContextDiscountedLoss:
         w = two_sentence_window(vocab)
         losses = T.Tensor(np.ones(len(w.tgt_ids)))
         bd = discounted(losses, w, cd=0.5)
-        assert bd.current_token_count + bd.context_token_count == len(w.tgt_ids)
+        assert bd.current_loss.item() + bd.context_loss.item() == len(w.tgt_ids)
         # separator of the context sentence counts as context, <E> as current
-        assert bd.context_token_count == 3  # "t0", "t1", "<S>"
-        assert bd.current_token_count == 2  # "t2", "<E>"
+        assert bd.context_loss.item() == 3  # "t0", "t1", "<S>"
+        assert bd.current_loss.item() == 2  # "t2", "<E>"
 
     def test_linearity_in_cd(self, vocab):
         w = two_sentence_window(vocab)
@@ -157,7 +157,7 @@ class TestContextDiscountedLoss:
         w = two_sentence_window(vocab)
         losses = T.Tensor(stream(4, "loss").uniform(0, 1, len(w.tgt_ids)))
         bd = discounted(losses, w, cd=0.3)
-        assert bd.discounted_total.item() == (bd.cd * bd.context_loss.item()
+        assert bd.discounted_total.item() == (0.3 * bd.context_loss.item()
                                               + bd.current_loss.item())
 
     def test_gradient_flows_through_total(self, vocab):

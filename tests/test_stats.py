@@ -3,7 +3,7 @@ import pytest
 import scipy.stats
 
 from winmt import stats as S
-from winmt.evaluation import BleuStats, bleu_from_stats, bleu_stats
+from winmt.evaluation import bleu_from_stats, bleu_stats
 from winmt.rng import stream
 
 
@@ -135,7 +135,7 @@ class TestPairedBleuRandomization:
 
 
 def reference_paired_bleu_randomization(stats_a, stats_b, permutations, seed):
-    """One BleuStats list per system and permutation, scored by bleu_from_stats."""
+    """One bleu_stats list per system and permutation, scored by bleu_from_stats."""
     observed = abs(bleu_from_stats(stats_a) - bleu_from_stats(stats_b))
     rng = stream(seed, "approx-randomization-bleu")
     count = 0
@@ -154,7 +154,7 @@ def random_bleu_stats(rng, n, skill):
         hyp_len, ref_len = int(rng.integers(0, 12)), int(rng.integers(1, 12))
         totals = tuple(max(0, hyp_len - k) for k in range(4))
         matches = tuple(int(rng.binomial(t, skill)) for t in totals)
-        out.append(BleuStats(matches, totals, hyp_len, ref_len))
+        out.append((*matches, *totals, hyp_len, ref_len))
     return out
 
 

@@ -234,12 +234,12 @@ def test_span_losses_and_diagnose_build_and_forward_each_batch_once(tmp_path, on
         built.clear()
         forwarded.clear()
         TR.span_losses(model, corpus, 2, batches, 0.1, capture=capture)
-        assert [b.size for b in built] == [len(b) for b in batches]
+        assert [len(b.windows) for b in built] == [len(b) for b in batches]
         assert [id(b) for b in forwarded] == [id(b) for b in built]
     built.clear()
     forwarded.clear()
     TR.diagnose(model, corpus, 2, 0.1, 0)
-    assert [b.size for b in built] == [min(32, n - lo) for lo in range(0, n, 32)]
+    assert [len(b.windows) for b in built] == [min(32, n - lo) for lo in range(0, n, 32)]
     assert [id(b) for b in forwarded] == [id(b) for b in built]
 
 

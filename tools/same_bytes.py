@@ -55,6 +55,10 @@ COMMANDS = [
     ("train-avg-sequence", "train --data {out}/data --out {out}/train-avg-sequence "
                            "--position-scheme shifted --shift-strategy avg-sequence "
                            "--segment-variant sin --layers 1 --max-steps 10 --val-interval 5"),
+    # a fixed segment shift, the one strategy that the runs above do not resolve
+    ("train-fixed", "train --data {out}/data --out {out}/train-fixed "
+                    "--position-scheme shifted --shift-strategy fixed:3 --layers 1 "
+                    "--max-steps 10 --val-interval 5"),
     # no learning: the validation at step 8 stops the run, and no step
     # after it trains
     ("train-stop", "train --data {out}/data --out {out}/train-stop --patience 1 "
